@@ -1,6 +1,7 @@
 """Command-line interface: fit, predict, bench, demo, inspect.
 
-Exit codes: 0 success, 2 usage error, 3 data error, 4 solver abort.
+Exit codes: 0 success, 2 usage error, 3 data error, 4 solver abort (or, for
+bench, a failed cell).
 """
 
 import argparse
@@ -12,7 +13,7 @@ import numpy as np
 
 from . import features, model as model_mod
 from .data import (DataError, SyntheticGen, apply_scaling, load_csv,
-                   SCALING_MODES, SYNTHETIC_TARGETS)
+                   read_csv_matrix, SCALING_MODES, SYNTHETIC_TARGETS)
 from .experiment import (ALL_ESTIMATORS, ExperimentSpec, demo_figures,
                          run_experiment, write_bench_outputs, write_csv)
 from .fit import FitConfig, STRONG, WEAK, fit_dcf
@@ -53,30 +54,27 @@ def _cmd_fit(args):
 
 def _cmd_predict(args):
     model, scaling = load_bundle(args.model)
-    dataset = _load_features(args.data, model.d)
-    X = dataset if isinstance(dataset, np.ndarray) else dataset.X
+    X = _load_features(args.data, model.d)
     if scaling is not None:
         X = scaling.transform_x(X)
     preds = model_mod.eval_model(model, X)
     if scaling is not None:
         preds = scaling.invert_y(preds)
-    write_csv(args.out, ["prediction"], [{"prediction": float(p)} for p in preds])
+    write_csv(args.out, ["prediction"], preds[:, None].tolist())
     print(f"wrote {len(preds)} predictions to {args.out}")
     return EXIT_OK
 
 
 def _load_features(path, d):
-    """Accept a features-only CSV or a full CSV whose last column is dropped."""
-    try:
-        dataset = load_csv(path)
-    except DataError:
-        raise
-    if dataset.d == d:
-        return dataset
-    if dataset.d == d - 1:
-        # load_csv split off the last column as a response; stitch it back.
-        return np.hstack([dataset.X, dataset.y[:, None]])
-    raise DataError(f"model expects {d} features, file provides {dataset.d} (+response)")
+    """Accept a features-only CSV (d columns) or one with a trailing response (d + 1)."""
+    _, rows = read_csv_matrix(path)
+    ncols = rows.shape[1]
+    if ncols not in (d, d + 1):
+        raise DataError(f"model expects {d} features, file has {ncols} columns "
+                        f"(expected {d}, or {d + 1} with a trailing response)")
+    # eval_model's last bits depend on the memory layout.  Column-major is
+    # the layout load_csv's column split gives, and eval_model is faster on it.
+    return np.asfortranarray(rows[:, :d])
 
 
 def _cmd_bench(args):
@@ -101,6 +99,10 @@ def _cmd_bench(args):
     write_bench_outputs(rows, args.out, timings=args.timings)
     failed = sum(1 for r in rows if r["status"] != "ok")
     print(f"bench cells={len(rows)} failed={failed} out={args.out}")
+    if failed:
+        print(f"bench: {failed} of {len(rows)} cells failed; see the status column "
+              f"of results.csv", file=sys.stderr)
+        return EXIT_SOLVER
     return EXIT_OK
 
 

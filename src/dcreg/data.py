@@ -1,6 +1,7 @@
 """Datasets, CSV ingestion, feature scaling, and synthetic generators."""
 
 import csv
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -67,34 +68,29 @@ def _parse_cell(text, row, col):
     return value
 
 
-def load_csv(path, response_col=None) -> Dataset:
-    """Load a numeric CSV as a Dataset.
-
-    A non-numeric first row is treated as a header.  ``response_col`` selects
-    the response column by integer index or header name; the default is the
-    last column.  Cell indices in error messages are 1-based (header row
-    included in the count when present).
-    """
+def _header_of(cells):
+    """Stripped cells if any of them is non-numeric (a header row), else None."""
     try:
-        with open(path, "r", newline="") as fh:
-            raw = [row for row in csv.reader(fh) if row and any(c.strip() for c in row)]
-    except OSError as exc:
-        raise DataError(f"cannot read {path}: {exc}") from exc
+        [float(c) for c in cells]
+    except ValueError:
+        return [c.strip() for c in cells]
+    return None
+
+
+def _parse_strict(fh, path, need_response):
+    """Cell-by-cell reader: it defines which files are accepted and every error."""
+    raw = [row for row in csv.reader(fh) if row and any(c.strip() for c in row)]
     if not raw:
         raise DataError(f"{path} contains no data rows")
 
-    header = None
-    first = raw[0]
-    try:
-        [float(c) for c in first]
-    except ValueError:
-        header = [c.strip() for c in first]
+    header = _header_of(raw[0])
+    if header is not None:
         raw = raw[1:]
         if not raw:
             raise DataError(f"{path} contains a header but no data rows")
 
     ncols = len(raw[0])
-    if ncols < 2:
+    if need_response and ncols < 2:
         raise DataError(f"{path} needs at least 2 columns (features + response), got {ncols}")
     rows = np.empty((len(raw), ncols))
     offset = 2 if header is not None else 1
@@ -103,7 +99,64 @@ def load_csv(path, response_col=None) -> Dataset:
             raise DataError(f"row {i + offset} has {len(row)} cells, expected {ncols}")
         for j, cell in enumerate(row):
             rows[i, j] = _parse_cell(cell.strip(), i + offset, j + 1)
+    return header, rows
 
+
+def _parse_bulk(fh):
+    """The same (header, rows) as ``_parse_strict`` in one ``np.loadtxt`` call.
+
+    Returns None wherever the result could differ from the strict reader's
+    or the file may be rejected: a blank or multi-line first row, any cell
+    numpy cannot parse, a ragged row, a blank row, no data, a non-finite value.
+    numpy converts each cell with the same routine as ``float``, so the
+    values it does return are bit-identical.
+    """
+    try:
+        cells = next(csv.reader([fh.readline()], strict=True))
+        if not any(c.strip() for c in cells):
+            return None
+        header = _header_of(cells)
+        if header is None:
+            fh.seek(0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # "input contained no data": checked below
+            rows = np.loadtxt(fh, delimiter=",", ndmin=2, quotechar='"', comments=None)
+    except (ValueError, csv.Error):
+        return None
+    if rows.size == 0 or not np.isfinite(rows).all():
+        return None
+    return header, rows
+
+
+def read_csv_matrix(path, need_response=False):
+    """(header or None, (n, ncols) float matrix) of a numeric CSV.
+
+    A non-numeric first row is treated as a header; blank rows are skipped;
+    cells may be padded with whitespace or quoted.  With ``need_response``
+    the file must have a second column to serve as the response.  Cell
+    indices in error messages are 1-based (header row included in the count
+    when present).
+    """
+    try:
+        with open(path, "r", newline="") as fh:
+            parsed = _parse_bulk(fh)
+            if parsed is None or (need_response and parsed[1].shape[1] < 2):
+                fh.seek(0)
+                parsed = _parse_strict(fh, path, need_response)
+    except OSError as exc:
+        raise DataError(f"cannot read {path}: {exc}") from exc
+    return parsed
+
+
+def load_csv(path, response_col=None) -> Dataset:
+    """Load a numeric CSV as a Dataset.
+
+    The file is read by ``read_csv_matrix``.  ``response_col`` selects the
+    response column by integer index or header name; the default is the
+    last column.
+    """
+    header, rows = read_csv_matrix(path, need_response=True)
+    ncols = rows.shape[1]
     if response_col is None:
         col = ncols - 1
     else:

@@ -8,6 +8,7 @@ variance.
 
 import csv
 import logging
+from collections.abc import Mapping
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -159,6 +160,7 @@ def _run_cell(spec, full, estimator, n_idx, rep):
     except Exception as exc:  # keep the sweep alive; mark the cell
         log.warning("cell failed estimator=%s n=%d rep=%d error=%s",
                     estimator, n, rep, exc)
+        log.debug("traceback of the failed cell", exc_info=True)
         row["status"] = f"failed: {exc}"
     return row
 
@@ -198,19 +200,19 @@ def aggregate_rows(rows):
     return out
 
 
-def _fmt(value):
-    if isinstance(value, float):
-        return repr(value)
-    return "" if value is None else str(value)
-
-
 def write_csv(path, columns, rows):
-    """Deterministic CSV: '.' decimals, '\\n' line endings, header always."""
+    """Deterministic CSV: '.' decimals, '\\n' line endings, header always.
+
+    Each row is a mapping from column name to value (a missing key writes an
+    empty cell) or a sequence of values in column order.  Floats are written
+    as their repr, None as an empty cell.
+    """
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(columns)
-        for row in rows:
-            writer.writerow([_fmt(row.get(c)) for c in columns])
+        # csv writes str(value): repr for floats (numpy's float64 included)
+        writer.writerows([row.get(c) for c in columns] if isinstance(row, Mapping) else row
+                         for row in rows)
 
 
 def write_bench_outputs(rows, out_dir, timings=False):

@@ -147,3 +147,68 @@ def test_verbose_logging_smoke(tmp_path, csv_file, caplog):
                      "--out", str(model_path)])
     assert code == EXIT_OK
     assert any("fit_initial" in r.message for r in caplog.records)
+
+
+def _expected_predictions(model_path, X):
+    from dcreg.model import eval_model
+    from dcreg.serialize import load_bundle
+    model, scaling = load_bundle(model_path)
+    return scaling.invert_y(eval_model(model, scaling.transform_x(X)))
+
+
+def test_predict_one_column_features_for_1d_model(tmp_path, csv_file):
+    model_path = tmp_path / "model.json"
+    assert main(["fit", "--data", str(csv_file), "--out", str(model_path)]) == EXIT_OK
+    X = np.linspace(0, 6, 25)[:, None]
+    feats = tmp_path / "x.csv"
+    feats.write_text("".join(f"{v!r}\n" for v in X[:, 0].tolist()))
+    out = tmp_path / "p.csv"
+    code = main(["predict", "--model", str(model_path), "--data", str(feats),
+                 "--out", str(out)])
+    assert code == EXIT_OK
+    preds = np.array([float(v) for v in out.read_text().splitlines()[1:]])
+    assert np.array_equal(preds, _expected_predictions(model_path, X))
+
+
+def test_predict_output_bytes(tmp_path):
+    rng = np.random.default_rng(4)
+    X = rng.uniform(-1, 1, (60, 3))
+    y = np.abs(X[:, 0]) - X[:, 1] + X[:, 2] ** 2
+    data = tmp_path / "d.csv"
+    data.write_text("".join(",".join(map(repr, row)) + "\n"
+                            for row in np.column_stack([X, y]).tolist()))
+    model_path = tmp_path / "m.json"
+    assert main(["fit", "--data", str(data), "--variant", "single",
+                 "--out", str(model_path)]) == EXIT_OK
+    feats = tmp_path / "features.csv"
+    feats.write_text("u,v,w\n" + "".join(",".join(map(repr, row)) + "\n"
+                                         for row in X.tolist()))
+    # header "prediction", then one repr per line; the rows are evaluated
+    # column-major, the layout of load_csv's features
+    preds = _expected_predictions(model_path, np.asfortranarray(X))
+    expected = "prediction\n" + "".join(f"{p!r}\n" for p in preds.tolist())
+    for source in (data, feats):
+        out = tmp_path / f"p_{source.stem}.csv"
+        assert main(["predict", "--model", str(model_path), "--data", str(source),
+                     "--out", str(out)]) == EXIT_OK
+        assert out.read_bytes() == expected.encode()
+
+
+def test_bench_failed_cell_exits_nonzero(tmp_path, monkeypatch, caplog):
+    import logging
+
+    import dcreg.experiment as experiment
+
+    def broken_ols(*args, **kwargs):
+        raise RuntimeError("forced ols failure")
+
+    monkeypatch.setattr(experiment.baselines, "ols_fit", broken_ols)
+    out = tmp_path / "o"
+    with caplog.at_level(logging.DEBUG, logger="dcreg.experiment"):
+        code = main(["bench", "--target", "xsinx", "--sizes", "48", "--reps", "1",
+                     "--estimators", "knn", "ols", "--seed", "7", "--out", str(out)])
+    assert code == EXIT_SOLVER
+    statuses = [line.split(",")[3] for line in
+                (out / "results.csv").read_text().splitlines()[1:]]
+    assert statuses == ["ok", "failed: forced ols failure"]
+    assert any(r.levelno == logging.DEBUG and r.exc_info for r in caplog.records)

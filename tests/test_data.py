@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
+from dcreg import data
 from dcreg.data import (MM, NOFS, STD, DataError, Dataset, SyntheticGen,
-                        apply_scaling, load_csv)
+                        apply_scaling, load_csv, read_csv_matrix)
 
 
 def test_dataset_validation():
@@ -152,3 +153,104 @@ def test_reported_mse_identity():
     raw_mse = np.mean((spec.invert_y(preds_std) - ds.y) ** 2)
     std_mse = np.mean((preds_std - spec.transform_y(ds.y)) ** 2)
     assert raw_mse == pytest.approx(std_mse * spec.y_std ** 2, rel=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# the bulk reader against the strict cell-by-cell reader
+
+def _edge_matrix():
+    rng = np.random.default_rng(11)
+    M = rng.standard_normal((64, 6)) * 10.0 ** rng.integers(-12, 12, (64, 6))
+    specials = [5e-324, -5e-324, 2.2250738585072014e-308, 1e-310, 0.0, -0.0,
+                1e300, -1e300, 1e-300, -1e-300, 1.7976931348623157e308,
+                0.1 + 0.2, 1 / 3, 2.0 ** 52 + 1, 123456789.12345678]
+    M.ravel()[:len(specials)] = specials
+    return M
+
+
+def test_bulk_reader_bits_match_float(tmp_path):
+    M = _edge_matrix()
+    cells = [[repr(v) for v in row] for row in M.tolist()]
+    # more digits than a double holds: the rounding of the text must agree too
+    cells += [[f"{v:.25e}" for v in row] for row in M[:8].tolist()]
+    path = tmp_path / "m.csv"
+    path.write_text("".join(",".join(row) + "\n" for row in cells))
+    expected = np.array([[float(c) for c in row] for row in cells])
+    with open(path, newline="") as fh:
+        parsed = data._parse_bulk(fh)
+    assert parsed is not None, "the bulk path must accept a plain numeric file"
+    header, rows = parsed
+    assert header is None
+    assert np.array_equal(rows.view(np.int64), expected.view(np.int64))
+    _, rows = read_csv_matrix(path)
+    assert np.array_equal(rows.view(np.int64), expected.view(np.int64))
+
+
+def _outcomes(path):
+    """What read_csv_matrix and load_csv (two response columns) make of a file."""
+    out = []
+    for read in (read_csv_matrix, load_csv, lambda p: load_csv(p, response_col=0)):
+        try:
+            got = read(path)
+        except DataError as exc:
+            out.append(("error", str(exc)))
+            continue
+        header, arrays = got if isinstance(got, tuple) else (None, (got.X, got.y))
+        out.append(("ok", header, [(a.shape, a.view(np.int64).tobytes()) for a in arrays]))
+    return out
+
+
+# (name, file text, whether the bulk path accepts it as it stands)
+_SHAPES = [
+    ("header", "x,y\n0.5,1\n-2,3e-3\n", True),
+    ("padded", " 1 , 2\t\n3,  4 \n", True),
+    ("quoted", '"x","y"\n"1",2\n3,"4"\n', True),
+    ("crlf", "x,y\r\n1,2\r\n3,4\r\n", True),
+    ("blank_lines", "1,2\n\n3,4\n\n", True),
+    ("whitespace_line", "1,2\n   \n3,4\n", False),
+    ("leading_blank", "\n \nx,y\n1,2\n", False),
+    ("blank_first_row", " , \n1,2\n3,4\n", False),
+    ("comma_rows", "1,2\n,\n3,4\n, ,\n", False),
+    ("underscore", "1_0,2\n3,4\n", False),
+    ("nan", "a,b\n1,2\n3,nan\n", False),
+    ("inf", "1,inf\n3,4\n", False),
+    ("overflow", "1,2\n1e400,4\n", False),
+    ("ragged", "1,2\n3\n", False),
+    ("ragged_header", "a,b\n1,2\n3,4,5\n", False),
+    ("non_numeric", "a,b\n1,2\n3,oops\n", False),
+    ("trailing_comma", "1,2,\n3,4,\n", False),
+    ("multiline_header", '"x\n1",2\n3,4\n', False),
+    ("text_after_quote", '"1"5,2\n3,4\n', False),
+    ("one_column", "1\n2\n", True),
+    ("header_only", "x,y\n", False),
+    ("empty", "", False),
+]
+
+
+@pytest.mark.parametrize("name,text,bulk", _SHAPES, ids=[s[0] for s in _SHAPES])
+def test_load_csv_matches_strict_reader(tmp_path, monkeypatch, name, text, bulk):
+    path = tmp_path / f"{name}.csv"
+    path.write_bytes(text.encode())
+    with open(path, newline="") as fh:
+        assert (data._parse_bulk(fh) is not None) == bulk
+    got = _outcomes(path)
+    monkeypatch.setattr(data, "_parse_bulk", lambda fh: None)
+    assert got == _outcomes(path)
+
+
+def test_load_csv_non_finite_names_location(tmp_path):
+    path = tmp_path / "d.csv"
+    path.write_text("a,b\n1,2\n3,-inf\n")
+    with pytest.raises(DataError, match=r"non-finite cell at \(3, 2\): '-inf'"):
+        load_csv(path)
+
+
+def test_read_csv_matrix_keeps_every_column(tmp_path):
+    path = tmp_path / "d.csv"
+    path.write_text("x\n0.25\n-1.5\n")
+    header, rows = read_csv_matrix(path)
+    assert header == ["x"]
+    assert rows.shape == (2, 1)
+    assert np.array_equal(rows[:, 0], [0.25, -1.5])
+    with pytest.raises(DataError, match="needs at least 2 columns"):
+        load_csv(path)

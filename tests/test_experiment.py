@@ -3,7 +3,7 @@ import pytest
 
 from dcreg.data import SyntheticGen
 from dcreg.experiment import (ExperimentSpec, aggregate_rows, demo_figures,
-                              run_experiment, write_bench_outputs)
+                              run_experiment, write_bench_outputs, write_csv)
 
 
 def _spec(**kw):
@@ -140,3 +140,13 @@ def test_demo_figures_bit_reproducible(tmp_path):
     out2 = demo_figures(tmp_path / "b", n_grid=150, seed=2)
     for path in sorted(out1.iterdir()):
         assert path.read_bytes() == (out2 / path.name).read_bytes(), path.name
+
+
+def test_write_csv_cell_format(tmp_path):
+    rows = [{"a": 0.1 + 0.2, "b": None, "c": "x,y"},
+            {"a": np.float64(1e-5), "b": 3, "c": True},
+            [-0.0, 5e-324, np.float64(2.0) ** 60]]
+    path = tmp_path / "t.csv"
+    write_csv(path, ["a", "b", "c"], rows)
+    assert path.read_bytes() == (b'a,b,c\n0.30000000000000004,,"x,y"\n1e-05,3,True\n'
+                                 b'-0.0,5e-324,1.152921504606847e+18\n')
