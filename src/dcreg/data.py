@@ -29,13 +29,17 @@ class DataError(ValueError):
 
 @dataclass(frozen=True)
 class Dataset:
-    """Covariate matrix X (n, d) with a response vector y (n,)."""
+    """Covariate matrix X (n, d) with a response vector y (n,).
+
+    X is stored column-major (Fortran order), the layout ``load_csv`` gives,
+    so a fit does not depend on the memory layout the caller passed.
+    """
 
     X: np.ndarray
     y: np.ndarray
 
     def __post_init__(self):
-        X = np.asarray(self.X, dtype=float)
+        X = np.asfortranarray(self.X, dtype=float)
         y = np.asarray(self.y, dtype=float).ravel()
         if X.ndim != 2 or X.shape[0] < 1:
             raise DataError(f"X must be a (n>=1, d) matrix, got shape {np.shape(self.X)}")

@@ -89,10 +89,37 @@ def phi_rows(kind: str, X: np.ndarray, centers: np.ndarray) -> np.ndarray:
     return np.hstack([diff, norms[:, None]])
 
 
+def norm_plane(kind: str, X: np.ndarray, centers: np.ndarray) -> np.ndarray:
+    """Piece-major norms: out[k, i] = ||X[i] - centers[k]||_kind, shape (K, n).
+
+    Built from the explicit differences x_ij - c_kj one coordinate at a time,
+    elementwise, so the bits do not depend on the memory layout of X and the
+    norm at a piece's own center is exactly zero.
+    """
+    if kind not in _NORM_ORD:
+        raise ValueError(f"{kind!r} is not a norm kind")
+    out = None
+    for j in range(X.shape[1]):
+        diff = X[:, j] - centers[:, j, None]
+        if kind == L2:
+            diff *= diff
+        else:
+            np.abs(diff, out=diff)
+        if out is None:
+            out = diff
+        elif kind == LINF:
+            np.maximum(out, diff, out=out)
+        else:
+            out += diff
+    return np.sqrt(out, out=out) if kind == L2 else out
+
+
 def phi_tensor(kind: str, X: np.ndarray, centers: np.ndarray) -> np.ndarray:
     """All-pairs features: out[i, k] = phi(kind, X[i], centers[k]).
 
-    Returns an (n, K, d_feat) array; intended for desk-scale K.
+    Returns an (n, K, d_feat) array.  Only the stage-1 continuity terms
+    (K x K) and the tests use it; evaluation over data rows is piece-major
+    (``norm_plane`` and ``model.piece_values``).
     """
     check_kind(kind)
     X = np.atleast_2d(np.asarray(X, dtype=float))

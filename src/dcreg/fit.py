@@ -25,7 +25,7 @@ from .model import (
 )
 from .partition import Partition, afpc
 from .solver import ObjectiveHandle, SolveReport, SolverConfig, SolverAbort, \
-    lbfgs_minimize, penalty_objective
+    lbfgs_minimize, penalty_objective, softmax_weights
 
 log = logging.getLogger(__name__)
 
@@ -465,9 +465,9 @@ def fit_initial(dataset: Dataset, partition: Partition, kind: str, reg: RegParam
                             comp1.weights[:, :problem.slope_dim],
                             *(() if comp2 is None else
                               (comp2.biases, comp2.weights[:, :problem.slope_dim]))))
-    log.info("fit_initial variant=%s K=%d iters=%d penalized=%.6g violation=%.3g",
-             variant, partition.n_centers, report.iterations, report.final_value,
-             violation)
+    log.info("fit_initial variant=%s K=%d iters=%d evals=%d stop=%s penalized=%.6g "
+             "violation=%.3g", variant, partition.n_centers, report.iterations,
+             report.evaluations, report.stop_reason, report.final_value, violation)
     if variant == SYMMETRIC:
         model = DcModel(SYMMETRIC, comp1, second=comp2)
     elif variant == MAX_MIN_AFFINE:
@@ -524,11 +524,6 @@ def training_risk_std(model: DcModel, X, y) -> float:
 # ---------------------------------------------------------------------------
 # the refinement problem (max-form, smoothed gradients)
 
-def _softmax_rows(A, mu):
-    E = np.exp((A - A.max(axis=1, keepdims=True)) / mu)
-    return E / E.sum(axis=1, keepdims=True)
-
-
 def _reg_terms(W_rows, theta, c0, theta2, mu):
     """Value and per-row gradient of the slope regularizer.
 
@@ -541,15 +536,20 @@ def _reg_terms(W_rows, theta, c0, theta2, mu):
     value = theta * hinge * hinge + theta2 * float(np.sum(norms * norms))
     grad = 2.0 * theta2 * W_rows
     if theta > 0.0 and hinge > 0.0:
-        w = np.exp((norms - lam) / mu)
-        w /= w.sum()
+        w = softmax_weights(norms, mu)
         sn = np.sqrt(np.sum(W_rows * W_rows, axis=1) + _SMOOTH_KAPPA ** 2)
         grad = grad + (2.0 * theta * hinge) * (w / sn)[:, None] * W_rows
     return value, grad
 
 
 class _RefineProblem:
-    """Unconstrained risk + regularizer over the max-form parameters."""
+    """Unconstrained risk + regularizer over the max-form parameters.
+
+    The max forms are evaluated piece-major: piece values are a (K, n)
+    matrix, so every max and soft-max sum runs along axis 0.  The norm plane
+    N[k, i] = ||x_i - c_k|| is computed once per solve; the affine part
+    u_k . (x_i - c_k) is one GEMM, U X^T minus U . c per piece.
+    """
 
     def __init__(self, initial_model: DcModel, X, y, reg: RegParams,
                  cfg: SolverConfig, theta: float, lam0: float, variant: str):
@@ -575,8 +575,11 @@ class _RefineProblem:
             K = comp.n_pieces
             self.layout = ParamLayout(K, self.slope_dim,
                                       symmetric=(variant == SYMMETRIC), with_z=False)
-            phi = features.phi_tensor(self.kind, X, self.centers)
-            self.phi = phi[:, :, :self.slope_dim] if self.slope_dim < phi.shape[2] else phi
+            # One fixed layout for the GEMMs, whatever the caller's layout.
+            self.Xt = np.ascontiguousarray(X.T)
+            self.norms = (features.norm_plane(self.kind, X, self.centers)
+                          if self.kind != features.PLUS and self.slope_dim > self.d
+                          else None)
             if variant == SYMMETRIC:
                 sec = initial_model.second
                 self.x0 = self.layout.pack(0.0, comp.biases,
@@ -591,37 +594,71 @@ class _RefineProblem:
             return self._mma_objective()
         return self._max_form_objective()
 
+    def _relu_pair(self, j):
+        diff = self.X[:, j] - self.centers[:, j, None]
+        return np.maximum(diff, 0.0), np.maximum(-diff, 0.0)
+
+    def _piece_values(self, b, W):
+        """(K, n) values b_k + w_k . phi(x_i, c_k)."""
+        d, C = self.d, self.centers
+        if self.kind == features.PLUS:
+            A = np.repeat(b[:, None], self.Xt.shape[1], axis=1)
+            for j in range(d):
+                pos, neg = self._relu_pair(j)
+                A += W[:, j, None] * pos
+                A += W[:, d + j, None] * neg
+            return A
+        U = W[:, :d]
+        A = U @ self.Xt
+        A += (b - np.einsum("kj,kj->k", U, C))[:, None]
+        if self.norms is not None:
+            A += W[:, d, None] * self.norms
+        return A
+
+    def _piece_grads(self, coef):
+        """Gradients in (b, W) of sum_{k,i} coef[k, i] * A[k, i]."""
+        d, C = self.d, self.centers
+        gb = coef.sum(axis=1)
+        gW = np.empty((coef.shape[0], self.slope_dim))
+        if self.kind == features.PLUS:
+            for j in range(d):
+                pos, neg = self._relu_pair(j)
+                gW[:, j] = np.einsum("kn,kn->k", coef, pos)
+                gW[:, d + j] = np.einsum("kn,kn->k", coef, neg)
+            return gb, gW
+        gW[:, :d] = coef @ self.Xt.T
+        gW[:, :d] -= gb[:, None] * C
+        if self.norms is not None:
+            gW[:, d] = np.einsum("kn,kn->k", coef, self.norms)
+        return gb, gW
+
     def _max_form_objective(self):
-        layout, X, y, phi = self.layout, self.X, self.y, self.phi
-        n = X.shape[0]
+        layout, y = self.layout, self.y
+        n = y.shape[0]
+        K = layout.n_pieces
         mu, theta2 = self.mu, self.reg.theta2
 
         def evaluate(params):
             _, b1, W1, b2, W2 = layout.unpack(params)
-            A1 = b1[None, :] + np.einsum("nkj,kj->nk", phi, W1)
-            m = A1.max(axis=1)
+            A1 = self._piece_values(b1, W1)
+            m = A1.max(axis=0)
             if layout.symmetric:
-                A2 = b2[None, :] + np.einsum("nkj,kj->nk", phi, W2)
-                m2 = A2.max(axis=1)
-                r = m - m2 - y
+                A2 = self._piece_values(b2, W2)
+                r = m - A2.max(axis=0) - y
             else:
                 r = m - y
             value = float(np.mean(r * r))
-            sig1 = _softmax_rows(A1, mu)
-            coef1 = (2.0 / n) * r[:, None] * sig1
-            gb1 = coef1.sum(axis=0)
-            gW1 = np.einsum("nk,nkj->kj", coef1, phi)
-            all_rows = [W1] if not layout.symmetric else [W1, W2]
-            rv, rg = _reg_terms(np.vstack(all_rows), self.theta, self.c0, theta2, mu)
+            scale = (2.0 / n) * r
+            gb1, gW1 = self._piece_grads(softmax_weights(A1, mu, axis=0) * scale)
+            rv, rg = _reg_terms(W1 if not layout.symmetric else np.vstack([W1, W2]),
+                                self.theta, self.c0, theta2, mu)
             value += rv
-            gW1 += rg[:layout.n_pieces]
+            gW1 += rg[:K]
             value += _cone_penalty_grad(self.cone, W1, self.d, self.rho, gW1)
             parts = [gb1, gW1.ravel()]
             if layout.symmetric:
-                sig2 = _softmax_rows(A2, mu)
-                coef2 = -(2.0 / n) * r[:, None] * sig2
-                gb2 = coef2.sum(axis=0)
-                gW2 = np.einsum("nk,nkj->kj", coef2, phi) + rg[layout.n_pieces:]
+                gb2, gW2 = self._piece_grads(softmax_weights(A2, mu, axis=0) * -scale)
+                gW2 += rg[K:]
                 parts += [gb2, gW2.ravel()]
             return value, np.concatenate(parts)
 
@@ -639,9 +676,8 @@ class _RefineProblem:
             m = m_in.max(axis=1)
             r = m - y
             value = float(np.mean(r * r))
-            sig = _softmax_rows(m_in, mu)                       # outer max weights
-            E = np.exp((m_in[:, :, None] - inner) / mu)         # inner min weights
-            tau = E / E.sum(axis=2, keepdims=True)
+            sig = softmax_weights(m_in, mu, axis=1)             # outer max weights
+            tau = softmax_weights(-inner, mu, axis=2)           # inner min weights
             coef = (2.0 / n) * r[:, None, None] * sig[:, :, None] * tau
             gB = coef.sum(axis=0)
             gS = np.einsum("nkl,nd->kld", coef, X)
@@ -707,8 +743,9 @@ def refine(initial_model: DcModel, dataset: Dataset, reg: RegParams,
     rr_cand = (training_risk_std(candidate, dataset.X, dataset.y)
                + reg_n_value(candidate, initial_model, reg, risk0))
     accepted = bool(np.isfinite(rr_cand) and rr_cand <= rr0 + _REFINE_SLACK)
-    log.info("refine variant=%s iters=%d accepted=%s rr0=%.6g rr=%.6g",
-             initial_model.variant, report.iterations, accepted, rr0, rr_cand)
+    log.info("refine variant=%s iters=%d evals=%d stop=%s accepted=%s rr0=%.6g rr=%.6g",
+             initial_model.variant, report.iterations, report.evaluations,
+             report.stop_reason, accepted, rr0, rr_cand)
     return (candidate if accepted else initial_model), report, accepted
 
 

@@ -149,24 +149,61 @@ def validate_model(model: DcModel) -> None:
             raise ValueError("convex_plus requires u >= -v elementwise")
 
 
-def piece_values(comp: DcComponent, X: np.ndarray) -> np.ndarray:
-    """Matrix of per-piece affine-in-feature values: out[i, k]."""
+def _piece_block(comp: DcComponent, X: np.ndarray) -> np.ndarray:
+    """Piece-major values of one row block: out[k, i] = b_k + w_k . phi(X[i], c_k).
+
+    Built from the explicit differences x_ij - c_kj one coordinate at a time,
+    elementwise: a piece at its own center is exactly b_k, and the bits do not
+    depend on the memory layout of X.  The norm plane is skipped when every
+    norm coefficient is zero (convex_max_affine).
+    """
+    centers, W, d = comp.used_centers(), comp.weights, comp.d
+    out = np.repeat(comp.biases[:, None], X.shape[0], axis=1)
+    for j in range(d):
+        diff = X[:, j] - centers[:, j, None]
+        if comp.kind == features.PLUS:
+            out += W[:, j, None] * np.maximum(diff, 0.0)
+            diff = np.maximum(-diff, 0.0, out=diff)
+            diff *= W[:, d + j, None]
+        else:
+            diff *= W[:, j, None]
+        out += diff
+    if comp.kind != features.PLUS and np.any(W[:, d]):
+        out += W[:, d, None] * features.norm_plane(comp.kind, X, centers)
+    return out
+
+
+def _row_blocks(X):
+    """(lo, hi, rows) blocks of at most _CHUNK rows, each copied column-major."""
+    n = X.shape[0]
+    for lo in range(0, n, _CHUNK):
+        hi = min(lo + _CHUNK, n)
+        yield lo, hi, np.asfortranarray(X[lo:hi])
+
+
+def _check_dim(X, d, what):
     X = np.atleast_2d(np.asarray(X, dtype=float))
-    if X.shape[1] != comp.d:
-        raise ValueError(f"input dimension {X.shape[1]} != component dimension {comp.d}")
-    centers = comp.used_centers()
-    out = np.empty((X.shape[0], comp.n_pieces))
-    for lo in range(0, X.shape[0], _CHUNK):
-        hi = min(lo + _CHUNK, X.shape[0])
-        tensor = features.phi_tensor(comp.kind, X[lo:hi], centers)
-        out[lo:hi] = comp.biases + np.einsum("nkj,kj->nk", tensor, comp.weights)
+    if X.shape[1] != d:
+        raise ValueError(f"input dimension {X.shape[1]} != {what} dimension {d}")
+    return X
+
+
+def piece_values(comp: DcComponent, X: np.ndarray) -> np.ndarray:
+    """Piece-major (K, n) matrix of per-piece affine-in-feature values."""
+    X = _check_dim(X, comp.d, "component")
+    out = np.empty((comp.n_pieces, X.shape[0]))
+    for lo, hi, rows in _row_blocks(X):
+        out[:, lo:hi] = _piece_block(comp, rows)
     return out
 
 
 def eval_max(comp: DcComponent, x):
     """Max over pieces; accepts a single point (d,) or a batch (n, d)."""
     single = np.asarray(x).ndim == 1
-    vals = piece_values(comp, x).max(axis=1)
+    X = _check_dim(x, comp.d, "component")
+    vals = np.empty(X.shape[0])
+    for lo, hi, rows in _row_blocks(X):
+        vals[lo:hi] = _piece_block(comp, rows).max(axis=0)
     return float(vals[0]) if single else vals
 
 
@@ -190,17 +227,23 @@ def eval_partitioned(comp: DcComponent, x, label):
     return float(vals[0]) if single else vals
 
 
+def _mma_block(mma: MaxMinAffine, X: np.ndarray) -> np.ndarray:
+    """Block-major (K, rows) inner minima of one row block, one coordinate at a time."""
+    S = mma.slopes
+    inner = S[:, :, 0, None] * X[:, 0]
+    for j in range(1, mma.d):
+        inner += S[:, :, j, None] * X[:, j]
+    inner += mma.biases[:, :, None]
+    return inner.min(axis=1)
+
+
 def eval_mma(mma: MaxMinAffine, x):
     """Nested max-over-blocks of min-over-inner-pieces affine values."""
     single = np.asarray(x).ndim == 1
-    X = np.atleast_2d(np.asarray(x, dtype=float))
-    if X.shape[1] != mma.d:
-        raise ValueError(f"input dimension {X.shape[1]} != mma dimension {mma.d}")
+    X = _check_dim(x, mma.d, "mma")
     out = np.empty(X.shape[0])
-    for lo in range(0, X.shape[0], _CHUNK):
-        hi = min(lo + _CHUNK, X.shape[0])
-        vals = mma.biases[None, :, :] + np.einsum("kld,nd->nkl", mma.slopes, X[lo:hi])
-        out[lo:hi] = vals.min(axis=2).max(axis=1)
+    for lo, hi, rows in _row_blocks(X):
+        out[lo:hi] = _mma_block(mma, rows).max(axis=0)
     return float(out[0]) if single else out
 
 
@@ -230,16 +273,27 @@ def lip_stat(model: DcModel) -> float:
     return max(float(np.max(np.linalg.norm(c.weights, axis=1))) for c in model.components())
 
 
+def _attaining(block_fn, n_blocks, X):
+    """Mask of the blocks (pieces) within the relative band of the max at some row.
+
+    The band is 1e-9 * (1 + |max value|) per row.
+    """
+    keep = np.zeros(n_blocks, dtype=bool)
+    for _, _, rows in _row_blocks(X):
+        vals = block_fn(rows)
+        top = vals.max(axis=0)
+        keep |= (vals >= top - 1e-9 * (1.0 + np.abs(top))).any(axis=1)
+    return np.where(keep)[0]
+
+
 def prune(comp: DcComponent, X, return_indices=False):
     """Drop pieces that never attain the max on the given inputs.
 
     Attainment uses a relative band 1e-9 * (1 + |max value|); all pieces in
     the band at some row are kept, so evaluation at every row is unchanged.
     """
-    vals = piece_values(comp, X)
-    top = vals.max(axis=1)
-    tol = 1e-9 * (1.0 + np.abs(top))
-    keep = np.where((vals >= (top - tol)[:, None]).any(axis=0))[0]
+    X = _check_dim(X, comp.d, "component")
+    keep = _attaining(lambda rows: _piece_block(comp, rows), comp.n_pieces, X)
     pruned = replace(comp, biases=comp.biases[keep], weights=comp.weights[keep],
                      center_idx=comp.center_idx[keep])
     return (pruned, keep) if return_indices else pruned
@@ -247,12 +301,8 @@ def prune(comp: DcComponent, X, return_indices=False):
 
 def prune_mma(mma: MaxMinAffine, X, return_indices=False):
     """Drop outer blocks whose min never attains the outer max on the inputs."""
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    vals = (mma.biases[None, :, :]
-            + np.einsum("kld,nd->nkl", mma.slopes, X)).min(axis=2)
-    top = vals.max(axis=1)
-    tol = 1e-9 * (1.0 + np.abs(top))
-    keep = np.where((vals >= (top - tol)[:, None]).any(axis=0))[0]
+    X = _check_dim(X, mma.d, "mma")
+    keep = _attaining(lambda rows: _mma_block(mma, rows), mma.n_blocks, X)
     pruned = MaxMinAffine(mma.biases[keep], mma.slopes[keep])
     return (pruned, keep) if return_indices else pruned
 

@@ -50,14 +50,29 @@ class ObjectiveHandle:
     evaluate: Callable[[np.ndarray], tuple]
 
 
+GRAD_TOL = "grad_tol"        # gradient max-norm reached cfg.grad_tol
+MAX_ITERS = "max_iters"      # iteration cap reached first
+LINE_SEARCH = "line_search"  # the negative-gradient line search failed too
+NONFINITE = "nonfinite"      # an accepted step had a non-finite gradient
+STOP_REASONS = (GRAD_TOL, MAX_ITERS, LINE_SEARCH, NONFINITE)
+
+
 @dataclass(frozen=True)
 class SolveReport:
+    """Outcome of one solve.
+
+    ``evaluations`` counts objective calls, line-search trials included;
+    ``stop_reason`` is one of ``STOP_REASONS``, or empty when no solve ran.
+    """
+
     iterations: int
     final_value: float
     final_grad_norm: float
     line_search_failures: int
     converged: bool
     aborted: bool = False
+    evaluations: int = 0
+    stop_reason: str = ""
 
 
 def softmax_smooth(alpha, mu: float) -> float:
@@ -74,15 +89,21 @@ def softmax_smooth(alpha, mu: float) -> float:
     return m + mu * float(np.log(np.sum(np.exp((alpha - m) / mu))))
 
 
-def softmax_weights(alpha, mu: float) -> np.ndarray:
-    """Gradient weights of the soft maximum: a probability vector."""
+def softmax_weights(alpha, mu: float, axis=None) -> np.ndarray:
+    """Gradient weights of the soft maximum: probability vectors along ``axis``.
+
+    exp((alpha - max) / mu) normalized to sum 1, over the whole array when
+    ``axis`` is None, else independently along that axis.  With a small mu
+    the weights are exactly zero outside near-ties of the maximum.
+    """
     alpha = np.asarray(alpha, dtype=float)
     if alpha.size == 0:
         raise ValueError("empty input")
     if mu <= 0:
         raise ValueError("mu must be positive")
-    w = np.exp((alpha - np.max(alpha)) / mu)
-    return w / np.sum(w)
+    keep = axis is not None
+    w = np.exp((alpha - np.max(alpha, axis=axis, keepdims=keep)) / mu)
+    return w / np.sum(w, axis=axis, keepdims=keep)
 
 
 def penalty_objective(base: ObjectiveHandle, constraints, rho_pen: float) -> ObjectiveHandle:
@@ -114,33 +135,30 @@ def penalty_objective(base: ObjectiveHandle, constraints, rho_pen: float) -> Obj
     return ObjectiveHandle(base.dim, evaluate)
 
 
-def _two_loop(grad, s_list, y_list):
+def _two_loop(grad, memory):
+    """L-BFGS direction from curvature pairs (s, y, rho = 1/(s.y)), oldest first."""
     q = grad.copy()
     alphas = []
-    for s, yv, rho in reversed(list(zip(s_list, y_list, _rhos(s_list, y_list)))):
+    for s, yv, rho in reversed(memory):
         a = rho * np.dot(s, q)
         alphas.append(a)
         q -= a * yv
-    if s_list:
-        s, yv = s_list[-1], y_list[-1]
+    if memory:
+        s, yv, _ = memory[-1]
         q *= np.dot(s, yv) / np.dot(yv, yv)
-    for (s, yv, rho), a in zip(zip(s_list, y_list, _rhos(s_list, y_list)), reversed(alphas)):
+    for (s, yv, rho), a in zip(memory, reversed(alphas)):
         b = rho * np.dot(yv, q)
         q += (a - b) * s
     return -q
 
 
-def _rhos(s_list, y_list):
-    return [1.0 / np.dot(s, yv) for s, yv in zip(s_list, y_list)]
-
-
-def _backtrack(obj, x, f, g, direction, t0, cfg):
+def _backtrack(evaluate, x, f, g, direction, t0, cfg):
     """Armijo backtracking; returns (accepted, t, x_new, f_new, g_new)."""
     slope = float(np.dot(g, direction))
     t = t0
     for _ in range(cfg.ls_max_steps):
         x_new = x + t * direction
-        f_new, g_new = obj.evaluate(x_new)
+        f_new, g_new = evaluate(x_new)
         if np.isfinite(f_new) and f_new <= f + cfg.ls_c1 * t * slope:
             return True, t, x_new, float(f_new), np.asarray(g_new, dtype=float)
         t *= cfg.ls_shrink
@@ -155,32 +173,39 @@ def lbfgs_minimize(obj: ObjectiveHandle, x0, cfg: SolverConfig, callback=None):
     the negative gradient; failing that too, the solve terminates.  If a
     non-finite value or gradient is encountered the best iterate so far is
     returned with ``aborted`` set.  ``callback(iteration, x, value)`` runs
-    after every accepted step.
+    after every accepted step.  The report says why the solve stopped and how
+    many times the objective was evaluated.
     """
+    evaluations = 0
+
+    def evaluate(x):
+        nonlocal evaluations
+        evaluations += 1
+        return obj.evaluate(x)
+
     x = np.array(x0, dtype=float, copy=True)
-    f, g = obj.evaluate(x)
+    f, g = evaluate(x)
     f = float(f)
     g = np.asarray(g, dtype=float)
     if not np.isfinite(f) or not np.isfinite(g).all():
         raise ValueError("objective must be finite at the starting point")
 
     best_x, best_f = x.copy(), f
-    s_mem: deque = deque(maxlen=cfg.lbfgs_memory)
-    y_mem: deque = deque(maxlen=cfg.lbfgs_memory)
+    memory: deque = deque(maxlen=cfg.lbfgs_memory)   # (s, y, 1/(s.y)) pairs
     ls_failures = 0
     iters = 0
     aborted = False
+    stop_reason = MAX_ITERS
     gnorm = float(np.max(np.abs(g))) if g.size else 0.0
     converged = gnorm <= cfg.grad_tol
     t_prev = 1.0  # last accepted quasi-Newton step; seeds the next trial
 
     while not converged and iters < cfg.max_iters:
-        use_gradient = not s_mem
-        direction = -g if use_gradient else _two_loop(g, list(s_mem), list(y_mem))
+        use_gradient = not memory
+        direction = -g if use_gradient else _two_loop(g, memory)
         if not np.isfinite(direction).all() or float(np.dot(g, direction)) >= 0.0:
             # Memory produced a non-descent direction: drop it.
-            s_mem.clear()
-            y_mem.clear()
+            memory.clear()
             use_gradient = True
             direction = -g
             t_prev = 1.0
@@ -191,20 +216,21 @@ def lbfgs_minimize(obj: ObjectiveHandle, x0, cfg: SolverConfig, callback=None):
             # cheap on kinked objectives while recovering full steps fast.
             t0 = min(1.0, 2.0 * t_prev)
 
-        ok, t_acc, x_new, f_new, g_new = _backtrack(obj, x, f, g, direction, t0, cfg)
+        ok, t_acc, x_new, f_new, g_new = _backtrack(evaluate, x, f, g, direction, t0, cfg)
         if not ok:
             ls_failures += 1
             if use_gradient:
-                break  # gradient-direction search failed: nothing left to try
-            s_mem.clear()
-            y_mem.clear()
+                stop_reason = LINE_SEARCH  # nothing left to try
+                break
+            memory.clear()
             t_prev = 1.0
             use_gradient = True
             direction = -g
             t0 = 1.0 / max(1.0, float(np.linalg.norm(g)))
-            ok, t_acc, x_new, f_new, g_new = _backtrack(obj, x, f, g, direction, t0, cfg)
+            ok, t_acc, x_new, f_new, g_new = _backtrack(evaluate, x, f, g, direction, t0, cfg)
             if not ok:
                 ls_failures += 1
+                stop_reason = LINE_SEARCH
                 break
         if not use_gradient:
             t_prev = t_acc
@@ -212,14 +238,14 @@ def lbfgs_minimize(obj: ObjectiveHandle, x0, cfg: SolverConfig, callback=None):
         if not np.isfinite(f_new) or not np.isfinite(g_new).all():
             log.warning("lbfgs abort: non-finite value/gradient at iter=%d", iters)
             aborted = True
+            stop_reason = NONFINITE
             break
 
         s = x_new - x
         yv = g_new - g
         sy = float(np.dot(s, yv))
         if sy > 1e-12 * float(np.linalg.norm(s)) * float(np.linalg.norm(yv)):
-            s_mem.append(s)
-            y_mem.append(yv)
+            memory.append((s, yv, 1.0 / sy))
         x, f, g = x_new, f_new, g_new
         if f < best_f:
             best_f, best_x = f, x.copy()
@@ -238,5 +264,7 @@ def lbfgs_minimize(obj: ObjectiveHandle, x0, cfg: SolverConfig, callback=None):
         line_search_failures=ls_failures,
         converged=bool(converged),
         aborted=aborted,
+        evaluations=evaluations,
+        stop_reason=GRAD_TOL if converged else stop_reason,
     )
     return best_x, report

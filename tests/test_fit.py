@@ -15,7 +15,7 @@ from dcreg.model import (CONVEX_MAX_AFFINE, CONVEX_NORM, CONVEX_PLUS,
                          eval_max, eval_mma, eval_model, lip_stat,
                          validate_model)
 from dcreg.partition import afpc
-from dcreg.solver import penalty_objective
+from dcreg.solver import STOP_REASONS, SolverConfig, penalty_objective
 from dcreg.approx import fvu
 
 
@@ -240,7 +240,8 @@ def test_refine_gradient_matches_finite_differences():
     part = afpc(ds.X, seed=11)
     reg = default_reg_params(*_radii(ds), ds.n, 2, part.n_centers)
     for variant, kind in ((SINGLE, features.L2), (SYMMETRIC, features.LINF),
-                          (MAX_MIN_AFFINE, features.LINF)):
+                          (MAX_MIN_AFFINE, features.LINF), (SINGLE, features.PLUS),
+                          (CONVEX_PLUS, features.PLUS), (CONVEX_MAX_AFFINE, features.LINF)):
         initial, _ = fit_initial(ds, part, kind, reg, variant=variant)
         obj, x0 = build_refine_objective(initial, ds, reg)
         points = [x0 + 0.3 * rng.standard_normal(x0.size) for _ in range(3)]
@@ -498,3 +499,93 @@ def test_fit_constant_covariates():
     preds = eval_model(result.final_model, X)
     assert np.allclose(preds, np.mean(y), atol=1e-8)
     assert result.lip_chain[2] <= 1e-8
+
+
+def _dense_max_form_objective(initial, ds, reg, variant):
+    """The stage-2 max-form objective on the dense (n, K, slope_dim) feature tensor."""
+    from dcreg.fit import _RefineProblem, _cone_penalty_grad, _reg_terms
+    cfg = SolverConfig()
+    risk0 = training_risk_std(initial, ds.X, ds.y)
+    problem = _RefineProblem(initial, ds.X, ds.y, reg, cfg,
+                             theta_fn_value(initial, reg, risk0), lip_stat(initial), variant)
+    layout, n, K = problem.layout, ds.n, problem.layout.n_pieces
+    phi = features.phi_tensor(problem.kind, ds.X, problem.centers)[:, :, :problem.slope_dim]
+
+    def softmax_rows(A):
+        E = np.exp((A - A.max(axis=1, keepdims=True)) / cfg.mu)
+        return E / E.sum(axis=1, keepdims=True)
+
+    def evaluate(params):
+        _, b1, W1, b2, W2 = layout.unpack(params)
+        A1 = b1[None, :] + np.einsum("nkj,kj->nk", phi, W1)
+        r = A1.max(axis=1) - ds.y
+        if layout.symmetric:
+            A2 = b2[None, :] + np.einsum("nkj,kj->nk", phi, W2)
+            r = r - A2.max(axis=1)
+        value = float(np.mean(r * r))
+        coef1 = (2.0 / n) * r[:, None] * softmax_rows(A1)
+        gW1 = np.einsum("nk,nkj->kj", coef1, phi)
+        rv, rg = _reg_terms(np.vstack([W1] if W2 is None else [W1, W2]),
+                            problem.theta, problem.c0, reg.theta2, cfg.mu)
+        value += rv
+        gW1 += rg[:K]
+        value += _cone_penalty_grad(problem.cone, W1, problem.d, cfg.rho_pen, gW1)
+        parts = [coef1.sum(axis=0), gW1.ravel()]
+        if layout.symmetric:
+            coef2 = -(2.0 / n) * r[:, None] * softmax_rows(A2)
+            parts += [coef2.sum(axis=0),
+                      (np.einsum("nk,nkj->kj", coef2, phi) + rg[K:]).ravel()]
+        return value, np.concatenate(parts)
+
+    return problem.objective(), evaluate, problem.x0
+
+
+def test_refine_objective_matches_dense_tensor_reference():
+    rng = np.random.default_rng(32)
+    for d in (1, 3):
+        ds = _random_dataset(90, d, seed=33 + d)
+        part = afpc(ds.X, seed=34)
+        reg = default_reg_params(*_radii(ds), ds.n, d, part.n_centers)
+        for kind in features.FEATURE_KINDS:
+            convex = [CONVEX_PLUS] if kind == features.PLUS else [CONVEX_MAX_AFFINE, CONVEX_NORM]
+            for variant in [SINGLE, SYMMETRIC, *convex]:
+                initial, _ = fit_initial(ds, part, kind, reg, SolverConfig(max_iters=50),
+                                         variant)
+                obj, dense, x0 = _dense_max_form_objective(initial, ds, reg, variant)
+                # the second point also exercises the hinge branch
+                for x in (x0, x0 * (reg.theta3 + 2.0) + 0.1 * rng.standard_normal(x0.size)):
+                    value, grad = obj.evaluate(x)
+                    ref_value, ref_grad = dense(x)
+                    assert value == pytest.approx(ref_value, rel=1e-12)
+                    tol = 1e-12 * (1.0 + np.max(np.abs(ref_grad)))
+                    assert np.max(np.abs(grad - ref_grad)) <= tol
+
+
+def test_fit_does_not_depend_on_input_layout():
+    rng = np.random.default_rng(35)
+    X = rng.uniform(-1, 1, (150, 2))
+    y = np.max(X, axis=1) - 0.5 * np.abs(X[:, 0]) + 0.05 * rng.standard_normal(150)
+    c_order = Dataset(np.ascontiguousarray(X), y)
+    f_order = Dataset(np.asfortranarray(X), y)
+    assert c_order.X.flags.f_contiguous and np.array_equal(c_order.X, X)
+    for variant, kind in ((SINGLE, features.L2), (SYMMETRIC, features.LINF)):
+        config = FitConfig(variant=variant, kind=kind, seed=3)
+        a = fit_dcf(c_order, config).final_model
+        b = fit_dcf(f_order, config).final_model
+        assert a.offset == b.offset
+        for ca, cb in zip(a.components(), b.components()):
+            assert np.array_equal(ca.biases, cb.biases)
+            assert np.array_equal(ca.weights, cb.weights)
+            assert np.array_equal(ca.center_idx, cb.center_idx)
+
+
+def test_solve_diagnostics_reach_the_fit_log(caplog):
+    ds = _xsinx_dataset(80, seed=36)
+    with caplog.at_level("INFO", logger="dcreg.fit"):
+        result = fit_dcf(ds, FitConfig(variant=SINGLE, kind=features.LINF, seed=1))
+    for stage, report in (("fit_initial", result.initial_report),
+                          ("refine", result.refine_report)):
+        assert report.stop_reason in STOP_REASONS
+        assert report.evaluations > report.iterations
+        line = next(r.getMessage() for r in caplog.records if r.getMessage().startswith(stage))
+        assert f"evals={report.evaluations} stop={report.stop_reason}" in line

@@ -1,13 +1,15 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from dcreg import features
 from dcreg.data import Dataset
-from dcreg.model import (COMPLEMENT, MAX_MIN_AFFINE, SINGLE, SYMMETRIC,
+from dcreg.model import (_CHUNK, COMPLEMENT, MAX_MIN_AFFINE, SINGLE, SYMMETRIC,
                          DcComponent, DcModel, MaxMinAffine, center, eval_max,
                          eval_mma, eval_model, eval_partitioned, lip_stat,
-                         n_parameters, prune, prune_mma, symmetric_bias_center,
-                         to_max_min_affine, validate_model)
+                         n_parameters, piece_values, prune, prune_mma,
+                         symmetric_bias_center, to_max_min_affine, validate_model)
 
 
 def _component(kind, centers, biases, weights):
@@ -306,3 +308,74 @@ def test_n_parameters():
     model = DcModel(SINGLE, comp)
     assert n_parameters(model) == 2 + 4 + 1
     assert n_parameters(model, include_centers=True) == 2 + 4 + 1 + 2
+
+
+# ---------------------------------------------------------------------------
+# the piece-major kernel against the dense feature tensor
+
+@pytest.mark.parametrize("kind", features.FEATURE_KINDS)
+@pytest.mark.parametrize("d", [1, 3, 8])
+def test_piece_values_match_phi_tensor(kind, d):
+    rng = np.random.default_rng(40 + d)
+    comp = _random_component(rng, kind, d, 7)
+    for n in (_CHUNK - 1, _CHUNK + 1):
+        X = rng.standard_normal((n, d))
+        phi = features.phi_tensor(kind, X, comp.centers)
+        ref = comp.biases + np.einsum("nkj,kj->nk", phi, comp.weights)
+        scale = np.abs(comp.biases) + np.einsum("nkj,kj->nk", np.abs(phi),
+                                                np.abs(comp.weights))
+        vals = piece_values(comp, X)
+        assert vals.shape == (7, n)
+        assert np.max(np.abs(vals.T - ref) / scale) <= 1e-12
+        assert np.max(np.abs(eval_max(comp, X) - ref.max(axis=1))
+                      / scale.max(axis=1)) <= 1e-12
+
+
+@pytest.mark.parametrize("kind", features.FEATURE_KINDS)
+def test_piece_values_at_own_centers_are_exactly_the_biases(kind):
+    rng = np.random.default_rng(47)
+    for d in (1, 2, 5):
+        comp = _random_component(rng, kind, d, 40)
+        comp = replace(comp, centers=comp.centers * rng.uniform(0.1, 100.0, d))
+        assert np.array_equal(np.diag(piece_values(comp, comp.centers)), comp.biases)
+
+
+def test_prune_matches_dense_reference():
+    rng = np.random.default_rng(48)
+    for kind in features.FEATURE_KINDS:
+        comp = _random_component(rng, kind, 3, 30)
+        X = rng.standard_normal((_CHUNK + 1, 3))
+        vals = comp.biases + np.einsum("nkj,kj->nk", features.phi_tensor(kind, X, comp.centers),
+                                       comp.weights)
+        top = vals.max(axis=1)
+        band = vals >= (top - 1e-9 * (1.0 + np.abs(top)))[:, None]
+        _, keep = prune(comp, X, return_indices=True)
+        assert np.array_equal(keep, np.where(band.any(axis=0))[0])
+
+
+def test_eval_mma_and_prune_mma_match_dense_reference():
+    rng = np.random.default_rng(49)
+    for d in (1, 3):
+        mma = MaxMinAffine(rng.standard_normal((6, 2 * d)), rng.standard_normal((6, 2 * d, d)))
+        X = rng.standard_normal((_CHUNK + 1, d))
+        inner = mma.biases[None, :, :] + np.einsum("kld,nd->nkl", mma.slopes, X)
+        blocks = inner.min(axis=2)
+        assert np.allclose(eval_mma(mma, X), blocks.max(axis=1), rtol=0, atol=1e-12)
+        top = blocks.max(axis=1)
+        band = blocks >= (top - 1e-9 * (1.0 + np.abs(top)))[:, None]
+        _, keep = prune_mma(mma, X, return_indices=True)
+        assert np.array_equal(keep, np.where(band.any(axis=0))[0])
+
+
+def test_eval_model_does_not_depend_on_input_layout():
+    rng = np.random.default_rng(50)
+    X = rng.standard_normal((500, 2))
+    for kind in features.FEATURE_KINDS:
+        comp = _random_component(rng, kind, 2, 9)
+        model = DcModel(SINGLE, comp, offset=0.25, x_shift=np.array([0.3, -0.1]),
+                        x_scale=np.array([1.7, 0.6]), y_shift=1.5, y_scale=2.5)
+        assert np.array_equal(eval_model(model, np.ascontiguousarray(X)),
+                              eval_model(model, np.asfortranarray(X)))
+    mma = MaxMinAffine(rng.standard_normal((5, 4)), rng.standard_normal((5, 4, 2)))
+    assert np.array_equal(eval_mma(mma, np.ascontiguousarray(X)),
+                          eval_mma(mma, np.asfortranarray(X)))

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from dcreg.solver import (ObjectiveHandle, SolverConfig, lbfgs_minimize,
+from dcreg.solver import (ObjectiveHandle, SolveReport, SolverConfig, lbfgs_minimize,
                           penalty_objective, softmax_smooth, softmax_weights)
 
 
@@ -181,3 +181,129 @@ def test_solver_config_validation():
         SolverConfig(ls_shrink=1.0)
     with pytest.raises(ValueError):
         SolverConfig(lbfgs_memory=0)
+
+
+def _dense_softmax_rows(A, mu):
+    """The row-wise soft-max weights as the stage-2 objectives first wrote them."""
+    E = np.exp((A - A.max(axis=1, keepdims=True)) / mu)
+    return E / E.sum(axis=1, keepdims=True)
+
+
+def test_softmax_weights_along_an_axis_matches_the_dense_formula_bitwise():
+    rng = np.random.default_rng(5)
+    A = rng.standard_normal((64, 9))
+    A[0] = 1.25                          # every entry tied
+    A[1, [2, 5]] = A[1].max() + 0.5      # an exact tie at the max
+    A[2] = -1e3
+    A[2, 4] = 0.0                        # all but the max underflow to zero
+    for mu in (1e-6, 0.3, 2.0):
+        rows = _dense_softmax_rows(A, mu)
+        assert np.array_equal(softmax_weights(A, mu, axis=1), rows)
+        assert np.array_equal(softmax_weights(A.T, mu, axis=0), _dense_softmax_rows(A, mu).T)
+        assert np.array_equal(softmax_weights(A[3], mu), rows[3])
+        # the inner-min weights of the max-min-affine objective
+        cube = rng.standard_normal((5, 4, 6))
+        E = np.exp((cube.min(axis=2)[:, :, None] - cube) / mu)
+        assert np.array_equal(softmax_weights(-cube, mu, axis=2),
+                              E / E.sum(axis=2, keepdims=True))
+    w = softmax_weights(A, 1e-6, axis=1)
+    assert np.array_equal(w[0], np.full(9, 1.0 / 9.0))
+    assert np.array_equal(w[1, [2, 5]], [0.5, 0.5]) and w[1].sum() == 1.0
+    assert np.array_equal(w[2], np.eye(9)[4])
+
+
+def _reference_two_loop(grad, s_list, y_list):
+    """The two-loop recursion recomputing every rho twice, as first written."""
+    def rhos():
+        return [1.0 / np.dot(s, yv) for s, yv in zip(s_list, y_list)]
+
+    q = grad.copy()
+    alphas = []
+    for s, yv, rho in reversed(list(zip(s_list, y_list, rhos()))):
+        a = rho * np.dot(s, q)
+        alphas.append(a)
+        q -= a * yv
+    if s_list:
+        s, yv = s_list[-1], y_list[-1]
+        q *= np.dot(s, yv) / np.dot(yv, yv)
+    for (s, yv, rho), a in zip(zip(s_list, y_list, rhos()), reversed(alphas)):
+        b = rho * np.dot(yv, q)
+        q += (a - b) * s
+    return -q
+
+
+def test_lbfgs_iterates_bit_identical_to_reference_two_loop(monkeypatch):
+    import dcreg.solver as solver
+
+    def kinked(x):
+        val = float(np.sum(np.abs(x) ** 1.5)) + float(np.sum((x - 0.3) ** 2))
+        return val, 1.5 * np.sign(x) * np.sqrt(np.abs(x)) + 2.0 * (x - 0.3)
+
+    def rosenbrock(x):
+        a, b = x[:-1], x[1:]
+        val = float(np.sum((1 - a) ** 2 + 100.0 * (b - a * a) ** 2))
+        grad = np.zeros_like(x)
+        grad[:-1] = -2.0 * (1 - a) - 400.0 * a * (b - a * a)
+        grad[1:] += 200.0 * (b - a * a)
+        return val, grad
+
+    def run():
+        out = []
+        for evaluate, x0 in ((kinked, np.linspace(-2.0, 2.0, 6)),
+                             (rosenbrock, np.array([-1.2, 1.0, -0.5, 0.8]))):
+            history = []
+            x, report = lbfgs_minimize(ObjectiveHandle(x0.size, evaluate), x0,
+                                       SolverConfig(max_iters=300, lbfgs_memory=4),
+                                       callback=lambda i, x, f: history.append(x.copy()))
+            out.append((x, report, history))
+        return out
+
+    new = run()
+    monkeypatch.setattr(solver, "_two_loop", lambda grad, memory: _reference_two_loop(
+        grad, [m[0] for m in memory], [m[1] for m in memory]))
+    ref = run()
+    for (x1, r1, h1), (x2, r2, h2) in zip(new, ref):
+        assert r1 == r2 and r1.iterations > 4
+        assert np.array_equal(x1, x2)
+        assert len(h1) == len(h2) and all(np.array_equal(a, b) for a, b in zip(h1, h2))
+
+
+def _counted(evaluate):
+    calls = [0]
+
+    def wrapped(x):
+        calls[0] += 1
+        return evaluate(x)
+    return wrapped, calls
+
+
+def test_lbfgs_stop_reasons_and_evaluation_counts():
+    def quad(x):
+        return float(np.sum((x - 3.0) ** 2)), 2.0 * (x - 3.0)
+
+    def rosenbrock(x):
+        a, b = x
+        return ((1 - a) ** 2 + 100.0 * (b - a * a) ** 2,
+                np.array([-2.0 * (1 - a) - 400.0 * a * (b - a * a), 200.0 * (b - a * a)]))
+
+    def wrong_gradient(x):          # the gradient points uphill: no step is accepted
+        return float(x @ x), -2.0 * x
+
+    def nan_gradient(x):            # finite values, a NaN gradient beyond |x| = 0.3
+        grad = 2.0 * x - 1.0 if abs(x[0]) <= 0.3 else np.array([np.nan])
+        return float(x[0] ** 2 - x[0]), grad
+
+    cases = ((quad, np.zeros(2), SolverConfig(), "grad_tol"),
+             (quad, np.full(2, 3.0), SolverConfig(), "grad_tol"),
+             (rosenbrock, np.array([-1.2, 1.0]), SolverConfig(max_iters=5), "max_iters"),
+             (quad, np.zeros(2), SolverConfig(max_iters=0), "max_iters"),
+             (wrong_gradient, np.ones(2), SolverConfig(), "line_search"),
+             (nan_gradient, np.zeros(1), SolverConfig(), "nonfinite"))
+    for evaluate, x0, cfg, reason in cases:
+        wrapped, calls = _counted(evaluate)
+        _, report = lbfgs_minimize(ObjectiveHandle(x0.size, wrapped), x0, cfg)
+        assert report.stop_reason == reason
+        assert report.evaluations == calls[0]
+        assert report.converged == (reason == "grad_tol")
+        assert report.aborted == (reason == "nonfinite")
+    assert SolveReport(0, 1.0, 0.0, 0, True).stop_reason == ""
