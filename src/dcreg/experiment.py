@@ -94,9 +94,8 @@ def _fit_predict_cell(estimator, spec, train_scaled, seed):
     info = {}
     if estimator in DCF_ESTIMATORS:
         variant = DCF_ESTIMATORS[estimator]
-        kind = features.LINF if estimator == "dcf_mma" else spec.kind
-        if estimator == "dcf_convex" and kind == features.PLUS:
-            kind = features.LINF
+        # A kind the variant does not take falls back to the max norm, which all take.
+        kind = spec.kind if spec.kind in model_mod.variant_spec(variant).kinds else features.LINF
         cfg = FitConfig(variant=variant, kind=kind, theta2_mode=spec.theta2_mode,
                         seed=seed)
         result = fit_dcf(train_scaled, cfg)
@@ -299,10 +298,8 @@ def demo_figures(out_dir, n_grid: int = 1000, seed: int = 0):
         fit_rows = [{"x": float(v)} for v in grid[:, 0]]
         for frow, fv in zip(fit_rows, f_vals):
             frow["f"] = float(fv)
-        for label, variant in (("single", model_mod.SINGLE),
-                               ("complement", model_mod.COMPLEMENT),
-                               ("symmetric", model_mod.SYMMETRIC)):
-            cfg = FitConfig(variant=variant, kind=features.LINF, seed=seed)
+        for label in (model_mod.SINGLE, model_mod.COMPLEMENT, model_mod.SYMMETRIC):
+            cfg = FitConfig(variant=label, kind=features.LINF, seed=seed)
             result = fit_dcf(train, cfg)
             preds = model_mod.eval_model(result.final_model, grid)
             for frow, p in zip(fit_rows, preds):

@@ -9,19 +9,20 @@ penalized criterion.  Stage 3 prunes inactive pieces and centers the mean
 prediction on the training responses.
 """
 
+import functools
 import logging
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from . import features
-from .data import Dataset
+from .data import STD, Dataset, apply_scaling
 from .model import (
-    CONVEX_MAX_AFFINE, CONVEX_NORM, CONVEX_PLUS, CONVEX_VARIANTS, COMPLEMENT,
-    MAX_MIN_AFFINE, SINGLE, SYMMETRIC, VARIANTS,
-    DcComponent, DcModel, MaxMinAffine,
+    CONVEX_VARIANTS, COMPLEMENT, MAX_MIN_AFFINE, SINGLE, SYMMETRIC,
+    DcModel, MaxMinAffine, center,
     eval_max, eval_model, eval_model_std, eval_partitioned, lip_stat, prune,
-    prune_mma, symmetric_bias_center, to_max_min_affine,
+    prune_mma, signed_sum, slope_rows, symmetric_bias_center, to_max_min_affine,
+    variant_spec,
 )
 from .partition import Partition, afpc
 from .solver import ObjectiveHandle, SolveReport, SolverConfig, SolverAbort, \
@@ -82,20 +83,14 @@ class FitConfig:
     theta2_mode: str = STRONG
     seed: int = 0
     solver: SolverConfig = field(default_factory=SolverConfig)
-    standardize_internally: bool = True
 
     def __post_init__(self):
-        if self.variant not in VARIANTS:
-            raise ValueError(f"unknown variant {self.variant!r}")
+        kinds = variant_spec(self.variant).kinds
         features.check_kind(self.kind)
         if self.theta2_mode not in (WEAK, STRONG):
             raise ValueError(f"unknown theta2 mode {self.theta2_mode!r}")
-        if self.variant == MAX_MIN_AFFINE and self.kind != features.LINF:
-            raise ValueError("the max-min-affine variant requires the max-norm kind")
-        if self.variant == CONVEX_PLUS and self.kind != features.PLUS:
-            raise ValueError("convex_plus requires the 'plus' kind")
-        if self.variant in (CONVEX_MAX_AFFINE, CONVEX_NORM) and self.kind == features.PLUS:
-            raise ValueError(f"{self.variant} requires a norm kind")
+        if self.kind not in kinds:
+            raise ValueError(f"{self.variant} requires one of the kinds {kinds}")
 
 
 @dataclass(frozen=True)
@@ -122,41 +117,34 @@ class FitResult:
 
 @dataclass(frozen=True)
 class ParamLayout:
-    """Flat-vector layout [z?; b; w; b'; w'] used by the optimizers."""
+    """Flat-vector layout [z?; b_1; W_1; ...; b_m; W_m], one (b, W) per component."""
 
     n_pieces: int
     slope_dim: int
-    symmetric: bool = False
+    n_components: int = 1
     with_z: bool = True
 
     @property
-    def block(self) -> int:
-        return self.n_pieces * (1 + self.slope_dim)
-
-    @property
     def dim(self) -> int:
-        return int(self.with_z) + self.block * (2 if self.symmetric else 1)
+        return int(self.with_z) + self.n_pieces * (1 + self.slope_dim) * self.n_components
+
+    @functools.cached_property
+    def _spans(self):
+        """(bias slice, slope slice) of each component, computed once per layout."""
+        K, size = self.n_pieces, self.n_pieces * (1 + self.slope_dim)
+        return [(slice(o, o + K), slice(o + K, o + size))
+                for o in range(int(self.with_z), self.dim, size)]
 
     def unpack(self, params):
-        off = 1 if self.with_z else 0
-        z = float(params[0]) if self.with_z else 0.0
+        """(z, [(b, W) per component]), views into params."""
         K, s = self.n_pieces, self.slope_dim
-        b1 = params[off:off + K]
-        W1 = params[off + K:off + K + K * s].reshape(K, s)
-        if not self.symmetric:
-            return z, b1, W1, None, None
-        off2 = off + K + K * s
-        b2 = params[off2:off2 + K]
-        W2 = params[off2 + K:off2 + K + K * s].reshape(K, s)
-        return z, b1, W1, b2, W2
+        blocks = [(params[b], params[w].reshape(K, s)) for b, w in self._spans]
+        return (float(params[0]) if self.with_z else 0.0), blocks
 
-    def pack(self, z, b1, W1, b2=None, W2=None):
-        parts = []
-        if self.with_z:
-            parts.append(np.array([z], dtype=float))
-        parts += [np.asarray(b1, dtype=float).ravel(), np.asarray(W1, dtype=float).ravel()]
-        if self.symmetric:
-            parts += [np.asarray(b2, dtype=float).ravel(), np.asarray(W2, dtype=float).ravel()]
+    def pack(self, z, *arrays):
+        """The inverse of unpack: pack(z, b_1, W_1, ..., b_m, W_m)."""
+        parts = [np.array([z], dtype=float)] if self.with_z else []
+        parts += [np.asarray(a, dtype=float).ravel() for a in arrays]
         return np.concatenate(parts)
 
 
@@ -186,74 +174,13 @@ def _smooth_norms(W):
 
 
 # ---------------------------------------------------------------------------
-# cone constraints shared by variants
-
-_CONE_NONE = None
-_CONE_V_NONPOS = "v_nonpos"      # norm coefficient <= 0 (max-min-affine)
-_CONE_V_NONNEG = "v_nonneg"      # norm coefficient >= 0 (convex with norm)
-_CONE_SUM_NONNEG = "sum_nonneg"  # u + v >= 0 elementwise (convex ReLU pair)
-
-
-def _cone_for(variant):
-    return {
-        MAX_MIN_AFFINE: _CONE_V_NONPOS,
-        CONVEX_NORM: _CONE_V_NONNEG,
-        CONVEX_PLUS: _CONE_SUM_NONNEG,
-    }.get(variant, _CONE_NONE)
-
-
-def _cone_residuals(cone, W, d):
-    if cone == _CONE_V_NONPOS:
-        return W[:, d]
-    if cone == _CONE_V_NONNEG:
-        return -W[:, d]
-    if cone == _CONE_SUM_NONNEG:
-        return (-(W[:, :d] + W[:, d:])).ravel()
-    return np.empty(0)
-
-
-def _cone_penalty_grad(cone, W, d, rho, gW):
-    """Adds the cone penalty gradient to gW; returns the penalty value."""
-    if cone == _CONE_V_NONPOS:
-        pos = np.maximum(W[:, d], 0.0)
-        gW[:, d] += 2.0 * rho * pos
-        return rho * float(np.sum(pos * pos))
-    if cone == _CONE_V_NONNEG:
-        pos = np.maximum(-W[:, d], 0.0)
-        gW[:, d] -= 2.0 * rho * pos
-        return rho * float(np.sum(pos * pos))
-    if cone == _CONE_SUM_NONNEG:
-        pos = np.maximum(-(W[:, :d] + W[:, d:]), 0.0)
-        gW[:, :d] -= 2.0 * rho * pos
-        gW[:, d:] -= 2.0 * rho * pos
-        return rho * float(np.sum(pos * pos))
-    return 0.0
-
-
-def _project_cone(cone, W, d):
-    if cone == _CONE_V_NONPOS:
-        W = W.copy()
-        W[:, d] = np.minimum(W[:, d], 0.0)
-    elif cone == _CONE_V_NONNEG:
-        W = W.copy()
-        W[:, d] = np.maximum(W[:, d], 0.0)
-    elif cone == _CONE_SUM_NONNEG:
-        W = W.copy()
-        deficit = np.minimum(W[:, :d] + W[:, d:], 0.0)
-        W[:, :d] -= 0.5 * deficit
-        W[:, d:] -= 0.5 * deficit
-    return W
-
-
-# ---------------------------------------------------------------------------
 # the initial (partitioned, constrained) problem
 
 class InitialConstraints:
     """Continuity + slope-cap residuals of the initial problem, vectorized.
 
     Residuals, for every component: b_k >= b_l + w_l . phi(c_k, c_l) for all
-    (k, l), and ||w_k|| <= z + theta0.  Cone residuals are appended when the
-    variant restricts the norm/ReLU coefficients.
+    (k, l), and ||w_k|| <= z + theta0, then the variant's cone residuals.
     """
 
     def __init__(self, layout, phi_cc, theta0, cone, d):
@@ -268,13 +195,12 @@ class InitialConstraints:
         return b[None, :] + M - b[:, None]
 
     def residuals(self, params) -> np.ndarray:
-        z, b1, W1, b2, W2 = self.layout.unpack(params)
-        parts = [self._pair_residuals(b1, W1).ravel(),
-                 np.linalg.norm(W1, axis=1) - z - self.theta0,
-                 _cone_residuals(self.cone, W1, self.d)]
-        if self.layout.symmetric:
-            parts += [self._pair_residuals(b2, W2).ravel(),
-                      np.linalg.norm(W2, axis=1) - z - self.theta0]
+        z, blocks = self.layout.unpack(params)
+        parts = []
+        for b, W in blocks:
+            parts += [self._pair_residuals(b, W).ravel(),
+                      np.linalg.norm(W, axis=1) - z - self.theta0,
+                      self.cone.residuals(W, self.d).ravel()]
         return np.concatenate(parts)
 
     def max_violation(self, params) -> float:
@@ -282,11 +208,11 @@ class InitialConstraints:
         return float(max(0.0, res.max())) if res.size else 0.0
 
     def penalty(self, params, rho):
-        z, b1, W1, b2, W2 = self.layout.unpack(params)
+        z, blocks = self.layout.unpack(params)
         value = 0.0
         gz = 0.0
         gparts = []
-        for b, W in ((b1, W1), (b2, W2)) if self.layout.symmetric else ((b1, W1),):
+        for b, W in blocks:
             G = np.maximum(self._pair_residuals(b, W), 0.0)
             value += rho * float(np.sum(G * G))
             H = 2.0 * rho * G
@@ -298,14 +224,9 @@ class InitialConstraints:
             h = 2.0 * rho * gpos
             gz -= float(np.sum(h))
             gW += (h / sn)[:, None] * W
-            value += _cone_penalty_grad(self.cone, W, self.d, rho, gW)
+            value += self.cone.penalty(W, self.d, rho, gW)
             gparts += [gb, gW.ravel()]
-        grad_core = np.concatenate(gparts)
-        if self.layout.with_z:
-            grad = np.concatenate([[gz], grad_core])
-        else:
-            grad = grad_core
-        return value, grad
+        return value, np.concatenate([[gz], *gparts])
 
 
 class _InitialProblem:
@@ -316,31 +237,23 @@ class _InitialProblem:
         self.part = part
         self.kind = kind
         self.reg = reg
-        self.variant = variant
-        n, d = X.shape
-        self.d = d
+        self.spec = variant_spec(variant)
+        self.d = d = X.shape[1]
         K = part.n_centers
-        d_feat = features.feature_dim(kind, d)
-        self.slope_dim = d if variant == CONVEX_MAX_AFFINE else d_feat
-        self.layout = ParamLayout(K, self.slope_dim, symmetric=(variant == SYMMETRIC))
+        self.slope_dim = self.spec.slope_dim(kind, d)
+        self.layout = ParamLayout(K, self.slope_dim, len(self.spec.signs))
         own_centers = part.centers[part.assignment]
-        self.phi_own = self._clip(features.phi_rows(kind, X, own_centers))
-        self.phi_cc = self._clip_tensor(features.phi_tensor(kind, part.centers, part.centers))
-        self.cone = _cone_for(variant)
+        self.phi_own = features.phi_rows(kind, X, own_centers)[:, :self.slope_dim]
+        self.phi_cc = features.phi_tensor(kind, part.centers, part.centers)[:, :, :self.slope_dim]
         self.constraints = InitialConstraints(self.layout, self.phi_cc, reg.theta0,
-                                              self.cone, d)
-
-    def _clip(self, rows):
-        return rows[:, :self.slope_dim] if self.slope_dim < rows.shape[1] else rows
-
-    def _clip_tensor(self, tensor):
-        return tensor[:, :, :self.slope_dim] if self.slope_dim < tensor.shape[2] else tensor
+                                              self.spec.cone, d)
 
     def base_objective(self) -> ObjectiveHandle:
         layout, X, y = self.layout, self.X, self.y
         n = X.shape[0]
         K = layout.n_pieces
         theta1, theta2 = self.reg.theta1, self.reg.theta2
+        signs = self.spec.signs
         # Rows sorted by cell: per-cell sums become one reduceat call.  Every
         # cell is nonempty (each center is its own nearest data row).
         order = np.argsort(self.part.assignment, kind="stable")
@@ -350,26 +263,30 @@ class _InitialProblem:
         y_sorted = y[order]
 
         def evaluate(params):
-            z, b1, W1, b2, W2 = layout.unpack(params)
-            if layout.symmetric:
-                theta = np.concatenate([(b1 - b2)[:, None], W1 - W2], axis=1)
-            else:
-                theta = np.concatenate([b1[:, None], W1], axis=1)
+            z, blocks = layout.unpack(params)
+            theta = np.concatenate([signed_sum(signs, [b for b, _ in blocks])[:, None],
+                                    signed_sum(signs, [W for _, W in blocks])], axis=1)
             r = np.einsum("nj,nj->n", design, theta[labels_sorted]) - y_sorted
             value = theta1 * z * z + float(np.mean(r * r))
-            value += theta2 * float(np.sum(W1 * W1))
-            if layout.symmetric:
-                value += theta2 * float(np.sum(W2 * W2))
+            for _, W in blocks:
+                value += theta2 * float(np.sum(W * W))
             seg = np.add.reduceat(design * r[:, None], starts, axis=0)
             seg *= 2.0 / n
             gb = seg[:, 0]
             gW = seg[:, 1:]
-            parts = [np.array([2.0 * theta1 * z]), gb, (gW + 2.0 * theta2 * W1).ravel()]
-            if layout.symmetric:
-                parts += [-gb, (-gW + 2.0 * theta2 * W2).ravel()]
+            parts = [np.array([2.0 * theta1 * z])]
+            for sign, (_, W) in zip(signs, blocks):
+                parts += [gb, (gW + 2.0 * theta2 * W).ravel()] if sign > 0 else \
+                    [-gb, (-gW + 2.0 * theta2 * W).ravel()]
             return value, np.concatenate(parts)
 
         return ObjectiveHandle(layout.dim, evaluate)
+
+    def _pack_first(self, z, b, W):
+        """Parameters with (b, W) in the first component and zeros in the others."""
+        K, s = self.layout.n_pieces, self.layout.slope_dim
+        zeros = [np.zeros(K), np.zeros((K, s))] * (self.layout.n_components - 1)
+        return self.layout.pack(z, b, W, *zeros)
 
     def warm_start(self) -> np.ndarray:
         """Per-cell ridge fits, a feasibility pass on the biases, and the cap z."""
@@ -394,37 +311,26 @@ class _InitialProblem:
                 beta[0] = float(np.mean(self.y[rows]))
             b[k] = beta[0]
             W[k] = beta[1:]
-        W = _project_cone(self.cone, W, self.d)
+        # The fit is of the first component's signed contribution.
+        sign = self.spec.signs[0]
+        W = self.spec.cone.project(sign * W, self.d)
         # One pairwise-max pass lifts biases toward continuity feasibility.
         M = np.einsum("klj,lj->kl", self.phi_cc, W)
-        b = np.max(b[None, :] + M, axis=1)
+        b = np.max(sign * b[None, :] + M, axis=1)
         z = float(np.max(np.maximum(np.linalg.norm(W, axis=1) - self.reg.theta0, 0.0)))
-        if layout.symmetric:
-            return layout.pack(z, b, W, np.zeros(K), np.zeros((K, s)))
-        return layout.pack(z, b, W)
+        return self._pack_first(z, b, W)
 
     def certificate_point(self) -> np.ndarray:
         """The feasible constant fit at the mean response."""
-        layout = self.layout
-        K, s = layout.n_pieces, layout.slope_dim
+        K, s = self.layout.n_pieces, self.layout.slope_dim
         ybar = float(np.mean(self.y))
-        if layout.symmetric:
-            return layout.pack(0.0, np.full(K, ybar), np.zeros((K, s)),
-                               np.zeros(K), np.zeros((K, s)))
-        return layout.pack(0.0, np.full(K, ybar), np.zeros((K, s)))
+        return self._pack_first(0.0, np.full(K, self.spec.signs[0] * ybar), np.zeros((K, s)))
 
     def extract(self, params):
-        """Components (cone-projected, norm column re-embedded) from a solution."""
-        z, b1, W1, b2, W2 = self.layout.unpack(params)
-        comp1 = self._to_component(b1, W1)
-        comp2 = self._to_component(b2, W2) if self.layout.symmetric else None
-        return float(z), comp1, comp2
-
-    def _to_component(self, b, W):
-        W = _project_cone(self.cone, np.asarray(W, float), self.d)
-        if self.variant == CONVEX_MAX_AFFINE:
-            W = np.hstack([W, np.zeros((W.shape[0], 1))])
-        return DcComponent(self.kind, self.part.centers, np.asarray(b, float).copy(), W)
+        """(z, components) of a solution: cone-projected, norm column re-embedded."""
+        z, blocks = self.layout.unpack(params)
+        return float(z), [self.spec.component_from(self.kind, self.part.centers, b, W)
+                          for b, W in blocks]
 
 
 def build_initial_objective(dataset: Dataset, partition: Partition, kind: str,
@@ -454,26 +360,18 @@ def fit_initial(dataset: Dataset, partition: Partition, kind: str, reg: RegParam
     x_star, report = lbfgs_minimize(penalized, start, solver_cfg)
     if not np.isfinite(x_star).all():
         raise SolverAbort("stage-1 solve produced non-finite parameters")
-    cone_violation = 0.0
-    if problem.cone is not None:
-        _, _, W_raw, _, _ = problem.layout.unpack(x_star)
-        res = _cone_residuals(problem.cone, np.asarray(W_raw, float), problem.d)
-        cone_violation = float(max(0.0, res.max())) if res.size else 0.0
-    z, comp1, comp2 = problem.extract(x_star)
+    spec, s = problem.spec, problem.slope_dim
+    res = np.concatenate([spec.cone.residuals(W, problem.d).ravel()
+                          for _, W in problem.layout.unpack(x_star)[1]])
+    cone_violation = float(max(0.0, res.max())) if res.size else 0.0
+    z, comps = problem.extract(x_star)
     violation = problem.constraints.max_violation(
-        problem.layout.pack(z, comp1.biases,
-                            comp1.weights[:, :problem.slope_dim],
-                            *(() if comp2 is None else
-                              (comp2.biases, comp2.weights[:, :problem.slope_dim]))))
+        problem.layout.pack(z, *[a for c in comps for a in (c.biases, c.weights[:, :s])]))
     log.info("fit_initial variant=%s K=%d iters=%d evals=%d stop=%s penalized=%.6g "
              "violation=%.3g", variant, partition.n_centers, report.iterations,
              report.evaluations, report.stop_reason, report.final_value, violation)
-    if variant == SYMMETRIC:
-        model = DcModel(SYMMETRIC, comp1, second=comp2)
-    elif variant == MAX_MIN_AFFINE:
-        model = DcModel(MAX_MIN_AFFINE, comp1, mma=to_max_min_affine(comp1))
-    else:
-        model = DcModel(variant if variant in CONVEX_VARIANTS else SINGLE, comp1)
+    # DcModel(variant, component[, second]): one positional field per component.
+    model = DcModel(variant, *comps, mma=to_max_min_affine(comps[0]) if spec.mma else None)
     info = {
         "report": report,
         "penalized_objective": float(report.final_value),
@@ -488,15 +386,8 @@ def fit_initial(dataset: Dataset, partition: Partition, kind: str, reg: RegParam
 # ---------------------------------------------------------------------------
 # slope bookkeeping shared by the refinement and the diagnostics
 
-def _slope_matrix(model: DcModel) -> np.ndarray:
-    """All slope vectors of a model as rows (inner pieces for max-min-affine)."""
-    if model.variant == MAX_MIN_AFFINE:
-        return model.mma.slopes.reshape(-1, model.mma.d)
-    return np.vstack([c.weights for c in model.components()])
-
-
 def slope_sumsq(model: DcModel) -> float:
-    W = _slope_matrix(model)
+    W = slope_rows(model)
     return float(np.sum(W * W))
 
 
@@ -537,8 +428,7 @@ def _reg_terms(W_rows, theta, c0, theta2, mu):
     grad = 2.0 * theta2 * W_rows
     if theta > 0.0 and hinge > 0.0:
         w = softmax_weights(norms, mu)
-        sn = np.sqrt(np.sum(W_rows * W_rows, axis=1) + _SMOOTH_KAPPA ** 2)
-        grad = grad + (2.0 * theta * hinge) * (w / sn)[:, None] * W_rows
+        grad = grad + (2.0 * theta * hinge) * (w / _smooth_norms(W_rows))[:, None] * W_rows
     return value, grad
 
 
@@ -559,40 +449,30 @@ class _RefineProblem:
         self.rho = cfg.rho_pen
         self.theta = theta
         self.c0 = reg.theta3 * lam0
-        self.variant = variant
+        self.spec = variant_spec(variant)
+        self.cone = self.spec.cone
         self.kind = initial_model.component.kind
         self.d = initial_model.d
         comp = initial_model.component
         self.centers = comp.used_centers()
-        d_feat = features.feature_dim(self.kind, self.d)
-        self.slope_dim = self.d if variant == CONVEX_MAX_AFFINE else d_feat
-        self.cone = _cone_for(variant) if variant in CONVEX_VARIANTS else _CONE_NONE
-        if variant == MAX_MIN_AFFINE:
+        self.slope_dim = self.spec.slope_dim(self.kind, self.d)
+        if self.spec.mma:
             mma = initial_model.mma
             self.layout = MmaLayout(mma.n_blocks, mma.biases.shape[1], self.d)
             self.x0 = self.layout.pack(mma.biases, mma.slopes)
         else:
-            K = comp.n_pieces
-            self.layout = ParamLayout(K, self.slope_dim,
-                                      symmetric=(variant == SYMMETRIC), with_z=False)
+            comps = initial_model.components()
+            self.layout = ParamLayout(comp.n_pieces, self.slope_dim, len(comps), with_z=False)
             # One fixed layout for the GEMMs, whatever the caller's layout.
             self.Xt = np.ascontiguousarray(X.T)
             self.norms = (features.norm_plane(self.kind, X, self.centers)
                           if self.kind != features.PLUS and self.slope_dim > self.d
                           else None)
-            if variant == SYMMETRIC:
-                sec = initial_model.second
-                self.x0 = self.layout.pack(0.0, comp.biases,
-                                           comp.weights[:, :self.slope_dim],
-                                           sec.biases, sec.weights[:, :self.slope_dim])
-            else:
-                self.x0 = self.layout.pack(0.0, comp.biases,
-                                           comp.weights[:, :self.slope_dim])
+            self.x0 = self.layout.pack(0.0, *[a for c in comps
+                                              for a in (c.biases, c.weights[:, :self.slope_dim])])
 
     def objective(self) -> ObjectiveHandle:
-        if self.variant == MAX_MIN_AFFINE:
-            return self._mma_objective()
-        return self._max_form_objective()
+        return self._mma_objective() if self.spec.mma else self._max_form_objective()
 
     def _relu_pair(self, j):
         diff = self.X[:, j] - self.centers[:, j, None]
@@ -637,29 +517,24 @@ class _RefineProblem:
         n = y.shape[0]
         K = layout.n_pieces
         mu, theta2 = self.mu, self.reg.theta2
+        signs = self.spec.signs
 
         def evaluate(params):
-            _, b1, W1, b2, W2 = layout.unpack(params)
-            A1 = self._piece_values(b1, W1)
-            m = A1.max(axis=0)
-            if layout.symmetric:
-                A2 = self._piece_values(b2, W2)
-                r = m - A2.max(axis=0) - y
-            else:
-                r = m - y
+            _, blocks = layout.unpack(params)
+            A = [self._piece_values(b, W) for b, W in blocks]
+            r = signed_sum(signs, [a.max(axis=0) for a in A]) - y
             value = float(np.mean(r * r))
             scale = (2.0 / n) * r
-            gb1, gW1 = self._piece_grads(softmax_weights(A1, mu, axis=0) * scale)
-            rv, rg = _reg_terms(W1 if not layout.symmetric else np.vstack([W1, W2]),
+            rv, rg = _reg_terms(np.vstack([W for _, W in blocks]),
                                 self.theta, self.c0, theta2, mu)
             value += rv
-            gW1 += rg[:K]
-            value += _cone_penalty_grad(self.cone, W1, self.d, self.rho, gW1)
-            parts = [gb1, gW1.ravel()]
-            if layout.symmetric:
-                gb2, gW2 = self._piece_grads(softmax_weights(A2, mu, axis=0) * -scale)
-                gW2 += rg[K:]
-                parts += [gb2, gW2.ravel()]
+            parts = []
+            for i, (sign, a, (_, W)) in enumerate(zip(signs, A, blocks)):
+                gb, gW = self._piece_grads(softmax_weights(a, mu, axis=0)
+                                           * (scale if sign > 0 else -scale))
+                gW += rg[i * K:(i + 1) * K]
+                value += self.cone.penalty(W, self.d, self.rho, gW)
+                parts += [gb, gW.ravel()]
             return value, np.concatenate(parts)
 
         return ObjectiveHandle(layout.dim, evaluate)
@@ -690,22 +565,14 @@ class _RefineProblem:
         return ObjectiveHandle(layout.dim, evaluate)
 
     def extract(self, params, initial_model: DcModel) -> DcModel:
-        if self.variant == MAX_MIN_AFFINE:
+        if self.spec.mma:
             B, S = self.layout.unpack(params)
             comp = initial_model.component  # pre-conversion snapshot, kept in sync
-            return DcModel(MAX_MIN_AFFINE, comp, mma=MaxMinAffine(B.copy(), S.copy()))
-        _, b1, W1, b2, W2 = self.layout.unpack(params)
-        comp1 = self._to_component(initial_model.component, b1, W1)
-        if self.variant == SYMMETRIC:
-            comp2 = self._to_component(initial_model.second, b2, W2)
-            return DcModel(SYMMETRIC, comp1, second=comp2)
-        return DcModel(initial_model.variant, comp1)
-
-    def _to_component(self, template: DcComponent, b, W):
-        W = _project_cone(self.cone, np.asarray(W, float), self.d)
-        if self.variant == CONVEX_MAX_AFFINE:
-            W = np.hstack([W, np.zeros((W.shape[0], 1))])
-        return replace(template, biases=np.asarray(b, float).copy(), weights=W)
+            return DcModel(self.spec.name, comp, mma=MaxMinAffine(B.copy(), S.copy()))
+        _, blocks = self.layout.unpack(params)
+        comps = [self.spec.component_from(t.kind, t.centers, b, W, t.center_idx)
+                 for t, (b, W) in zip(initial_model.components(), blocks)]
+        return DcModel(self.spec.name, *comps)
 
 
 def build_refine_objective(initial_model: DcModel, dataset: Dataset, reg: RegParams,
@@ -752,21 +619,13 @@ def refine(initial_model: DcModel, dataset: Dataset, reg: RegParams,
 def finalize(refined: DcModel, dataset: Dataset) -> DcModel:
     """Prune inactive pieces and center the mean prediction on mean(y)."""
     Xc = refined.transform_x(dataset.X)
-    if refined.variant == MAX_MIN_AFFINE:
+    if refined.spec.mma:
         mma, keep = prune_mma(refined.mma, Xc, return_indices=True)
-        comp = replace(refined.component, biases=refined.component.biases[keep],
-                       weights=refined.component.weights[keep],
-                       center_idx=refined.component.center_idx[keep])
-        model = replace(refined, component=comp, mma=mma)
-    elif refined.variant == SYMMETRIC:
-        model = replace(refined, component=prune(refined.component, Xc),
-                        second=prune(refined.second, Xc))
+        model = replace(refined, component=refined.component.take(keep), mma=mma)
     else:
-        model = replace(refined, component=prune(refined.component, Xc))
-    mean_pred = float(np.mean(eval_model_std(model, Xc)))
-    ybar_std = (float(np.mean(dataset.y)) - model.y_shift) / model.y_scale
-    model = replace(model, offset=model.offset + (ybar_std - mean_pred))
-    if model.variant == SYMMETRIC:
+        model = refined.with_components([prune(c, Xc) for c in refined.components()])
+    model = center(model, dataset)
+    if len(model.components()) > 1:
         model = symmetric_bias_center(model)
     return model
 
@@ -774,38 +633,22 @@ def finalize(refined: DcModel, dataset: Dataset) -> DcModel:
 # ---------------------------------------------------------------------------
 # the full pipeline
 
-def _std_maps(dataset: Dataset, enabled: bool):
-    d = dataset.d
-    if not enabled:
-        return np.zeros(d), np.ones(d), 0.0, 1.0
-    x_shift = dataset.X.mean(axis=0)
-    x_scale = np.std(dataset.X, axis=0, ddof=1) if dataset.n > 1 else np.ones(d)
-    x_scale = np.where(x_scale > 0, x_scale, 1.0)
-    y_shift = float(np.mean(dataset.y))
-    y_scale = float(np.std(dataset.y, ddof=1)) if dataset.n > 1 else 1.0
-    if y_scale <= 0:
-        y_scale = 1.0
-    return x_shift, x_scale, y_shift, y_scale
-
-
 def fit_dcf(dataset: Dataset, config: FitConfig = None) -> FitResult:
     """Run the full pipeline for the configured variant.
 
-    Internally the data are centered and scaled to unit variance; the
-    returned models carry the affine maps so they act on raw coordinates.
+    The data are standardized first (``apply_scaling`` in its ``std`` mode);
+    the returned models carry that map so they act on raw coordinates.
     """
     config = config or FitConfig()
     if dataset.n < 2:
         raise ValueError("need at least two samples")
-    if config.variant == COMPLEMENT:
-        inner_cfg = replace(config, variant=SINGLE)
-        inner = fit_dcf(Dataset(dataset.X, -dataset.y), inner_cfg)
+    if variant_spec(config.variant).signs[0] < 0:
+        # The min form is the max form of -y, negated.
+        inner = fit_dcf(Dataset(dataset.X, -dataset.y), replace(config, variant=SINGLE))
         return _wrap_complement(inner)
 
-    x_shift, x_scale, y_shift, y_scale = _std_maps(dataset, config.standardize_internally)
-    Xs = (dataset.X - x_shift) / x_scale
-    ys = (dataset.y - y_shift) / y_scale
-    ds_std = Dataset(Xs, ys)
+    ds_std, spec = apply_scaling(dataset, STD)
+    Xs, ys = ds_std.X, ds_std.y
     part = afpc(Xs, config.seed, ys)
     log.info("afpc K=%d eps=%.4g r_x=%.4g", part.n_centers, part.eps_n, part.r_x)
     reg = default_reg_params(part.r_x, part.r_y, dataset.n, dataset.d,
@@ -825,7 +668,8 @@ def fit_dcf(dataset: Dataset, config: FitConfig = None) -> FitResult:
     risk2 = training_risk_std(final_std, Xs, ys)
     rr2 = risk2 + reg_n_value(final_std, initial_std, reg, risk0)
 
-    transforms = dict(x_shift=x_shift, x_scale=x_scale, y_shift=y_shift, y_scale=y_scale)
+    transforms = dict(x_shift=spec.shift, x_scale=spec.scale, y_shift=spec.y_mean,
+                      y_scale=spec.y_std)
     return FitResult(
         initial_model=replace(initial_std, **transforms),
         refined_model=replace(refined_std, **transforms),

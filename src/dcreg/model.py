@@ -4,10 +4,14 @@ A component is a collection of pieces (b_k, w_k) over shared centers; its
 value is the max over pieces of b_k + w_k . phi(x, center_k).  A model wraps
 one or two components (or a max-min-affine block structure), an additive
 offset, and the affine standardization maps that let it act on raw inputs.
+
+Every variant is the same construction; ``VARIANT_TABLE`` holds the few facts
+that set each one apart.
 """
 
+import functools
 from dataclasses import dataclass, replace
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -27,6 +31,118 @@ VARIANTS = (SINGLE, COMPLEMENT, SYMMETRIC, MAX_MIN_AFFINE,
 CONVEX_VARIANTS = (CONVEX_MAX_AFFINE, CONVEX_NORM, CONVEX_PLUS)
 
 _CHUNK = 4096
+
+
+@dataclass(frozen=True)
+class Cone:
+    """A linear cone on a component's slope rows W: sign * q(W) <= 0 per entry.
+
+    q sums the slope columns listed by ``columns(d)``: the norm coefficient
+    alone, or the two halves u and v of the ReLU pairs.  With no columns the
+    cone is the whole space.
+    """
+
+    condition: str
+    sign: float = 0.0
+    columns: Callable = lambda d: ()
+
+    def residuals(self, W, d):
+        """sign * q(W); positive entries lie outside the cone."""
+        cols = self.columns(d)
+        if not cols:
+            return np.empty((W.shape[0], 0))
+        q = functools.reduce(np.add, [W[:, c] for c in cols])
+        return q if self.sign > 0 else -q
+
+    def penalty(self, W, d, rho, gW):
+        """rho * ||max(residuals, 0)||^2; its gradient is added to gW."""
+        cols = self.columns(d)
+        if not cols:
+            return 0.0
+        pos = np.maximum(self.residuals(W, d), 0.0)
+        for c in cols:
+            gW[:, c] += self.sign * 2.0 * rho * pos
+        return rho * float(np.sum(pos * pos))
+
+    def project(self, W, d):
+        """Nearest cone point: one column is clipped at 0, more share the deficit of q."""
+        cols = self.columns(d)
+        W = W.copy()
+        clip, deficit_of = (np.minimum, np.maximum) if self.sign > 0 else (np.maximum, np.minimum)
+        if len(cols) == 1:
+            W[:, cols[0]] = clip(W[:, cols[0]], 0.0)
+        elif cols:  # sign * residuals is q
+            deficit = deficit_of(self.sign * self.residuals(W, d), 0.0)
+            for c in cols:
+                W[:, c] -= deficit / len(cols)
+        return W
+
+    def check(self, W, d, variant):
+        """Raise unless W is in the cone, up to the rounding of ``project``."""
+        slack = 4.0 * np.finfo(float).eps * sum(np.abs(W[:, c]) for c in self.columns(d))
+        if np.any(self.residuals(W, d) > slack):
+            raise ValueError(f"{variant} requires {self.condition}")
+
+
+NO_CONE = Cone("no cone")
+NORM_NONPOS = Cone("nonpositive norm coefficients", 1.0, lambda d: (d,))
+NORM_NONNEG = Cone("nonnegative norm coefficients", -1.0, lambda d: (d,))
+RELU_SUM_NONNEG = Cone("u >= -v elementwise", -1.0, lambda d: (slice(0, d), slice(d, 2 * d)))
+
+
+@dataclass(frozen=True)
+class Variant:
+    """The facts that set one variant apart; all else is the shared construction.
+
+    The model value is offset + sum_i signs[i] * max-form_i(x), or the
+    max-min-affine form of the one component when ``mma`` is set.
+    """
+
+    name: str
+    kinds: tuple                # the feature kinds it accepts
+    signs: tuple = (1.0,)       # one sign per component
+    norm_column: bool = True    # False: the norm coefficient is pinned at 0, not fitted
+    cone: Cone = NO_CONE        # on each component's fitted slope rows
+    mma: bool = False           # refined and evaluated in max-min-affine form
+
+    def slope_dim(self, kind, d):
+        """Length of a fitted slope row."""
+        return features.feature_dim(kind, d) if self.norm_column else d
+
+    def component_from(self, kind, centers, b, W, center_idx=None):
+        """A component of fitted slopes W: cone-projected, pinned norm column restored."""
+        W = self.cone.project(np.asarray(W, float), centers.shape[1])
+        if not self.norm_column:
+            W = np.hstack([W, np.zeros((W.shape[0], 1))])
+        return DcComponent(kind, centers, np.asarray(b, float).copy(), W, center_idx)
+
+
+_NORM_KINDS = (features.L1, features.L2, features.LINF)
+
+VARIANT_TABLE = {v.name: v for v in (
+    Variant(SINGLE, features.FEATURE_KINDS),
+    Variant(COMPLEMENT, features.FEATURE_KINDS, signs=(-1.0,)),
+    Variant(SYMMETRIC, features.FEATURE_KINDS, signs=(1.0, -1.0)),
+    Variant(MAX_MIN_AFFINE, (features.LINF,), cone=NORM_NONPOS, mma=True),
+    Variant(CONVEX_MAX_AFFINE, _NORM_KINDS, norm_column=False),
+    Variant(CONVEX_NORM, _NORM_KINDS, cone=NORM_NONNEG),
+    Variant(CONVEX_PLUS, (features.PLUS,), cone=RELU_SUM_NONNEG),
+)}
+
+
+def variant_spec(variant: str) -> Variant:
+    """The table row of a variant name."""
+    if variant not in VARIANT_TABLE:
+        raise ValueError(f"unknown variant {variant!r}")
+    return VARIANT_TABLE[variant]
+
+
+def signed_sum(signs, terms):
+    """sum_i signs[i] * terms[i] for signs of +-1: added or subtracted left to right."""
+    total = terms[0] if signs[0] > 0 else -terms[0]
+    for s, t in zip(signs[1:], terms[1:]):
+        total = total + t if s > 0 else total - t
+    return total
 
 
 @dataclass(frozen=True)
@@ -72,6 +188,11 @@ class DcComponent:
     def used_centers(self) -> np.ndarray:
         return self.centers[self.center_idx]
 
+    def take(self, keep) -> "DcComponent":
+        """The component restricted to the pieces ``keep``."""
+        return replace(self, biases=self.biases[keep], weights=self.weights[keep],
+                       center_idx=self.center_idx[keep])
+
 
 @dataclass(frozen=True)
 class MaxMinAffine:
@@ -112,12 +233,18 @@ class DcModel:
     y_scale: float = 1.0
 
     def __post_init__(self):
-        if self.variant not in VARIANTS:
-            raise ValueError(f"unknown variant {self.variant!r}")
-        if (self.second is not None) != (self.variant == SYMMETRIC):
-            raise ValueError("a second component is present iff the variant is symmetric")
-        if (self.mma is not None) != (self.variant == MAX_MIN_AFFINE):
+        spec = variant_spec(self.variant)
+        if len(self.components()) != len(spec.signs):
+            raise ValueError(f"a {self.variant} model has {len(spec.signs)} component(s)")
+        if (self.mma is not None) != spec.mma:
             raise ValueError("mma parameters are present iff the variant is max_min_affine")
+        dims = {c.d for c in self.components()} | ({self.mma.d} if spec.mma else set())
+        if len(dims) != 1:
+            raise ValueError(f"components and mma blocks disagree on d: {sorted(dims)}")
+
+    @property
+    def spec(self) -> Variant:
+        return VARIANT_TABLE[self.variant]
 
     @property
     def d(self) -> int:
@@ -126,27 +253,47 @@ class DcModel:
     def components(self):
         return (self.component,) if self.second is None else (self.component, self.second)
 
+    def with_components(self, comps) -> "DcModel":
+        return replace(self, component=comps[0], second=comps[1] if len(comps) > 1 else None)
+
     def transform_x(self, X) -> np.ndarray:
         """Map raw inputs into the model's internal coordinates."""
         X = np.atleast_2d(np.asarray(X, dtype=float))
         if self.x_shift is None:
             return X
-        return (X - self.x_shift) / self.x_scale
+        Z = X - self.x_shift
+        Z /= self.x_scale
+        return Z
 
 
 def validate_model(model: DcModel) -> None:
-    """Check the variant-specific parameter cone conditions."""
-    d = model.d
-    if model.variant == CONVEX_MAX_AFFINE:
-        if np.any(model.component.weights[:, d] != 0.0):
-            raise ValueError("convex_max_affine requires a zero norm coefficient")
-    elif model.variant == CONVEX_NORM:
-        if np.any(model.component.weights[:, d] < 0.0):
-            raise ValueError("convex_norm requires nonnegative norm coefficients")
-    elif model.variant == CONVEX_PLUS:
-        w = model.component.weights
-        if np.any(w[:, :d] + w[:, d:] < 0.0):
-            raise ValueError("convex_plus requires u >= -v elementwise")
+    """Check what a model file can get wrong beyond its shapes.
+
+    Every number finite; the input maps of length d with positive scales;
+    the variant's feature kinds, pinned norm column and cone.
+    """
+    spec, d = model.spec, model.d
+    arrays = [a for c in model.components() for a in (c.centers, c.biases, c.weights)]
+    arrays += [model.offset, *((model.mma.biases, model.mma.slopes) if spec.mma else ())]
+    if not all(np.isfinite(a).all() for a in arrays):
+        raise ValueError("model parameters must be finite")
+    check_map(model.x_shift, model.x_scale, model.y_shift, model.y_scale, d, "standardization")
+    for comp in model.components():
+        if comp.kind not in spec.kinds:
+            raise ValueError(f"{model.variant} does not accept the {comp.kind!r} kind")
+        if not spec.norm_column and np.any(comp.weights[:, d] != 0.0):
+            raise ValueError(f"{model.variant} requires a zero norm coefficient")
+        spec.cone.check(comp.weights, d, model.variant)
+
+
+def check_map(shift, scale, y_shift, y_scale, d, what):
+    """An affine input/output map: finite, shift and scale of length d, scales > 0."""
+    if not all(np.isfinite(a).all() for a in (shift, scale, y_shift, y_scale) if a is not None):
+        raise ValueError(f"{what} numbers must be finite")
+    if shift is not None and (np.shape(shift) != (d,) or np.shape(scale) != (d,)):
+        raise ValueError(f"{what} vectors must have length d={d}")
+    if (shift is not None and not np.all(scale > 0.0)) or not y_scale > 0.0:
+        raise ValueError(f"{what} scales must be positive")
 
 
 def _piece_block(comp: DcComponent, X: np.ndarray) -> np.ndarray:
@@ -250,27 +397,34 @@ def eval_mma(mma: MaxMinAffine, x):
 def eval_model_std(model: DcModel, X) -> np.ndarray:
     """Model value in internal (standardized) coordinates, before the y map."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
-    if model.variant == COMPLEMENT:
-        return model.offset - eval_max(model.component, X)
-    if model.variant == SYMMETRIC:
-        return model.offset + eval_max(model.component, X) - eval_max(model.second, X)
-    if model.variant == MAX_MIN_AFFINE:
-        return model.offset + eval_mma(model.mma, X)
-    return model.offset + eval_max(model.component, X)
+    values = ((eval_mma(model.mma, X),) if model.spec.mma
+              else (eval_max(c, X) for c in model.components()))
+    out = model.offset
+    for sign, m in zip(model.spec.signs, values):
+        # Each form's fresh array takes the running sum: no (n,) temporaries.
+        out = (np.add if sign > 0 else np.subtract)(out, m, out=m)
+    return out
 
 
 def eval_model(model: DcModel, x):
     """Model prediction on raw inputs; accepts (d,) or (n, d)."""
     single = np.asarray(x).ndim == 1
-    vals = model.y_shift + model.y_scale * eval_model_std(model, model.transform_x(x))
+    vals = eval_model_std(model, model.transform_x(x))
+    vals *= model.y_scale
+    vals += model.y_shift
     return float(vals[0]) if single else vals
+
+
+def slope_rows(model: DcModel) -> np.ndarray:
+    """All slope vectors of a model as rows (inner pieces for max-min-affine)."""
+    if model.spec.mma:
+        return model.mma.slopes.reshape(-1, model.mma.d)
+    return np.vstack([c.weights for c in model.components()])
 
 
 def lip_stat(model: DcModel) -> float:
     """Largest slope-parameter norm across all pieces (both components)."""
-    if model.variant == MAX_MIN_AFFINE:
-        return float(np.max(np.linalg.norm(model.mma.slopes, axis=2)))
-    return max(float(np.max(np.linalg.norm(c.weights, axis=1))) for c in model.components())
+    return float(np.max(np.linalg.norm(slope_rows(model), axis=1)))
 
 
 def _attaining(block_fn, n_blocks, X):
@@ -294,8 +448,7 @@ def prune(comp: DcComponent, X, return_indices=False):
     """
     X = _check_dim(X, comp.d, "component")
     keep = _attaining(lambda rows: _piece_block(comp, rows), comp.n_pieces, X)
-    pruned = replace(comp, biases=comp.biases[keep], weights=comp.weights[keep],
-                     center_idx=comp.center_idx[keep])
+    pruned = comp.take(keep)
     return (pruned, keep) if return_indices else pruned
 
 
@@ -342,23 +495,20 @@ def symmetric_bias_center(model: DcModel) -> DcModel:
     The same constant is subtracted from every bias of both components, so
     the difference (and hence the model value) is unchanged.
     """
-    if model.variant != SYMMETRIC:
-        raise ValueError("bias centering applies to symmetric models only")
+    if model.spec.signs != (1.0, -1.0):
+        raise ValueError("bias centering applies to a difference of two components only")
     c_delta = 0.5 * (float(np.mean(model.component.biases))
                      + float(np.mean(model.second.biases)))
-    comp1 = replace(model.component, biases=model.component.biases - c_delta)
-    comp2 = replace(model.second, biases=model.second.biases - c_delta)
-    return replace(model, component=comp1, second=comp2)
+    return model.with_components([replace(c, biases=c.biases - c_delta)
+                                  for c in model.components()])
 
 
 def n_parameters(model: DcModel, include_centers=False) -> int:
     """Number of free parameters (optionally counting center coordinates)."""
-    if model.variant == MAX_MIN_AFFINE:
-        total = model.mma.biases.size + model.mma.slopes.size
-    else:
-        total = sum(c.biases.size + c.weights.size for c in model.components())
-    total += 1  # offset
-    if include_centers and model.variant != MAX_MIN_AFFINE:
+    if model.spec.mma:
+        return int(model.mma.biases.size + model.mma.slopes.size + 1)  # + offset
+    total = sum(c.biases.size + c.weights.size for c in model.components()) + 1
+    if include_centers:
         used = {int(i) for c in model.components() for i in c.center_idx}
         total += len(used) * model.d
     return int(total)

@@ -5,10 +5,11 @@ import json
 import numpy as np
 
 from .data import ScalingSpec
-from .model import (MAX_MIN_AFFINE, SYMMETRIC, DcComponent, DcModel,
-                    MaxMinAffine, validate_model)
+from .model import (DcComponent, DcModel, MaxMinAffine, check_map, validate_model,
+                    variant_spec)
 
 FORMAT_VERSION = 1
+PIECE_KEYS = ("pieces", "secondary_pieces")   # one key per component, in order
 
 
 class ModelFormatError(ValueError):
@@ -23,8 +24,10 @@ def _pieces_payload(comp: DcComponent):
 def _component_from(payload, kind, centers):
     biases = np.array([p["b"] for p in payload], dtype=float)
     weights = np.array([p["w"] for p in payload], dtype=float)
-    idx = np.array([p.get("c", i) for i, p in enumerate(payload)], dtype=np.int64)
-    return DcComponent(kind, centers, biases, weights, idx)
+    idx = [p.get("c", i) for i, p in enumerate(payload)]
+    if not all(isinstance(c, int) and not isinstance(c, bool) for c in idx):
+        raise ModelFormatError("center indices must be integers")
+    return DcComponent(kind, centers, biases, weights, np.array(idx, dtype=np.int64))
 
 
 def model_payload(model: DcModel, scaling_spec: ScalingSpec = None) -> dict:
@@ -34,11 +37,10 @@ def model_payload(model: DcModel, scaling_spec: ScalingSpec = None) -> dict:
         "kind": model.component.kind,
         "offset": float(model.offset),
         "centers": [[float(v) for v in row] for row in model.component.centers],
-        "pieces": _pieces_payload(model.component),
     }
-    if model.variant == SYMMETRIC:
-        payload["secondary_pieces"] = _pieces_payload(model.second)
-    if model.variant == MAX_MIN_AFFINE:
+    for key, comp in zip(PIECE_KEYS, model.components()):
+        payload[key] = _pieces_payload(comp)
+    if model.mma is not None:
         payload["mma"] = {
             "biases": model.mma.biases.tolist(),
             "slopes": model.mma.slopes.tolist(),
@@ -62,6 +64,8 @@ def model_payload(model: DcModel, scaling_spec: ScalingSpec = None) -> dict:
 
 
 def model_from_payload(payload: dict):
+    """(model, scaling spec or None); ModelFormatError for anything malformed,
+    including what ``validate_model`` rejects and a non-finite or wrong-length scaling spec."""
     if not isinstance(payload, dict):
         raise ModelFormatError("model file must contain a JSON object")
     version = payload.get("format_version")
@@ -71,10 +75,10 @@ def model_from_payload(payload: dict):
     try:
         kind = payload["kind"]
         centers = np.asarray(payload["centers"], dtype=float)
-        component = _component_from(payload["pieces"], kind, centers)
-        second = None
-        if "secondary_pieces" in payload:
-            second = _component_from(payload["secondary_pieces"], kind, centers)
+        n_comp = len(variant_spec(payload["variant"]).signs)
+        comps = [_component_from(payload[key], kind, centers) for key in PIECE_KEYS[:n_comp]]
+        if any(key in payload for key in PIECE_KEYS[n_comp:]):
+            raise ModelFormatError(f"a {payload['variant']} model has {n_comp} component(s)")
         mma = None
         if "mma" in payload:
             mma = MaxMinAffine(np.asarray(payload["mma"]["biases"], dtype=float),
@@ -85,8 +89,8 @@ def model_from_payload(payload: dict):
             kwargs = dict(x_shift=np.asarray(s["x_shift"], dtype=float),
                           x_scale=np.asarray(s["x_scale"], dtype=float),
                           y_shift=float(s["y_shift"]), y_scale=float(s["y_scale"]))
-        model = DcModel(payload["variant"], component, second=second,
-                        offset=float(payload["offset"]), mma=mma, **kwargs)
+        model = DcModel(payload["variant"], *comps, offset=float(payload["offset"]),
+                        mma=mma, **kwargs)
         validate_model(model)
     except ModelFormatError:
         raise
@@ -99,6 +103,8 @@ def model_from_payload(payload: dict):
             scaling = ScalingSpec(s["mode"], np.asarray(s["shift"], dtype=float),
                                   np.asarray(s["scale"], dtype=float),
                                   float(s["y_mean"]), float(s["y_std"]))
+            check_map(scaling.shift, scaling.scale, scaling.y_mean, scaling.y_std, model.d,
+                      "scaling spec")
         except (KeyError, TypeError, ValueError) as exc:
             raise ModelFormatError(f"malformed scaling spec: {exc}") from exc
     return model, scaling

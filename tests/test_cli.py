@@ -212,3 +212,95 @@ def test_bench_failed_cell_exits_nonzero(tmp_path, monkeypatch, caplog):
                 (out / "results.csv").read_text().splitlines()[1:]]
     assert statuses == ["ok", "failed: forced ols failure"]
     assert any(r.levelno == logging.DEBUG and r.exc_info for r in caplog.records)
+
+
+# ---------------------------------------------------------------------------
+# dcreg predict rejects malformed model files (exit 3)
+
+@pytest.fixture(scope="module")
+def saved_3d_models(tmp_path_factory):
+    """Payloads of a `single` and a `mma` d=3 model saved by `dcreg fit`, and a features file."""
+    tmp = tmp_path_factory.mktemp("models3d")
+    rng = np.random.default_rng(11)
+    X = rng.uniform(-1, 1, (60, 3))
+    y = np.abs(X[:, 0]) - X[:, 1] + 0.5 * X[:, 2] ** 2
+    data = tmp / "d.csv"
+    data.write_text("".join(",".join(map(repr, row)) + "\n"
+                            for row in np.column_stack([X, y]).tolist()))
+    payloads = {}
+    for variant in ("single", "mma"):
+        path = tmp / f"{variant}.json"
+        assert main(["fit", "--data", str(data), "--variant", variant, "--kind", "linf",
+                     "--out", str(path)]) == EXIT_OK
+        payloads[variant] = json.loads(path.read_text())
+    return payloads, data
+
+
+def _set_x_shift_one_element(p):
+    p["standardization"]["x_shift"] = p["standardization"]["x_shift"][:1]
+
+
+def _set_x_scale_zero(p):
+    p["standardization"]["x_scale"][1] = 0.0
+
+
+def _set_y_scale_nan(p):
+    p["standardization"]["y_scale"] = float("nan")
+
+
+def _set_weight_inf(p):
+    p["pieces"][0]["w"][0] = float("inf")
+
+
+def _set_center_index_fraction(p):
+    p["pieces"][0]["c"] = 1.5
+
+
+def _set_scaling_shift_one_element(p):
+    p["scaling_spec"]["shift"] = p["scaling_spec"]["shift"][:1]
+
+
+def _set_scaling_y_std_inf(p):
+    p["scaling_spec"]["y_std"] = float("inf")
+
+
+def _set_mma_slopes_wrong_dimension(p):
+    p["mma"]["slopes"] = [[s[:2] for s in block] for block in p["mma"]["slopes"]]
+
+
+def _set_mma_norm_coefficient_positive(p):
+    p["pieces"][0]["w"][3] = 0.5
+
+
+@pytest.mark.parametrize("variant,corrupt", [
+    ("single", _set_x_shift_one_element),
+    ("single", _set_x_scale_zero),
+    ("single", _set_y_scale_nan),
+    ("single", _set_weight_inf),
+    ("single", _set_center_index_fraction),
+    ("single", _set_scaling_shift_one_element),
+    ("single", _set_scaling_y_std_inf),
+    ("mma", _set_mma_slopes_wrong_dimension),
+    ("mma", _set_mma_norm_coefficient_positive),
+])
+def test_predict_rejects_malformed_model(tmp_path, saved_3d_models, variant, corrupt, capsys):
+    payloads, data = saved_3d_models
+    payload = json.loads(json.dumps(payloads[variant]))
+    corrupt(payload)
+    model_path = tmp_path / "bad.json"
+    model_path.write_text(json.dumps(payload))
+    out = tmp_path / "p.csv"
+    code = main(["predict", "--model", str(model_path), "--data", str(data),
+                 "--out", str(out)])
+    assert code == EXIT_DATA
+    assert "data error" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_predict_accepts_the_unmodified_models(tmp_path, saved_3d_models):
+    payloads, data = saved_3d_models
+    for variant, payload in payloads.items():
+        model_path = tmp_path / f"{variant}.json"
+        model_path.write_text(json.dumps(payload))
+        assert main(["predict", "--model", str(model_path), "--data", str(data),
+                     "--out", str(tmp_path / "p.csv")]) == EXIT_OK

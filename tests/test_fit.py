@@ -10,7 +10,7 @@ from dcreg.fit import (FitConfig, RegParams, STRONG, WEAK,
                        fit_convex, fit_dcf, fit_initial, fit_max_min_affine,
                        fit_symmetric, refine, reg_n_value, theta_fn_value,
                        training_risk_std)
-from dcreg.model import (CONVEX_MAX_AFFINE, CONVEX_NORM, CONVEX_PLUS,
+from dcreg.model import (COMPLEMENT, CONVEX_MAX_AFFINE, CONVEX_NORM, CONVEX_PLUS,
                          MAX_MIN_AFFINE, SINGLE, SYMMETRIC, DcModel,
                          eval_max, eval_mma, eval_model, lip_stat,
                          validate_model)
@@ -158,6 +158,21 @@ def test_fit_initial_certificate_inequality():
 def _radii(ds):
     from dcreg.partition import data_radii
     return data_radii(ds)
+
+
+def test_fit_initial_complement_fits_the_negated_max_form():
+    # A concave target: the complement's one component enters with sign -1.
+    X = np.linspace(-1, 1, 120)[:, None]
+    ds = Dataset(X, 1.0 - 2.0 * np.abs(X[:, 0]))
+    part = afpc(X, seed=2)
+    reg = default_reg_params(*_radii(ds), ds.n, 1, part.n_centers, WEAK)
+    model, info = fit_initial(ds, part, features.L2, reg, variant=COMPLEMENT)
+    assert model.variant == COMPLEMENT
+    cert = float(np.mean((ds.y - ds.y.mean()) ** 2))
+    assert info["certificate"] == pytest.approx(cert, rel=1e-12)
+    assert info["violation"] <= 1e-4
+    mse = float(np.mean((eval_model(model, X) - ds.y) ** 2))
+    assert mse <= 1e-3 * cert
 
 
 def test_fit_initial_noiseless_linear():
@@ -457,17 +472,6 @@ def test_bias_separation_arithmetic_property():
         assert lhs <= 1.5 * beta + 1e-12
 
 
-def test_fit_without_internal_standardization():
-    ds = _xsinx_dataset(120, seed=23)
-    result = fit_dcf(ds, FitConfig(variant=SINGLE, kind=features.LINF, seed=4,
-                                   standardize_internally=False))
-    assert result.final_model.x_shift is None or np.allclose(result.final_model.x_shift, 0.0)
-    assert result.final_model.y_scale == 1.0
-    assert np.mean(eval_model(result.final_model, ds.X)) == pytest.approx(
-        np.mean(ds.y), abs=1e-10)
-    assert_fit_invariants(result, ds)
-
-
 def test_fit_diagnostics_report():
     from dcreg.fit import fit_diagnostics
     ds = _xsinx_dataset(150, seed=24)
@@ -503,7 +507,7 @@ def test_fit_constant_covariates():
 
 def _dense_max_form_objective(initial, ds, reg, variant):
     """The stage-2 max-form objective on the dense (n, K, slope_dim) feature tensor."""
-    from dcreg.fit import _RefineProblem, _cone_penalty_grad, _reg_terms
+    from dcreg.fit import _RefineProblem, _reg_terms
     cfg = SolverConfig()
     risk0 = training_risk_std(initial, ds.X, ds.y)
     problem = _RefineProblem(initial, ds.X, ds.y, reg, cfg,
@@ -516,10 +520,11 @@ def _dense_max_form_objective(initial, ds, reg, variant):
         return E / E.sum(axis=1, keepdims=True)
 
     def evaluate(params):
-        _, b1, W1, b2, W2 = layout.unpack(params)
+        _, blocks = layout.unpack(params)
+        (b1, W1), (b2, W2) = blocks[0], (blocks[1:] or [(None, None)])[0]
         A1 = b1[None, :] + np.einsum("nkj,kj->nk", phi, W1)
         r = A1.max(axis=1) - ds.y
-        if layout.symmetric:
+        if layout.n_components == 2:
             A2 = b2[None, :] + np.einsum("nkj,kj->nk", phi, W2)
             r = r - A2.max(axis=1)
         value = float(np.mean(r * r))
@@ -529,9 +534,9 @@ def _dense_max_form_objective(initial, ds, reg, variant):
                             problem.theta, problem.c0, reg.theta2, cfg.mu)
         value += rv
         gW1 += rg[:K]
-        value += _cone_penalty_grad(problem.cone, W1, problem.d, cfg.rho_pen, gW1)
+        value += problem.cone.penalty(W1, problem.d, cfg.rho_pen, gW1)
         parts = [coef1.sum(axis=0), gW1.ravel()]
-        if layout.symmetric:
+        if layout.n_components == 2:
             coef2 = -(2.0 / n) * r[:, None] * softmax_rows(A2)
             parts += [coef2.sum(axis=0),
                       (np.einsum("nk,nkj->kj", coef2, phi) + rg[K:]).ravel()]
