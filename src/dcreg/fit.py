@@ -264,18 +264,19 @@ class _InitialProblem:
 
         def evaluate(params):
             z, blocks = layout.unpack(params)
-            theta = np.concatenate([signed_sum(signs, [b for b, _ in blocks])[:, None],
-                                    signed_sum(signs, [W for _, W in blocks])], axis=1)
+            bs, Ws = zip(*blocks)
+            theta = np.concatenate([signed_sum(signs, bs)[:, None], signed_sum(signs, Ws)],
+                                   axis=1)
             r = np.einsum("nj,nj->n", design, theta[labels_sorted]) - y_sorted
             value = theta1 * z * z + float(np.mean(r * r))
-            for _, W in blocks:
+            for W in Ws:
                 value += theta2 * float(np.sum(W * W))
             seg = np.add.reduceat(design * r[:, None], starts, axis=0)
             seg *= 2.0 / n
             gb = seg[:, 0]
             gW = seg[:, 1:]
             parts = [np.array([2.0 * theta1 * z])]
-            for sign, (_, W) in zip(signs, blocks):
+            for sign, W in zip(signs, Ws):
                 parts += [gb, (gW + 2.0 * theta2 * W).ravel()] if sign > 0 else \
                     [-gb, (-gW + 2.0 * theta2 * W).ravel()]
             return value, np.concatenate(parts)
@@ -284,8 +285,7 @@ class _InitialProblem:
 
     def _pack_first(self, z, b, W):
         """Parameters with (b, W) in the first component and zeros in the others."""
-        K, s = self.layout.n_pieces, self.layout.slope_dim
-        zeros = [np.zeros(K), np.zeros((K, s))] * (self.layout.n_components - 1)
+        zeros = [np.zeros_like(b), np.zeros_like(W)] * (self.layout.n_components - 1)
         return self.layout.pack(z, b, W, *zeros)
 
     def warm_start(self) -> np.ndarray:
@@ -387,8 +387,7 @@ def fit_initial(dataset: Dataset, partition: Partition, kind: str, reg: RegParam
 # slope bookkeeping shared by the refinement and the diagnostics
 
 def slope_sumsq(model: DcModel) -> float:
-    W = slope_rows(model)
-    return float(np.sum(W * W))
+    return float(np.sum(np.square(slope_rows(model))))
 
 
 def theta_fn_value(initial_model: DcModel, reg: RegParams, risk_initial: float) -> float:
@@ -451,9 +450,8 @@ class _RefineProblem:
         self.c0 = reg.theta3 * lam0
         self.spec = variant_spec(variant)
         self.cone = self.spec.cone
-        self.kind = initial_model.component.kind
-        self.d = initial_model.d
         comp = initial_model.component
+        self.kind, self.d = comp.kind, comp.d
         self.centers = comp.used_centers()
         self.slope_dim = self.spec.slope_dim(self.kind, self.d)
         if self.spec.mma:
@@ -525,7 +523,7 @@ class _RefineProblem:
             r = signed_sum(signs, [a.max(axis=0) for a in A]) - y
             value = float(np.mean(r * r))
             scale = (2.0 / n) * r
-            rv, rg = _reg_terms(np.vstack([W for _, W in blocks]),
+            rv, rg = _reg_terms(np.concatenate([W for _, W in blocks]),
                                 self.theta, self.c0, theta2, mu)
             value += rv
             parts = []
@@ -644,8 +642,8 @@ def fit_dcf(dataset: Dataset, config: FitConfig = None) -> FitResult:
         raise ValueError("need at least two samples")
     if variant_spec(config.variant).signs[0] < 0:
         # The min form is the max form of -y, negated.
-        inner = fit_dcf(Dataset(dataset.X, -dataset.y), replace(config, variant=SINGLE))
-        return _wrap_complement(inner)
+        return _wrap_complement(fit_dcf(Dataset(dataset.X, -dataset.y),
+                                        replace(config, variant=SINGLE)))
 
     ds_std, spec = apply_scaling(dataset, STD)
     Xs, ys = ds_std.X, ds_std.y

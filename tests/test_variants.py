@@ -126,7 +126,7 @@ def test_a_cone_violation_is_rejected_at_load(tmp_path, model, data):
 
 @pytest.mark.parametrize("variant", CONE_VARIANTS)
 def test_projected_slopes_pass_the_load_check(variant):
-    # The pair projection rounds: u + v can land an ulp below 0.
+    # The shares of the pair projection round, and the load check is strict.
     spec = variant_spec(variant)
     rng = np.random.default_rng(5)
     for d in (1, 2, 3):
