@@ -60,7 +60,7 @@ def _cmd_predict(args):
     preds = model_mod.eval_model(model, X)
     if scaling is not None:
         preds = scaling.invert_y(preds)
-    write_csv(args.out, ["prediction"], preds[:, None].tolist())
+    write_csv(args.out, ["prediction"], preds)
     print(f"wrote {len(preds)} predictions to {args.out}")
     return EXIT_OK
 

@@ -204,11 +204,18 @@ def write_csv(path, columns, rows):
 
     Each row is a mapping from column name to value (a missing key writes an
     empty cell) or a sequence of values in column order.  Floats are written
-    as their repr, None as an empty cell.
+    as their repr, None as an empty cell.  With one column, ``rows`` may also
+    be a 1-D float64 array of its values.
     """
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(columns)
+        if (isinstance(rows, np.ndarray) and rows.ndim == 1 and rows.dtype == np.float64
+                and len(columns) == 1):
+            # repr is what csv writes for a float; no float repr needs quoting.
+            if rows.size:
+                fh.write("\n".join(map(repr, rows.tolist())) + "\n")
+            return
         # csv writes str(value): repr for floats (numpy's float64 included)
         writer.writerows([row.get(c) for c in columns] if isinstance(row, Mapping) else row
                          for row in rows)

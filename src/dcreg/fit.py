@@ -26,7 +26,7 @@ from .model import (
 )
 from .partition import Partition, afpc
 from .solver import ObjectiveHandle, SolveReport, SolverConfig, SolverAbort, \
-    lbfgs_minimize, penalty_objective, softmax_weights
+    lbfgs_minimize, penalty_objective, softmax_near_ties, softmax_weights
 
 log = logging.getLogger(__name__)
 
@@ -454,6 +454,8 @@ class _RefineProblem:
         self.kind, self.d = comp.kind, comp.d
         self.centers = comp.used_centers()
         self.slope_dim = self.spec.slope_dim(self.kind, self.d)
+        # One fixed layout for the GEMMs and row blocks, whatever the caller's layout.
+        self.Xt = np.ascontiguousarray(X.T)
         if self.spec.mma:
             mma = initial_model.mma
             self.layout = MmaLayout(mma.n_blocks, mma.biases.shape[1], self.d)
@@ -461,8 +463,6 @@ class _RefineProblem:
         else:
             comps = initial_model.components()
             self.layout = ParamLayout(comp.n_pieces, self.slope_dim, len(comps), with_z=False)
-            # One fixed layout for the GEMMs, whatever the caller's layout.
-            self.Xt = np.ascontiguousarray(X.T)
             self.norms = (features.norm_plane(self.kind, X, self.centers)
                           if self.kind != features.PLUS and self.slope_dim > self.d
                           else None)
@@ -538,27 +538,38 @@ class _RefineProblem:
         return ObjectiveHandle(layout.dim, evaluate)
 
     def _mma_objective(self):
-        layout, X, y = self.layout, self.X, self.y
-        n = X.shape[0]
+        """Block-major: inner values are (K, L, n), one coordinate at a time.
+
+        Only the (block, row) near-ties of the outer max carry gradient; the
+        inner-min weights and the scatter-add run on those pairs alone.
+        """
+        layout, y, Xt = self.layout, self.y, self.Xt
+        n = y.shape[0]
+        K, L, d = layout.n_blocks, layout.n_inner, layout.d
         mu, theta2 = self.mu, self.reg.theta2
 
         def evaluate(params):
             B, S = layout.unpack(params)
-            inner = B[None, :, :] + np.einsum("kld,nd->nkl", S, X)
-            m_in = inner.min(axis=2)
-            m = m_in.max(axis=1)
-            r = m - y
+            inner = S[:, :, 0, None] * Xt[0]
+            for j in range(1, d):
+                inner += S[:, :, j, None] * Xt[j]
+            inner += B[:, :, None]
+            m_in = inner.min(axis=1)                           # (K, n)
+            r = m_in.max(axis=0) - y
             value = float(np.mean(r * r))
-            sig = softmax_weights(m_in, mu, axis=1)             # outer max weights
-            tau = softmax_weights(-inner, mu, axis=2)           # inner min weights
-            coef = (2.0 / n) * r[:, None, None] * sig[:, :, None] * tau
-            gB = coef.sum(axis=0)
-            gS = np.einsum("nkl,nd->kld", coef, X)
-            rows = S.reshape(-1, layout.d)
-            rv, rg = _reg_terms(rows, self.theta, self.c0, theta2, mu)
+            near, sig = softmax_near_ties(m_in, mu)            # outer max weights
+            ks, rows = np.divmod(near, n)
+            vals = inner[ks, :, rows]                          # (pairs, L)
+            tau = np.exp((vals.min(axis=1, keepdims=True) - vals) / mu)  # inner min weights
+            coef = tau * ((2.0 / n) * r[rows] * sig / tau.sum(axis=1))[:, None]
+            slot = (ks[:, None] * L + np.arange(L)).ravel()     # index of (k, l)
+            gB = np.bincount(slot, weights=coef.ravel(), minlength=K * L)
+            gS = np.column_stack([np.bincount(slot, weights=(coef * x[:, None]).ravel(),
+                                              minlength=K * L) for x in Xt[:, rows]])
+            rv, rg = _reg_terms(S.reshape(-1, d), self.theta, self.c0, theta2, mu)
             value += rv
-            gS = gS + rg.reshape(S.shape)
-            return value, np.concatenate([gB.ravel(), gS.ravel()])
+            gS += rg
+            return value, np.concatenate([gB, gS.ravel()])
 
         return ObjectiveHandle(layout.dim, evaluate)
 

@@ -54,7 +54,16 @@ GRAD_TOL = "grad_tol"        # gradient max-norm reached cfg.grad_tol
 MAX_ITERS = "max_iters"      # iteration cap reached first
 LINE_SEARCH = "line_search"  # the negative-gradient line search failed too
 NONFINITE = "nonfinite"      # an accepted step had a non-finite gradient
-STOP_REASONS = (GRAD_TOL, MAX_ITERS, LINE_SEARCH, NONFINITE)
+STALLED = "stalled"          # the value stopped falling over the stall window
+STOP_REASONS = (GRAD_TOL, MAX_ITERS, LINE_SEARCH, NONFINITE, STALLED)
+
+# Stall rule: stop once the last STALL_WINDOW accepted steps lowered the value
+# by at most STALL_RTOL * max(1, |value|) in total.
+STALL_WINDOW = 50
+STALL_RTOL = 1e-7
+# exp(x) is exactly 0.0 in float64 below x = -745.14; the soft-max weights
+# need only the entries within this many mu of the maximum.
+_EXP_UNDERFLOW = 746.0
 
 
 @dataclass(frozen=True)
@@ -75,63 +84,57 @@ class SolveReport:
     stop_reason: str = ""
 
 
-def softmax_smooth(alpha, mu: float) -> float:
-    """Soft maximum mu*log(sum(exp(alpha/mu))), computed with a max shift.
-
-    Overestimates max(alpha) by at most mu*log(len(alpha)).
-    """
-    alpha = np.asarray(alpha, dtype=float)
-    if alpha.size == 0:
-        raise ValueError("empty input")
-    if mu <= 0:
-        raise ValueError("mu must be positive")
-    m = float(np.max(alpha))
-    return m + mu * float(np.log(np.sum(np.exp((alpha - m) / mu))))
-
-
 def softmax_weights(alpha, mu: float, axis=None) -> np.ndarray:
     """Gradient weights of the soft maximum: probability vectors along ``axis``.
 
     exp((alpha - max) / mu) normalized to sum 1, over the whole array when
     ``axis`` is None, else independently along that axis.  With a small mu
-    the weights are exactly zero outside near-ties of the maximum.
+    the weights are exactly zero outside near-ties of the maximum.  A
+    C-contiguous (K, n) matrix reduced along axis 0 (the piece-major layout
+    of stage 2) takes the exp only on those near-ties, with the same bits for
+    finite input.
     """
     alpha = np.asarray(alpha, dtype=float)
     if alpha.size == 0:
         raise ValueError("empty input")
     if mu <= 0:
         raise ValueError("mu must be positive")
+    if axis == 0 and alpha.ndim == 2 and alpha.flags.c_contiguous and alpha.shape[1] > 1:
+        near, weights = softmax_near_ties(alpha, mu)
+        w = np.zeros_like(alpha)
+        w.ravel()[near] = weights
+        return w
     keep = axis is not None
     w = np.exp((alpha - np.max(alpha, axis=axis, keepdims=keep)) / mu)
     return w / np.sum(w, axis=axis, keepdims=keep)
 
 
-def penalty_objective(base: ObjectiveHandle, constraints, rho_pen: float) -> ObjectiveHandle:
-    """Quadratic penalty wrapper: base(x) + rho * sum(max(0, g_i(x))^2).
+def softmax_near_ties(A: np.ndarray, mu: float):
+    """Column soft-max weights of a C-contiguous (K, n) matrix, near-ties only.
 
-    ``constraints`` is either an object with a vectorized
-    ``penalty(x, rho) -> (value, gradient)`` method, or an iterable of
-    callables x -> (g_i, grad_g_i) for inequality residuals g_i(x) <= 0.
+    Returns (flat indices into A in row-major order, their weights); every
+    other weight is exactly zero, because exp(-745.2) underflows.  numpy sums
+    a C-contiguous matrix along axis 0 row by row, so summing each column's
+    near-ties in increasing row order reproduces the dense formula's bits.
     """
-    if hasattr(constraints, "penalty"):
-        def evaluate(x):
-            v, g = base.evaluate(x)
-            pv, pg = constraints.penalty(x, rho_pen)
-            return v + pv, g + pg
-        return ObjectiveHandle(base.dim, evaluate)
+    n = A.shape[1]
+    gap = A - np.max(A, axis=0, keepdims=True)
+    near = np.flatnonzero(gap >= -_EXP_UNDERFLOW * mu)
+    cols = near % n
+    e = np.exp(gap.ravel()[near] / mu)
+    return near, e / np.bincount(cols, weights=e, minlength=n)[cols]
 
-    cons = list(constraints)
 
+def penalty_objective(base: ObjectiveHandle, constraints, rho_pen: float) -> ObjectiveHandle:
+    """Quadratic penalty wrapper: base(x) + constraints.penalty(x, rho_pen).
+
+    ``constraints.penalty(x, rho) -> (value, gradient)`` is the vectorized
+    rho * sum(max(0, g_i(x))^2) of the inequality residuals g_i(x) <= 0.
+    """
     def evaluate(x):
-        value, grad = base.evaluate(x)
-        grad = grad.copy()
-        for con in cons:
-            gi, gradi = con(x)
-            if gi > 0.0:
-                value += rho_pen * gi * gi
-                grad += (2.0 * rho_pen * gi) * gradi
-        return value, grad
-
+        v, g = base.evaluate(x)
+        pv, pg = constraints.penalty(x, rho_pen)
+        return v + pv, g + pg
     return ObjectiveHandle(base.dim, evaluate)
 
 
@@ -172,7 +175,9 @@ def lbfgs_minimize(obj: ObjectiveHandle, x0, cfg: SolverConfig, callback=None):
     backtracking line search resets the curvature memory and retries along
     the negative gradient; failing that too, the solve terminates.  If a
     non-finite value or gradient is encountered the best iterate so far is
-    returned with ``aborted`` set.  ``callback(iteration, x, value)`` runs
+    returned with ``aborted`` set.  The solve stalls, and stops, once the
+    last ``STALL_WINDOW`` accepted steps lowered the value by at most
+    ``STALL_RTOL * max(1, |value|)``.  ``callback(iteration, x, value)`` runs
     after every accepted step.  The report says why the solve stopped and how
     many times the objective was evaluated.
     """
@@ -192,6 +197,7 @@ def lbfgs_minimize(obj: ObjectiveHandle, x0, cfg: SolverConfig, callback=None):
 
     best_x, best_f = x.copy(), f
     memory: deque = deque(maxlen=cfg.lbfgs_memory)   # (s, y, 1/(s.y)) pairs
+    recent = deque([f], maxlen=STALL_WINDOW + 1)      # values of the last accepted steps
     ls_failures = 0
     iters = 0
     aborted = False
@@ -254,6 +260,11 @@ def lbfgs_minimize(obj: ObjectiveHandle, x0, cfg: SolverConfig, callback=None):
             callback(iters, x, f)
         gnorm = float(np.max(np.abs(g)))
         converged = gnorm <= cfg.grad_tol
+        recent.append(f)
+        if (not converged and len(recent) > STALL_WINDOW
+                and recent[0] - f <= STALL_RTOL * max(1.0, abs(f))):
+            stop_reason = STALLED
+            break
 
     if f <= best_f:
         best_f, best_x = f, x

@@ -1,10 +1,12 @@
-"""Shared oracles for the test suite: finite differences and fit invariants."""
+"""Shared oracles for the test suite: finite differences, fit invariants, and the
+soft-max and penalty forms that only the tests use."""
 
 import numpy as np
 
 from dcreg import features
 from dcreg.fit import FitResult
 from dcreg.model import eval_max, eval_model, eval_partitioned
+from dcreg.solver import ObjectiveHandle
 
 
 def central_diff(evaluate, x, base_step=1e-6):
@@ -61,3 +63,39 @@ def _assert_partition_gap(result: FitResult, dataset):
         gap = eval_max(comp, Xs) - eval_partitioned(comp, Xs, labels)
         assert gap.min() >= -1e-12, f"partitioned form exceeded the max form: {gap.min()}"
         assert gap.max() <= bound + 1e-9, f"gap {gap.max()} above bound {bound}"
+
+
+def softmax_smooth(alpha, mu: float) -> float:
+    """Soft maximum mu*log(sum(exp(alpha/mu))), computed with a max shift.
+
+    Overestimates max(alpha) by at most mu*log(len(alpha)).
+    """
+    alpha = np.asarray(alpha, dtype=float)
+    if alpha.size == 0:
+        raise ValueError("empty input")
+    if mu <= 0:
+        raise ValueError("mu must be positive")
+    m = float(np.max(alpha))
+    return m + mu * float(np.log(np.sum(np.exp((alpha - m) / mu))))
+
+
+def callable_penalty_objective(base: ObjectiveHandle, constraints, rho_pen: float):
+    """Quadratic penalty base(x) + rho * sum(max(0, g_i(x))^2), one callable per residual.
+
+    ``constraints`` is an iterable of callables x -> (g_i, grad_g_i) for
+    inequality residuals g_i(x) <= 0; ``solver.penalty_objective`` is the
+    vectorized form.
+    """
+    cons = list(constraints)
+
+    def evaluate(x):
+        value, grad = base.evaluate(x)
+        grad = grad.copy()
+        for con in cons:
+            gi, gradi = con(x)
+            if gi > 0.0:
+                value += rho_pen * gi * gi
+                grad += (2.0 * rho_pen * gi) * gradi
+        return value, grad
+
+    return ObjectiveHandle(base.dim, evaluate)

@@ -150,3 +150,17 @@ def test_write_csv_cell_format(tmp_path):
     write_csv(path, ["a", "b", "c"], rows)
     assert path.read_bytes() == (b'a,b,c\n0.30000000000000004,,"x,y"\n1e-05,3,True\n'
                                  b'-0.0,5e-324,1.152921504606847e+18\n')
+
+
+def test_write_csv_float_column_matches_the_csv_writer_bytes(tmp_path):
+    rng = np.random.default_rng(6)
+    values = np.array([0.0, -0.0, 5e-324, -2.2250738585072e-310, 1e300, -1e300, 1e-300,
+                       -1e-300, 0.1, 1.0 / 3.0, -2.718281828459045, 123456789.01234567,
+                       np.nan, np.inf, -np.inf])
+    for vals in (values, rng.standard_normal(300) * 10.0 ** rng.integers(-20, 20, 300),
+                 np.empty(0)):
+        fast, ref = tmp_path / "fast.csv", tmp_path / "ref.csv"
+        write_csv(fast, ["prediction"], vals)
+        write_csv(ref, ["prediction"], vals[:, None].tolist())
+        assert fast.read_bytes() == ref.read_bytes()
+    assert ref.read_bytes() == b"prediction\n"

@@ -15,7 +15,7 @@ from dcreg.model import (COMPLEMENT, CONVEX_MAX_AFFINE, CONVEX_NORM, CONVEX_PLUS
                          eval_max, eval_mma, eval_model, lip_stat,
                          validate_model)
 from dcreg.partition import afpc
-from dcreg.solver import STOP_REASONS, SolverConfig, penalty_objective
+from dcreg.solver import STOP_REASONS, SolverConfig, penalty_objective, softmax_weights
 from dcreg.approx import fvu
 
 
@@ -505,6 +505,40 @@ def test_fit_constant_covariates():
     assert result.lip_chain[2] <= 1e-8
 
 
+def _edge_dataset(case):
+    rng = np.random.default_rng(40)
+    if case == "constant column":
+        X = np.column_stack([rng.uniform(-1, 1, 40), np.full(40, 0.5)])
+    elif case == "d > n":
+        X = rng.uniform(-1, 1, (5, 12))
+    elif case == "rows duplicated 4x":
+        X = np.repeat(rng.uniform(-1, 1, (15, 2)), 4, axis=0)
+    elif case == "n = 2":
+        X = rng.uniform(-1, 1, (2, 1))
+    elif case == "constant y":
+        return Dataset(rng.uniform(-1, 1, (30, 2)), np.full(30, 1.5))
+    else:                                       # identical X rows
+        X = np.full((20, 3), 0.3)
+    y = np.sin(3.0 * X[:, 0]) + 0.1 * rng.standard_normal(X.shape[0])
+    if case == "rows duplicated 4x":
+        y = np.repeat(y[::4], 4)
+    return Dataset(X, y)
+
+
+@pytest.mark.parametrize("case", ["constant column", "d > n", "rows duplicated 4x", "n = 2",
+                                  "constant y", "identical X rows"])
+def test_fit_edge_inputs(case):
+    ds = _edge_dataset(case)
+    result = fit_dcf(ds, FitConfig())
+    assert np.isfinite(eval_model(result.final_model, ds.X)).all()
+    assert np.isfinite(eval_model(result.final_model, ds.X + 0.25)).all()
+    assert result.initial_report.stop_reason in STOP_REASONS
+    if result.lip_chain[0] == 0.0:              # zero slopes: no refinement solve runs
+        assert result.refine_report.stop_reason == "" and result.refine_report.iterations == 0
+    else:
+        assert result.refine_report.stop_reason in STOP_REASONS
+
+
 def _dense_max_form_objective(initial, ds, reg, variant):
     """The stage-2 max-form objective on the dense (n, K, slope_dim) feature tensor."""
     from dcreg.fit import _RefineProblem, _reg_terms
@@ -564,6 +598,51 @@ def test_refine_objective_matches_dense_tensor_reference():
                     assert value == pytest.approx(ref_value, rel=1e-12)
                     tol = 1e-12 * (1.0 + np.max(np.abs(ref_grad)))
                     assert np.max(np.abs(grad - ref_grad)) <= tol
+
+
+def _dense_mma_objective(initial, ds, reg):
+    """The stage-2 max-min-affine objective on the dense (n, K, L) tensor."""
+    from dcreg.fit import _RefineProblem, _reg_terms
+    cfg = SolverConfig()
+    risk0 = training_risk_std(initial, ds.X, ds.y)
+    problem = _RefineProblem(initial, ds.X, ds.y, reg, cfg, theta_fn_value(initial, reg, risk0),
+                             lip_stat(initial), MAX_MIN_AFFINE)
+    layout, X, y, n = problem.layout, ds.X, ds.y, ds.n
+
+    def evaluate(params):
+        B, S = layout.unpack(params)
+        inner = B[None, :, :] + np.einsum("kld,nd->nkl", S, X)
+        m_in = inner.min(axis=2)
+        r = m_in.max(axis=1) - y
+        value = float(np.mean(r * r))
+        sig = softmax_weights(m_in, cfg.mu, axis=1)             # outer max weights
+        tau = softmax_weights(-inner, cfg.mu, axis=2)           # inner min weights
+        coef = (2.0 / n) * r[:, None, None] * sig[:, :, None] * tau
+        gS = np.einsum("nkl,nd->kld", coef, X)
+        rv, rg = _reg_terms(S.reshape(-1, layout.d), problem.theta, problem.c0,
+                            reg.theta2, cfg.mu)
+        gS = gS + rg.reshape(S.shape)
+        return value + rv, np.concatenate([coef.sum(axis=0).ravel(), gS.ravel()])
+
+    return problem.objective(), evaluate, problem.x0
+
+
+def test_refine_mma_objective_matches_dense_tensor_reference():
+    rng = np.random.default_rng(37)
+    for d in (1, 3):
+        ds = _random_dataset(90, d, seed=38 + d)
+        part = afpc(ds.X, seed=39)
+        reg = default_reg_params(*_radii(ds), ds.n, d, part.n_centers)
+        initial, _ = fit_initial(ds, part, features.LINF, reg, SolverConfig(max_iters=50),
+                                 MAX_MIN_AFFINE)
+        obj, dense, x0 = _dense_mma_objective(initial, ds, reg)
+        # the second point also exercises the hinge branch
+        for x in (x0, x0 * (reg.theta3 + 2.0) + 0.1 * rng.standard_normal(x0.size)):
+            value, grad = obj.evaluate(x)
+            ref_value, ref_grad = dense(x)
+            assert value == pytest.approx(ref_value, rel=1e-12)
+            tol = 1e-12 * (1.0 + np.max(np.abs(ref_grad)))
+            assert np.max(np.abs(grad - ref_grad)) <= tol
 
 
 def test_fit_does_not_depend_on_input_layout():

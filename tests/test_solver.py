@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from dcreg.solver import (ObjectiveHandle, SolveReport, SolverConfig, lbfgs_minimize,
-                          penalty_objective, softmax_smooth, softmax_weights)
+from _helpers import callable_penalty_objective, softmax_smooth
+from dcreg.solver import (STALL_WINDOW, ObjectiveHandle, SolveReport, SolverConfig,
+                          lbfgs_minimize, softmax_weights)
 
 
 def central_diff(evaluate, x, step=1e-6):
@@ -62,7 +63,7 @@ def _quadratic(dim, center):
 def test_penalty_objective_satisfied_constraints_are_free():
     base = _quadratic(1, np.array([0.0]))
     cons = [lambda x: (x[0] - 1.0, np.array([1.0]))]
-    pen = penalty_objective(base, cons, 1e6)
+    pen = callable_penalty_objective(base, cons, 1e6)
     v, g = pen.evaluate(np.array([0.5]))
     bv, bg = base.evaluate(np.array([0.5]))
     assert v == bv
@@ -72,7 +73,7 @@ def test_penalty_objective_satisfied_constraints_are_free():
 def test_penalty_objective_violated_value():
     base = ObjectiveHandle(1, lambda x: (0.0, np.zeros(1)))
     cons = [lambda x: (x[0] - 1.0, np.array([1.0]))]
-    pen = penalty_objective(base, cons, 1e6)
+    pen = callable_penalty_objective(base, cons, 1e6)
     v, g = pen.evaluate(np.array([2.0]))
     assert v == pytest.approx(1e6)
     assert g[0] == pytest.approx(2e6)
@@ -85,7 +86,7 @@ def test_penalty_gradient_matches_finite_differences():
         lambda x: (x[0] + x[1] - 0.3, np.array([1.0, 1.0, 0.0])),
         lambda x: (float(np.sin(x[2])), np.array([0.0, 0.0, float(np.cos(x[2]))])),
     ]
-    pen = penalty_objective(base, cons, 10.0)
+    pen = callable_penalty_objective(base, cons, 10.0)
     for _ in range(20):
         x = rng.standard_normal(3)
         num = central_diff(pen.evaluate, x)
@@ -189,6 +190,12 @@ def _dense_softmax_rows(A, mu):
     return E / E.sum(axis=1, keepdims=True)
 
 
+def _dense_softmax_cols(A, mu):
+    """The column-wise soft-max weights, dense, on the caller's layout."""
+    E = np.exp((A - A.max(axis=0, keepdims=True)) / mu)
+    return E / E.sum(axis=0, keepdims=True)
+
+
 def test_softmax_weights_along_an_axis_matches_the_dense_formula_bitwise():
     rng = np.random.default_rng(5)
     A = rng.standard_normal((64, 9))
@@ -210,6 +217,24 @@ def test_softmax_weights_along_an_axis_matches_the_dense_formula_bitwise():
     assert np.array_equal(w[0], np.full(9, 1.0 / 9.0))
     assert np.array_equal(w[1, [2, 5]], [0.5, 0.5]) and w[1].sum() == 1.0
     assert np.array_equal(w[2], np.eye(9)[4])
+
+    # C-contiguous piece-major (K, n) input along axis 0: exp on near-ties only
+    mu = 1e-6
+    P = rng.standard_normal((12, 40)) * 1e-2
+    P[[1, 4, 7, 10], 0] = 1.0 + 1e-7 * np.arange(4)              # four near-ties
+    P[[0, 3, 5], 1] = 1.0                                        # three exact ties
+    P[:, 2] = 1.0 - np.array([0.0, 744.9, 745.0, 745.1, 745.13, 745.14, 745.2, 745.9,
+                              746.0, 746.1, 747.0, 1e4]) * mu    # gaps around 745 mu
+    P[:, 3] = -5.0
+    P[6, 3] = 0.0                                                # all but one underflow
+    for M in (P, P[:, :2].copy(), rng.standard_normal((1, 5)), rng.standard_normal((30, 3))):
+        for m in (mu, 1e-3, 0.7):
+            assert M.flags.c_contiguous
+            assert np.array_equal(softmax_weights(M, m, axis=0), _dense_softmax_cols(M, m))
+    w = softmax_weights(P, mu, axis=0)
+    assert np.count_nonzero(w[:, 0]) == 4 and np.count_nonzero(w[:, 1]) == 3
+    assert np.all(w[:5, 2] > 0.0) and not np.any(w[6:, 2])
+    assert np.array_equal(w[:, 3], np.eye(12)[6])
 
 
 def _reference_two_loop(grad, s_list, y_list):
@@ -293,17 +318,39 @@ def test_lbfgs_stop_reasons_and_evaluation_counts():
         grad = 2.0 * x - 1.0 if abs(x[0]) <= 0.3 else np.array([np.nan])
         return float(x[0] ** 2 - x[0]), grad
 
+    def long_rosenbrock(x):         # reaches grad_tol only after the stall window
+        a, b = x[:-1], x[1:]
+        grad = np.zeros_like(x)
+        grad[:-1] = -2.0 * (1 - a) - 400.0 * a * (b - a * a)
+        grad[1:] += 200.0 * (b - a * a)
+        return float(np.sum((1 - a) ** 2 + 100.0 * (b - a * a) ** 2)), grad
+
+    def l1(x):                      # the value falls to ~0 while |gradient| stays 1
+        return float(np.sum(np.abs(x))), np.sign(x)
+
     cases = ((quad, np.zeros(2), SolverConfig(), "grad_tol"),
              (quad, np.full(2, 3.0), SolverConfig(), "grad_tol"),
+             (long_rosenbrock, np.linspace(-1.5, 1.5, 8), SolverConfig(), "grad_tol"),
+             (l1, np.array([0.3, -0.7]), SolverConfig(), "stalled"),
              (rosenbrock, np.array([-1.2, 1.0]), SolverConfig(max_iters=5), "max_iters"),
              (quad, np.zeros(2), SolverConfig(max_iters=0), "max_iters"),
              (wrong_gradient, np.ones(2), SolverConfig(), "line_search"),
              (nan_gradient, np.zeros(1), SolverConfig(), "nonfinite"))
     for evaluate, x0, cfg, reason in cases:
         wrapped, calls = _counted(evaluate)
-        _, report = lbfgs_minimize(ObjectiveHandle(x0.size, wrapped), x0, cfg)
+        history = [evaluate(x0)[0]]
+        _, report = lbfgs_minimize(ObjectiveHandle(x0.size, wrapped), x0, cfg,
+                                   callback=lambda i, x, f: history.append(f))
         assert report.stop_reason == reason
         assert report.evaluations == calls[0]
         assert report.converged == (reason == "grad_tol")
         assert report.aborted == (reason == "nonfinite")
+        if reason == "stalled":
+            assert report.final_grad_norm > cfg.grad_tol
+            assert history[-1 - STALL_WINDOW] - history[-1] <= 1e-7 * max(1.0, abs(history[-1]))
+        else:                       # no earlier window had stalled
+            assert all(a - b > 1e-7 * max(1.0, abs(b))
+                       for a, b in zip(history, history[STALL_WINDOW:]))
+        if evaluate is long_rosenbrock:
+            assert report.iterations > STALL_WINDOW
     assert SolveReport(0, 1.0, 0.0, 0, True).stop_reason == ""
