@@ -24,14 +24,14 @@ from .features import (FEATURE_KINDS, L1, L2, LINF, PLUS, FeatureConstants,
 from .fit import (FitConfig, FitResult, RegParams, STRONG, WEAK,
                   build_initial_objective, build_refine_objective,
                   default_reg_params, finalize, fit_complement, fit_convex,
-                  fit_dcf, fit_diagnostics, fit_initial, fit_max_min_affine,
-                  fit_symmetric, refine, reg_n_value)
+                  fit_dcf, fit_initial, fit_max_min_affine, fit_symmetric,
+                  refine, reg_n_value)
 from .model import (CONVEX_MAX_AFFINE, CONVEX_NORM, CONVEX_PLUS, COMPLEMENT,
                     MAX_MIN_AFFINE, SINGLE, SYMMETRIC, VARIANT_TABLE, Cone,
                     DcComponent, DcModel, MaxMinAffine, Variant, center,
-                    eval_max, eval_mma, eval_model, eval_partitioned, lip_stat,
-                    n_parameters, prune, symmetric_bias_center,
-                    to_max_min_affine, validate_model, variant_spec)
+                    eval_max, eval_mma, eval_model, lip_stat, n_parameters,
+                    prune, symmetric_bias_center, to_max_min_affine,
+                    validate_model, variant_spec)
 from .partition import Partition, afpc, assign_cells, data_radii, khat
 from .serialize import ModelFormatError, load_model, save_model
 from .solver import (ObjectiveHandle, SolveReport, SolverAbort, SolverConfig,

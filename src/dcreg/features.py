@@ -112,20 +112,3 @@ def norm_plane(kind: str, X: np.ndarray, centers: np.ndarray) -> np.ndarray:
         else:
             out += diff
     return np.sqrt(out, out=out) if kind == L2 else out
-
-
-def phi_tensor(kind: str, X: np.ndarray, centers: np.ndarray) -> np.ndarray:
-    """All-pairs features: out[i, k] = phi(kind, X[i], centers[k]).
-
-    Returns an (n, K, d_feat) array.  Only the stage-1 continuity terms
-    (K x K) and the tests use it; evaluation over data rows is piece-major
-    (``norm_plane`` and ``model.piece_values``).
-    """
-    check_kind(kind)
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    centers = np.atleast_2d(np.asarray(centers, dtype=float))
-    diff = X[:, None, :] - centers[None, :, :]
-    if kind == PLUS:
-        return np.concatenate([np.maximum(diff, 0.0), np.maximum(-diff, 0.0)], axis=2)
-    norms = np.linalg.norm(diff, ord=_NORM_ORD[kind], axis=2)
-    return np.concatenate([diff, norms[:, :, None]], axis=2)

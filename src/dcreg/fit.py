@@ -20,7 +20,7 @@ from .data import STD, Dataset, apply_scaling
 from .model import (
     CONVEX_VARIANTS, COMPLEMENT, MAX_MIN_AFFINE, SINGLE, SYMMETRIC,
     DcModel, MaxMinAffine, center,
-    eval_max, eval_model, eval_model_std, eval_partitioned, lip_stat, prune,
+    eval_model_std, lip_stat, prune,
     prune_mma, signed_sum, slope_rows, symmetric_bias_center, to_max_min_affine,
     variant_spec,
 )
@@ -170,7 +170,67 @@ class MmaLayout:
 
 def _smooth_norms(W):
     """sqrt(||w||^2 + kappa^2) per row: differentiable at zero slopes."""
-    return np.sqrt(np.sum(W * W, axis=1) + _SMOOTH_KAPPA ** 2)
+    return np.sqrt((W * W).sum(axis=1) + _SMOOTH_KAPPA ** 2)
+
+
+# ---------------------------------------------------------------------------
+# the piece kernel shared by both stages
+
+class _PieceKernel:
+    """Piece-major values b_k + w_k . phi(x_i, c_k) over fixed rows, and their adjoint.
+
+    Values are a (K, n) matrix, so every max and soft-max sum runs along
+    axis 0.  The norm plane N[k, i] = ||x_i - c_k|| is computed once; the
+    affine part u_k . (x_i - c_k) is one GEMM, U X^T minus U . c per piece.
+    Stage 2 builds it on the training rows, stage 1 on the centers.
+    """
+
+    def __init__(self, kind, rows, centers, slope_dim):
+        self.kind, self.d = kind, centers.shape[1]
+        self.rows, self.centers = rows, centers
+        self.slope_dim = slope_dim
+        # One fixed layout for the GEMMs, whatever the caller's layout.
+        self.rows_t = np.ascontiguousarray(rows.T)
+        self.norms = (features.norm_plane(kind, rows, centers)
+                      if kind != features.PLUS and slope_dim > self.d else None)
+
+    def _relu_pair(self, j):
+        diff = self.rows[:, j] - self.centers[:, j, None]
+        return np.maximum(diff, 0.0), np.maximum(-diff, 0.0)
+
+    def values(self, b, W):
+        """(K, n) values b_k + w_k . phi(x_i, c_k)."""
+        d, C = self.d, self.centers
+        if self.kind == features.PLUS:
+            A = np.repeat(b[:, None], self.rows_t.shape[1], axis=1)
+            for j in range(d):
+                pos, neg = self._relu_pair(j)
+                A += W[:, j, None] * pos
+                A += W[:, d + j, None] * neg
+            return A
+        U = W[:, :d]
+        A = U @ self.rows_t
+        A += (b - np.einsum("kj,kj->k", U, C))[:, None]
+        if self.norms is not None:
+            A += W[:, d, None] * self.norms
+        return A
+
+    def grads(self, coef):
+        """Gradients in (b, W) of sum_{k,i} coef[k, i] * A[k, i]."""
+        d, C = self.d, self.centers
+        gb = coef.sum(axis=1)
+        gW = np.empty((coef.shape[0], self.slope_dim))
+        if self.kind == features.PLUS:
+            for j in range(d):
+                pos, neg = self._relu_pair(j)
+                gW[:, j] = np.einsum("kn,kn->k", coef, pos)
+                gW[:, d + j] = np.einsum("kn,kn->k", coef, neg)
+            return gb, gW
+        gW[:, :d] = coef @ self.rows_t.T
+        gW[:, :d] -= gb[:, None] * C
+        if self.norms is not None:
+            gW[:, d] = np.einsum("kn,kn->k", coef, self.norms)
+        return gb, gW
 
 
 # ---------------------------------------------------------------------------
@@ -181,24 +241,28 @@ class InitialConstraints:
 
     Residuals, for every component: b_k >= b_l + w_l . phi(c_k, c_l) for all
     (k, l), and ||w_k|| <= z + theta0, then the variant's cone residuals.
+    The continuity terms are the piece kernel on the centers.
     """
 
-    def __init__(self, layout, phi_cc, theta0, cone, d):
+    def __init__(self, layout, kernel: _PieceKernel, theta0, cone):
         self.layout = layout
-        self.phi_cc = phi_cc          # (K, K, slope_dim)
+        self.kernel = kernel
         self.theta0 = theta0
         self.cone = cone
-        self.d = d
+        self.d = kernel.d
 
-    def _pair_residuals(self, b, W):
-        M = np.einsum("klj,lj->kl", self.phi_cc, W)
-        return b[None, :] + M - b[:, None]
+    def pair_residuals(self, b, W):
+        """R[l, k] = b_l + w_l . phi(c_k, c_l) - b_k, piece l at center k; zero diagonal."""
+        R = self.kernel.values(b, W)
+        R -= b
+        np.fill_diagonal(R, 0.0)
+        return R
 
     def residuals(self, params) -> np.ndarray:
         z, blocks = self.layout.unpack(params)
         parts = []
         for b, W in blocks:
-            parts += [self._pair_residuals(b, W).ravel(),
+            parts += [self.pair_residuals(b, W).T.ravel(),
                       np.linalg.norm(W, axis=1) - z - self.theta0,
                       self.cone.residuals(W, self.d).ravel()]
         return np.concatenate(parts)
@@ -213,16 +277,17 @@ class InitialConstraints:
         gz = 0.0
         gparts = []
         for b, W in blocks:
-            G = np.maximum(self._pair_residuals(b, W), 0.0)
-            value += rho * float(np.sum(G * G))
-            H = 2.0 * rho * G
-            gb = H.sum(axis=0) - H.sum(axis=1)
-            gW = np.einsum("kl,klj->lj", H, self.phi_cc)
+            P = self.pair_residuals(b, W)
+            np.maximum(P, 0.0, out=P)
+            value += rho * float((P * P).sum())
+            P *= 2.0 * rho
+            gb, gW = self.kernel.grads(P)
+            gb -= P.sum(axis=0)
             sn = _smooth_norms(W)
             gpos = np.maximum(sn - _SMOOTH_KAPPA - z - self.theta0, 0.0)
-            value += rho * float(np.sum(gpos * gpos))
+            value += rho * float((gpos * gpos).sum())
             h = 2.0 * rho * gpos
-            gz -= float(np.sum(h))
+            gz -= float(h.sum())
             gW += (h / sn)[:, None] * W
             value += self.cone.penalty(W, self.d, rho, gW)
             gparts += [gb, gW.ravel()]
@@ -230,7 +295,14 @@ class InitialConstraints:
 
 
 class _InitialProblem:
-    """Assembles the stage-1 objective for one variant on one partition."""
+    """Assembles the stage-1 objective for one variant on one partition.
+
+    The least-squares term is kept as per-cell statistics, built once: the
+    Gram matrix and moment of each cell's design rows D_k = [1, phi(x_i, c_k)],
+    a least-squares point beta_k, and the residual mean square rss0 at beta.
+    Then mean(r^2) = sum_k (theta_k - beta_k)' G_k (theta_k - beta_k) + rss0
+    with G_k = D_k' D_k / n, so an evaluation never reads the n rows.
+    """
 
     def __init__(self, X, y, part: Partition, kind, reg: RegParams, variant):
         self.X, self.y = X, y
@@ -242,39 +314,56 @@ class _InitialProblem:
         K = part.n_centers
         self.slope_dim = self.spec.slope_dim(kind, d)
         self.layout = ParamLayout(K, self.slope_dim, len(self.spec.signs))
-        own_centers = part.centers[part.assignment]
-        self.phi_own = features.phi_rows(kind, X, own_centers)[:, :self.slope_dim]
-        self.phi_cc = features.phi_tensor(kind, part.centers, part.centers)[:, :, :self.slope_dim]
-        self.constraints = InitialConstraints(self.layout, self.phi_cc, reg.theta0,
-                                              self.spec.cone, d)
+        self._cell_statistics()
+        self.constraints = InitialConstraints(
+            self.layout, _PieceKernel(kind, part.centers, part.centers, self.slope_dim),
+            reg.theta0, self.spec.cone)
+
+    def _cell_statistics(self):
+        """Per cell: D'D, D'y and a least-squares point beta; rss0 row by row."""
+        X, y, part = self.X, self.y, self.part
+        n, K, p = X.shape[0], part.n_centers, self.slope_dim + 1
+        # Rows sorted by cell, each cell's rows in increasing index order.
+        # Every cell is nonempty (each center is its own nearest data row).
+        order = np.argsort(part.assignment, kind="stable")
+        labels = part.assignment[order]
+        bounds = np.searchsorted(labels, np.arange(K + 1))
+        phi_own = features.phi_rows(self.kind, X[order], part.centers[labels])
+        design = np.hstack([np.ones((n, 1)), phi_own[:, :self.slope_dim]])
+        y_sorted = y[order]
+        self.gram = np.empty((K, p, p))
+        self.moment = np.empty((K, p))
+        self.beta = np.empty((K, p))
+        for k in range(K):
+            A = design[bounds[k]:bounds[k + 1]]
+            self.gram[k] = A.T @ A
+            self.moment[k] = A.T @ y_sorted[bounds[k]:bounds[k + 1]]
+            # lstsq keeps D'D beta - D'y, which the centred form neglects, least;
+            # a cell with fewer rows than columns has a singular Gram.
+            self.beta[k] = np.linalg.lstsq(self.gram[k], self.moment[k], rcond=None)[0]
+        r = np.einsum("nj,nj->n", design, self.beta[labels]) - y_sorted
+        self.rss0 = float(np.mean(r * r))
 
     def base_objective(self) -> ObjectiveHandle:
-        layout, X, y = self.layout, self.X, self.y
-        n = X.shape[0]
-        K = layout.n_pieces
+        layout = self.layout
         theta1, theta2 = self.reg.theta1, self.reg.theta2
         signs = self.spec.signs
-        # Rows sorted by cell: per-cell sums become one reduceat call.  Every
-        # cell is nonempty (each center is its own nearest data row).
-        order = np.argsort(self.part.assignment, kind="stable")
-        labels_sorted = self.part.assignment[order]
-        starts = np.searchsorted(labels_sorted, np.arange(K))
-        design = np.hstack([np.ones((n, 1)), self.phi_own])[order]
-        y_sorted = y[order]
+        G = self.gram / self.X.shape[0]
+        beta, rss0 = self.beta, self.rss0
 
         def evaluate(params):
             z, blocks = layout.unpack(params)
             bs, Ws = zip(*blocks)
-            theta = np.concatenate([signed_sum(signs, bs)[:, None], signed_sum(signs, Ws)],
+            delta = np.concatenate([signed_sum(signs, bs)[:, None], signed_sum(signs, Ws)],
                                    axis=1)
-            r = np.einsum("nj,nj->n", design, theta[labels_sorted]) - y_sorted
-            value = theta1 * z * z + float(np.mean(r * r))
+            delta -= beta
+            Gd = np.matmul(G, delta[:, :, None])[:, :, 0]
+            value = theta1 * z * z + (float((delta * Gd).sum()) + rss0)
             for W in Ws:
-                value += theta2 * float(np.sum(W * W))
-            seg = np.add.reduceat(design * r[:, None], starts, axis=0)
-            seg *= 2.0 / n
-            gb = seg[:, 0]
-            gW = seg[:, 1:]
+                value += theta2 * float((W * W).sum())
+            Gd *= 2.0
+            gb = Gd[:, 0]
+            gW = Gd[:, 1:]
             parts = [np.array([2.0 * theta1 * z])]
             for sign, W in zip(signs, Ws):
                 parts += [gb, (gW + 2.0 * theta2 * W).ravel()] if sign > 0 else \
@@ -290,33 +379,29 @@ class _InitialProblem:
 
     def warm_start(self) -> np.ndarray:
         """Per-cell ridge fits, a feasibility pass on the biases, and the cap z."""
-        layout = self.layout
-        K, s = layout.n_pieces, layout.slope_dim
-        n = self.X.shape[0]
+        K, s = self.layout.n_pieces, self.layout.slope_dim
         b = np.zeros(K)
         W = np.zeros((K, s))
-        ridge = max(n * self.reg.theta2, 0.0)
+        ridge = max(self.X.shape[0] * self.reg.theta2, 0.0)
         for k in range(K):
-            rows = np.where(self.part.assignment == k)[0]
-            A = np.hstack([np.ones((rows.size, 1)), self.phi_own[rows]])
-            gram = A.T @ A
+            gram = self.gram[k].copy()
             gram[1:, 1:] += ridge * np.eye(s)
-            rhs = A.T @ self.y[rows]
+            rhs = self.moment[k]
             try:
                 beta = np.linalg.solve(gram, rhs)
             except np.linalg.LinAlgError:
                 beta = np.linalg.lstsq(gram, rhs, rcond=None)[0]
             if not np.isfinite(beta).all():
                 beta = np.zeros(s + 1)
-                beta[0] = float(np.mean(self.y[rows]))
+                beta[0] = rhs[0] / gram[0, 0]   # the cell's mean response
             b[k] = beta[0]
             W[k] = beta[1:]
         # The fit is of the first component's signed contribution.
         sign = self.spec.signs[0]
         W = self.spec.cone.project(sign * W, self.d)
         # One pairwise-max pass lifts biases toward continuity feasibility.
-        M = np.einsum("klj,lj->kl", self.phi_cc, W)
-        b = np.max(sign * b[None, :] + M, axis=1)
+        b = sign * b
+        b += self.constraints.pair_residuals(b, W).max(axis=0)
         z = float(np.max(np.maximum(np.linalg.norm(W, axis=1) - self.reg.theta0, 0.0)))
         return self._pack_first(z, b, W)
 
@@ -368,8 +453,9 @@ def fit_initial(dataset: Dataset, partition: Partition, kind: str, reg: RegParam
     violation = problem.constraints.max_violation(
         problem.layout.pack(z, *[a for c in comps for a in (c.biases, c.weights[:, :s])]))
     log.info("fit_initial variant=%s K=%d iters=%d evals=%d stop=%s penalized=%.6g "
-             "violation=%.3g", variant, partition.n_centers, report.iterations,
-             report.evaluations, report.stop_reason, report.final_value, violation)
+             "violation=%.3g wall=%.3fs", variant, partition.n_centers, report.iterations,
+             report.evaluations, report.stop_reason, report.final_value, violation,
+             report.wall_s)
     # DcModel(variant, component[, second]): one positional field per component.
     model = DcModel(variant, *comps, mma=to_max_min_affine(comps[0]) if spec.mma else None)
     info = {
@@ -434,28 +520,29 @@ def _reg_terms(W_rows, theta, c0, theta2, mu):
 class _RefineProblem:
     """Unconstrained risk + regularizer over the max-form parameters.
 
-    The max forms are evaluated piece-major: piece values are a (K, n)
-    matrix, so every max and soft-max sum runs along axis 0.  The norm plane
-    N[k, i] = ||x_i - c_k|| is computed once per solve; the affine part
-    u_k . (x_i - c_k) is one GEMM, U X^T minus U . c per piece.
+    The one constructor of stage 2: it computes the initial risk, slope
+    statistic and hinge strength the regularizer is tied to.  The max forms
+    are evaluated by the piece kernel on the training rows, built with the
+    objective, so a refinement that does not run builds none.
     """
 
-    def __init__(self, initial_model: DcModel, X, y, reg: RegParams,
-                 cfg: SolverConfig, theta: float, lam0: float, variant: str):
+    def __init__(self, initial_model: DcModel, dataset: Dataset, reg: RegParams,
+                 cfg: SolverConfig, variant: str = None):
+        X, y = dataset.X, dataset.y
         self.X, self.y = X, y
         self.reg = reg
         self.mu = cfg.mu
         self.rho = cfg.rho_pen
-        self.theta = theta
-        self.c0 = reg.theta3 * lam0
-        self.spec = variant_spec(variant)
+        self.risk0 = training_risk_std(initial_model, X, y)
+        self.lam0 = lip_stat(initial_model)
+        self.theta = theta_fn_value(initial_model, reg, self.risk0)
+        self.c0 = reg.theta3 * self.lam0
+        self.spec = variant_spec(variant or initial_model.variant)
         self.cone = self.spec.cone
         comp = initial_model.component
         self.kind, self.d = comp.kind, comp.d
         self.centers = comp.used_centers()
         self.slope_dim = self.spec.slope_dim(self.kind, self.d)
-        # One fixed layout for the GEMMs and row blocks, whatever the caller's layout.
-        self.Xt = np.ascontiguousarray(X.T)
         if self.spec.mma:
             mma = initial_model.mma
             self.layout = MmaLayout(mma.n_blocks, mma.biases.shape[1], self.d)
@@ -463,52 +550,11 @@ class _RefineProblem:
         else:
             comps = initial_model.components()
             self.layout = ParamLayout(comp.n_pieces, self.slope_dim, len(comps), with_z=False)
-            self.norms = (features.norm_plane(self.kind, X, self.centers)
-                          if self.kind != features.PLUS and self.slope_dim > self.d
-                          else None)
             self.x0 = self.layout.pack(0.0, *[a for c in comps
                                               for a in (c.biases, c.weights[:, :self.slope_dim])])
 
     def objective(self) -> ObjectiveHandle:
         return self._mma_objective() if self.spec.mma else self._max_form_objective()
-
-    def _relu_pair(self, j):
-        diff = self.X[:, j] - self.centers[:, j, None]
-        return np.maximum(diff, 0.0), np.maximum(-diff, 0.0)
-
-    def _piece_values(self, b, W):
-        """(K, n) values b_k + w_k . phi(x_i, c_k)."""
-        d, C = self.d, self.centers
-        if self.kind == features.PLUS:
-            A = np.repeat(b[:, None], self.Xt.shape[1], axis=1)
-            for j in range(d):
-                pos, neg = self._relu_pair(j)
-                A += W[:, j, None] * pos
-                A += W[:, d + j, None] * neg
-            return A
-        U = W[:, :d]
-        A = U @ self.Xt
-        A += (b - np.einsum("kj,kj->k", U, C))[:, None]
-        if self.norms is not None:
-            A += W[:, d, None] * self.norms
-        return A
-
-    def _piece_grads(self, coef):
-        """Gradients in (b, W) of sum_{k,i} coef[k, i] * A[k, i]."""
-        d, C = self.d, self.centers
-        gb = coef.sum(axis=1)
-        gW = np.empty((coef.shape[0], self.slope_dim))
-        if self.kind == features.PLUS:
-            for j in range(d):
-                pos, neg = self._relu_pair(j)
-                gW[:, j] = np.einsum("kn,kn->k", coef, pos)
-                gW[:, d + j] = np.einsum("kn,kn->k", coef, neg)
-            return gb, gW
-        gW[:, :d] = coef @ self.Xt.T
-        gW[:, :d] -= gb[:, None] * C
-        if self.norms is not None:
-            gW[:, d] = np.einsum("kn,kn->k", coef, self.norms)
-        return gb, gW
 
     def _max_form_objective(self):
         layout, y = self.layout, self.y
@@ -516,10 +562,11 @@ class _RefineProblem:
         K = layout.n_pieces
         mu, theta2 = self.mu, self.reg.theta2
         signs = self.spec.signs
+        kernel = _PieceKernel(self.kind, self.X, self.centers, self.slope_dim)
 
         def evaluate(params):
             _, blocks = layout.unpack(params)
-            A = [self._piece_values(b, W) for b, W in blocks]
+            A = [kernel.values(b, W) for b, W in blocks]
             r = signed_sum(signs, [a.max(axis=0) for a in A]) - y
             value = float(np.mean(r * r))
             scale = (2.0 / n) * r
@@ -528,8 +575,8 @@ class _RefineProblem:
             value += rv
             parts = []
             for i, (sign, a, (_, W)) in enumerate(zip(signs, A, blocks)):
-                gb, gW = self._piece_grads(softmax_weights(a, mu, axis=0)
-                                           * (scale if sign > 0 else -scale))
+                gb, gW = kernel.grads(softmax_weights(a, mu, axis=0)
+                                      * (scale if sign > 0 else -scale))
                 gW += rg[i * K:(i + 1) * K]
                 value += self.cone.penalty(W, self.d, self.rho, gW)
                 parts += [gb, gW.ravel()]
@@ -543,7 +590,9 @@ class _RefineProblem:
         Only the (block, row) near-ties of the outer max carry gradient; the
         inner-min weights and the scatter-add run on those pairs alone.
         """
-        layout, y, Xt = self.layout, self.y, self.Xt
+        layout, y = self.layout, self.y
+        # One fixed layout for the row blocks, whatever the caller's layout.
+        Xt = np.ascontiguousarray(self.X.T)
         n = y.shape[0]
         K, L, d = layout.n_blocks, layout.n_inner, layout.d
         mu, theta2 = self.mu, self.reg.theta2
@@ -587,12 +636,7 @@ class _RefineProblem:
 def build_refine_objective(initial_model: DcModel, dataset: Dataset, reg: RegParams,
                            cfg: SolverConfig = None, variant: str = None):
     """Stage-2 objective and its starting point (mainly for testing)."""
-    cfg = cfg or SolverConfig()
-    variant = variant or initial_model.variant
-    risk0 = training_risk_std(initial_model, dataset.X, dataset.y)
-    theta = theta_fn_value(initial_model, reg, risk0)
-    problem = _RefineProblem(initial_model, dataset.X, dataset.y, reg, cfg,
-                             theta, lip_stat(initial_model), variant)
+    problem = _RefineProblem(initial_model, dataset, reg, cfg or SolverConfig(), variant)
     return problem.objective(), problem.x0
 
 
@@ -605,23 +649,20 @@ def refine(initial_model: DcModel, dataset: Dataset, reg: RegParams,
     initial value (tiny slack); otherwise the initial model is returned.
     """
     cfg = cfg or SolverConfig()
-    risk0 = training_risk_std(initial_model, dataset.X, dataset.y)
-    lam0 = lip_stat(initial_model)
-    theta = theta_fn_value(initial_model, reg, risk0)
+    problem = _RefineProblem(initial_model, dataset, reg, cfg)
+    risk0 = problem.risk0
     rr0 = risk0 + reg_n_value(initial_model, initial_model, reg, risk0)
-    if lam0 == 0.0:
+    if problem.lam0 == 0.0:
         report = SolveReport(0, rr0, 0.0, 0, True)
         return initial_model, report, False
-    problem = _RefineProblem(initial_model, dataset.X, dataset.y, reg, cfg,
-                             theta, lam0, initial_model.variant)
     x_star, report = lbfgs_minimize(problem.objective(), problem.x0, cfg)
     candidate = problem.extract(x_star, initial_model)
     rr_cand = (training_risk_std(candidate, dataset.X, dataset.y)
                + reg_n_value(candidate, initial_model, reg, risk0))
     accepted = bool(np.isfinite(rr_cand) and rr_cand <= rr0 + _REFINE_SLACK)
-    log.info("refine variant=%s iters=%d evals=%d stop=%s accepted=%s rr0=%.6g rr=%.6g",
-             initial_model.variant, report.iterations, report.evaluations,
-             report.stop_reason, accepted, rr0, rr_cand)
+    log.info("refine variant=%s iters=%d evals=%d stop=%s accepted=%s rr0=%.6g rr=%.6g "
+             "wall=%.3fs", initial_model.variant, report.iterations, report.evaluations,
+             report.stop_reason, accepted, rr0, rr_cand, report.wall_s)
     return (candidate if accepted else initial_model), report, accepted
 
 
@@ -731,38 +772,3 @@ def fit_convex(dataset: Dataset, config: FitConfig) -> FitResult:
     if config.variant not in CONVEX_VARIANTS:
         raise ValueError(f"fit_convex requires a convex variant, got {config.variant!r}")
     return fit_dcf(dataset, config)
-
-
-# ---------------------------------------------------------------------------
-# diagnostics used by the test suite
-
-def fit_diagnostics(result: FitResult, dataset: Dataset) -> dict:
-    """Recompute the pipeline's invariant quantities for external checking."""
-    model = result.initial_model
-    Xs = model.transform_x(dataset.X)
-    out = {
-        "risk_reg_chain": result.risk_reg_chain,
-        "lip_chain": result.lip_chain,
-        "violation": result.constraint_violation_max,
-        "mean_prediction": float(np.mean(eval_model(result.final_model, dataset.X))),
-        "y_mean": float(np.mean(dataset.y)),
-    }
-    comps = model.components()
-    labels = result.partition.assignment
-    gaps = []
-    for comp in comps:
-        if comp.n_pieces != result.partition.n_centers:
-            continue  # pruned snapshot; the gap bound applies pre-pruning only
-        f_vals = eval_max(comp, Xs)
-        g_vals = eval_partitioned(comp, Xs, labels)
-        gaps.append((f_vals - g_vals))
-    if gaps:
-        gap = np.concatenate(gaps)
-        out["partition_gap_min"] = float(gap.min())
-        out["partition_gap_max"] = float(gap.max())
-        cons = features.constants(model.component.kind, model.d)
-        out["partition_gap_bound"] = (
-            2.0 * result.lip_chain[0] * result.partition.eps_n
-            + 10.0 * result.constraint_violation_max
-            * (1.0 + cons.c_phi * 2.0 * result.partition.r_x))
-    return out

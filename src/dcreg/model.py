@@ -355,26 +355,6 @@ def eval_max(comp: DcComponent, x):
     return float(vals[0]) if single else vals
 
 
-def eval_partitioned(comp: DcComponent, x, label):
-    """Value of the piece(s) selected by cell label instead of the max.
-
-    Dominated by eval_max everywhere; equals it at each piece's own center.
-    """
-    single = np.asarray(x).ndim == 1
-    X = np.atleast_2d(np.asarray(x, dtype=float))
-    labels = np.atleast_1d(np.asarray(label, dtype=np.int64))
-    if single and labels.shape[0] == 1:
-        labels = np.repeat(labels, X.shape[0])
-    if labels.shape[0] != X.shape[0]:
-        raise ValueError("one label per row is required")
-    if labels.min() < 0 or labels.max() >= comp.n_pieces:
-        raise ValueError(f"label out of range [0, {comp.n_pieces})")
-    centers = comp.used_centers()[labels]
-    rows = features.phi_rows(comp.kind, X, centers)
-    vals = comp.biases[labels] + np.einsum("nj,nj->n", rows, comp.weights[labels])
-    return float(vals[0]) if single else vals
-
-
 def _mma_block(mma: MaxMinAffine, X: np.ndarray) -> np.ndarray:
     """Block-major (K, rows) inner minima of one row block, one coordinate at a time."""
     S = mma.slopes

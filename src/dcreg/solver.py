@@ -8,7 +8,8 @@ reset and a plain gradient step is tried; a second failure terminates.
 
 import logging
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from time import perf_counter
 from typing import Callable
 
 import numpy as np
@@ -72,6 +73,8 @@ class SolveReport:
 
     ``evaluations`` counts objective calls, line-search trials included;
     ``stop_reason`` is one of ``STOP_REASONS``, or empty when no solve ran.
+    ``wall_s`` is the solve's wall time; it takes no part in comparisons, so
+    two reports of the same solve are equal.
     """
 
     iterations: int
@@ -82,6 +85,7 @@ class SolveReport:
     aborted: bool = False
     evaluations: int = 0
     stop_reason: str = ""
+    wall_s: float = field(default=0.0, compare=False)
 
 
 def softmax_weights(alpha, mu: float, axis=None) -> np.ndarray:
@@ -179,8 +183,9 @@ def lbfgs_minimize(obj: ObjectiveHandle, x0, cfg: SolverConfig, callback=None):
     last ``STALL_WINDOW`` accepted steps lowered the value by at most
     ``STALL_RTOL * max(1, |value|)``.  ``callback(iteration, x, value)`` runs
     after every accepted step.  The report says why the solve stopped and how
-    many times the objective was evaluated.
+    many times the objective was evaluated, and how long it took.
     """
+    start = perf_counter()
     evaluations = 0
 
     def evaluate(x):
@@ -277,5 +282,6 @@ def lbfgs_minimize(obj: ObjectiveHandle, x0, cfg: SolverConfig, callback=None):
         aborted=aborted,
         evaluations=evaluations,
         stop_reason=GRAD_TOL if converged else stop_reason,
+        wall_s=perf_counter() - start,
     )
     return best_x, report

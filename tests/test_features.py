@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from _helpers import phi_tensor
 from dcreg import features
 from dcreg.features import L1, L2, LINF, PLUS, FEATURE_KINDS, constants, feature_dim, phi
 
@@ -129,7 +130,7 @@ def test_phi_tensor_matches_rows():
     X = rng.standard_normal((20, 3))
     centers = rng.standard_normal((5, 3))
     for kind in FEATURE_KINDS:
-        tensor = features.phi_tensor(kind, X, centers)
+        tensor = phi_tensor(kind, X, centers)
         for k in range(5):
             rows = features.phi_rows(kind, X, np.broadcast_to(centers[k], X.shape))
             assert np.array_equal(tensor[:, k, :], rows)

@@ -1,7 +1,10 @@
+import itertools
+
 import numpy as np
 import pytest
 
-from _helpers import assert_fit_invariants, assert_gradient_matches
+from _helpers import (assert_fit_invariants, assert_gradient_matches, dense_initial_objective,
+                      fit_diagnostics, phi_tensor)
 from dcreg import features
 from dcreg.data import Dataset
 from dcreg.fit import (FitConfig, RegParams, STRONG, WEAK,
@@ -11,7 +14,7 @@ from dcreg.fit import (FitConfig, RegParams, STRONG, WEAK,
                        fit_symmetric, refine, reg_n_value, theta_fn_value,
                        training_risk_std)
 from dcreg.model import (COMPLEMENT, CONVEX_MAX_AFFINE, CONVEX_NORM, CONVEX_PLUS,
-                         MAX_MIN_AFFINE, SINGLE, SYMMETRIC, DcModel,
+                         MAX_MIN_AFFINE, SINGLE, SYMMETRIC, VARIANT_TABLE, DcModel,
                          eval_max, eval_mma, eval_model, lip_stat,
                          validate_model)
 from dcreg.partition import afpc
@@ -130,6 +133,53 @@ def test_initial_gradient_symmetric_and_cones():
         pen = penalty_objective(obj, cons, 50.0)
         points = [rng.standard_normal(layout.dim) * 0.4 for _ in range(3)]
         assert_gradient_matches(pen, points)
+
+
+@pytest.mark.parametrize("d", [1, 3, 8])
+def test_initial_objective_matches_dense_reference(d):
+    # Per-cell statistics and the piece kernel against the row-wise least squares
+    # and the dense (K, K, slope_dim) tensor, for every (variant, kind) pair.
+    rng = np.random.default_rng(50 + d)
+    # The isolated last row becomes a center whose cell holds only that row.
+    X = np.vstack([rng.uniform(-1, 1, (60, d)), np.full((1, d), 4.0)])
+    noisy = np.max(X, axis=1) - 0.5 * np.abs(X[:, 0]) + 0.05 * rng.standard_normal(61)
+    for y in (noisy, np.full(61, 2.5)):
+        ds = Dataset(X, y)
+        part = afpc(ds.X, seed=51)
+        assert part.cell_sizes().min() == 1 and part.n_centers >= 2
+        reg = default_reg_params(*_radii(ds), ds.n, d, part.n_centers)
+        pairs = [(v, k) for v, spec in VARIANT_TABLE.items() for k in spec.kinds]
+        assert len(pairs) == 20
+        # At rho = 1 and small parameters the least-squares term dominates.
+        for (variant, kind), rho in itertools.product(pairs, (SolverConfig().rho_pen, 1.0)):
+            obj, cons, layout = build_initial_objective(ds, part, kind, reg, variant)
+            pen = penalty_objective(obj, cons, rho)
+            dense, dense_residuals = dense_initial_objective(ds, part, kind, reg, variant, rho)
+            for scale in (0.5, 1e-3):
+                x = scale * rng.standard_normal(layout.dim)
+                x[0] = abs(x[0])
+                value, grad = pen.evaluate(x)
+                ref_value, ref_grad = dense(x)
+                assert value == pytest.approx(ref_value, rel=1e-12), (variant, kind)
+                tol = 1e-12 * (1.0 + np.max(np.abs(ref_grad)))
+                assert np.max(np.abs(grad - ref_grad)) <= tol, (variant, kind)
+                res, ref_res = cons.residuals(x), dense_residuals(x)
+                assert res.shape == ref_res.shape
+                assert np.max(np.abs(res - ref_res)) <= 1e-12 * (1.0 + np.max(np.abs(ref_res)))
+
+
+@pytest.mark.parametrize("kind", features.FEATURE_KINDS)
+def test_initial_pair_residuals_have_an_exactly_zero_diagonal(kind):
+    rng = np.random.default_rng(52)
+    for d in (1, 3, 8):
+        ds = _random_dataset(80, d, seed=53 + d)
+        ds = Dataset(ds.X * rng.uniform(0.1, 100.0, d), ds.y)
+        part = afpc(ds.X, seed=54)
+        _, cons, layout = build_initial_objective(ds, part, kind, RegParams(0.1, 1.0, 0.01, 2.0))
+        K, s = layout.n_pieces, layout.slope_dim
+        R = cons.pair_residuals(rng.standard_normal(K) * 10.0, rng.standard_normal((K, s)))
+        assert R.shape == (K, K)
+        assert np.array_equal(np.diag(R), np.zeros(K))
 
 
 def test_fit_initial_constant_data():
@@ -473,7 +523,6 @@ def test_bias_separation_arithmetic_property():
 
 
 def test_fit_diagnostics_report():
-    from dcreg.fit import fit_diagnostics
     ds = _xsinx_dataset(150, seed=24)
     result = fit_dcf(ds, FitConfig(variant=SINGLE, kind=features.LINF, seed=5))
     report = fit_diagnostics(result, ds)
@@ -543,11 +592,9 @@ def _dense_max_form_objective(initial, ds, reg, variant):
     """The stage-2 max-form objective on the dense (n, K, slope_dim) feature tensor."""
     from dcreg.fit import _RefineProblem, _reg_terms
     cfg = SolverConfig()
-    risk0 = training_risk_std(initial, ds.X, ds.y)
-    problem = _RefineProblem(initial, ds.X, ds.y, reg, cfg,
-                             theta_fn_value(initial, reg, risk0), lip_stat(initial), variant)
+    problem = _RefineProblem(initial, ds, reg, cfg, variant)
     layout, n, K = problem.layout, ds.n, problem.layout.n_pieces
-    phi = features.phi_tensor(problem.kind, ds.X, problem.centers)[:, :, :problem.slope_dim]
+    phi = phi_tensor(problem.kind, ds.X, problem.centers)[:, :, :problem.slope_dim]
 
     def softmax_rows(A):
         E = np.exp((A - A.max(axis=1, keepdims=True)) / cfg.mu)
@@ -604,9 +651,7 @@ def _dense_mma_objective(initial, ds, reg):
     """The stage-2 max-min-affine objective on the dense (n, K, L) tensor."""
     from dcreg.fit import _RefineProblem, _reg_terms
     cfg = SolverConfig()
-    risk0 = training_risk_std(initial, ds.X, ds.y)
-    problem = _RefineProblem(initial, ds.X, ds.y, reg, cfg, theta_fn_value(initial, reg, risk0),
-                             lip_stat(initial), MAX_MIN_AFFINE)
+    problem = _RefineProblem(initial, ds, reg, cfg, MAX_MIN_AFFINE)
     layout, X, y, n = problem.layout, ds.X, ds.y, ds.n
 
     def evaluate(params):
@@ -673,3 +718,4 @@ def test_solve_diagnostics_reach_the_fit_log(caplog):
         assert report.evaluations > report.iterations
         line = next(r.getMessage() for r in caplog.records if r.getMessage().startswith(stage))
         assert f"evals={report.evaluations} stop={report.stop_reason}" in line
+        assert report.wall_s > 0.0 and f"wall={report.wall_s:.3f}s" in line

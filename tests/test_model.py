@@ -3,11 +3,12 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from _helpers import eval_partitioned, phi_tensor
 from dcreg import features
 from dcreg.data import Dataset
 from dcreg.model import (_CHUNK, COMPLEMENT, MAX_MIN_AFFINE, SINGLE, SYMMETRIC,
                          DcComponent, DcModel, MaxMinAffine, center, eval_max,
-                         eval_mma, eval_model, eval_partitioned, lip_stat,
+                         eval_mma, eval_model, lip_stat,
                          n_parameters, piece_values, prune, prune_mma,
                          symmetric_bias_center, to_max_min_affine, validate_model)
 
@@ -320,7 +321,7 @@ def test_piece_values_match_phi_tensor(kind, d):
     comp = _random_component(rng, kind, d, 7)
     for n in (_CHUNK - 1, _CHUNK + 1):
         X = rng.standard_normal((n, d))
-        phi = features.phi_tensor(kind, X, comp.centers)
+        phi = phi_tensor(kind, X, comp.centers)
         ref = comp.biases + np.einsum("nkj,kj->nk", phi, comp.weights)
         scale = np.abs(comp.biases) + np.einsum("nkj,kj->nk", np.abs(phi),
                                                 np.abs(comp.weights))
@@ -345,7 +346,7 @@ def test_prune_matches_dense_reference():
     for kind in features.FEATURE_KINDS:
         comp = _random_component(rng, kind, 3, 30)
         X = rng.standard_normal((_CHUNK + 1, 3))
-        vals = comp.biases + np.einsum("nkj,kj->nk", features.phi_tensor(kind, X, comp.centers),
+        vals = comp.biases + np.einsum("nkj,kj->nk", phi_tensor(kind, X, comp.centers),
                                        comp.weights)
         top = vals.max(axis=1)
         band = vals >= (top - 1e-9 * (1.0 + np.abs(top)))[:, None]

@@ -155,6 +155,7 @@ def test_lbfgs_deterministic():
     x2, r2 = lbfgs_minimize(obj, x0, SolverConfig())
     assert np.array_equal(x1, x2)
     assert r1 == r2
+    assert r1.wall_s > 0.0 and r2.wall_s > 0.0      # timed, but not compared
 
 
 def test_lbfgs_nonfinite_start_rejected():

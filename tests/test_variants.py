@@ -7,11 +7,13 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from dcreg import features
-from dcreg.fit import FitConfig
+from dcreg.data import Dataset
+from dcreg.fit import FitConfig, fit_dcf
 from dcreg.model import (VARIANT_TABLE, VARIANTS, DcComponent, DcModel, eval_max,
                          eval_mma, eval_model, prune, prune_mma, to_max_min_affine,
                          variant_spec)
 from dcreg.serialize import ModelFormatError, load_model, save_model
+from dcreg.solver import SolverConfig
 
 NORM_KINDS = (features.L1, features.L2, features.LINF)
 EXPECTED_KINDS = {
@@ -161,3 +163,20 @@ def test_max_min_affine_form_matches_the_max_form_on_a_grid(model):
     scale = 1.0 + np.max(np.abs(want))
     assert np.max(np.abs(got - want)) <= 1e-12 * scale
     assert np.array_equal(eval_mma(model.mma, grid), got)
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+@settings(max_examples=4, deadline=None)
+@given(data=st.data(), seed=st.integers(0, 2**32 - 1))
+def test_final_prediction_mean_is_the_training_mean(variant, data, seed):
+    # The centering identity holds for any stage-1 and stage-2 outcome, so short
+    # solves keep each example fast.
+    kind = data.draw(st.sampled_from(variant_spec(variant).kinds))
+    n, d = data.draw(st.integers(2, 30)), data.draw(st.integers(1, 3))
+    rng = np.random.default_rng(seed)
+    X = rng.uniform(-2.0, 2.0, (n, d)) * rng.uniform(0.01, 100.0, d)
+    y = np.sin(X @ rng.standard_normal(d)) * rng.uniform(0.01, 10.0) + rng.uniform(-50.0, 50.0)
+    result = fit_dcf(Dataset(X, y), FitConfig(variant=variant, kind=kind, seed=seed % 1000,
+                                              solver=SolverConfig(max_iters=50)))
+    ybar = float(np.mean(y))
+    assert abs(float(np.mean(eval_model(result.final_model, X))) - ybar) <= 1e-9 * (1.0 + abs(ybar))
