@@ -8,7 +8,7 @@ richer convex classes.  All three produce certifiably convex functions.
 import numpy as np
 
 from dcreg import (CONVEX_MAX_AFFINE, CONVEX_NORM, CONVEX_PLUS, Dataset,
-                   FitConfig, L2, PLUS, eval_model, fit_convex, fvu)
+                   FitConfig, L2, PLUS, eval_model, fit_dcf, fvu)
 
 rng = np.random.default_rng(5)
 n = 1500
@@ -25,7 +25,7 @@ b = rng.uniform(-1, 1, (20000, 2))
 print(f"target ||x||^2 on [-1,1]^2, n={n}, noise 0.05\n")
 for variant, kind in ((CONVEX_MAX_AFFINE, L2), (CONVEX_NORM, L2),
                       (CONVEX_PLUS, PLUS)):
-    result = fit_convex(train, FitConfig(variant=variant, kind=kind, seed=2))
+    result = fit_dcf(train, FitConfig(variant=variant, kind=kind, seed=2))
     model = result.final_model
     test_fvu = fvu(eval_model(model, test_X), test_f)
     # certify midpoint convexity on random segment midpoints

@@ -8,15 +8,15 @@ parameterization; pruning usually discards most blocks.
 
 import numpy as np
 
-from dcreg import (Dataset, FitConfig, LINF, eval_max, eval_mma, eval_model,
-                   fit_max_min_affine, fvu, to_max_min_affine)
+from dcreg import (MAX_MIN_AFFINE, Dataset, FitConfig, LINF, eval_max, eval_mma,
+                   eval_model, fit_dcf, fvu, to_max_min_affine)
 
 rng = np.random.default_rng(7)
 n = 800
 X = rng.uniform(0.0, 6.0, (n, 1))
 y = X[:, 0] * np.sin(X[:, 0]) + 0.1 * rng.standard_normal(n)
 
-result = fit_max_min_affine(Dataset(X, y), FitConfig(kind=LINF, seed=4))
+result = fit_dcf(Dataset(X, y), FitConfig(variant=MAX_MIN_AFFINE, kind=LINF, seed=4))
 model = result.final_model
 
 grid = np.linspace(0.0, 6.0, 1500)[:, None]

@@ -23,9 +23,8 @@ from .features import (FEATURE_KINDS, L1, L2, LINF, PLUS, FeatureConstants,
                        constants, feature_dim, phi)
 from .fit import (FitConfig, FitResult, RegParams, STRONG, WEAK,
                   build_initial_objective, build_refine_objective,
-                  default_reg_params, finalize, fit_complement, fit_convex,
-                  fit_dcf, fit_initial, fit_max_min_affine, fit_symmetric,
-                  refine, reg_n_value)
+                  default_reg_params, finalize, fit_dcf, fit_initial, refine,
+                  reg_n_value)
 from .model import (CONVEX_MAX_AFFINE, CONVEX_NORM, CONVEX_PLUS, COMPLEMENT,
                     MAX_MIN_AFFINE, SINGLE, SYMMETRIC, VARIANT_TABLE, Cone,
                     DcComponent, DcModel, MaxMinAffine, Variant, center,

@@ -18,9 +18,7 @@ import numpy as np
 from . import features
 from .data import STD, Dataset, apply_scaling
 from .model import (
-    CONVEX_VARIANTS, COMPLEMENT, MAX_MIN_AFFINE, SINGLE, SYMMETRIC,
-    DcModel, MaxMinAffine, center,
-    eval_model_std, lip_stat, prune,
+    SINGLE, DcModel, MaxMinAffine, center, eval_model_std, lip_stat, mma_inner, prune,
     prune_mma, signed_sum, slope_rows, symmetric_bias_center, to_max_min_affine,
     variant_spec,
 )
@@ -146,26 +144,6 @@ class ParamLayout:
         parts = [np.array([z], dtype=float)] if self.with_z else []
         parts += [np.asarray(a, dtype=float).ravel() for a in arrays]
         return np.concatenate(parts)
-
-
-@dataclass(frozen=True)
-class MmaLayout:
-    n_blocks: int
-    n_inner: int
-    d: int
-
-    @property
-    def dim(self) -> int:
-        return self.n_blocks * self.n_inner * (1 + self.d)
-
-    def unpack(self, params):
-        K, L, d = self.n_blocks, self.n_inner, self.d
-        B = params[:K * L].reshape(K, L)
-        S = params[K * L:].reshape(K, L, d)
-        return B, S
-
-    def pack(self, B, S):
-        return np.concatenate([np.asarray(B, float).ravel(), np.asarray(S, float).ravel()])
 
 
 def _smooth_norms(W):
@@ -464,7 +442,6 @@ def fit_initial(dataset: Dataset, partition: Partition, kind: str, reg: RegParam
         "certificate": cert_value,
         "violation": float(violation),
         "cone_violation": cone_violation,
-        "z": z,
     }
     return model, info
 
@@ -544,9 +521,11 @@ class _RefineProblem:
         self.centers = comp.used_centers()
         self.slope_dim = self.spec.slope_dim(self.kind, self.d)
         if self.spec.mma:
+            # One (K*L, d) block: the inner pieces' biases, then their slopes.
             mma = initial_model.mma
-            self.layout = MmaLayout(mma.n_blocks, mma.biases.shape[1], self.d)
-            self.x0 = self.layout.pack(mma.biases, mma.slopes)
+            self.mma_shape = mma.biases.shape
+            self.layout = ParamLayout(mma.biases.size, self.d, with_z=False)
+            self.x0 = self.layout.pack(0.0, mma.biases, mma.slopes)
         else:
             comps = initial_model.components()
             self.layout = ParamLayout(comp.n_pieces, self.slope_dim, len(comps), with_z=False)
@@ -594,15 +573,12 @@ class _RefineProblem:
         # One fixed layout for the row blocks, whatever the caller's layout.
         Xt = np.ascontiguousarray(self.X.T)
         n = y.shape[0]
-        K, L, d = layout.n_blocks, layout.n_inner, layout.d
+        (K, L), d = self.mma_shape, self.d
         mu, theta2 = self.mu, self.reg.theta2
 
         def evaluate(params):
-            B, S = layout.unpack(params)
-            inner = S[:, :, 0, None] * Xt[0]
-            for j in range(1, d):
-                inner += S[:, :, j, None] * Xt[j]
-            inner += B[:, :, None]
+            _, [(b, W)] = layout.unpack(params)
+            inner = mma_inner(b.reshape(K, L), W.reshape(K, L, d), Xt)
             m_in = inner.min(axis=1)                           # (K, n)
             r = m_in.max(axis=0) - y
             value = float(np.mean(r * r))
@@ -615,7 +591,7 @@ class _RefineProblem:
             gB = np.bincount(slot, weights=coef.ravel(), minlength=K * L)
             gS = np.column_stack([np.bincount(slot, weights=(coef * x[:, None]).ravel(),
                                               minlength=K * L) for x in Xt[:, rows]])
-            rv, rg = _reg_terms(S.reshape(-1, d), self.theta, self.c0, theta2, mu)
+            rv, rg = _reg_terms(W, self.theta, self.c0, theta2, mu)
             value += rv
             gS += rg
             return value, np.concatenate([gB, gS.ravel()])
@@ -623,11 +599,14 @@ class _RefineProblem:
         return ObjectiveHandle(layout.dim, evaluate)
 
     def extract(self, params, initial_model: DcModel) -> DcModel:
-        if self.spec.mma:
-            B, S = self.layout.unpack(params)
-            comp = initial_model.component  # pre-conversion snapshot, kept in sync
-            return DcModel(self.spec.name, comp, mma=MaxMinAffine(B.copy(), S.copy()))
         _, blocks = self.layout.unpack(params)
+        if self.spec.mma:
+            (b, W), = blocks
+            comp = initial_model.component  # pre-conversion snapshot, kept in sync
+            shape = self.mma_shape
+            return DcModel(self.spec.name, comp,
+                           mma=MaxMinAffine(b.reshape(shape).copy(),
+                                            W.reshape(*shape, self.d).copy()))
         comps = [self.spec.component_from(t.kind, t.centers, b, W, t.center_idx)
                  for t, (b, W) in zip(initial_model.components(), blocks)]
         return DcModel(self.spec.name, *comps)
@@ -670,7 +649,7 @@ def finalize(refined: DcModel, dataset: Dataset) -> DcModel:
     """Prune inactive pieces and center the mean prediction on mean(y)."""
     Xc = refined.transform_x(dataset.X)
     if refined.spec.mma:
-        mma, keep = prune_mma(refined.mma, Xc, return_indices=True)
+        mma, keep = prune_mma(refined.mma, Xc)
         model = replace(refined, component=refined.component.take(keep), mma=mma)
     else:
         model = refined.with_components([prune(c, Xc) for c in refined.components()])
@@ -692,11 +671,6 @@ def fit_dcf(dataset: Dataset, config: FitConfig = None) -> FitResult:
     config = config or FitConfig()
     if dataset.n < 2:
         raise ValueError("need at least two samples")
-    if variant_spec(config.variant).signs[0] < 0:
-        # The min form is the max form of -y, negated.
-        return _wrap_complement(fit_dcf(Dataset(dataset.X, -dataset.y),
-                                        replace(config, variant=SINGLE)))
-
     ds_std, spec = apply_scaling(dataset, STD)
     Xs, ys = ds_std.X, ds_std.y
     part = afpc(Xs, config.seed, ys)
@@ -737,38 +711,3 @@ def fit_dcf(dataset: Dataset, config: FitConfig = None) -> FitResult:
         lip_chain=(lip_stat(initial_std), lip_stat(refined_std), lip_stat(final_std)),
         refine_accepted=accepted,
     )
-
-
-def _wrap_complement(inner: FitResult) -> FitResult:
-    def flip(model: DcModel) -> DcModel:
-        return replace(model, variant=COMPLEMENT, offset=-model.offset,
-                       y_shift=-model.y_shift)
-    return replace(inner, initial_model=flip(inner.initial_model),
-                   refined_model=flip(inner.refined_model),
-                   final_model=flip(inner.final_model))
-
-
-def fit_complement(dataset: Dataset, config: FitConfig = None) -> FitResult:
-    """Fit the sign-flipped (min-form) variant: train on -y, negate the result."""
-    config = config or FitConfig()
-    return fit_dcf(dataset, replace(config, variant=COMPLEMENT))
-
-
-def fit_symmetric(dataset: Dataset, config: FitConfig = None) -> FitResult:
-    """Fit the difference-of-two-components variant."""
-    config = config or FitConfig()
-    return fit_dcf(dataset, replace(config, variant=SYMMETRIC))
-
-
-def fit_max_min_affine(dataset: Dataset, config: FitConfig = None) -> FitResult:
-    """Fit with nonpositive norm coefficients and refine in max-min-affine form."""
-    config = config or FitConfig(kind=features.LINF)
-    return fit_dcf(dataset, replace(config, variant=MAX_MIN_AFFINE,
-                                    kind=features.LINF))
-
-
-def fit_convex(dataset: Dataset, config: FitConfig) -> FitResult:
-    """Fit one of the convexity-restricted variants."""
-    if config.variant not in CONVEX_VARIANTS:
-        raise ValueError(f"fit_convex requires a convex variant, got {config.variant!r}")
-    return fit_dcf(dataset, config)

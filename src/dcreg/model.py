@@ -355,14 +355,22 @@ def eval_max(comp: DcComponent, x):
     return float(vals[0]) if single else vals
 
 
+def mma_inner(B, S, columns) -> np.ndarray:
+    """(K, L, n) inner values B[k, l] + S[k, l] . x_i, one coordinate at a time.
+
+    ``columns[j]`` holds coordinate j of the n rows, so the bits do not
+    depend on the memory layout of the rows.
+    """
+    inner = S[:, :, 0, None] * columns[0]
+    for j in range(1, S.shape[2]):
+        inner += S[:, :, j, None] * columns[j]
+    inner += B[:, :, None]
+    return inner
+
+
 def _mma_block(mma: MaxMinAffine, X: np.ndarray) -> np.ndarray:
-    """Block-major (K, rows) inner minima of one row block, one coordinate at a time."""
-    S = mma.slopes
-    inner = S[:, :, 0, None] * X[:, 0]
-    for j in range(1, mma.d):
-        inner += S[:, :, j, None] * X[:, j]
-    inner += mma.biases[:, :, None]
-    return inner.min(axis=1)
+    """Block-major (K, rows) inner minima of one row block."""
+    return mma_inner(mma.biases, mma.slopes, X.T).min(axis=1)
 
 
 def eval_mma(mma: MaxMinAffine, x):
@@ -421,24 +429,22 @@ def _attaining(block_fn, n_blocks, X):
     return np.where(keep)[0]
 
 
-def prune(comp: DcComponent, X, return_indices=False):
+def prune(comp: DcComponent, X) -> DcComponent:
     """Drop pieces that never attain the max on the given inputs.
 
     Attainment uses a relative band 1e-9 * (1 + |max value|); all pieces in
     the band at some row are kept, so evaluation at every row is unchanged.
+    The kept pieces' centers are in ``center_idx``.
     """
     X = _check_dim(X, comp.d, "component")
-    keep = _attaining(lambda rows: _piece_block(comp, rows), comp.n_pieces, X)
-    pruned = comp.take(keep)
-    return (pruned, keep) if return_indices else pruned
+    return comp.take(_attaining(lambda rows: _piece_block(comp, rows), comp.n_pieces, X))
 
 
-def prune_mma(mma: MaxMinAffine, X, return_indices=False):
-    """Drop outer blocks whose min never attains the outer max on the inputs."""
+def prune_mma(mma: MaxMinAffine, X):
+    """Drop outer blocks whose min never attains the outer max; returns (pruned, kept)."""
     X = _check_dim(X, mma.d, "mma")
     keep = _attaining(lambda rows: _mma_block(mma, rows), mma.n_blocks, X)
-    pruned = MaxMinAffine(mma.biases[keep], mma.slopes[keep])
-    return (pruned, keep) if return_indices else pruned
+    return MaxMinAffine(mma.biases[keep], mma.slopes[keep]), keep
 
 
 def center(model: DcModel, dataset: Dataset) -> DcModel:

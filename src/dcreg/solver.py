@@ -178,9 +178,9 @@ def lbfgs_minimize(obj: ObjectiveHandle, x0, cfg: SolverConfig, callback=None):
     Accepted steps are monotone non-increasing in the objective.  A failed
     backtracking line search resets the curvature memory and retries along
     the negative gradient; failing that too, the solve terminates.  If a
-    non-finite value or gradient is encountered the best iterate so far is
-    returned with ``aborted`` set.  The solve stalls, and stops, once the
-    last ``STALL_WINDOW`` accepted steps lowered the value by at most
+    step's gradient is non-finite, the last accepted iterate is returned with
+    ``aborted`` set.  The solve stalls, and stops, once the last
+    ``STALL_WINDOW`` accepted steps lowered the value by at most
     ``STALL_RTOL * max(1, |value|)``.  ``callback(iteration, x, value)`` runs
     after every accepted step.  The report says why the solve stopped and how
     many times the objective was evaluated, and how long it took.
@@ -200,7 +200,6 @@ def lbfgs_minimize(obj: ObjectiveHandle, x0, cfg: SolverConfig, callback=None):
     if not np.isfinite(f) or not np.isfinite(g).all():
         raise ValueError("objective must be finite at the starting point")
 
-    best_x, best_f = x.copy(), f
     memory: deque = deque(maxlen=cfg.lbfgs_memory)   # (s, y, 1/(s.y)) pairs
     recent = deque([f], maxlen=STALL_WINDOW + 1)      # values of the last accepted steps
     ls_failures = 0
@@ -258,8 +257,6 @@ def lbfgs_minimize(obj: ObjectiveHandle, x0, cfg: SolverConfig, callback=None):
         if sy > 1e-12 * float(np.linalg.norm(s)) * float(np.linalg.norm(yv)):
             memory.append((s, yv, 1.0 / sy))
         x, f, g = x_new, f_new, g_new
-        if f < best_f:
-            best_f, best_x = f, x.copy()
         iters += 1
         if callback is not None:
             callback(iters, x, f)
@@ -271,11 +268,9 @@ def lbfgs_minimize(obj: ObjectiveHandle, x0, cfg: SolverConfig, callback=None):
             stop_reason = STALLED
             break
 
-    if f <= best_f:
-        best_f, best_x = f, x
     report = SolveReport(
         iterations=iters,
-        final_value=float(best_f),
+        final_value=f,
         final_grad_norm=gnorm,
         line_search_failures=ls_failures,
         converged=bool(converged),
@@ -284,4 +279,4 @@ def lbfgs_minimize(obj: ObjectiveHandle, x0, cfg: SolverConfig, callback=None):
         stop_reason=GRAD_TOL if converged else stop_reason,
         wall_s=perf_counter() - start,
     )
-    return best_x, report
+    return x, report

@@ -252,7 +252,7 @@ def test_criterion_06_centering_and_pruning(variant_fits, trend_results):
         Xs = refined.transform_x(ds.X)
         before = eval_model_std(refined, Xs)
         if refined.variant == MAX_MIN_AFFINE:
-            pruned = replace(refined, mma=prune_mma(refined.mma, Xs))
+            pruned = replace(refined, mma=prune_mma(refined.mma, Xs)[0])
         elif refined.variant == SYMMETRIC:
             pruned = replace(refined, component=prune(refined.component, Xs),
                              second=prune(refined.second, Xs))

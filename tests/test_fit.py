@@ -9,10 +9,8 @@ from dcreg import features
 from dcreg.data import Dataset
 from dcreg.fit import (FitConfig, RegParams, STRONG, WEAK,
                        build_initial_objective, build_refine_objective,
-                       default_reg_params, finalize, fit_complement,
-                       fit_convex, fit_dcf, fit_initial, fit_max_min_affine,
-                       fit_symmetric, refine, reg_n_value, theta_fn_value,
-                       training_risk_std)
+                       default_reg_params, finalize, fit_dcf, fit_initial,
+                       refine, reg_n_value, theta_fn_value, training_risk_std)
 from dcreg.model import (COMPLEMENT, CONVEX_MAX_AFFINE, CONVEX_NORM, CONVEX_PLUS,
                          MAX_MIN_AFFINE, SINGLE, SYMMETRIC, VARIANT_TABLE, DcModel,
                          eval_max, eval_mma, eval_model, lip_stat,
@@ -386,28 +384,38 @@ def test_fit_dcf_noiseless_grid_symmetric_fvu():
 
 
 def test_fit_complement_identities():
+    # The complement runs through its own table row, sign -1; since IEEE
+    # negation is exact, it equals single fitted on -y and negated, bit for bit.
     ds = _xsinx_dataset(150, seed=16)
-    cfg = FitConfig(variant=SINGLE, kind=features.LINF, seed=5)
-    direct = fit_dcf(Dataset(ds.X, -ds.y), cfg)
-    comp = fit_complement(ds, cfg)
     grid = np.linspace(0, 6, 200)[:, None]
-    assert np.allclose(eval_model(comp.final_model, grid),
-                       -eval_model(direct.final_model, grid), atol=1e-12)
-    assert np.mean(eval_model(comp.final_model, ds.X)) == pytest.approx(
-        np.mean(ds.y), abs=1e-10)
-    assert_fit_invariants(comp, ds)
+    solver = SolverConfig(max_iters=300)
+    for kind in features.FEATURE_KINDS:
+        comp = fit_dcf(ds, FitConfig(variant=COMPLEMENT, kind=kind, seed=5, solver=solver))
+        mirror = fit_dcf(Dataset(ds.X, -ds.y),
+                         FitConfig(variant=SINGLE, kind=kind, seed=5, solver=solver))
+        assert comp.final_model.variant == COMPLEMENT
+        for a, b in ((comp.initial_model, mirror.initial_model),
+                     (comp.final_model, mirror.final_model)):
+            assert np.array_equal(eval_model(a, grid), -eval_model(b, grid))
+        assert comp.risk_reg_chain == mirror.risk_reg_chain
+        assert comp.lip_chain == mirror.lip_chain
+        assert comp.initial_report == mirror.initial_report
+        assert comp.refine_report == mirror.refine_report
+        assert np.mean(eval_model(comp.final_model, ds.X)) == pytest.approx(
+            np.mean(ds.y), abs=1e-10)
+        assert_fit_invariants(comp, ds)
 
 
 def test_fit_complement_constant_data():
     X = np.linspace(0, 1, 30)[:, None]
     ds = Dataset(X, np.full(30, 2.5))
-    result = fit_complement(ds, FitConfig(seed=1))
+    result = fit_dcf(ds, FitConfig(variant=COMPLEMENT, seed=1))
     assert np.allclose(eval_model(result.final_model, X), 2.5, atol=1e-8)
 
 
 def test_fit_symmetric_bias_identity_and_invariants():
     ds = _xsinx_dataset(200, seed=17)
-    result = fit_symmetric(ds, FitConfig(variant=SYMMETRIC, kind=features.LINF, seed=6))
+    result = fit_dcf(ds, FitConfig(variant=SYMMETRIC, kind=features.LINF, seed=6))
     b1 = result.final_model.component.biases.mean()
     b2 = result.final_model.second.biases.mean()
     assert abs(b1 + b2) <= 1e-10
@@ -417,7 +425,7 @@ def test_fit_symmetric_bias_identity_and_invariants():
 def test_fit_symmetric_constant_data():
     X = np.linspace(0, 1, 20)[:, None]
     ds = Dataset(X, np.full(20, 7.0))
-    result = fit_symmetric(ds, FitConfig(variant=SYMMETRIC, seed=2))
+    result = fit_dcf(ds, FitConfig(variant=SYMMETRIC, seed=2))
     assert np.allclose(eval_model(result.final_model, X), 7.0, atol=1e-8)
 
 
@@ -434,7 +442,7 @@ def test_fit_symmetric_beats_single_on_grid():
 
 def test_fit_max_min_affine():
     ds = _xsinx_dataset(150, seed=18)
-    result = fit_max_min_affine(ds, FitConfig(seed=7))
+    result = fit_dcf(ds, FitConfig(variant=MAX_MIN_AFFINE, kind=features.LINF, seed=7))
     assert result.final_model.variant == MAX_MIN_AFFINE
     # converted initial equals the source max-norm component pointwise
     comp = result.initial_model.component
@@ -459,8 +467,7 @@ def test_fit_convex_variants_on_affine_target():
     for variant, kind in ((CONVEX_MAX_AFFINE, features.L2),
                           (CONVEX_NORM, features.LINF),
                           (CONVEX_PLUS, features.PLUS)):
-        result = fit_convex(ds, FitConfig(variant=variant, kind=kind, seed=8,
-                                          theta2_mode=WEAK))
+        result = fit_dcf(ds, FitConfig(variant=variant, kind=kind, seed=8, theta2_mode=WEAK))
         mse = float(np.mean((eval_model(result.final_model, X) - y) ** 2))
         assert mse <= 1e-3, f"{variant}: affine target mse {mse}"
         validate_model(result.final_model)
@@ -474,7 +481,7 @@ def test_fit_convex_midpoint_convexity():
     for variant, kind in ((CONVEX_MAX_AFFINE, features.L2),
                           (CONVEX_NORM, features.L2),
                           (CONVEX_PLUS, features.PLUS)):
-        result = fit_convex(ds, FitConfig(variant=variant, kind=kind, seed=9))
+        result = fit_dcf(ds, FitConfig(variant=variant, kind=kind, seed=9))
         a = rng.uniform(-1, 1, (2000, 2))
         b = rng.uniform(-1, 1, (2000, 2))
         mid = eval_model(result.final_model, 0.5 * (a + b))
@@ -483,12 +490,6 @@ def test_fit_convex_midpoint_convexity():
         assert np.max(mid - avg) <= 1e-10, variant
         assert result.cone_violation_max <= 1e-6
         assert result.constraint_violation_max <= 1e-4
-
-
-def test_fit_convex_requires_convex_variant():
-    ds = _xsinx_dataset(30, seed=21)
-    with pytest.raises(ValueError):
-        fit_convex(ds, FitConfig(variant=SINGLE))
 
 
 def test_fit_config_validation():
@@ -653,9 +654,11 @@ def _dense_mma_objective(initial, ds, reg):
     cfg = SolverConfig()
     problem = _RefineProblem(initial, ds, reg, cfg, MAX_MIN_AFFINE)
     layout, X, y, n = problem.layout, ds.X, ds.y, ds.n
+    K, L = initial.mma.biases.shape
 
     def evaluate(params):
-        B, S = layout.unpack(params)
+        _, [(b, W)] = layout.unpack(params)
+        B, S = b.reshape(K, L), W.reshape(K, L, ds.d)
         inner = B[None, :, :] + np.einsum("kld,nd->nkl", S, X)
         m_in = inner.min(axis=2)
         r = m_in.max(axis=1) - y
@@ -664,8 +667,7 @@ def _dense_mma_objective(initial, ds, reg):
         tau = softmax_weights(-inner, cfg.mu, axis=2)           # inner min weights
         coef = (2.0 / n) * r[:, None, None] * sig[:, :, None] * tau
         gS = np.einsum("nkl,nd->kld", coef, X)
-        rv, rg = _reg_terms(S.reshape(-1, layout.d), problem.theta, problem.c0,
-                            reg.theta2, cfg.mu)
+        rv, rg = _reg_terms(W, problem.theta, problem.c0, reg.theta2, cfg.mu)
         gS = gS + rg.reshape(S.shape)
         return value + rv, np.concatenate([coef.sum(axis=0).ravel(), gS.ravel()])
 
@@ -688,6 +690,21 @@ def test_refine_mma_objective_matches_dense_tensor_reference():
             assert value == pytest.approx(ref_value, rel=1e-12)
             tol = 1e-12 * (1.0 + np.max(np.abs(ref_grad)))
             assert np.max(np.abs(grad - ref_grad)) <= tol
+
+
+def test_refine_mma_extract_returns_the_initial_blocks():
+    from dcreg.fit import _RefineProblem
+    for d in (1, 3):
+        ds = _random_dataset(90, d, seed=38 + d)
+        part = afpc(ds.X, seed=39)
+        reg = default_reg_params(*_radii(ds), ds.n, d, part.n_centers)
+        initial, _ = fit_initial(ds, part, features.LINF, reg, SolverConfig(max_iters=50),
+                                 MAX_MIN_AFFINE)
+        problem = _RefineProblem(initial, ds, reg, SolverConfig())
+        model = problem.extract(problem.x0, initial)
+        assert model.component is initial.component
+        assert np.array_equal(model.mma.biases, initial.mma.biases)
+        assert np.array_equal(model.mma.slopes, initial.mma.slopes)
 
 
 def test_fit_does_not_depend_on_input_layout():

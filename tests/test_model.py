@@ -148,9 +148,9 @@ def test_prune_drops_dominated_piece():
                       [[0.0, -1.0], [0.0, -1.0]])
     X = np.linspace(-2, 2, 20)[:, None]
     before = eval_max(comp, X)
-    pruned, keep = prune(comp, X, return_indices=True)
+    pruned = prune(comp, X)
     assert pruned.n_pieces == 1
-    assert np.array_equal(keep, [0])
+    assert np.array_equal(pruned.center_idx, [0])
     assert np.array_equal(eval_max(pruned, X), before)
 
 
@@ -246,7 +246,7 @@ def test_eval_mma_affine_single_piece():
 def test_prune_mma_drops_dominated_block():
     mma = MaxMinAffine(np.array([[0.0], [-1e9]]), np.zeros((2, 1, 1)))
     X = np.linspace(-1, 1, 7)[:, None]
-    pruned, keep = prune_mma(mma, X, return_indices=True)
+    pruned, keep = prune_mma(mma, X)
     assert np.array_equal(keep, [0])
     assert np.allclose(eval_mma(pruned, X), eval_mma(mma, X), atol=0)
 
@@ -350,8 +350,8 @@ def test_prune_matches_dense_reference():
                                        comp.weights)
         top = vals.max(axis=1)
         band = vals >= (top - 1e-9 * (1.0 + np.abs(top)))[:, None]
-        _, keep = prune(comp, X, return_indices=True)
-        assert np.array_equal(keep, np.where(band.any(axis=0))[0])
+        kept = prune(comp, X).center_idx
+        assert np.array_equal(kept, np.where(band.any(axis=0))[0])
 
 
 def test_eval_mma_and_prune_mma_match_dense_reference():
@@ -364,7 +364,7 @@ def test_eval_mma_and_prune_mma_match_dense_reference():
         assert np.allclose(eval_mma(mma, X), blocks.max(axis=1), rtol=0, atol=1e-12)
         top = blocks.max(axis=1)
         band = blocks >= (top - 1e-9 * (1.0 + np.abs(top)))[:, None]
-        _, keep = prune_mma(mma, X, return_indices=True)
+        _, keep = prune_mma(mma, X)
         assert np.array_equal(keep, np.where(band.any(axis=0))[0])
 
 

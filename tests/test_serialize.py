@@ -5,10 +5,9 @@ import pytest
 
 from dcreg import features
 from dcreg.data import Dataset, apply_scaling
-from dcreg.fit import (FitConfig, fit_complement, fit_convex, fit_dcf,
-                       fit_max_min_affine, fit_symmetric)
-from dcreg.model import (CONVEX_NORM, CONVEX_PLUS, SINGLE, SYMMETRIC,
-                         DcComponent, DcModel, eval_model)
+from dcreg.fit import FitConfig, fit_dcf
+from dcreg.model import (COMPLEMENT, CONVEX_NORM, CONVEX_PLUS, MAX_MIN_AFFINE, SINGLE,
+                         SYMMETRIC, DcComponent, DcModel, eval_model)
 from dcreg.serialize import (FORMAT_VERSION, ModelFormatError, load_bundle,
                              load_model, save_model)
 
@@ -20,14 +19,14 @@ def _dataset(seed=0, n=120):
     return Dataset(X, y)
 
 
-@pytest.mark.parametrize("fitter,cfg", [
-    (fit_dcf, FitConfig(variant=SINGLE, kind=features.L2, seed=1)),
-    (fit_symmetric, FitConfig(variant=SYMMETRIC, kind=features.LINF, seed=2)),
-    (fit_max_min_affine, FitConfig(kind=features.LINF, seed=3)),
-])
-def test_round_trip_bitexact_eval(tmp_path, fitter, cfg):
+@pytest.mark.parametrize("cfg", [
+    FitConfig(variant=SINGLE, kind=features.L2, seed=1),
+    FitConfig(variant=SYMMETRIC, kind=features.LINF, seed=2),
+    FitConfig(variant=MAX_MIN_AFFINE, kind=features.LINF, seed=3),
+], ids=["fit_dcf-cfg0", "fit_symmetric-cfg1", "fit_max_min_affine-cfg2"])
+def test_round_trip_bitexact_eval(tmp_path, cfg):
     ds = _dataset()
-    result = fitter(ds, cfg)
+    result = fit_dcf(ds, cfg)
     path = tmp_path / "model.json"
     save_model(result.final_model, path)
     loaded = load_model(path)
@@ -113,14 +112,12 @@ def test_pruned_symmetric_components_survive_round_trip(tmp_path):
 
 def test_round_trip_complement_and_convex(tmp_path):
     ds = _dataset(seed=8)
-    comp_result = fit_complement(ds, FitConfig(seed=9))
+    comp_result = fit_dcf(ds, FitConfig(variant=COMPLEMENT, seed=9))
     rng = np.random.default_rng(10)
     X2 = rng.uniform(-1, 1, (150, 2))
     ds2 = Dataset(X2, np.sum(X2 * X2, axis=1))
-    cvx_result = fit_convex(ds2, FitConfig(variant=CONVEX_NORM,
-                                           kind=features.L2, seed=10))
-    plus_result = fit_convex(ds2, FitConfig(variant=CONVEX_PLUS,
-                                            kind=features.PLUS, seed=11))
+    cvx_result = fit_dcf(ds2, FitConfig(variant=CONVEX_NORM, kind=features.L2, seed=10))
+    plus_result = fit_dcf(ds2, FitConfig(variant=CONVEX_PLUS, kind=features.PLUS, seed=11))
     for i, (result, X) in enumerate([(comp_result, ds.X), (cvx_result, X2),
                                      (plus_result, X2)]):
         path = tmp_path / f"m{i}.json"

@@ -165,7 +165,7 @@ def test_lbfgs_nonfinite_start_rejected():
 
 
 def test_lbfgs_aborts_on_nonfinite_region():
-    # objective turns NaN away from the start; best iterate is still returned
+    # objective turns NaN away from the start; the last accepted iterate is returned
     def evaluate(x):
         if abs(x[0]) > 0.5:
             return float("nan"), np.array([float("nan")])
@@ -340,10 +340,12 @@ def test_lbfgs_stop_reasons_and_evaluation_counts():
     for evaluate, x0, cfg, reason in cases:
         wrapped, calls = _counted(evaluate)
         history = [evaluate(x0)[0]]
-        _, report = lbfgs_minimize(ObjectiveHandle(x0.size, wrapped), x0, cfg,
-                                   callback=lambda i, x, f: history.append(f))
+        x_star, report = lbfgs_minimize(ObjectiveHandle(x0.size, wrapped), x0, cfg,
+                                        callback=lambda i, x, f: history.append(f))
         assert report.stop_reason == reason
         assert report.evaluations == calls[0]
+        # the returned point is the last accepted iterate, and the report holds its value
+        assert report.final_value == history[-1] == evaluate(x_star)[0]
         assert report.converged == (reason == "grad_tol")
         assert report.aborted == (reason == "nonfinite")
         if reason == "stalled":

@@ -146,7 +146,7 @@ def test_prune_keeps_every_training_prediction(model, seed):
     X = _inputs(model, n=40, seed=seed)
     Xc = model.transform_x(X)
     if model.mma is not None:
-        pruned = replace(model, mma=prune_mma(model.mma, Xc))
+        pruned = replace(model, mma=prune_mma(model.mma, Xc)[0])
     else:
         pruned = model.with_components([prune(c, Xc) for c in model.components()])
     assert np.array_equal(eval_model(pruned, X), eval_model(model, X))
