@@ -22,7 +22,6 @@ from .experiment import ExperimentSpec, demo_figures, run_experiment
 from .features import (FEATURE_KINDS, L1, L2, LINF, PLUS, FeatureConstants,
                        constants, feature_dim, phi)
 from .fit import (FitConfig, FitResult, RegParams, STRONG, WEAK,
-                  build_initial_objective, build_refine_objective,
                   default_reg_params, finalize, fit_dcf, fit_initial, refine,
                   reg_n_value)
 from .model import (CONVEX_MAX_AFFINE, CONVEX_NORM, CONVEX_PLUS, COMPLEMENT,
@@ -34,7 +33,7 @@ from .model import (CONVEX_MAX_AFFINE, CONVEX_NORM, CONVEX_PLUS, COMPLEMENT,
 from .partition import Partition, afpc, assign_cells, data_radii, khat
 from .serialize import ModelFormatError, load_model, save_model
 from .solver import (ObjectiveHandle, SolveReport, SolverAbort, SolverConfig,
-                     lbfgs_minimize, penalty_objective, softmax_weights)
+                     lbfgs_minimize, softmax_weights)
 from .targets import TargetFunction, empirical_lipschitz
 
 __version__ = "0.1.0"

@@ -98,17 +98,23 @@ def norm_plane(kind: str, X: np.ndarray, centers: np.ndarray) -> np.ndarray:
     """
     if kind not in _NORM_ORD:
         raise ValueError(f"{kind!r} is not a norm kind")
-    out = None
+    norm, diff, scratch = (np.empty((centers.shape[0], X.shape[0])) for _ in range(3))
     for j in range(X.shape[1]):
-        diff = X[:, j] - centers[:, j, None]
-        if kind == L2:
-            diff *= diff
-        else:
-            np.abs(diff, out=diff)
-        if out is None:
-            out = diff
-        elif kind == LINF:
-            np.maximum(out, diff, out=out)
-        else:
-            out += diff
-    return np.sqrt(out, out=out) if kind == L2 else out
+        np.subtract(X[:, j], centers[:, j, None], out=diff)
+        fold_norm(kind, j, diff, norm, scratch)
+    return np.sqrt(norm, out=norm) if kind == L2 else norm
+
+
+def fold_norm(kind, j, diff, norm, scratch):
+    """Fold coordinate j's differences x_ij - c_kj into the running norm plane ``norm``.
+
+    |diff| is summed (l1) or maximized (linf), and diff^2 summed (l2, whose
+    square root the caller takes last); coordinate 0 starts ``norm``.
+    """
+    term = norm if j == 0 else scratch
+    if kind == L2:
+        np.multiply(diff, diff, out=term)
+    else:
+        np.abs(diff, out=term)
+    if j > 0:
+        (np.maximum if kind == LINF else np.add)(norm, scratch, out=norm)

@@ -9,7 +9,6 @@ penalized criterion.  Stage 3 prunes inactive pieces and centers the mean
 prediction on the training responses.
 """
 
-import functools
 import logging
 from dataclasses import dataclass, field, replace
 
@@ -24,7 +23,7 @@ from .model import (
 )
 from .partition import Partition, afpc
 from .solver import ObjectiveHandle, SolveReport, SolverConfig, SolverAbort, \
-    lbfgs_minimize, penalty_objective, softmax_near_ties, softmax_weights
+    lbfgs_minimize, softmax_near_ties, softmax_weights
 
 log = logging.getLogger(__name__)
 
@@ -126,21 +125,20 @@ class ParamLayout:
     def dim(self) -> int:
         return int(self.with_z) + self.n_pieces * (1 + self.slope_dim) * self.n_components
 
-    @functools.cached_property
-    def _spans(self):
-        """(bias slice, slope slice) of each component, computed once per layout."""
-        K, size = self.n_pieces, self.n_pieces * (1 + self.slope_dim)
-        return [(slice(o, o + K), slice(o + K, o + size))
-                for o in range(int(self.with_z), self.dim, size)]
+    def stack(self, params):
+        """(z, B, W): the m components' biases B (m, K) and slopes W (m, K, s).
 
-    def unpack(self, params):
-        """(z, [(b, W) per component]), views into params."""
-        K, s = self.n_pieces, self.slope_dim
-        blocks = [(params[b], params[w].reshape(K, s)) for b, w in self._spans]
-        return (float(params[0]) if self.with_z else 0.0), blocks
+        B and W are views into params, so a gradient vector's views can be
+        written to: each component's slopes are contiguous, and splitting a
+        contiguous axis needs no copy.
+        """
+        m, K = self.n_components, self.n_pieces
+        V = params[int(self.with_z):].reshape(m, -1)
+        return (float(params[0]) if self.with_z else 0.0), V[:, :K], \
+            V[:, K:].reshape(m, K, self.slope_dim)
 
     def pack(self, z, *arrays):
-        """The inverse of unpack: pack(z, b_1, W_1, ..., b_m, W_m)."""
+        """The flat vector of (z, b_1, W_1, ..., b_m, W_m); ``stack`` views it."""
         parts = [np.array([z], dtype=float)] if self.with_z else []
         parts += [np.asarray(a, dtype=float).ravel() for a in arrays]
         return np.concatenate(parts)
@@ -157,9 +155,10 @@ def _smooth_norms(W):
 class _PieceKernel:
     """Piece-major values b_k + w_k . phi(x_i, c_k) over fixed rows, and their adjoint.
 
-    Values are a (K, n) matrix, so every max and soft-max sum runs along
-    axis 0.  The norm plane N[k, i] = ||x_i - c_k|| is computed once; the
-    affine part u_k . (x_i - c_k) is one GEMM, U X^T minus U . c per piece.
+    The m components of a parameter vector are stacked: values are an
+    (m, K, n) array, so every max and soft-max sum runs along axis 1.  The
+    norm plane N[k, i] = ||x_i - c_k|| is computed once; the affine part
+    u_k . (x_i - c_k) is one GEMM per component, U X^T minus U . c per piece.
     Stage 2 builds it on the training rows, stage 1 on the centers.
     """
 
@@ -176,110 +175,56 @@ class _PieceKernel:
         diff = self.rows[:, j] - self.centers[:, j, None]
         return np.maximum(diff, 0.0), np.maximum(-diff, 0.0)
 
-    def values(self, b, W):
-        """(K, n) values b_k + w_k . phi(x_i, c_k)."""
+    def values(self, B, W):
+        """(m, K, n) values of biases B (m, K) and slopes W (m, K, s)."""
         d, C = self.d, self.centers
         if self.kind == features.PLUS:
-            A = np.repeat(b[:, None], self.rows_t.shape[1], axis=1)
+            A = np.repeat(B[:, :, None], self.rows_t.shape[1], axis=2)
             for j in range(d):
                 pos, neg = self._relu_pair(j)
-                A += W[:, j, None] * pos
-                A += W[:, d + j, None] * neg
+                A += W[:, :, j, None] * pos
+                A += W[:, :, d + j, None] * neg
             return A
-        U = W[:, :d]
+        U = W[:, :, :d]
         A = U @ self.rows_t
-        A += (b - np.einsum("kj,kj->k", U, C))[:, None]
+        A += (B - np.einsum("mkj,kj->mk", U, C))[:, :, None]
         if self.norms is not None:
-            A += W[:, d, None] * self.norms
+            A += W[:, :, d, None] * self.norms
         return A
 
     def grads(self, coef):
-        """Gradients in (b, W) of sum_{k,i} coef[k, i] * A[k, i]."""
+        """Gradients in (B, W) of sum_{m,k,i} coef[m, k, i] * A[m, k, i]."""
         d, C = self.d, self.centers
-        gb = coef.sum(axis=1)
-        gW = np.empty((coef.shape[0], self.slope_dim))
+        gb = np.add.reduce(coef, 2)
+        gW = np.empty((*gb.shape, self.slope_dim))
         if self.kind == features.PLUS:
             for j in range(d):
                 pos, neg = self._relu_pair(j)
-                gW[:, j] = np.einsum("kn,kn->k", coef, pos)
-                gW[:, d + j] = np.einsum("kn,kn->k", coef, neg)
+                gW[:, :, j] = np.einsum("mkn,kn->mk", coef, pos)
+                gW[:, :, d + j] = np.einsum("mkn,kn->mk", coef, neg)
             return gb, gW
-        gW[:, :d] = coef @ self.rows_t.T
-        gW[:, :d] -= gb[:, None] * C
+        gU = np.matmul(coef, self.rows_t.T, out=gW[:, :, :d])
+        gU -= gb[:, :, None] * C
         if self.norms is not None:
-            gW[:, d] = np.einsum("kn,kn->k", coef, self.norms)
+            np.einsum("mkn,kn->mk", coef, self.norms, out=gW[:, :, d])
         return gb, gW
 
 
 # ---------------------------------------------------------------------------
 # the initial (partitioned, constrained) problem
 
-class InitialConstraints:
-    """Continuity + slope-cap residuals of the initial problem, vectorized.
-
-    Residuals, for every component: b_k >= b_l + w_l . phi(c_k, c_l) for all
-    (k, l), and ||w_k|| <= z + theta0, then the variant's cone residuals.
-    The continuity terms are the piece kernel on the centers.
-    """
-
-    def __init__(self, layout, kernel: _PieceKernel, theta0, cone):
-        self.layout = layout
-        self.kernel = kernel
-        self.theta0 = theta0
-        self.cone = cone
-        self.d = kernel.d
-
-    def pair_residuals(self, b, W):
-        """R[l, k] = b_l + w_l . phi(c_k, c_l) - b_k, piece l at center k; zero diagonal."""
-        R = self.kernel.values(b, W)
-        R -= b
-        np.fill_diagonal(R, 0.0)
-        return R
-
-    def residuals(self, params) -> np.ndarray:
-        z, blocks = self.layout.unpack(params)
-        parts = []
-        for b, W in blocks:
-            parts += [self.pair_residuals(b, W).T.ravel(),
-                      np.linalg.norm(W, axis=1) - z - self.theta0,
-                      self.cone.residuals(W, self.d).ravel()]
-        return np.concatenate(parts)
-
-    def max_violation(self, params) -> float:
-        res = self.residuals(params)
-        return float(max(0.0, res.max())) if res.size else 0.0
-
-    def penalty(self, params, rho):
-        z, blocks = self.layout.unpack(params)
-        value = 0.0
-        gz = 0.0
-        gparts = []
-        for b, W in blocks:
-            P = self.pair_residuals(b, W)
-            np.maximum(P, 0.0, out=P)
-            value += rho * float((P * P).sum())
-            P *= 2.0 * rho
-            gb, gW = self.kernel.grads(P)
-            gb -= P.sum(axis=0)
-            sn = _smooth_norms(W)
-            gpos = np.maximum(sn - _SMOOTH_KAPPA - z - self.theta0, 0.0)
-            value += rho * float((gpos * gpos).sum())
-            h = 2.0 * rho * gpos
-            gz -= float(h.sum())
-            gW += (h / sn)[:, None] * W
-            value += self.cone.penalty(W, self.d, rho, gW)
-            gparts += [gb, gW.ravel()]
-        return value, np.concatenate([[gz], *gparts])
-
-
 class _InitialProblem:
-    """Assembles the stage-1 objective for one variant on one partition.
+    """The stage-1 problem of one variant on one partition: objective and residuals.
 
     The least-squares term is kept as per-cell statistics, built once: the
     Gram matrix and moment of each cell's design rows D_k = [1, phi(x_i, c_k)],
     a least-squares point beta_k, and the residual mean square rss0 at beta.
     Then mean(r^2) = sum_k (theta_k - beta_k)' G_k (theta_k - beta_k) + rss0
     with G_k = D_k' D_k / n, so an evaluation never reads the n rows.
+
+    The residuals, for every component, are b_k >= b_l + w_l . phi(c_k, c_l)
+    for all (k, l), and ||w_k|| <= z + theta0, then the variant's cone
+    residuals.  The continuity terms are the piece kernel on the centers.
     """
 
     def __init__(self, X, y, part: Partition, kind, reg: RegParams, variant):
@@ -293,9 +238,7 @@ class _InitialProblem:
         self.slope_dim = self.spec.slope_dim(kind, d)
         self.layout = ParamLayout(K, self.slope_dim, len(self.spec.signs))
         self._cell_statistics()
-        self.constraints = InitialConstraints(
-            self.layout, _PieceKernel(kind, part.centers, part.centers, self.slope_dim),
-            reg.theta0, self.spec.cone)
+        self.kernel = _PieceKernel(kind, part.centers, part.centers, self.slope_dim)
 
     def _cell_statistics(self):
         """Per cell: D'D, D'y and a least-squares point beta; rss0 row by row."""
@@ -322,31 +265,88 @@ class _InitialProblem:
         r = np.einsum("nj,nj->n", design, self.beta[labels]) - y_sorted
         self.rss0 = float(np.mean(r * r))
 
-    def base_objective(self) -> ObjectiveHandle:
-        layout = self.layout
-        theta1, theta2 = self.reg.theta1, self.reg.theta2
+    def pair_residuals(self, B, W):
+        """R[m, l, k] = b_l + w_l . phi(c_k, c_l) - b_k, piece l at center k; zero diagonals."""
+        R = self.kernel.values(B, W)
+        R -= B[:, None, :]
+        R.reshape(len(R), -1)[:, ::R.shape[1] + 1] = 0.0
+        return R
+
+    def residuals(self, params) -> np.ndarray:
+        z, B, W = self.layout.stack(params)
+        R = self.pair_residuals(B, W)
+        caps = np.linalg.norm(W, axis=2) - z - self.reg.theta0
+        cones = self.spec.cone.residuals(W, self.d)
+        return np.concatenate([part for i in range(len(R))
+                               for part in (R[i].T.ravel(), caps[i], cones[i].ravel())])
+
+    def max_violation(self, params) -> float:
+        res = self.residuals(params)
+        return float(max(0.0, res.max())) if res.size else 0.0
+
+    def objective(self, rho) -> ObjectiveHandle:
+        """The penalized stage-1 objective, every component in one stacked pass.
+
+        theta1 z^2 + mean(r^2) + theta2 sum ||W||^2, plus rho times the sum
+        of squared positive residuals: continuity, slope cap and cone.
+        """
+        layout, reg, cone, kernel = self.layout, self.reg, self.spec.cone, self.kernel
+        m, K, s = layout.n_components, layout.n_pieces, layout.slope_dim
         signs = self.spec.signs
         G = self.gram / self.X.shape[0]
-        beta, rss0 = self.beta, self.rss0
+        rss0 = self.rss0
+        # params[cell_rows[i, k]] is component i's (b_k, w_k) as a column, like beta[k].
+        starts = 1 + K * (1 + s) * np.arange(m)[:, None, None, None]
+        cell_rows = starts + np.hstack([np.arange(K)[:, None],
+                                        K + np.arange(K * s).reshape(K, s)])[:, :, None]
+        beta = self.beta[:, :, None]
+        sign_col = np.array(signs)[:, None, None, None]
+        kappa_sq = _SMOOTH_KAPPA ** 2
+        add = np.add.reduce    # x.sum(axis) without the method's Python wrapper
 
         def evaluate(params):
-            z, blocks = layout.unpack(params)
-            bs, Ws = zip(*blocks)
-            delta = np.concatenate([signed_sum(signs, bs)[:, None], signed_sum(signs, Ws)],
-                                   axis=1)
+            z, B, W = layout.stack(params)
+            # theta1 z^2 + the per-cell least squares of the signed sum + the ridge
+            delta = signed_sum(signs, params.take(cell_rows))
             delta -= beta
-            Gd = np.matmul(G, delta[:, :, None])[:, :, 0]
-            value = theta1 * z * z + (float((delta * Gd).sum()) + rss0)
-            for W in Ws:
-                value += theta2 * float((W * W).sum())
+            Gd = G @ delta
+            value = reg.theta1 * z * z + (float(add(delta * Gd, None)) + rss0)
+            WW = W * W
+            for ridge in add(WW.reshape(m, -1), 1).tolist():
+                value += reg.theta2 * ridge
             Gd *= 2.0
-            gb = Gd[:, 0]
-            gW = Gd[:, 1:]
-            parts = [np.array([2.0 * theta1 * z])]
-            for sign, W in zip(signs, Ws):
-                parts += [gb, (gW + 2.0 * theta2 * W).ravel()] if sign > 0 else \
-                    [-gb, (-gW + 2.0 * theta2 * W).ravel()]
-            return value, np.concatenate(parts)
+            grad = np.empty(layout.dim)
+            grad[cell_rows] = sign_col * Gd
+            _, gB, gW = layout.stack(grad)
+            gW += 2.0 * reg.theta2 * W
+            # the penalty: continuity, slope cap and cone, added after the terms above
+            P = self.pair_residuals(B, W)
+            np.maximum(P, 0.0, out=P)
+            pairs = add((P * P).reshape(m, -1), 1).tolist()
+            P *= 2.0 * rho
+            pb, pW = kernel.grads(P)
+            pb -= add(P, 1)
+            gB += pb
+            sn = np.sqrt(add(WW, 2) + kappa_sq)
+            gpos = sn - _SMOOTH_KAPPA
+            gpos -= z
+            gpos -= reg.theta0
+            np.maximum(gpos, 0.0, out=gpos)
+            caps = add(gpos * gpos, 1).tolist()
+            h = 2.0 * rho * gpos
+            h_sums = add(h, 1).tolist()
+            h /= sn
+            pW += h[:, :, None] * W
+            cones = cone.penalty(W, self.d, rho, pW)
+            gW += pW
+            penalty, gz = 0.0, 0.0
+            for i in range(m):
+                penalty += rho * pairs[i]
+                penalty += rho * caps[i]
+                penalty += cones[i]
+                gz -= h_sums[i]
+            grad[0] = 2.0 * reg.theta1 * z + gz
+            return value + penalty, grad
 
         return ObjectiveHandle(layout.dim, evaluate)
 
@@ -379,7 +379,7 @@ class _InitialProblem:
         W = self.spec.cone.project(sign * W, self.d)
         # One pairwise-max pass lifts biases toward continuity feasibility.
         b = sign * b
-        b += self.constraints.pair_residuals(b, W).max(axis=0)
+        b += self.pair_residuals(b[None], W[None])[0].max(axis=0)
         z = float(np.max(np.maximum(np.linalg.norm(W, axis=1) - self.reg.theta0, 0.0)))
         return self._pack_first(z, b, W)
 
@@ -391,16 +391,9 @@ class _InitialProblem:
 
     def extract(self, params):
         """(z, components) of a solution: cone-projected, norm column re-embedded."""
-        z, blocks = self.layout.unpack(params)
-        return float(z), [self.spec.component_from(self.kind, self.part.centers, b, W)
-                          for b, W in blocks]
-
-
-def build_initial_objective(dataset: Dataset, partition: Partition, kind: str,
-                            reg: RegParams, variant: str = SINGLE):
-    """Stage-1 objective, constraint set, and parameter layout for a dataset."""
-    problem = _InitialProblem(dataset.X, dataset.y, partition, kind, reg, variant)
-    return problem.base_objective(), problem.constraints, problem.layout
+        z, B, W = self.layout.stack(params)
+        return z, [self.spec.component_from(self.kind, self.part.centers, b, w)
+                   for b, w in zip(B, W)]
 
 
 def fit_initial(dataset: Dataset, partition: Partition, kind: str, reg: RegParams,
@@ -413,8 +406,7 @@ def fit_initial(dataset: Dataset, partition: Partition, kind: str, reg: RegParam
     """
     solver_cfg = solver_cfg or SolverConfig()
     problem = _InitialProblem(dataset.X, dataset.y, partition, kind, reg, variant)
-    penalized = penalty_objective(problem.base_objective(), problem.constraints,
-                                  solver_cfg.rho_pen)
+    penalized = problem.objective(solver_cfg.rho_pen)
     start = problem.warm_start()
     cert = problem.certificate_point()
     cert_value = float(penalized.evaluate(cert)[0])
@@ -424,11 +416,10 @@ def fit_initial(dataset: Dataset, partition: Partition, kind: str, reg: RegParam
     if not np.isfinite(x_star).all():
         raise SolverAbort("stage-1 solve produced non-finite parameters")
     spec, s = problem.spec, problem.slope_dim
-    res = np.concatenate([spec.cone.residuals(W, problem.d).ravel()
-                          for _, W in problem.layout.unpack(x_star)[1]])
+    res = spec.cone.residuals(problem.layout.stack(x_star)[2], problem.d)
     cone_violation = float(max(0.0, res.max())) if res.size else 0.0
     z, comps = problem.extract(x_star)
-    violation = problem.constraints.max_violation(
+    violation = problem.max_violation(
         problem.layout.pack(z, *[a for c in comps for a in (c.biases, c.weights[:, :s])]))
     log.info("fit_initial variant=%s K=%d iters=%d evals=%d stop=%s penalized=%.6g "
              "violation=%.3g wall=%.3fs", variant, partition.n_centers, report.iterations,
@@ -504,7 +495,7 @@ class _RefineProblem:
     """
 
     def __init__(self, initial_model: DcModel, dataset: Dataset, reg: RegParams,
-                 cfg: SolverConfig, variant: str = None):
+                 cfg: SolverConfig):
         X, y = dataset.X, dataset.y
         self.X, self.y = X, y
         self.reg = reg
@@ -514,7 +505,7 @@ class _RefineProblem:
         self.lam0 = lip_stat(initial_model)
         self.theta = theta_fn_value(initial_model, reg, self.risk0)
         self.c0 = reg.theta3 * self.lam0
-        self.spec = variant_spec(variant or initial_model.variant)
+        self.spec = initial_model.spec
         self.cone = self.spec.cone
         comp = initial_model.component
         self.kind, self.d = comp.kind, comp.d
@@ -538,28 +529,27 @@ class _RefineProblem:
     def _max_form_objective(self):
         layout, y = self.layout, self.y
         n = y.shape[0]
-        K = layout.n_pieces
+        m, K, s = layout.n_components, layout.n_pieces, layout.slope_dim
         mu, theta2 = self.mu, self.reg.theta2
         signs = self.spec.signs
-        kernel = _PieceKernel(self.kind, self.X, self.centers, self.slope_dim)
+        sign_col = np.array(signs)[:, None]
+        kernel = _PieceKernel(self.kind, self.X, self.centers, s)
 
         def evaluate(params):
-            _, blocks = layout.unpack(params)
-            A = [kernel.values(b, W) for b, W in blocks]
-            r = signed_sum(signs, [a.max(axis=0) for a in A]) - y
+            _, B, W = layout.stack(params)
+            A = kernel.values(B, W)
+            r = signed_sum(signs, A.max(axis=1)) - y
             value = float(np.mean(r * r))
             scale = (2.0 / n) * r
-            rv, rg = _reg_terms(np.concatenate([W for _, W in blocks]),
-                                self.theta, self.c0, theta2, mu)
+            rv, rg = _reg_terms(W.reshape(m * K, s), self.theta, self.c0, theta2, mu)
             value += rv
-            parts = []
-            for i, (sign, a, (_, W)) in enumerate(zip(signs, A, blocks)):
-                gb, gW = kernel.grads(softmax_weights(a, mu, axis=0)
-                                      * (scale if sign > 0 else -scale))
-                gW += rg[i * K:(i + 1) * K]
-                value += self.cone.penalty(W, self.d, self.rho, gW)
-                parts += [gb, gW.ravel()]
-            return value, np.concatenate(parts)
+            coef = softmax_weights(A, mu, axis=1)
+            coef *= (sign_col * scale)[:, None, :]
+            gb, gW = kernel.grads(coef)
+            gW += rg.reshape(m, K, s)
+            for cone_value in self.cone.penalty(W, self.d, self.rho, gW):
+                value += cone_value
+            return value, np.concatenate([gb, gW.reshape(m, -1)], axis=1).ravel()
 
         return ObjectiveHandle(layout.dim, evaluate)
 
@@ -577,7 +567,8 @@ class _RefineProblem:
         mu, theta2 = self.mu, self.reg.theta2
 
         def evaluate(params):
-            _, [(b, W)] = layout.unpack(params)
+            _, B, W = layout.stack(params)
+            b, W = B[0], W[0]
             inner = mma_inner(b.reshape(K, L), W.reshape(K, L, d), Xt)
             m_in = inner.min(axis=1)                           # (K, n)
             r = m_in.max(axis=0) - y
@@ -599,24 +590,17 @@ class _RefineProblem:
         return ObjectiveHandle(layout.dim, evaluate)
 
     def extract(self, params, initial_model: DcModel) -> DcModel:
-        _, blocks = self.layout.unpack(params)
+        _, B, W = self.layout.stack(params)
         if self.spec.mma:
-            (b, W), = blocks
+            b, W = B[0], W[0]
             comp = initial_model.component  # pre-conversion snapshot, kept in sync
             shape = self.mma_shape
             return DcModel(self.spec.name, comp,
                            mma=MaxMinAffine(b.reshape(shape).copy(),
                                             W.reshape(*shape, self.d).copy()))
         comps = [self.spec.component_from(t.kind, t.centers, b, W, t.center_idx)
-                 for t, (b, W) in zip(initial_model.components(), blocks)]
+                 for t, b, W in zip(initial_model.components(), B, W)]
         return DcModel(self.spec.name, *comps)
-
-
-def build_refine_objective(initial_model: DcModel, dataset: Dataset, reg: RegParams,
-                           cfg: SolverConfig = None, variant: str = None):
-    """Stage-2 objective and its starting point (mainly for testing)."""
-    problem = _RefineProblem(initial_model, dataset, reg, cfg or SolverConfig(), variant)
-    return problem.objective(), problem.x0
 
 
 def refine(initial_model: DcModel, dataset: Dataset, reg: RegParams,

@@ -47,22 +47,26 @@ class Cone:
     columns: Callable = lambda d: ()
 
     def residuals(self, W, d):
-        """sign * q(W); positive entries lie outside the cone."""
+        """sign * q(W) of slope rows W (..., K, s); positive entries lie outside the cone."""
         cols = self.columns(d)
         if not cols:
-            return np.empty((W.shape[0], 0))
-        q = functools.reduce(np.add, [W[:, c] for c in cols])
+            return np.empty((*W.shape[:-1], 0))
+        q = functools.reduce(np.add, [W[..., c] for c in cols])
         return q if self.sign > 0 else -q
 
     def penalty(self, W, d, rho, gW):
-        """rho * ||max(residuals, 0)||^2; its gradient is added to gW."""
+        """rho * ||max(residuals, 0)||^2 of each component of stacked slopes W (m, K, s).
+
+        Returns a list of the m values; the gradient is added to gW.
+        """
         cols = self.columns(d)
         if not cols:
-            return 0.0
+            return [0.0] * len(W)
         pos = np.maximum(self.residuals(W, d), 0.0)
+        step = self.sign * 2.0 * rho * pos
         for c in cols:
-            gW[:, c] += self.sign * 2.0 * rho * pos
-        return rho * float(np.sum(pos * pos))
+            np.add(gW[..., c], step, out=gW[..., c])
+        return [rho * v for v in np.add.reduce((pos * pos).reshape(len(W), -1), 1).tolist()]
 
     def project(self, W, d):
         """Nearest cone point: one column is clipped at 0, more share the deficit of q."""
@@ -297,36 +301,55 @@ def check_map(shift, scale, y_shift, y_scale, d, what):
         raise ValueError(f"{what} scales must be positive")
 
 
-def _piece_block(comp: DcComponent, X: np.ndarray) -> np.ndarray:
-    """Piece-major values of one row block: out[k, i] = b_k + w_k . phi(X[i], c_k).
-
-    Built from the explicit differences x_ij - c_kj one coordinate at a time,
-    elementwise: a piece at its own center is exactly b_k, and the bits do not
-    depend on the memory layout of X.  The norm plane is skipped when every
-    norm coefficient is zero (convex_max_affine).
-    """
-    centers, W, d = comp.used_centers(), comp.weights, comp.d
-    out = np.repeat(comp.biases[:, None], X.shape[0], axis=1)
-    for j in range(d):
-        diff = X[:, j] - centers[:, j, None]
-        if comp.kind == features.PLUS:
-            out += W[:, j, None] * np.maximum(diff, 0.0)
-            diff = np.maximum(-diff, 0.0, out=diff)
-            diff *= W[:, d + j, None]
-        else:
-            diff *= W[:, j, None]
-        out += diff
-    if comp.kind != features.PLUS and np.any(W[:, d]):
-        out += W[:, d, None] * features.norm_plane(comp.kind, X, centers)
-    return out
-
-
 def _row_blocks(X):
     """(lo, hi, rows) blocks of at most _CHUNK rows, each copied column-major."""
     n = X.shape[0]
     for lo in range(0, n, _CHUNK):
         hi = min(lo + _CHUNK, n)
         yield lo, hi, np.asfortranarray(X[lo:hi])
+
+
+def _buffers(count, shape, n):
+    """``count`` buffers of ``shape`` + (rows,), big enough for every row block of n rows."""
+    return [np.empty((*shape, min(n, _CHUNK))) for _ in range(count)]
+
+
+def _piece_blocks(comp: DcComponent, X: np.ndarray):
+    """(lo, hi, values) per row block: values[k, i] = b_k + w_k . phi(X[lo + i], c_k).
+
+    Built from the explicit differences x_ij - c_kj one coordinate at a time,
+    elementwise: a piece at its own center is exactly b_k, and the bits do not
+    depend on the memory layout of X.  The norm plane reuses each difference,
+    and is skipped when every norm coefficient is zero (convex_max_affine).
+    Every block is written into the same (K, rows) buffers, so a block's
+    values are overwritten by the next one.
+    """
+    centers, W, d, kind = comp.used_centers(), comp.weights, comp.d, comp.kind
+    with_norm = kind != features.PLUS and bool(np.any(W[:, d]))
+    bufs = _buffers(4 if with_norm else 3, (comp.n_pieces,), X.shape[0])
+    for lo, hi, rows in _row_blocks(X):
+        out, diff, tmp, *norm = (buf[:, :hi - lo] for buf in bufs)
+        out[...] = comp.biases[:, None]
+        for j in range(d):
+            np.subtract(rows[:, j], centers[:, j, None], out=diff)
+            if kind == features.PLUS:
+                np.maximum(diff, 0.0, out=tmp)
+                tmp *= W[:, j, None]
+                out += tmp
+                np.negative(diff, out=diff)
+                np.maximum(diff, 0.0, out=diff)
+                diff *= W[:, d + j, None]
+            else:
+                if with_norm:
+                    features.fold_norm(kind, j, diff, norm[0], tmp)
+                diff *= W[:, j, None]
+            out += diff
+        if with_norm:
+            if kind == features.L2:
+                np.sqrt(norm[0], out=norm[0])
+            norm[0] *= W[:, d, None]
+            out += norm[0]
+        yield lo, hi, out
 
 
 def _check_dim(X, d, what):
@@ -336,41 +359,42 @@ def _check_dim(X, d, what):
     return X
 
 
-def piece_values(comp: DcComponent, X: np.ndarray) -> np.ndarray:
-    """Piece-major (K, n) matrix of per-piece affine-in-feature values."""
-    X = _check_dim(X, comp.d, "component")
-    out = np.empty((comp.n_pieces, X.shape[0]))
-    for lo, hi, rows in _row_blocks(X):
-        out[:, lo:hi] = _piece_block(comp, rows)
-    return out
-
-
 def eval_max(comp: DcComponent, x):
     """Max over pieces; accepts a single point (d,) or a batch (n, d)."""
     single = np.asarray(x).ndim == 1
     X = _check_dim(x, comp.d, "component")
     vals = np.empty(X.shape[0])
-    for lo, hi, rows in _row_blocks(X):
-        vals[lo:hi] = _piece_block(comp, rows).max(axis=0)
+    for lo, hi, block in _piece_blocks(comp, X):
+        block.max(axis=0, out=vals[lo:hi])
     return float(vals[0]) if single else vals
 
 
-def mma_inner(B, S, columns) -> np.ndarray:
+def mma_inner(B, S, columns, out=None, tmp=None) -> np.ndarray:
     """(K, L, n) inner values B[k, l] + S[k, l] . x_i, one coordinate at a time.
 
     ``columns[j]`` holds coordinate j of the n rows, so the bits do not
-    depend on the memory layout of the rows.
+    depend on the memory layout of the rows.  The values are written into
+    ``out`` when given, and ``tmp`` is scratch of the same shape.
     """
-    inner = S[:, :, 0, None] * columns[0]
+    inner = np.multiply(S[:, :, 0, None], columns[0], out=out)
     for j in range(1, S.shape[2]):
-        inner += S[:, :, j, None] * columns[j]
+        tmp = np.multiply(S[:, :, j, None], columns[j], out=tmp)
+        inner += tmp
     inner += B[:, :, None]
     return inner
 
 
-def _mma_block(mma: MaxMinAffine, X: np.ndarray) -> np.ndarray:
-    """Block-major (K, rows) inner minima of one row block."""
-    return mma_inner(mma.biases, mma.slopes, X.T).min(axis=1)
+def _mma_blocks(mma: MaxMinAffine, X: np.ndarray):
+    """(lo, hi, minima) per row block: block-major (K, rows) inner minima.
+
+    Every block is written into the same buffers, as in ``_piece_blocks``.
+    """
+    bufs = _buffers(2 if mma.d > 1 else 1, mma.biases.shape, X.shape[0])  # out[, tmp]
+    min_buf, = _buffers(1, (mma.n_blocks,), X.shape[0])
+    for lo, hi, rows in _row_blocks(X):
+        r = hi - lo
+        inner = mma_inner(mma.biases, mma.slopes, rows.T, *(buf[:, :, :r] for buf in bufs))
+        yield lo, hi, inner.min(axis=1, out=min_buf[:, :r])
 
 
 def eval_mma(mma: MaxMinAffine, x):
@@ -378,8 +402,8 @@ def eval_mma(mma: MaxMinAffine, x):
     single = np.asarray(x).ndim == 1
     X = _check_dim(x, mma.d, "mma")
     out = np.empty(X.shape[0])
-    for lo, hi, rows in _row_blocks(X):
-        out[lo:hi] = _mma_block(mma, rows).max(axis=0)
+    for lo, hi, block in _mma_blocks(mma, X):
+        block.max(axis=0, out=out[lo:hi])
     return float(out[0]) if single else out
 
 
@@ -416,14 +440,14 @@ def lip_stat(model: DcModel) -> float:
     return float(np.max(np.linalg.norm(slope_rows(model), axis=1)))
 
 
-def _attaining(block_fn, n_blocks, X):
-    """Mask of the blocks (pieces) within the relative band of the max at some row.
+def _attaining(blocks, n_blocks):
+    """Indices of the blocks (pieces) within the relative band of the max at some row.
 
-    The band is 1e-9 * (1 + |max value|) per row.
+    ``blocks`` yields (lo, hi, values) per row block; the band is
+    1e-9 * (1 + |max value|) per row.
     """
     keep = np.zeros(n_blocks, dtype=bool)
-    for _, _, rows in _row_blocks(X):
-        vals = block_fn(rows)
+    for _, _, vals in blocks:
         top = vals.max(axis=0)
         keep |= (vals >= top - 1e-9 * (1.0 + np.abs(top))).any(axis=1)
     return np.where(keep)[0]
@@ -437,13 +461,13 @@ def prune(comp: DcComponent, X) -> DcComponent:
     The kept pieces' centers are in ``center_idx``.
     """
     X = _check_dim(X, comp.d, "component")
-    return comp.take(_attaining(lambda rows: _piece_block(comp, rows), comp.n_pieces, X))
+    return comp.take(_attaining(_piece_blocks(comp, X), comp.n_pieces))
 
 
 def prune_mma(mma: MaxMinAffine, X):
     """Drop outer blocks whose min never attains the outer max; returns (pruned, kept)."""
     X = _check_dim(X, mma.d, "mma")
-    keep = _attaining(lambda rows: _mma_block(mma, rows), mma.n_blocks, X)
+    keep = _attaining(_mma_blocks(mma, X), mma.n_blocks)
     return MaxMinAffine(mma.biases[keep], mma.slopes[keep]), keep
 
 

@@ -1,4 +1,4 @@
-"""Smoothed penalty objectives and a deterministic L-BFGS.
+"""Soft-max gradient weights and a deterministic L-BFGS.
 
 The optimizer uses Armijo-only backtracking.  The objectives it sees have
 gradients that are only piecewise smooth (soft-max smoothing is applied to
@@ -9,6 +9,7 @@ reset and a plain gradient step is tried; a second failure terminates.
 import logging
 from collections import deque
 from dataclasses import dataclass, field
+from math import isfinite, sqrt
 from time import perf_counter
 from typing import Callable
 
@@ -93,17 +94,18 @@ def softmax_weights(alpha, mu: float, axis=None) -> np.ndarray:
 
     exp((alpha - max) / mu) normalized to sum 1, over the whole array when
     ``axis`` is None, else independently along that axis.  With a small mu
-    the weights are exactly zero outside near-ties of the maximum.  A
-    C-contiguous (K, n) matrix reduced along axis 0 (the piece-major layout
-    of stage 2) takes the exp only on those near-ties, with the same bits for
-    finite input.
+    the weights are exactly zero outside near-ties of the maximum.  C-contiguous
+    (K, n) matrices, alone or stacked, reduced along their K axis (the
+    piece-major layout of stage 2) take the exp only on those near-ties, with
+    the same bits for finite input.
     """
     alpha = np.asarray(alpha, dtype=float)
     if alpha.size == 0:
         raise ValueError("empty input")
     if mu <= 0:
         raise ValueError("mu must be positive")
-    if axis == 0 and alpha.ndim == 2 and alpha.flags.c_contiguous and alpha.shape[1] > 1:
+    if (alpha.ndim in (2, 3) and axis == alpha.ndim - 2 and alpha.flags.c_contiguous
+            and alpha.shape[-1] > 1):
         near, weights = softmax_near_ties(alpha, mu)
         w = np.zeros_like(alpha)
         w.ravel()[near] = weights
@@ -114,62 +116,66 @@ def softmax_weights(alpha, mu: float, axis=None) -> np.ndarray:
 
 
 def softmax_near_ties(A: np.ndarray, mu: float):
-    """Column soft-max weights of a C-contiguous (K, n) matrix, near-ties only.
+    """Column soft-max weights of C-contiguous (K, n) matrices, near-ties only.
 
-    Returns (flat indices into A in row-major order, their weights); every
-    other weight is exactly zero, because exp(-745.2) underflows.  numpy sums
-    a C-contiguous matrix along axis 0 row by row, so summing each column's
-    near-ties in increasing row order reproduces the dense formula's bits.
+    A is one (K, n) matrix or a stack of them.  Returns (flat indices into A
+    in row-major order, their weights); every other weight is exactly zero,
+    because exp(-745.2) underflows.  numpy sums a C-contiguous matrix along
+    axis 0 row by row, so summing each column's near-ties in increasing row
+    order reproduces the dense formula's bits.
     """
-    n = A.shape[1]
-    gap = A - np.max(A, axis=0, keepdims=True)
+    K, n = A.shape[-2:]
+    gap = A - np.max(A, axis=-2, keepdims=True)
     near = np.flatnonzero(gap >= -_EXP_UNDERFLOW * mu)
     cols = near % n
+    if A.size > K * n:                        # stacked: one column set per matrix
+        cols += near // (K * n) * n
     e = np.exp(gap.ravel()[near] / mu)
-    return near, e / np.bincount(cols, weights=e, minlength=n)[cols]
-
-
-def penalty_objective(base: ObjectiveHandle, constraints, rho_pen: float) -> ObjectiveHandle:
-    """Quadratic penalty wrapper: base(x) + constraints.penalty(x, rho_pen).
-
-    ``constraints.penalty(x, rho) -> (value, gradient)`` is the vectorized
-    rho * sum(max(0, g_i(x))^2) of the inequality residuals g_i(x) <= 0.
-    """
-    def evaluate(x):
-        v, g = base.evaluate(x)
-        pv, pg = constraints.penalty(x, rho_pen)
-        return v + pv, g + pg
-    return ObjectiveHandle(base.dim, evaluate)
+    return near, e / np.bincount(cols, weights=e, minlength=A.size // K)[cols]
 
 
 def _two_loop(grad, memory):
-    """L-BFGS direction from curvature pairs (s, y, rho = 1/(s.y)), oldest first."""
+    """L-BFGS direction from curvature pairs (s, y, 1/(s.y), s.y, y.y), oldest first.
+
+    The two-loop recursion of Nocedal & Wright, Numerical Optimization, Alg. 7.4.
+    """
     q = grad.copy()
     alphas = []
-    for s, yv, rho in reversed(memory):
-        a = rho * np.dot(s, q)
+    for s, yv, rho, _, _ in reversed(memory):
+        a = rho * float(s.dot(q))
         alphas.append(a)
         q -= a * yv
     if memory:
-        s, yv, _ = memory[-1]
-        q *= np.dot(s, yv) / np.dot(yv, yv)
-    for (s, yv, rho), a in zip(memory, reversed(alphas)):
-        b = rho * np.dot(yv, q)
+        _, _, _, sy, yy = memory[-1]
+        q *= sy / yy
+    for (s, yv, rho, _, _), a in zip(memory, reversed(alphas)):
+        b = rho * float(yv.dot(q))
         q += (a - b) * s
     return -q
 
 
-def _backtrack(evaluate, x, f, g, direction, t0, cfg):
-    """Armijo backtracking; returns (accepted, t, x_new, f_new, g_new)."""
-    slope = float(np.dot(g, direction))
+def _gradient_step(g):
+    """(direction, g.direction, first trial step) of a steepest-descent step.
+
+    ||g|| is sqrt(g.g), which is what np.linalg.norm computes, and g.(-g) is -(g.g).
+    """
+    gg = float(g.dot(g))
+    return -g, -gg, 1.0 / max(1.0, sqrt(gg))
+
+
+def _backtrack(evaluate, x, f, direction, slope, t0, cfg):
+    """Armijo backtracking along ``direction`` with g.direction = ``slope``.
+
+    Returns (accepted, t, x_new, f_new, g_new); after a failure only t is set.
+    """
     t = t0
     for _ in range(cfg.ls_max_steps):
         x_new = x + t * direction
         f_new, g_new = evaluate(x_new)
-        if np.isfinite(f_new) and f_new <= f + cfg.ls_c1 * t * slope:
+        if isfinite(f_new) and f_new <= f + cfg.ls_c1 * t * slope:
             return True, t, x_new, float(f_new), np.asarray(g_new, dtype=float)
         t *= cfg.ls_shrink
-    return False, t, x, f, g
+    return False, t, None, None, None
 
 
 def lbfgs_minimize(obj: ObjectiveHandle, x0, cfg: SolverConfig, callback=None):
@@ -200,33 +206,35 @@ def lbfgs_minimize(obj: ObjectiveHandle, x0, cfg: SolverConfig, callback=None):
     if not np.isfinite(f) or not np.isfinite(g).all():
         raise ValueError("objective must be finite at the starting point")
 
-    memory: deque = deque(maxlen=cfg.lbfgs_memory)   # (s, y, 1/(s.y)) pairs
+    memory: deque = deque(maxlen=cfg.lbfgs_memory)   # (s, y, 1/(s.y), s.y, y.y)
     recent = deque([f], maxlen=STALL_WINDOW + 1)      # values of the last accepted steps
     ls_failures = 0
     iters = 0
     aborted = False
     stop_reason = MAX_ITERS
-    gnorm = float(np.max(np.abs(g))) if g.size else 0.0
+    gnorm = float(np.abs(g).max()) if g.size else 0.0
     converged = gnorm <= cfg.grad_tol
     t_prev = 1.0  # last accepted quasi-Newton step; seeds the next trial
 
     while not converged and iters < cfg.max_iters:
         use_gradient = not memory
-        direction = -g if use_gradient else _two_loop(g, memory)
-        if not np.isfinite(direction).all() or float(np.dot(g, direction)) >= 0.0:
-            # Memory produced a non-descent direction: drop it.
-            memory.clear()
-            use_gradient = True
-            direction = -g
-            t_prev = 1.0
+        if not use_gradient:
+            direction = _two_loop(g, memory)
+            slope = float(g.dot(direction))
+            # A finite slope implies a finite direction, since g is finite.
+            if slope >= 0.0 or (not isfinite(slope) and not np.isfinite(direction).all()):
+                # Memory produced a non-descent direction: drop it.
+                memory.clear()
+                use_gradient = True
+                t_prev = 1.0
         if use_gradient:
-            t0 = 1.0 / max(1.0, float(np.linalg.norm(g)))
+            direction, slope, t0 = _gradient_step(g)
         else:
             # Growing restart from the last accepted step keeps backtracking
             # cheap on kinked objectives while recovering full steps fast.
             t0 = min(1.0, 2.0 * t_prev)
 
-        ok, t_acc, x_new, f_new, g_new = _backtrack(evaluate, x, f, g, direction, t0, cfg)
+        ok, t_acc, x_new, f_new, g_new = _backtrack(evaluate, x, f, direction, slope, t0, cfg)
         if not ok:
             ls_failures += 1
             if use_gradient:
@@ -235,9 +243,9 @@ def lbfgs_minimize(obj: ObjectiveHandle, x0, cfg: SolverConfig, callback=None):
             memory.clear()
             t_prev = 1.0
             use_gradient = True
-            direction = -g
-            t0 = 1.0 / max(1.0, float(np.linalg.norm(g)))
-            ok, t_acc, x_new, f_new, g_new = _backtrack(evaluate, x, f, g, direction, t0, cfg)
+            direction, slope, t0 = _gradient_step(g)
+            ok, t_acc, x_new, f_new, g_new = _backtrack(evaluate, x, f, direction, slope, t0,
+                                                        cfg)
             if not ok:
                 ls_failures += 1
                 stop_reason = LINE_SEARCH
@@ -245,7 +253,8 @@ def lbfgs_minimize(obj: ObjectiveHandle, x0, cfg: SolverConfig, callback=None):
         if not use_gradient:
             t_prev = t_acc
 
-        if not np.isfinite(f_new) or not np.isfinite(g_new).all():
+        gnorm_new = float(np.abs(g_new).max())
+        if not isfinite(gnorm_new):   # an accepted value is finite; NaN propagates to the max
             log.warning("lbfgs abort: non-finite value/gradient at iter=%d", iters)
             aborted = True
             stop_reason = NONFINITE
@@ -253,14 +262,15 @@ def lbfgs_minimize(obj: ObjectiveHandle, x0, cfg: SolverConfig, callback=None):
 
         s = x_new - x
         yv = g_new - g
-        sy = float(np.dot(s, yv))
-        if sy > 1e-12 * float(np.linalg.norm(s)) * float(np.linalg.norm(yv)):
-            memory.append((s, yv, 1.0 / sy))
+        sy = float(s.dot(yv))
+        yy = float(yv.dot(yv))
+        if sy > 1e-12 * sqrt(float(s.dot(s))) * sqrt(yy):
+            memory.append((s, yv, 1.0 / sy, sy, yy))
         x, f, g = x_new, f_new, g_new
         iters += 1
         if callback is not None:
             callback(iters, x, f)
-        gnorm = float(np.max(np.abs(g)))
+        gnorm = gnorm_new
         converged = gnorm <= cfg.grad_tol
         recent.append(f)
         if (not converged and len(recent) > STALL_WINDOW

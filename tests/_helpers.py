@@ -1,13 +1,16 @@
 """Shared oracles for the test suite: finite differences, fit invariants, the
-dense feature tensor, the partitioned form, the dense stage-1 objective, and
-the soft-max and penalty forms that only the tests use."""
+dense feature tensor, the partitioned form, the dense stage-1 objective, the
+per-component objectives that the stacked ones replaced, and the builders,
+soft-max and penalty forms that only the tests use."""
 
 import numpy as np
 
 from dcreg import features
-from dcreg.fit import _SMOOTH_KAPPA, FitResult, ParamLayout
-from dcreg.model import eval_max, eval_model, signed_sum, variant_spec
-from dcreg.solver import ObjectiveHandle
+from dcreg.fit import (_SMOOTH_KAPPA, FitResult, ParamLayout, _InitialProblem, _PieceKernel,
+                       _RefineProblem, _reg_terms)
+from dcreg.model import (SINGLE, _check_dim, _piece_blocks, eval_max, eval_model, signed_sum,
+                         variant_spec)
+from dcreg.solver import ObjectiveHandle, SolverConfig
 
 
 def central_diff(evaluate, x, base_step=1e-6):
@@ -122,14 +125,13 @@ def dense_initial_objective(dataset, partition, kind, reg, variant, rho):
         return b[None, :] + np.einsum("klj,lj->kl", phi_cc, W) - b[:, None]
 
     def residuals(params):
-        z, blocks = layout.unpack(params)
-        return np.concatenate([part for b, W in blocks for part in (
+        z, B, Ws = layout.stack(params)
+        return np.concatenate([part for b, W in zip(B, Ws) for part in (
             pair_residuals(b, W).ravel(), np.linalg.norm(W, axis=1) - z - reg.theta0,
             spec.cone.residuals(W, d).ravel())])
 
     def evaluate(params):
-        z, blocks = layout.unpack(params)
-        bs, Ws = zip(*blocks)
+        z, bs, Ws = layout.stack(params)
         theta = np.concatenate([signed_sum(spec.signs, bs)[:, None],
                                 signed_sum(spec.signs, Ws)], axis=1)
         r = np.einsum("nj,nj->n", design, theta[labels_sorted]) - y_sorted
@@ -137,7 +139,7 @@ def dense_initial_objective(dataset, partition, kind, reg, variant, rho):
         seg = np.add.reduceat(design * r[:, None], starts, axis=0) * (2.0 / n)
         gz = 2.0 * reg.theta1 * z
         parts = []
-        for sign, (b, W) in zip(spec.signs, blocks):
+        for sign, b, W in zip(spec.signs, bs, Ws):
             value += reg.theta2 * float(np.sum(W * W))
             G = np.maximum(pair_residuals(b, W), 0.0)
             value += rho * float(np.sum(G * G))
@@ -149,7 +151,7 @@ def dense_initial_objective(dataset, partition, kind, reg, variant, rho):
             value += rho * float(np.sum(gpos * gpos))
             gz -= 2.0 * rho * float(np.sum(gpos))
             gW += (2.0 * rho * gpos / sn)[:, None] * W
-            value += spec.cone.penalty(W, d, rho, gW)
+            value += reference_cone_penalty(spec.cone, W, d, rho, gW)
             parts += [gb, gW.ravel()]
         return value, np.concatenate([[gz], *parts])
 
@@ -209,7 +211,7 @@ def callable_penalty_objective(base: ObjectiveHandle, constraints, rho_pen: floa
     """Quadratic penalty base(x) + rho * sum(max(0, g_i(x))^2), one callable per residual.
 
     ``constraints`` is an iterable of callables x -> (g_i, grad_g_i) for
-    inequality residuals g_i(x) <= 0; ``solver.penalty_objective`` is the
+    inequality residuals g_i(x) <= 0; ``penalty_objective`` is the
     vectorized form.
     """
     cons = list(constraints)
@@ -225,3 +227,222 @@ def callable_penalty_objective(base: ObjectiveHandle, constraints, rho_pen: floa
         return value, grad
 
     return ObjectiveHandle(base.dim, evaluate)
+
+
+# ---------------------------------------------------------------------------
+# builders of the objectives the fit uses, for tests
+
+def build_initial_objective(dataset, partition, kind, reg, variant=SINGLE,
+                            rho=SolverConfig().rho_pen):
+    """The penalized stage-1 objective at ``rho``, its problem and its parameter layout.
+
+    The problem holds the residuals: ``residuals``, ``max_violation`` and
+    ``pair_residuals``.
+    """
+    problem = _InitialProblem(dataset.X, dataset.y, partition, kind, reg, variant)
+    return problem.objective(rho), problem, problem.layout
+
+
+def build_refine_objective(initial_model, dataset, reg, cfg=None):
+    """The stage-2 objective of a fitted model and its starting point."""
+    problem = _RefineProblem(initial_model, dataset, reg, cfg or SolverConfig())
+    return problem.objective(), problem.x0
+
+
+def piece_values(comp, X):
+    """Piece-major (K, n) matrix of per-piece affine-in-feature values."""
+    X = _check_dim(X, comp.d, "component")
+    out = np.empty((comp.n_pieces, X.shape[0]))
+    for lo, hi, values in _piece_blocks(comp, X):
+        out[:, lo:hi] = values
+    return out
+
+
+def assert_same_bits(a, b, what=""):
+    """Equal as float64 bit patterns: signed zeros and NaN payloads included."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    assert a.shape == b.shape, what
+    assert np.array_equal(a.view(np.int64), b.view(np.int64)), what
+
+
+# ---------------------------------------------------------------------------
+# the per-component objectives the stacked ones replaced, kept as references:
+# every floating-point operation of the stacked forms must match these
+
+def _reference_piece_values(kernel, b, W):
+    """One component's (K, n) piece values, as the piece kernel computed them before stacking."""
+    d, C = kernel.d, kernel.centers
+    if kernel.kind == features.PLUS:
+        A = np.repeat(b[:, None], kernel.rows_t.shape[1], axis=1)
+        for j in range(d):
+            pos, neg = kernel._relu_pair(j)
+            A += W[:, j, None] * pos
+            A += W[:, d + j, None] * neg
+        return A
+    U = W[:, :d]
+    A = U @ kernel.rows_t
+    A += (b - np.einsum("kj,kj->k", U, C))[:, None]
+    if kernel.norms is not None:
+        A += W[:, d, None] * kernel.norms
+    return A
+
+
+def _reference_piece_grads(kernel, coef):
+    """Gradients in (b, W) of sum coef[k, i] * A[k, i] of one component."""
+    d, C = kernel.d, kernel.centers
+    gb = coef.sum(axis=1)
+    gW = np.empty((coef.shape[0], kernel.slope_dim))
+    if kernel.kind == features.PLUS:
+        for j in range(d):
+            pos, neg = kernel._relu_pair(j)
+            gW[:, j] = np.einsum("kn,kn->k", coef, pos)
+            gW[:, d + j] = np.einsum("kn,kn->k", coef, neg)
+        return gb, gW
+    gW[:, :d] = coef @ kernel.rows_t.T
+    gW[:, :d] -= gb[:, None] * C
+    if kernel.norms is not None:
+        gW[:, d] = np.einsum("kn,kn->k", coef, kernel.norms)
+    return gb, gW
+
+
+def reference_cone_penalty(cone, W, d, rho, gW):
+    """rho * ||max(residuals, 0)||^2 of one component's (K, s) slopes; gradient added to gW."""
+    cols = cone.columns(d)
+    if not cols:
+        return 0.0
+    pos = np.maximum(cone.residuals(W, d), 0.0)
+    for c in cols:
+        gW[:, c] += cone.sign * 2.0 * rho * pos
+    return rho * float(np.sum(pos * pos))
+
+
+def penalty_objective(base: ObjectiveHandle, constraints, rho_pen: float) -> ObjectiveHandle:
+    """Quadratic penalty wrapper: base(x) + constraints.penalty(x, rho_pen).
+
+    ``constraints.penalty(x, rho) -> (value, gradient)`` is the vectorized
+    rho * sum(max(0, g_i(x))^2) of the inequality residuals g_i(x) <= 0.
+    """
+    def evaluate(x):
+        v, g = base.evaluate(x)
+        pv, pg = constraints.penalty(x, rho_pen)
+        return v + pv, g + pg
+    return ObjectiveHandle(base.dim, evaluate)
+
+
+class _ReferenceInitialConstraints:
+    """The stage-1 continuity, slope-cap and cone penalty, one component at a time."""
+
+    def __init__(self, problem):
+        self.problem = problem
+
+    def penalty(self, params, rho):
+        problem = self.problem
+        z, bs, Ws = problem.layout.stack(params)
+        theta0, d = problem.reg.theta0, problem.d
+        value = 0.0
+        gz = 0.0
+        gparts = []
+        for b, W in zip(bs, Ws):
+            P = _reference_piece_values(problem.kernel, b, W)
+            P -= b
+            np.fill_diagonal(P, 0.0)
+            np.maximum(P, 0.0, out=P)
+            value += rho * float((P * P).sum())
+            P *= 2.0 * rho
+            gb, gW = _reference_piece_grads(problem.kernel, P)
+            gb -= P.sum(axis=0)
+            sn = np.sqrt((W * W).sum(axis=1) + _SMOOTH_KAPPA ** 2)
+            gpos = np.maximum(sn - _SMOOTH_KAPPA - z - theta0, 0.0)
+            value += rho * float((gpos * gpos).sum())
+            h = 2.0 * rho * gpos
+            gz -= float(h.sum())
+            gW += (h / sn)[:, None] * W
+            value += reference_cone_penalty(problem.spec.cone, W, d, rho, gW)
+            gparts += [gb, gW.ravel()]
+        return value, np.concatenate([[gz], *gparts])
+
+
+def reference_initial_objective(problem, rho):
+    """The stage-1 objective split in two: the least-squares base plus the penalty wrapper."""
+    layout, reg, signs = problem.layout, problem.reg, problem.spec.signs
+    G = problem.gram / problem.X.shape[0]
+    beta, rss0 = problem.beta, problem.rss0
+
+    def base(params):
+        z, bs, Ws = layout.stack(params)
+        delta = np.concatenate([signed_sum(signs, bs)[:, None], signed_sum(signs, Ws)], axis=1)
+        delta -= beta
+        Gd = np.matmul(G, delta[:, :, None])[:, :, 0]
+        value = reg.theta1 * z * z + (float((delta * Gd).sum()) + rss0)
+        for W in Ws:
+            value += reg.theta2 * float((W * W).sum())
+        Gd *= 2.0
+        gb = Gd[:, 0]
+        gW = Gd[:, 1:]
+        parts = [np.array([2.0 * reg.theta1 * z])]
+        for sign, W in zip(signs, Ws):
+            parts += [gb, (gW + 2.0 * reg.theta2 * W).ravel()] if sign > 0 else \
+                [-gb, (-gW + 2.0 * reg.theta2 * W).ravel()]
+        return value, np.concatenate(parts)
+
+    return penalty_objective(ObjectiveHandle(layout.dim, base),
+                             _ReferenceInitialConstraints(problem), rho)
+
+
+def reference_max_form_objective(problem):
+    """The stage-2 max-form objective, one component at a time, dense column soft-max."""
+    layout, y, mu, n = problem.layout, problem.y, problem.mu, problem.y.shape[0]
+    K, signs = layout.n_pieces, problem.spec.signs
+    kernel = _PieceKernel(problem.kind, problem.X, problem.centers, problem.slope_dim)
+
+    def softmax_columns(A):
+        E = np.exp((A - np.max(A, axis=0, keepdims=True)) / mu)
+        return E / np.sum(E, axis=0, keepdims=True)
+
+    def evaluate(params):
+        _, bs, Ws = layout.stack(params)
+        A = [_reference_piece_values(kernel, b, W) for b, W in zip(bs, Ws)]
+        r = signed_sum(signs, [a.max(axis=0) for a in A]) - y
+        value = float(np.mean(r * r))
+        scale = (2.0 / n) * r
+        rv, rg = _reg_terms(np.concatenate(list(Ws)), problem.theta, problem.c0,
+                            problem.reg.theta2, mu)
+        value += rv
+        parts = []
+        for i, (sign, a, W) in enumerate(zip(signs, A, Ws)):
+            gb, gW = _reference_piece_grads(kernel, softmax_columns(a)
+                                            * (scale if sign > 0 else -scale))
+            gW += rg[i * K:(i + 1) * K]
+            value += reference_cone_penalty(problem.cone, W, problem.d, problem.rho, gW)
+            parts += [gb, gW.ravel()]
+        return value, np.concatenate(parts)
+
+    return ObjectiveHandle(layout.dim, evaluate)
+
+
+def reference_piece_block(comp, rows):
+    """(K, rows) piece values of one row block, with fresh temporaries and its own norm plane."""
+    centers, W, d = comp.used_centers(), comp.weights, comp.d
+    out = np.repeat(comp.biases[:, None], rows.shape[0], axis=1)
+    for j in range(d):
+        diff = rows[:, j] - centers[:, j, None]
+        if comp.kind == features.PLUS:
+            out += W[:, j, None] * np.maximum(diff, 0.0)
+            diff = np.maximum(-diff, 0.0, out=diff)
+            diff *= W[:, d + j, None]
+        else:
+            diff *= W[:, j, None]
+        out += diff
+    if comp.kind != features.PLUS and np.any(W[:, d]):
+        out += W[:, d, None] * features.norm_plane(comp.kind, rows, centers)
+    return out
+
+
+def reference_mma_block(mma, rows):
+    """(K, rows) inner minima of one row block, with fresh temporaries."""
+    columns, S = rows.T, mma.slopes
+    inner = S[:, :, 0, None] * columns[0]
+    for j in range(1, S.shape[2]):
+        inner += S[:, :, j, None] * columns[j]
+    inner += mma.biases[:, :, None]
+    return inner.min(axis=1)

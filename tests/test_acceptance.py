@@ -11,7 +11,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from _helpers import assert_gradient_matches
+from _helpers import assert_gradient_matches, build_initial_objective, build_refine_objective
 from dcreg import features
 from dcreg.approx import (LIPSCHITZ, SMOOTH, eval_min_convex, fvu, grid_cover,
                           mcshane_lower, min_convex_upper, quad_lower,
@@ -21,16 +21,13 @@ from dcreg.baselines import (GAUSSIAN_KERNEL, KnnModel, NwModel, kfold_cv,
                              knn_predict, nw_cv_grid, nw_predict)
 from dcreg.data import Dataset, SyntheticGen
 from dcreg.experiment import ExperimentSpec, run_experiment, write_bench_outputs
-from dcreg.fit import (FitConfig, STRONG, build_initial_objective,
-                       build_refine_objective, default_reg_params, fit_dcf,
-                       fit_initial)
+from dcreg.fit import FitConfig, STRONG, default_reg_params, fit_dcf, fit_initial
 from dcreg.model import (CONVEX_MAX_AFFINE, CONVEX_NORM, CONVEX_PLUS,
                          MAX_MIN_AFFINE, SINGLE, SYMMETRIC, DcComponent,
                          eval_max, eval_mma, eval_model, eval_model_std, prune,
                          prune_mma, to_max_min_affine)
 from dcreg.partition import afpc, data_radii, khat
 from dcreg.serialize import load_model, save_model
-from dcreg.solver import penalty_objective
 from dcreg.targets import empirical_lipschitz, pw_linear_target, xsinx_target
 
 GRID = np.linspace(0.0, 6.0, 1000)[:, None]
@@ -281,8 +278,7 @@ def test_criterion_07_gradient_correctness():
                      (MAX_MIN_AFFINE, features.LINF), (CONVEX_PLUS, features.PLUS),
                      (CONVEX_NORM, features.L2)]
     for variant, kind in initial_cases:
-        obj, cons, layout = build_initial_objective(ds, part, kind, reg, variant)
-        pen = penalty_objective(obj, cons, 100.0)
+        pen, _, layout = build_initial_objective(ds, part, kind, reg, variant, rho=100.0)
         points = [rng.standard_normal(layout.dim) * 0.5 for _ in range(20)]
         assert_gradient_matches(pen, points)
         n_checked += 1

@@ -3,12 +3,13 @@ import itertools
 import numpy as np
 import pytest
 
-from _helpers import (assert_fit_invariants, assert_gradient_matches, dense_initial_objective,
-                      fit_diagnostics, phi_tensor)
+from _helpers import (assert_fit_invariants, assert_gradient_matches, assert_same_bits,
+                      build_initial_objective, build_refine_objective, dense_initial_objective,
+                      fit_diagnostics, phi_tensor, reference_cone_penalty,
+                      reference_initial_objective, reference_max_form_objective)
 from dcreg import features
 from dcreg.data import Dataset
-from dcreg.fit import (FitConfig, RegParams, STRONG, WEAK,
-                       build_initial_objective, build_refine_objective,
+from dcreg.fit import (FitConfig, RegParams, STRONG, WEAK, _RefineProblem,
                        default_reg_params, finalize, fit_dcf, fit_initial,
                        refine, reg_n_value, theta_fn_value, training_risk_std)
 from dcreg.model import (COMPLEMENT, CONVEX_MAX_AFFINE, CONVEX_NORM, CONVEX_PLUS,
@@ -16,7 +17,7 @@ from dcreg.model import (COMPLEMENT, CONVEX_MAX_AFFINE, CONVEX_NORM, CONVEX_PLUS
                          eval_max, eval_mma, eval_model, lip_stat,
                          validate_model)
 from dcreg.partition import afpc
-from dcreg.solver import STOP_REASONS, SolverConfig, penalty_objective, softmax_weights
+from dcreg.solver import STOP_REASONS, SolverConfig, softmax_weights
 from dcreg.approx import fvu
 
 
@@ -112,8 +113,7 @@ def test_initial_gradient_matches_finite_differences():
     part = afpc(ds.X, seed=3)
     reg = default_reg_params(1.0, 1.0, ds.n, ds.d, part.n_centers)
     for kind in (features.L2, features.PLUS):
-        obj, cons, layout = build_initial_objective(ds, part, kind, reg)
-        pen = penalty_objective(obj, cons, 100.0)
+        pen, _, layout = build_initial_objective(ds, part, kind, reg, rho=100.0)
         points = [rng.standard_normal(layout.dim) * 0.5 for _ in range(5)]
         assert_gradient_matches(pen, points)
 
@@ -127,10 +127,12 @@ def test_initial_gradient_symmetric_and_cones():
              (CONVEX_MAX_AFFINE, features.L2), (CONVEX_NORM, features.L2),
              (CONVEX_PLUS, features.PLUS)]
     for variant, kind in cases:
-        obj, cons, layout = build_initial_objective(ds, part, kind, reg, variant)
-        pen = penalty_objective(obj, cons, 50.0)
+        pen, _, layout = build_initial_objective(ds, part, kind, reg, variant, rho=50.0)
         points = [rng.standard_normal(layout.dim) * 0.4 for _ in range(3)]
         assert_gradient_matches(pen, points)
+
+
+_PAIRS = [(v, k) for v, spec in VARIANT_TABLE.items() for k in spec.kinds]
 
 
 @pytest.mark.parametrize("d", [1, 3, 8])
@@ -146,12 +148,10 @@ def test_initial_objective_matches_dense_reference(d):
         part = afpc(ds.X, seed=51)
         assert part.cell_sizes().min() == 1 and part.n_centers >= 2
         reg = default_reg_params(*_radii(ds), ds.n, d, part.n_centers)
-        pairs = [(v, k) for v, spec in VARIANT_TABLE.items() for k in spec.kinds]
-        assert len(pairs) == 20
+        assert len(_PAIRS) == 20
         # At rho = 1 and small parameters the least-squares term dominates.
-        for (variant, kind), rho in itertools.product(pairs, (SolverConfig().rho_pen, 1.0)):
-            obj, cons, layout = build_initial_objective(ds, part, kind, reg, variant)
-            pen = penalty_objective(obj, cons, rho)
+        for (variant, kind), rho in itertools.product(_PAIRS, (SolverConfig().rho_pen, 1.0)):
+            pen, cons, layout = build_initial_objective(ds, part, kind, reg, variant, rho)
             dense, dense_residuals = dense_initial_objective(ds, part, kind, reg, variant, rho)
             for scale in (0.5, 1e-3):
                 x = scale * rng.standard_normal(layout.dim)
@@ -166,6 +166,26 @@ def test_initial_objective_matches_dense_reference(d):
                 assert np.max(np.abs(res - ref_res)) <= 1e-12 * (1.0 + np.max(np.abs(ref_res)))
 
 
+@pytest.mark.parametrize("d", [1, 3, 8])
+def test_stacked_initial_objective_is_bit_identical_to_the_split_reference(d):
+    # The one-pass objective over all components against the split base + penalty
+    # form it replaced: the same floating-point operations, so the same bits.
+    rng = np.random.default_rng(60 + d)
+    ds = _random_dataset(70, d, seed=61 + d)
+    part = afpc(ds.X, seed=62)
+    reg = default_reg_params(*_radii(ds), ds.n, d, part.n_centers)
+    for (variant, kind), rho in itertools.product(_PAIRS, (SolverConfig().rho_pen, 1.0)):
+        obj, problem, layout = build_initial_objective(ds, part, kind, reg, variant, rho)
+        ref = reference_initial_objective(problem, rho)
+        points = [problem.warm_start(), problem.certificate_point(),
+                  0.5 * rng.standard_normal(layout.dim), 1e-3 * rng.standard_normal(layout.dim)]
+        for x in points:
+            value, grad = obj.evaluate(x)
+            ref_value, ref_grad = ref.evaluate(x)
+            assert value == ref_value, (variant, kind, rho)
+            assert_same_bits(grad, ref_grad, (variant, kind, rho))
+
+
 @pytest.mark.parametrize("kind", features.FEATURE_KINDS)
 def test_initial_pair_residuals_have_an_exactly_zero_diagonal(kind):
     rng = np.random.default_rng(52)
@@ -175,9 +195,11 @@ def test_initial_pair_residuals_have_an_exactly_zero_diagonal(kind):
         part = afpc(ds.X, seed=54)
         _, cons, layout = build_initial_objective(ds, part, kind, RegParams(0.1, 1.0, 0.01, 2.0))
         K, s = layout.n_pieces, layout.slope_dim
-        R = cons.pair_residuals(rng.standard_normal(K) * 10.0, rng.standard_normal((K, s)))
-        assert R.shape == (K, K)
-        assert np.array_equal(np.diag(R), np.zeros(K))
+        R = cons.pair_residuals(rng.standard_normal((2, K)) * 10.0,
+                                rng.standard_normal((2, K, s)))
+        assert R.shape == (2, K, K)
+        for component in R:
+            assert np.array_equal(np.diag(component), np.zeros(K))
 
 
 def test_fit_initial_constant_data():
@@ -591,9 +613,10 @@ def test_fit_edge_inputs(case):
 
 def _dense_max_form_objective(initial, ds, reg, variant):
     """The stage-2 max-form objective on the dense (n, K, slope_dim) feature tensor."""
-    from dcreg.fit import _RefineProblem, _reg_terms
+    from dcreg.fit import _reg_terms
     cfg = SolverConfig()
-    problem = _RefineProblem(initial, ds, reg, cfg, variant)
+    problem = _RefineProblem(initial, ds, reg, cfg)
+    assert problem.spec.name == variant
     layout, n, K = problem.layout, ds.n, problem.layout.n_pieces
     phi = phi_tensor(problem.kind, ds.X, problem.centers)[:, :, :problem.slope_dim]
 
@@ -602,8 +625,8 @@ def _dense_max_form_objective(initial, ds, reg, variant):
         return E / E.sum(axis=1, keepdims=True)
 
     def evaluate(params):
-        _, blocks = layout.unpack(params)
-        (b1, W1), (b2, W2) = blocks[0], (blocks[1:] or [(None, None)])[0]
+        _, B, W = layout.stack(params)
+        (b1, W1), (b2, W2) = (B[0], W[0]), ((B[1], W[1]) if len(B) > 1 else (None, None))
         A1 = b1[None, :] + np.einsum("nkj,kj->nk", phi, W1)
         r = A1.max(axis=1) - ds.y
         if layout.n_components == 2:
@@ -616,7 +639,7 @@ def _dense_max_form_objective(initial, ds, reg, variant):
                             problem.theta, problem.c0, reg.theta2, cfg.mu)
         value += rv
         gW1 += rg[:K]
-        value += problem.cone.penalty(W1, problem.d, cfg.rho_pen, gW1)
+        value += reference_cone_penalty(problem.cone, W1, problem.d, cfg.rho_pen, gW1)
         parts = [coef1.sum(axis=0), gW1.ravel()]
         if layout.n_components == 2:
             coef2 = -(2.0 / n) * r[:, None] * softmax_rows(A2)
@@ -648,16 +671,40 @@ def test_refine_objective_matches_dense_tensor_reference():
                     assert np.max(np.abs(grad - ref_grad)) <= tol
 
 
+@pytest.mark.parametrize("d", [1, 3, 8])
+def test_stacked_max_form_objective_is_bit_identical_to_the_per_component_reference(d):
+    # Stage 2 of every max-form (variant, kind) pair, components stacked, against the
+    # per-component form it replaced.  max_min_affine refines its blocks instead.
+    rng = np.random.default_rng(63 + d)
+    ds = _random_dataset(70, d, seed=64 + d)
+    part = afpc(ds.X, seed=65)
+    reg = default_reg_params(*_radii(ds), ds.n, d, part.n_centers)
+    for variant, kind in _PAIRS:
+        if VARIANT_TABLE[variant].mma:
+            continue
+        initial, _ = fit_initial(ds, part, kind, reg, SolverConfig(max_iters=50), variant)
+        for rho in (SolverConfig().rho_pen, 1.0):
+            problem = _RefineProblem(initial, ds, reg, SolverConfig(rho_pen=rho))
+            obj, ref, x0 = problem.objective(), reference_max_form_objective(problem), problem.x0
+            # the second point also exercises the hinge branch, the third the cones
+            for x in (x0, x0 * (reg.theta3 + 2.0) + 0.1 * rng.standard_normal(x0.size),
+                      0.5 * rng.standard_normal(x0.size)):
+                value, grad = obj.evaluate(x)
+                ref_value, ref_grad = ref.evaluate(x)
+                assert value == ref_value, (variant, kind, rho)
+                assert_same_bits(grad, ref_grad, (variant, kind, rho))
+
+
 def _dense_mma_objective(initial, ds, reg):
     """The stage-2 max-min-affine objective on the dense (n, K, L) tensor."""
-    from dcreg.fit import _RefineProblem, _reg_terms
+    from dcreg.fit import _reg_terms
     cfg = SolverConfig()
-    problem = _RefineProblem(initial, ds, reg, cfg, MAX_MIN_AFFINE)
+    problem = _RefineProblem(initial, ds, reg, cfg)
     layout, X, y, n = problem.layout, ds.X, ds.y, ds.n
     K, L = initial.mma.biases.shape
 
     def evaluate(params):
-        _, [(b, W)] = layout.unpack(params)
+        _, [b], [W] = layout.stack(params)
         B, S = b.reshape(K, L), W.reshape(K, L, ds.d)
         inner = B[None, :, :] + np.einsum("kld,nd->nkl", S, X)
         m_in = inner.min(axis=2)
@@ -693,7 +740,6 @@ def test_refine_mma_objective_matches_dense_tensor_reference():
 
 
 def test_refine_mma_extract_returns_the_initial_blocks():
-    from dcreg.fit import _RefineProblem
     for d in (1, 3):
         ds = _random_dataset(90, d, seed=38 + d)
         part = afpc(ds.X, seed=39)

@@ -3,13 +3,14 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from _helpers import eval_partitioned, phi_tensor
+from _helpers import (assert_same_bits, eval_partitioned, phi_tensor, piece_values,
+                      reference_mma_block, reference_piece_block)
 from dcreg import features
 from dcreg.data import Dataset
 from dcreg.model import (_CHUNK, COMPLEMENT, MAX_MIN_AFFINE, SINGLE, SYMMETRIC,
                          DcComponent, DcModel, MaxMinAffine, center, eval_max,
                          eval_mma, eval_model, lip_stat,
-                         n_parameters, piece_values, prune, prune_mma,
+                         n_parameters, prune, prune_mma,
                          symmetric_bias_center, to_max_min_affine, validate_model)
 
 
@@ -339,6 +340,27 @@ def test_piece_values_at_own_centers_are_exactly_the_biases(kind):
         comp = _random_component(rng, kind, d, 40)
         comp = replace(comp, centers=comp.centers * rng.uniform(0.1, 100.0, d))
         assert np.array_equal(np.diag(piece_values(comp, comp.centers)), comp.biases)
+
+
+@pytest.mark.parametrize("kind", features.FEATURE_KINDS)
+def test_prediction_kernels_are_bit_identical_to_the_allocating_reference(kind):
+    # Blocks written into reused buffers, the norm plane from the same differences:
+    # the same operations as fresh temporaries per block, so the same bits.
+    rng = np.random.default_rng(51)
+    for d in (1, 3, 8):
+        comp = _random_component(rng, kind, d, 9)
+        pinned = replace(comp, weights=np.hstack([comp.weights[:, :d],
+                                                  np.zeros((9, comp.weights.shape[1] - d))]))
+        mma = MaxMinAffine(rng.standard_normal((5, 2 * d)), rng.standard_normal((5, 2 * d, d)))
+        for n in (1, _CHUNK + 3):
+            X = rng.standard_normal((n, d))
+            blocks = [np.asfortranarray(X[lo:lo + _CHUNK]) for lo in range(0, n, _CHUNK)]
+            for c in (comp, pinned):
+                ref = np.hstack([reference_piece_block(c, rows) for rows in blocks])
+                assert_same_bits(piece_values(c, X), ref)
+                assert_same_bits(eval_max(c, X), ref.max(axis=0))
+            ref = np.hstack([reference_mma_block(mma, rows) for rows in blocks])
+            assert_same_bits(eval_mma(mma, X), ref.max(axis=0))
 
 
 def test_prune_matches_dense_reference():

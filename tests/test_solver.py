@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 from _helpers import callable_penalty_objective, softmax_smooth
-from dcreg.solver import (STALL_WINDOW, ObjectiveHandle, SolveReport, SolverConfig,
-                          lbfgs_minimize, softmax_weights)
+from dcreg.solver import (GRAD_TOL, LINE_SEARCH, MAX_ITERS, NONFINITE, STALL_RTOL, STALL_WINDOW,
+                          STALLED, ObjectiveHandle, SolveReport, SolverConfig, lbfgs_minimize,
+                          softmax_weights)
 
 
 def central_diff(evaluate, x, step=1e-6):
@@ -258,9 +259,88 @@ def _reference_two_loop(grad, s_list, y_list):
     return -q
 
 
-def test_lbfgs_iterates_bit_identical_to_reference_two_loop(monkeypatch):
-    import dcreg.solver as solver
+def _reference_lbfgs(obj, x0, cfg, callback=None):
+    """The whole solver loop as first written: s.y, y.y, g.d and the norms recomputed.
 
+    Returns (x, report fields but wall_s); the stop rules are lbfgs_minimize's.
+    """
+    evaluations = 0
+
+    def evaluate(x):
+        nonlocal evaluations
+        evaluations += 1
+        return obj.evaluate(x)
+
+    def backtrack(x, f, g, direction, t0):
+        slope = float(np.dot(g, direction))
+        t = t0
+        for _ in range(cfg.ls_max_steps):
+            x_new = x + t * direction
+            f_new, g_new = evaluate(x_new)
+            if np.isfinite(f_new) and f_new <= f + cfg.ls_c1 * t * slope:
+                return True, t, x_new, float(f_new), np.asarray(g_new, dtype=float)
+            t *= cfg.ls_shrink
+        return False, t, x, f, g
+
+    x = np.array(x0, dtype=float, copy=True)
+    f, g = evaluate(x)
+    f, g = float(f), np.asarray(g, dtype=float)
+    s_list, y_list = [], []
+    recent = [f]
+    ls_failures, iters, aborted, stop_reason = 0, 0, False, MAX_ITERS
+    gnorm = float(np.max(np.abs(g)))
+    converged = gnorm <= cfg.grad_tol
+    t_prev = 1.0
+    while not converged and iters < cfg.max_iters:
+        use_gradient = not s_list
+        direction = -g if use_gradient else _reference_two_loop(g, s_list, y_list)
+        if not np.isfinite(direction).all() or float(np.dot(g, direction)) >= 0.0:
+            s_list, y_list = [], []
+            use_gradient = True
+            direction = -g
+            t_prev = 1.0
+        t0 = 1.0 / max(1.0, float(np.linalg.norm(g))) if use_gradient else min(1.0, 2.0 * t_prev)
+        ok, t_acc, x_new, f_new, g_new = backtrack(x, f, g, direction, t0)
+        if not ok:
+            ls_failures += 1
+            if use_gradient:
+                stop_reason = LINE_SEARCH
+                break
+            s_list, y_list = [], []
+            t_prev = 1.0
+            use_gradient = True
+            ok, t_acc, x_new, f_new, g_new = backtrack(
+                x, f, g, -g, 1.0 / max(1.0, float(np.linalg.norm(g))))
+            if not ok:
+                ls_failures += 1
+                stop_reason = LINE_SEARCH
+                break
+        if not use_gradient:
+            t_prev = t_acc
+        if not np.isfinite(f_new) or not np.isfinite(g_new).all():
+            aborted, stop_reason = True, NONFINITE
+            break
+        s, yv = x_new - x, g_new - g
+        if float(np.dot(s, yv)) > 1e-12 * float(np.linalg.norm(s)) * float(np.linalg.norm(yv)):
+            s_list, y_list = (s_list + [s])[-cfg.lbfgs_memory:], (y_list + [yv])[-cfg.lbfgs_memory:]
+        x, f, g = x_new, f_new, g_new
+        iters += 1
+        if callback is not None:
+            callback(iters, x, f)
+        gnorm = float(np.max(np.abs(g)))
+        converged = gnorm <= cfg.grad_tol
+        recent = (recent + [f])[-(STALL_WINDOW + 1):]
+        if (not converged and len(recent) > STALL_WINDOW
+                and recent[0] - f <= STALL_RTOL * max(1.0, abs(f))):
+            stop_reason = STALLED
+            break
+    return x, SolveReport(iters, f, gnorm, ls_failures, bool(converged), aborted, evaluations,
+                          GRAD_TOL if converged else stop_reason)
+
+
+def test_lbfgs_iterates_bit_identical_to_reference_two_loop():
+    # Every iterate, value and report field of the solver against the loop as first
+    # written, on smooth, kinked, stalling, failing and non-finite objectives.
     def kinked(x):
         val = float(np.sum(np.abs(x) ** 1.5)) + float(np.sum((x - 0.3) ** 2))
         return val, 1.5 * np.sign(x) * np.sqrt(np.abs(x)) + 2.0 * (x - 0.3)
@@ -273,25 +353,49 @@ def test_lbfgs_iterates_bit_identical_to_reference_two_loop(monkeypatch):
         grad[1:] += 200.0 * (b - a * a)
         return val, grad
 
-    def run():
-        out = []
-        for evaluate, x0 in ((kinked, np.linspace(-2.0, 2.0, 6)),
-                             (rosenbrock, np.array([-1.2, 1.0, -0.5, 0.8]))):
-            history = []
-            x, report = lbfgs_minimize(ObjectiveHandle(x0.size, evaluate), x0,
-                                       SolverConfig(max_iters=300, lbfgs_memory=4),
-                                       callback=lambda i, x, f: history.append(x.copy()))
-            out.append((x, report, history))
-        return out
+    def l1(x):
+        return float(np.sum(np.abs(x - 0.2))), np.sign(x - 0.2)
 
-    new = run()
-    monkeypatch.setattr(solver, "_two_loop", lambda grad, memory: _reference_two_loop(
-        grad, [m[0] for m in memory], [m[1] for m in memory]))
-    ref = run()
-    for (x1, r1, h1), (x2, r2, h2) in zip(new, ref):
-        assert r1 == r2 and r1.iterations > 4
-        assert np.array_equal(x1, x2)
-        assert len(h1) == len(h2) and all(np.array_equal(a, b) for a, b in zip(h1, h2))
+    def wrong_gradient(x):
+        return float(x @ x), -2.0 * x
+
+    def nan_gradient(x):
+        grad = 2.0 * x - 1.0 if abs(x[0]) <= 0.3 else np.array([np.nan])
+        return float(x[0] ** 2 - x[0]), grad
+
+    def late_wrong_gradient(x):     # uphill beyond x_0 = 0.5: a memory step fails first
+        grad = 2.0 * (x - 1.0)
+        return float(np.sum((x - 1.0) ** 2)), (grad if x[0] < 0.5 else -grad)
+
+    cases = ((kinked, np.linspace(-2.0, 2.0, 6), SolverConfig(max_iters=300, lbfgs_memory=4)),
+             (rosenbrock, np.array([-1.2, 1.0, -0.5, 0.8]),
+              SolverConfig(max_iters=300, lbfgs_memory=4)),
+             (rosenbrock, np.linspace(-1.5, 1.5, 12), SolverConfig()),
+             (rosenbrock, np.linspace(-1.5, 1.5, 12), SolverConfig(max_iters=20)),
+             (l1, np.linspace(-1.0, 1.0, 5), SolverConfig()),
+             (wrong_gradient, np.ones(2), SolverConfig()),
+             (nan_gradient, np.zeros(1), SolverConfig()),
+             (late_wrong_gradient, np.array([0.0, 0.3, -0.4]), SolverConfig()))
+    reasons = set()
+    for evaluate, x0, cfg in cases:
+        runs = []
+        for solve in (lbfgs_minimize, _reference_lbfgs):
+            history = []
+            x, report = solve(ObjectiveHandle(x0.size, evaluate), x0, cfg,
+                              callback=lambda i, x, f: history.append((x.copy(), f)))
+            runs.append((x, report, history))
+        (x1, r1, h1), (x2, r2, h2) = runs
+        assert r1 == r2, evaluate.__name__
+        assert np.array_equal(x1.view(np.int64), x2.view(np.int64))
+        assert len(h1) == len(h2)
+        for (a, fa), (b, fb) in zip(h1, h2):
+            assert np.array_equal(a.view(np.int64), b.view(np.int64)) and fa == fb
+        reasons.add(r1.stop_reason)
+        if evaluate is kinked:
+            assert r1.iterations > 4
+        if evaluate is late_wrong_gradient:     # the memory step, then the gradient step
+            assert r1.line_search_failures == 2 and r1.iterations >= 1
+    assert reasons == {"grad_tol", "max_iters", "stalled", "line_search", "nonfinite"}
 
 
 def _counted(evaluate):
