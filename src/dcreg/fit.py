@@ -144,9 +144,9 @@ class ParamLayout:
         return np.concatenate(parts)
 
 
-def _smooth_norms(W):
-    """sqrt(||w||^2 + kappa^2) per row: differentiable at zero slopes."""
-    return np.sqrt((W * W).sum(axis=1) + _SMOOTH_KAPPA ** 2)
+def _smooth_norms(sq_norms):
+    """sqrt(||w||^2 + kappa^2) from squared norms: differentiable at zero slopes."""
+    return np.sqrt(sq_norms + _SMOOTH_KAPPA ** 2)
 
 
 # ---------------------------------------------------------------------------
@@ -291,17 +291,15 @@ class _InitialProblem:
         of squared positive residuals: continuity, slope cap and cone.
         """
         layout, reg, cone, kernel = self.layout, self.reg, self.spec.cone, self.kernel
-        m, K, s = layout.n_components, layout.n_pieces, layout.slope_dim
+        m = layout.n_components
         signs = self.spec.signs
         G = self.gram / self.X.shape[0]
         rss0 = self.rss0
         # params[cell_rows[i, k]] is component i's (b_k, w_k) as a column, like beta[k].
-        starts = 1 + K * (1 + s) * np.arange(m)[:, None, None, None]
-        cell_rows = starts + np.hstack([np.arange(K)[:, None],
-                                        K + np.arange(K * s).reshape(K, s)])[:, :, None]
+        _, b_rows, w_rows = layout.stack(np.arange(layout.dim))
+        cell_rows = np.concatenate([b_rows[..., None], w_rows], axis=2)[..., None]
         beta = self.beta[:, :, None]
         sign_col = np.array(signs)[:, None, None, None]
-        kappa_sq = _SMOOTH_KAPPA ** 2
         add = np.add.reduce    # x.sum(axis) without the method's Python wrapper
 
         def evaluate(params):
@@ -327,7 +325,7 @@ class _InitialProblem:
             pb, pW = kernel.grads(P)
             pb -= add(P, 1)
             gB += pb
-            sn = np.sqrt(add(WW, 2) + kappa_sq)
+            sn = _smooth_norms(add(WW, 2))
             gpos = sn - _SMOOTH_KAPPA
             gpos -= z
             gpos -= reg.theta0
@@ -481,7 +479,8 @@ def _reg_terms(W_rows, theta, c0, theta2, mu):
     grad = 2.0 * theta2 * W_rows
     if theta > 0.0 and hinge > 0.0:
         w = softmax_weights(norms, mu)
-        grad = grad + (2.0 * theta * hinge) * (w / _smooth_norms(W_rows))[:, None] * W_rows
+        sn = _smooth_norms((W_rows * W_rows).sum(axis=1))
+        grad = grad + (2.0 * theta * hinge) * (w / sn)[:, None] * W_rows
     return value, grad
 
 
