@@ -30,7 +30,7 @@ from .model import (CONVEX_MAX_AFFINE, CONVEX_NORM, CONVEX_PLUS, COMPLEMENT,
                     eval_max, eval_mma, eval_model, lip_stat, n_parameters,
                     prune, symmetric_bias_center, to_max_min_affine,
                     validate_model, variant_spec)
-from .partition import Partition, afpc, assign_cells, data_radii, khat
+from .partition import Partition, afpc, data_radii, khat
 from .serialize import ModelFormatError, load_model, save_model
 from .solver import (ObjectiveHandle, SolveReport, SolverAbort, SolverConfig,
                      lbfgs_minimize, softmax_weights)

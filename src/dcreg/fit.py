@@ -11,6 +11,7 @@ prediction on the training responses.
 
 import logging
 from dataclasses import dataclass, field, replace
+from time import perf_counter
 
 import numpy as np
 
@@ -23,7 +24,7 @@ from .model import (
 )
 from .partition import Partition, afpc
 from .solver import ObjectiveHandle, SolveReport, SolverConfig, SolverAbort, \
-    lbfgs_minimize, softmax_near_ties, softmax_weights
+    lbfgs_minimize, softmax_near_ties, softmax_weights, value_first_handle
 
 log = logging.getLogger(__name__)
 
@@ -107,6 +108,8 @@ class FitResult:
     risk_reg_chain: tuple            # (initial, refined, final) risk + reg_n
     lip_chain: tuple                 # (initial, refined, final) slope stats
     refine_accepted: bool
+    # Wall seconds of "afpc", "stage1", "stage2" and "finalize"; not compared.
+    timings: dict = field(default_factory=dict, compare=False)
 
 
 # ---------------------------------------------------------------------------
@@ -175,21 +178,26 @@ class _PieceKernel:
         diff = self.rows[:, j] - self.centers[:, j, None]
         return np.maximum(diff, 0.0), np.maximum(-diff, 0.0)
 
-    def values(self, B, W):
-        """(m, K, n) values of biases B (m, K) and slopes W (m, K, s)."""
+    def values(self, B, W, out=None, tmp=None):
+        """(m, K, n) values of biases B (m, K) and slopes W (m, K, s).
+
+        They are written into ``out`` when given; ``tmp`` is scratch of the
+        same shape.
+        """
         d, C = self.d, self.centers
         if self.kind == features.PLUS:
-            A = np.repeat(B[:, :, None], self.rows_t.shape[1], axis=2)
+            A = np.empty((*B.shape, self.rows_t.shape[1])) if out is None else out
+            A[...] = B[:, :, None]
             for j in range(d):
                 pos, neg = self._relu_pair(j)
-                A += W[:, :, j, None] * pos
-                A += W[:, :, d + j, None] * neg
+                A += np.multiply(W[:, :, j, None], pos, out=tmp)
+                A += np.multiply(W[:, :, d + j, None], neg, out=tmp)
             return A
         U = W[:, :, :d]
-        A = U @ self.rows_t
+        A = np.matmul(U, self.rows_t, out=out)
         A += (B - np.einsum("mkj,kj->mk", U, C))[:, :, None]
         if self.norms is not None:
-            A += W[:, :, d, None] * self.norms
+            A += np.multiply(W[:, :, d, None], self.norms, out=tmp)
         return A
 
     def grads(self, coef):
@@ -302,7 +310,7 @@ class _InitialProblem:
         sign_col = np.array(signs)[:, None, None, None]
         add = np.add.reduce    # x.sum(axis) without the method's Python wrapper
 
-        def evaluate(params):
+        def value_first(params):
             z, B, W = layout.stack(params)
             # theta1 z^2 + the per-cell least squares of the signed sum + the ridge
             delta = signed_sum(signs, params.take(cell_rows))
@@ -312,41 +320,47 @@ class _InitialProblem:
             WW = W * W
             for ridge in add(WW.reshape(m, -1), 1).tolist():
                 value += reg.theta2 * ridge
-            Gd *= 2.0
-            grad = np.empty(layout.dim)
-            grad[cell_rows] = sign_col * Gd
-            _, gB, gW = layout.stack(grad)
-            gW += 2.0 * reg.theta2 * W
             # the penalty: continuity, slope cap and cone, added after the terms above
             P = self.pair_residuals(B, W)
             np.maximum(P, 0.0, out=P)
             pairs = add((P * P).reshape(m, -1), 1).tolist()
-            P *= 2.0 * rho
-            pb, pW = kernel.grads(P)
-            pb -= add(P, 1)
-            gB += pb
             sn = _smooth_norms(add(WW, 2))
             gpos = sn - _SMOOTH_KAPPA
             gpos -= z
             gpos -= reg.theta0
             np.maximum(gpos, 0.0, out=gpos)
             caps = add(gpos * gpos, 1).tolist()
-            h = 2.0 * rho * gpos
-            h_sums = add(h, 1).tolist()
-            h /= sn
-            pW += h[:, :, None] * W
-            cones = cone.penalty(W, self.d, rho, pW)
-            gW += pW
-            penalty, gz = 0.0, 0.0
+            cones, add_cone_grad = cone.penalty(W, self.d, rho)
+            penalty = 0.0
             for i in range(m):
                 penalty += rho * pairs[i]
                 penalty += rho * caps[i]
                 penalty += cones[i]
-                gz -= h_sums[i]
-            grad[0] = 2.0 * reg.theta1 * z + gz
-            return value + penalty, grad
 
-        return ObjectiveHandle(layout.dim, evaluate)
+            def gradient():
+                grad = np.empty(layout.dim)
+                grad[cell_rows] = sign_col * np.multiply(Gd, 2.0, out=Gd)
+                _, gB, gW = layout.stack(grad)
+                gW += 2.0 * reg.theta2 * W
+                dP = np.multiply(P, 2.0 * rho, out=P)
+                pb, pW = kernel.grads(dP)
+                pb -= add(dP, 1)
+                gB += pb
+                h = 2.0 * rho * gpos
+                h_sums = add(h, 1).tolist()
+                h /= sn
+                pW += h[:, :, None] * W
+                add_cone_grad(pW)
+                gW += pW
+                gz = 0.0
+                for h_sum in h_sums:
+                    gz -= h_sum
+                grad[0] = 2.0 * reg.theta1 * z + gz
+                return grad
+
+            return value + penalty, gradient
+
+        return value_first_handle(layout.dim, value_first)
 
     def _pack_first(self, z, b, W):
         """Parameters with (b, W) in the first component and zeros in the others."""
@@ -407,8 +421,8 @@ def fit_initial(dataset: Dataset, partition: Partition, kind: str, reg: RegParam
     penalized = problem.objective(solver_cfg.rho_pen)
     start = problem.warm_start()
     cert = problem.certificate_point()
-    cert_value = float(penalized.evaluate(cert)[0])
-    if float(penalized.evaluate(start)[0]) > cert_value:
+    cert_value = float(penalized.value_first(cert)[0])
+    if float(penalized.value_first(start)[0]) > cert_value:
         start = cert
     x_star, report = lbfgs_minimize(penalized, start, solver_cfg)
     if not np.isfinite(x_star).all():
@@ -467,21 +481,26 @@ def training_risk_std(model: DcModel, X, y) -> float:
 # the refinement problem (max-form, smoothed gradients)
 
 def _reg_terms(W_rows, theta, c0, theta2, mu):
-    """Value and per-row gradient of the slope regularizer.
+    """Value of the slope regularizer, and a thunk for its per-row gradient.
 
     The hinge on the largest slope norm uses soft-max weights in the
-    gradient; the value uses the true maximum.
+    gradient; the value uses the true maximum.  The norms are
+    sqrt(sum W^2), which is what np.linalg.norm computes along an axis.
     """
-    norms = np.linalg.norm(W_rows, axis=1)
+    sq_norms = np.add.reduce(W_rows * W_rows, 1)
+    norms = np.sqrt(sq_norms)
     lam = float(np.max(norms)) if norms.size else 0.0
     hinge = max(lam - c0, 0.0)
     value = theta * hinge * hinge + theta2 * float(np.sum(norms * norms))
-    grad = 2.0 * theta2 * W_rows
-    if theta > 0.0 and hinge > 0.0:
-        w = softmax_weights(norms, mu)
-        sn = _smooth_norms((W_rows * W_rows).sum(axis=1))
-        grad = grad + (2.0 * theta * hinge) * (w / sn)[:, None] * W_rows
-    return value, grad
+
+    def gradient():
+        grad = 2.0 * theta2 * W_rows
+        if theta > 0.0 and hinge > 0.0:
+            w = softmax_weights(norms, mu)
+            grad = grad + (2.0 * theta * hinge) * (w / _smooth_norms(sq_norms))[:, None] * W_rows
+        return grad
+
+    return value, gradient
 
 
 class _RefineProblem:
@@ -533,24 +552,34 @@ class _RefineProblem:
         signs = self.spec.signs
         sign_col = np.array(signs)[:, None]
         kernel = _PieceKernel(self.kind, self.X, self.centers, s)
+        # Made once: the piece values, the soft-max gap scratch and the coefficients.
+        A, gap, coef = np.empty((3, m, K, n))
 
-        def evaluate(params):
+        def value_first(params):
             _, B, W = layout.stack(params)
-            A = kernel.values(B, W)
-            r = signed_sum(signs, A.max(axis=1)) - y
-            value = float(np.mean(r * r))
-            scale = (2.0 / n) * r
-            rv, rg = _reg_terms(W.reshape(m * K, s), self.theta, self.c0, theta2, mu)
+            kernel.values(B, W, A, gap)
+            top = A.max(axis=1)
+            r = signed_sum(signs, top) - y
+            value = float(np.add.reduce(r * r, None) / n)    # np.mean's bits
+            rv, reg_grad = _reg_terms(W.reshape(m * K, s), self.theta, self.c0, theta2, mu)
             value += rv
-            coef = softmax_weights(A, mu, axis=1)
-            coef *= (sign_col * scale)[:, None, :]
-            gb, gW = kernel.grads(coef)
-            gW += rg.reshape(m, K, s)
-            for cone_value in self.cone.penalty(W, self.d, self.rho, gW):
+            cones, add_cone_grad = self.cone.penalty(W, self.d, self.rho)
+            for cone_value in cones:
                 value += cone_value
-            return value, np.concatenate([gb, gW.reshape(m, -1)], axis=1).ravel()
 
-        return ObjectiveHandle(layout.dim, evaluate)
+            def gradient():
+                near, weights = softmax_near_ties(A, mu, top, gap)
+                coef.fill(0.0)
+                coef.ravel()[near] = weights
+                np.multiply(coef, (sign_col * ((2.0 / n) * r))[:, None, :], out=coef)
+                gb, gW = kernel.grads(coef)
+                gW += reg_grad().reshape(m, K, s)
+                add_cone_grad(gW)
+                return np.concatenate([gb, gW.reshape(m, -1)], axis=1).ravel()
+
+            return value, gradient
+
+        return value_first_handle(layout.dim, value_first)
 
     def _mma_objective(self):
         """Block-major: inner values are (K, L, n), one coordinate at a time.
@@ -564,29 +593,37 @@ class _RefineProblem:
         n = y.shape[0]
         (K, L), d = self.mma_shape, self.d
         mu, theta2 = self.mu, self.reg.theta2
+        # Made once: the inner values (and their scratch), the minima and the gap scratch.
+        inner, tmp = np.empty((K, L, n)), (np.empty((K, L, n)) if d > 1 else None)
+        m_in, gap = np.empty((2, K, n))
 
-        def evaluate(params):
+        def value_first(params):
             _, B, W = layout.stack(params)
             b, W = B[0], W[0]
-            inner = mma_inner(b.reshape(K, L), W.reshape(K, L, d), Xt)
-            m_in = inner.min(axis=1)                           # (K, n)
-            r = m_in.max(axis=0) - y
-            value = float(np.mean(r * r))
-            near, sig = softmax_near_ties(m_in, mu)            # outer max weights
-            ks, rows = np.divmod(near, n)
-            vals = inner[ks, :, rows]                          # (pairs, L)
-            tau = np.exp((vals.min(axis=1, keepdims=True) - vals) / mu)  # inner min weights
-            coef = tau * ((2.0 / n) * r[rows] * sig / tau.sum(axis=1))[:, None]
-            slot = (ks[:, None] * L + np.arange(L)).ravel()     # index of (k, l)
-            gB = np.bincount(slot, weights=coef.ravel(), minlength=K * L)
-            gS = np.column_stack([np.bincount(slot, weights=(coef * x[:, None]).ravel(),
-                                              minlength=K * L) for x in Xt[:, rows]])
-            rv, rg = _reg_terms(W, self.theta, self.c0, theta2, mu)
+            mma_inner(b.reshape(K, L), W.reshape(K, L, d), Xt, inner, tmp)
+            inner.min(axis=1, out=m_in)
+            top = m_in.max(axis=0)
+            r = top - y
+            value = float(np.add.reduce(r * r, None) / n)    # np.mean's bits
+            rv, reg_grad = _reg_terms(W, self.theta, self.c0, theta2, mu)
             value += rv
-            gS += rg
-            return value, np.concatenate([gB, gS.ravel()])
 
-        return ObjectiveHandle(layout.dim, evaluate)
+            def gradient():
+                near, sig = softmax_near_ties(m_in, mu, top, gap)   # outer max weights
+                ks, rows = np.divmod(near, n)
+                vals = inner[ks, :, rows]                          # (pairs, L)
+                tau = np.exp((vals.min(axis=1, keepdims=True) - vals) / mu)  # inner min weights
+                coef = tau * ((2.0 / n) * r[rows] * sig / tau.sum(axis=1))[:, None]
+                slot = (ks[:, None] * L + np.arange(L)).ravel()     # index of (k, l)
+                gB = np.bincount(slot, weights=coef.ravel(), minlength=K * L)
+                gS = np.column_stack([np.bincount(slot, weights=(coef * x[:, None]).ravel(),
+                                                  minlength=K * L) for x in Xt[:, rows]])
+                gS += reg_grad()
+                return np.concatenate([gB, gS.ravel()])
+
+            return value, gradient
+
+        return value_first_handle(layout.dim, value_first)
 
     def extract(self, params, initial_model: DcModel) -> DcModel:
         _, B, W = self.layout.stack(params)
@@ -645,6 +682,14 @@ def finalize(refined: DcModel, dataset: Dataset) -> DcModel:
 # ---------------------------------------------------------------------------
 # the full pipeline
 
+def _timed(timings, layer, fn, *args):
+    """fn(*args), its wall seconds recorded as timings[layer]."""
+    start = perf_counter()
+    out = fn(*args)
+    timings[layer] = perf_counter() - start
+    return out
+
+
 def fit_dcf(dataset: Dataset, config: FitConfig = None) -> FitResult:
     """Run the full pipeline for the configured variant.
 
@@ -656,24 +701,28 @@ def fit_dcf(dataset: Dataset, config: FitConfig = None) -> FitResult:
         raise ValueError("need at least two samples")
     ds_std, spec = apply_scaling(dataset, STD)
     Xs, ys = ds_std.X, ds_std.y
-    part = afpc(Xs, config.seed, ys)
+    timings = {}
+    part = _timed(timings, "afpc", afpc, Xs, config.seed, ys)
     log.info("afpc K=%d eps=%.4g r_x=%.4g", part.n_centers, part.eps_n, part.r_x)
     reg = default_reg_params(part.r_x, part.r_y, dataset.n, dataset.d,
                              part.n_centers, config.theta2_mode)
 
-    initial_std, info = fit_initial(ds_std, part, config.kind, reg,
-                                    config.solver, config.variant)
+    initial_std, info = _timed(timings, "stage1", fit_initial, ds_std, part, config.kind,
+                               reg, config.solver, config.variant)
     risk0 = training_risk_std(initial_std, Xs, ys)
     theta = theta_fn_value(initial_std, reg, risk0)
     rr0 = risk0 + reg_n_value(initial_std, initial_std, reg, risk0)
 
-    refined_std, refine_report, accepted = refine(initial_std, ds_std, reg, config.solver)
+    refined_std, refine_report, accepted = _timed(timings, "stage2", refine, initial_std,
+                                                  ds_std, reg, config.solver)
     risk1 = training_risk_std(refined_std, Xs, ys)
     rr1 = risk1 + reg_n_value(refined_std, initial_std, reg, risk0)
 
-    final_std = finalize(refined_std, ds_std)
+    final_std = _timed(timings, "finalize", finalize, refined_std, ds_std)
     risk2 = training_risk_std(final_std, Xs, ys)
     rr2 = risk2 + reg_n_value(final_std, initial_std, reg, risk0)
+    log.info("fit_dcf variant=%s K=%d %s", config.variant, part.n_centers,
+             " ".join(f"{layer}={seconds:.3f}s" for layer, seconds in timings.items()))
 
     transforms = dict(x_shift=spec.shift, x_scale=spec.scale, y_shift=spec.y_mean,
                       y_scale=spec.y_std)
@@ -693,4 +742,5 @@ def fit_dcf(dataset: Dataset, config: FitConfig = None) -> FitResult:
         risk_reg_chain=(rr0, rr1, rr2),
         lip_chain=(lip_stat(initial_std), lip_stat(refined_std), lip_stat(final_std)),
         refine_accepted=accepted,
+        timings=timings,
     )

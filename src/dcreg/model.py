@@ -54,19 +54,24 @@ class Cone:
         q = functools.reduce(np.add, [W[..., c] for c in cols])
         return q if self.sign > 0 else -q
 
-    def penalty(self, W, d, rho, gW):
+    def penalty(self, W, d, rho):
         """rho * ||max(residuals, 0)||^2 of each component of stacked slopes W (m, K, s).
 
-        Returns a list of the m values; the gradient is added to gW.
+        Returns (the m values, add_gradient); add_gradient(gW) adds the
+        gradient to gW.
         """
         cols = self.columns(d)
         if not cols:
-            return [0.0] * len(W)
+            return [0.0] * len(W), lambda gW: None
         pos = np.maximum(self.residuals(W, d), 0.0)
-        step = self.sign * 2.0 * rho * pos
-        for c in cols:
-            np.add(gW[..., c], step, out=gW[..., c])
-        return [rho * v for v in np.add.reduce((pos * pos).reshape(len(W), -1), 1).tolist()]
+
+        def add_gradient(gW):
+            step = self.sign * 2.0 * rho * pos
+            for c in cols:
+                np.add(gW[..., c], step, out=gW[..., c])
+
+        return ([rho * v for v in np.add.reduce((pos * pos).reshape(len(W), -1), 1).tolist()],
+                add_gradient)
 
     def project(self, W, d):
         """Nearest cone point: one column is clipped at 0, more share the deficit of q."""

@@ -1,4 +1,4 @@
-"""Adaptive farthest-point clustering and Voronoi cell assignment.
+"""Adaptive farthest-point clustering and its Voronoi cells.
 
 The clustering grows greedily from a random seed row and stops once the
 center count reaches the data-driven limit min{n (eps/r_x)^2, n^(d/(2+d))},
@@ -64,36 +64,6 @@ def khat(n: int, d: int, eps: float, r_x: float) -> float:
     return float(min(n * (eps / r_x) ** 2, n ** (d / (2.0 + d))))
 
 
-def squared_distances(X: np.ndarray, centers: np.ndarray) -> np.ndarray:
-    """Direct-difference squared distances out[i, k] = ||X_i - c_k||^2.
-
-    The direct form (no Gram expansion) keeps distances bit-identical to any
-    per-pair recomputation, so cover checks need no tolerance.
-    """
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    centers = np.atleast_2d(np.asarray(centers, dtype=float))
-    out = np.empty((X.shape[0], centers.shape[0]))
-    chunk = max(1, int(2_000_000 / max(1, centers.shape[0] * X.shape[1])))
-    for lo in range(0, X.shape[0], chunk):
-        hi = min(lo + chunk, X.shape[0])
-        diff = X[lo:hi, None, :] - centers[None, :, :]
-        out[lo:hi] = np.sum(diff * diff, axis=2)
-    return out
-
-
-def assign_cells(centers: np.ndarray, X: np.ndarray):
-    """Nearest-center labels (ties to the smaller index) and the cover radius."""
-    centers = np.atleast_2d(np.asarray(centers, dtype=float))
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    if centers.shape[0] < 1:
-        raise ValueError("need at least one center")
-    # Squared distances suffice for the argmin / max chain; one sqrt at the end.
-    sq = squared_distances(X, centers)
-    labels = np.argmin(sq, axis=1)
-    eps = float(np.sqrt(np.max(sq[np.arange(X.shape[0]), labels])))
-    return labels.astype(np.int64), eps
-
-
 def afpc(X: np.ndarray, seed: int, y=None) -> Partition:
     """Greedy farthest-point clustering with the adaptive stopping rule.
 
@@ -113,22 +83,26 @@ def afpc(X: np.ndarray, seed: int, y=None) -> Partition:
     rng = np.random.default_rng(seed)
     first = int(rng.integers(n))
     rows = [first]
-    # Minimum squared distance of every row to the chosen centers.
+    # Minimum squared distance of every row to the chosen centers, and the
+    # center attaining it; a later center takes a row only when strictly
+    # nearer, so ties go to the smaller index.
     dmin = np.sum((X - X[first]) ** 2, axis=1)
+    labels = np.zeros(n, dtype=np.int64)
     eps = float(np.sqrt(np.max(dmin)))
     eps_prev = eps
     while len(rows) < khat(n, d, eps, r_x):
         eps_prev = eps
         cand = int(np.argmax(dmin))  # first occurrence = smallest row index
+        new = np.sum((X - X[cand]) ** 2, axis=1)
+        labels[new < dmin] = len(rows)
         rows.append(cand)
-        np.minimum(dmin, np.sum((X - X[cand]) ** 2, axis=1), out=dmin)
+        np.minimum(dmin, new, out=dmin)
         eps = float(np.sqrt(np.max(dmin)))
 
     source = np.asarray(rows, dtype=np.int64)
     centers = X[source].copy()
-    labels, eps_n = assign_cells(centers, X)
     r_y = 0.0
     if y is not None:
         y = np.asarray(y, dtype=float).ravel()
         r_y = float(np.max(np.abs(y - np.mean(y))))
-    return Partition(centers, source, labels, eps_n, r_x, r_y, eps_prev)
+    return Partition(centers, source, labels, eps, r_x, r_y, eps_prev)

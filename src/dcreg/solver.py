@@ -46,10 +46,33 @@ class SolverConfig:
 
 @dataclass(frozen=True)
 class ObjectiveHandle:
-    """A differentiable objective: evaluate(x) -> (value, gradient)."""
+    """A differentiable objective: evaluate(x) -> (value, gradient).
+
+    ``value_first(x) -> (value, gradient thunk)``, when given, computes the
+    value alone and defers the gradient to the thunk.  The thunk is called at
+    most once, and is valid until the handle's next evaluation.  The line
+    search calls it only at the trials it accepts.
+    """
 
     dim: int
     evaluate: Callable[[np.ndarray], tuple]
+    value_first: Callable[[np.ndarray], tuple] = None
+
+
+def value_first_handle(dim, value_first) -> ObjectiveHandle:
+    """A handle whose ``evaluate`` finishes each value-first evaluation at once."""
+    def evaluate(x):
+        value, gradient = value_first(x)
+        return value, gradient()
+    return ObjectiveHandle(dim, evaluate, value_first)
+
+
+def _eager(evaluate):
+    """The value-first form of a two-field handle: the gradient comes with the value."""
+    def value_first(x):
+        value, grad = evaluate(x)
+        return value, lambda: grad
+    return value_first
 
 
 GRAD_TOL = "grad_tol"        # gradient max-norm reached cfg.grad_tol
@@ -94,38 +117,30 @@ def softmax_weights(alpha, mu: float, axis=None) -> np.ndarray:
 
     exp((alpha - max) / mu) normalized to sum 1, over the whole array when
     ``axis`` is None, else independently along that axis.  With a small mu
-    the weights are exactly zero outside near-ties of the maximum.  C-contiguous
-    (K, n) matrices, alone or stacked, reduced along their K axis (the
-    piece-major layout of stage 2) take the exp only on those near-ties, with
-    the same bits for finite input.
+    the weights are exactly zero outside near-ties of the maximum.
     """
     alpha = np.asarray(alpha, dtype=float)
     if alpha.size == 0:
         raise ValueError("empty input")
     if mu <= 0:
         raise ValueError("mu must be positive")
-    if (alpha.ndim in (2, 3) and axis == alpha.ndim - 2 and alpha.flags.c_contiguous
-            and alpha.shape[-1] > 1):
-        near, weights = softmax_near_ties(alpha, mu)
-        w = np.zeros_like(alpha)
-        w.ravel()[near] = weights
-        return w
     keep = axis is not None
     w = np.exp((alpha - np.max(alpha, axis=axis, keepdims=keep)) / mu)
     return w / np.sum(w, axis=axis, keepdims=keep)
 
 
-def softmax_near_ties(A: np.ndarray, mu: float):
+def softmax_near_ties(A: np.ndarray, mu: float, top: np.ndarray, gap=None):
     """Column soft-max weights of C-contiguous (K, n) matrices, near-ties only.
 
-    A is one (K, n) matrix or a stack of them.  Returns (flat indices into A
-    in row-major order, their weights); every other weight is exactly zero,
-    because exp(-745.2) underflows.  numpy sums a C-contiguous matrix along
-    axis 0 row by row, so summing each column's near-ties in increasing row
-    order reproduces the dense formula's bits.
+    A is one (K, n) matrix or a stack of them, and ``top`` its column maxima,
+    A.max(axis=-2).  Returns (flat indices into A in row-major order, their
+    weights); every other weight is exactly zero, because exp(-745.2)
+    underflows.  numpy sums a C-contiguous matrix along axis 0 row by row, so
+    summing each column's near-ties in increasing row order reproduces the
+    dense formula's bits.  ``gap``, when given, is scratch of A's shape.
     """
     K, n = A.shape[-2:]
-    gap = A - np.max(A, axis=-2, keepdims=True)
+    gap = np.subtract(A, top[..., None, :], out=gap)
     near = np.flatnonzero(gap >= -_EXP_UNDERFLOW * mu)
     cols = near % n
     if A.size > K * n:                        # stacked: one column set per matrix
@@ -163,17 +178,20 @@ def _gradient_step(g):
     return -g, -gg, 1.0 / max(1.0, sqrt(gg))
 
 
-def _backtrack(evaluate, x, f, direction, slope, t0, cfg):
+def _backtrack(value_first, x, f, direction, slope, t0, cfg):
     """Armijo backtracking along ``direction`` with g.direction = ``slope``.
 
-    Returns (accepted, t, x_new, f_new, g_new); after a failure only t is set.
+    Each trial is tested on its value alone; only the accepted trial's
+    gradient is computed.  Returns (accepted, t, x_new, f_new, g_new); after a
+    failure only t is set.
     """
     t = t0
     for _ in range(cfg.ls_max_steps):
         x_new = x + t * direction
-        f_new, g_new = evaluate(x_new)
+        f_new, gradient = value_first(x_new)
         if isfinite(f_new) and f_new <= f + cfg.ls_c1 * t * slope:
-            return True, t, x_new, float(f_new), np.asarray(g_new, dtype=float)
+            return True, t, x_new, float(f_new), np.asarray(gradient(), dtype=float)
+        del gradient    # free a rejected trial's arrays before the next trial
         t *= cfg.ls_shrink
     return False, t, None, None, None
 
@@ -193,16 +211,17 @@ def lbfgs_minimize(obj: ObjectiveHandle, x0, cfg: SolverConfig, callback=None):
     """
     start = perf_counter()
     evaluations = 0
+    value_first = obj.value_first or _eager(obj.evaluate)
 
-    def evaluate(x):
+    def trial(x):
         nonlocal evaluations
         evaluations += 1
-        return obj.evaluate(x)
+        return value_first(x)
 
     x = np.array(x0, dtype=float, copy=True)
-    f, g = evaluate(x)
+    f, gradient = trial(x)
     f = float(f)
-    g = np.asarray(g, dtype=float)
+    g = np.asarray(gradient(), dtype=float)
     if not np.isfinite(f) or not np.isfinite(g).all():
         raise ValueError("objective must be finite at the starting point")
 
@@ -234,7 +253,7 @@ def lbfgs_minimize(obj: ObjectiveHandle, x0, cfg: SolverConfig, callback=None):
             # cheap on kinked objectives while recovering full steps fast.
             t0 = min(1.0, 2.0 * t_prev)
 
-        ok, t_acc, x_new, f_new, g_new = _backtrack(evaluate, x, f, direction, slope, t0, cfg)
+        ok, t_acc, x_new, f_new, g_new = _backtrack(trial, x, f, direction, slope, t0, cfg)
         if not ok:
             ls_failures += 1
             if use_gradient:
@@ -244,8 +263,7 @@ def lbfgs_minimize(obj: ObjectiveHandle, x0, cfg: SolverConfig, callback=None):
             t_prev = 1.0
             use_gradient = True
             direction, slope, t0 = _gradient_step(g)
-            ok, t_acc, x_new, f_new, g_new = _backtrack(evaluate, x, f, direction, slope, t0,
-                                                        cfg)
+            ok, t_acc, x_new, f_new, g_new = _backtrack(trial, x, f, direction, slope, t0, cfg)
             if not ok:
                 ls_failures += 1
                 stop_reason = LINE_SEARCH

@@ -1,16 +1,17 @@
 """Shared oracles for the test suite: finite differences, fit invariants, the
 dense feature tensor, the partitioned form, the dense stage-1 objective, the
-per-component objectives that the stacked ones replaced, and the builders,
-soft-max and penalty forms that only the tests use."""
+per-component objectives that the stacked ones replaced, the direct nearest-
+center assignment, and the builders, soft-max and penalty forms that only the
+tests use."""
 
 import numpy as np
 
 from dcreg import features
 from dcreg.fit import (_SMOOTH_KAPPA, FitResult, ParamLayout, _InitialProblem, _PieceKernel,
-                       _RefineProblem, _reg_terms)
-from dcreg.model import (SINGLE, _check_dim, _piece_blocks, eval_max, eval_model, signed_sum,
-                         variant_spec)
-from dcreg.solver import ObjectiveHandle, SolverConfig
+                       _RefineProblem)
+from dcreg.model import (SINGLE, _check_dim, _piece_blocks, eval_max, eval_model, mma_inner,
+                         signed_sum, variant_spec)
+from dcreg.solver import ObjectiveHandle, SolverConfig, softmax_weights
 
 
 def central_diff(evaluate, x, base_step=1e-6):
@@ -265,6 +266,52 @@ def assert_same_bits(a, b, what=""):
     assert np.array_equal(a.view(np.int64), b.view(np.int64)), what
 
 
+def assert_value_first_matches_evaluate(obj, x, rejected, what=""):
+    """obj.value_first at x gives evaluate's value and gradient bits, also when its
+    thunk is finished after a trial at ``rejected`` whose thunk was dropped."""
+    value, grad = obj.evaluate(x)
+    first, gradient = obj.value_first(x)
+    assert first == value, what
+    assert_same_bits(gradient(), grad, what)
+    obj.value_first(rejected)
+    first, gradient = obj.value_first(x)
+    assert first == value, what
+    assert_same_bits(gradient(), grad, what)
+
+
+# ---------------------------------------------------------------------------
+# direct nearest-center assignment: the reference for afpc's labels
+
+def squared_distances(X: np.ndarray, centers: np.ndarray) -> np.ndarray:
+    """Direct-difference squared distances out[i, k] = ||X_i - c_k||^2.
+
+    The direct form (no Gram expansion) keeps distances bit-identical to any
+    per-pair recomputation, so cover checks need no tolerance.
+    """
+    X = np.atleast_2d(np.asarray(X, dtype=float))
+    centers = np.atleast_2d(np.asarray(centers, dtype=float))
+    out = np.empty((X.shape[0], centers.shape[0]))
+    chunk = max(1, int(2_000_000 / max(1, centers.shape[0] * X.shape[1])))
+    for lo in range(0, X.shape[0], chunk):
+        hi = min(lo + chunk, X.shape[0])
+        diff = X[lo:hi, None, :] - centers[None, :, :]
+        out[lo:hi] = np.sum(diff * diff, axis=2)
+    return out
+
+
+def assign_cells(centers: np.ndarray, X: np.ndarray):
+    """Nearest-center labels (ties to the smaller index) and the cover radius."""
+    centers = np.atleast_2d(np.asarray(centers, dtype=float))
+    X = np.atleast_2d(np.asarray(X, dtype=float))
+    if centers.shape[0] < 1:
+        raise ValueError("need at least one center")
+    # Squared distances suffice for the argmin / max chain; one sqrt at the end.
+    sq = squared_distances(X, centers)
+    labels = np.argmin(sq, axis=1)
+    eps = float(np.sqrt(np.max(sq[np.arange(X.shape[0]), labels])))
+    return labels.astype(np.int64), eps
+
+
 # ---------------------------------------------------------------------------
 # the per-component objectives the stacked ones replaced, kept as references:
 # every floating-point operation of the stacked forms must match these
@@ -389,6 +436,20 @@ def reference_initial_objective(problem, rho):
                              _ReferenceInitialConstraints(problem), rho)
 
 
+def reference_reg_terms(W_rows, theta, c0, theta2, mu):
+    """Value and per-row gradient of the stage-2 slope regularizer, computed together."""
+    norms = np.linalg.norm(W_rows, axis=1)
+    lam = float(np.max(norms)) if norms.size else 0.0
+    hinge = max(lam - c0, 0.0)
+    value = theta * hinge * hinge + theta2 * float(np.sum(norms * norms))
+    grad = 2.0 * theta2 * W_rows
+    if theta > 0.0 and hinge > 0.0:
+        w = softmax_weights(norms, mu)
+        sn = np.sqrt((W_rows * W_rows).sum(axis=1) + _SMOOTH_KAPPA ** 2)
+        grad = grad + (2.0 * theta * hinge) * (w / sn)[:, None] * W_rows
+    return value, grad
+
+
 def reference_max_form_objective(problem):
     """The stage-2 max-form objective, one component at a time, dense column soft-max."""
     layout, y, mu, n = problem.layout, problem.y, problem.mu, problem.y.shape[0]
@@ -405,8 +466,8 @@ def reference_max_form_objective(problem):
         r = signed_sum(signs, [a.max(axis=0) for a in A]) - y
         value = float(np.mean(r * r))
         scale = (2.0 / n) * r
-        rv, rg = _reg_terms(np.concatenate(list(Ws)), problem.theta, problem.c0,
-                            problem.reg.theta2, mu)
+        rv, rg = reference_reg_terms(np.concatenate(list(Ws)), problem.theta, problem.c0,
+                                     problem.reg.theta2, mu)
         value += rv
         parts = []
         for i, (sign, a, W) in enumerate(zip(signs, A, Ws)):
@@ -416,6 +477,39 @@ def reference_max_form_objective(problem):
             value += reference_cone_penalty(problem.cone, W, problem.d, problem.rho, gW)
             parts += [gb, gW.ravel()]
         return value, np.concatenate(parts)
+
+    return ObjectiveHandle(layout.dim, evaluate)
+
+
+def reference_mma_objective(problem):
+    """The stage-2 max-min-affine objective with fresh arrays in every evaluation."""
+    layout, y, mu = problem.layout, problem.y, problem.mu
+    Xt = np.ascontiguousarray(problem.X.T)
+    n = y.shape[0]
+    (K, L), d = problem.mma_shape, problem.d
+
+    def evaluate(params):
+        _, [b], [W] = layout.stack(params)
+        inner = mma_inner(b.reshape(K, L), W.reshape(K, L, d), Xt)
+        m_in = inner.min(axis=1)
+        r = m_in.max(axis=0) - y
+        value = float(np.mean(r * r))
+        gap = m_in - np.max(m_in, axis=0, keepdims=True)     # outer max weights, near-ties
+        near = np.flatnonzero(gap >= -746.0 * mu)
+        ks, rows = np.divmod(near, n)
+        e = np.exp(gap.ravel()[near] / mu)
+        sig = e / np.bincount(rows, weights=e, minlength=n)[rows]
+        vals = inner[ks, :, rows]
+        tau = np.exp((vals.min(axis=1, keepdims=True) - vals) / mu)  # inner min weights
+        coef = tau * ((2.0 / n) * r[rows] * sig / tau.sum(axis=1))[:, None]
+        slot = (ks[:, None] * L + np.arange(L)).ravel()
+        gB = np.bincount(slot, weights=coef.ravel(), minlength=K * L)
+        gS = np.column_stack([np.bincount(slot, weights=(coef * x[:, None]).ravel(),
+                                          minlength=K * L) for x in Xt[:, rows]])
+        rv, rg = reference_reg_terms(W, problem.theta, problem.c0, problem.reg.theta2, mu)
+        value += rv
+        gS += rg
+        return value, np.concatenate([gB, gS.ravel()])
 
     return ObjectiveHandle(layout.dim, evaluate)
 

@@ -1,12 +1,15 @@
+import dataclasses
 import itertools
 
 import numpy as np
 import pytest
 
 from _helpers import (assert_fit_invariants, assert_gradient_matches, assert_same_bits,
-                      build_initial_objective, build_refine_objective, dense_initial_objective,
-                      fit_diagnostics, phi_tensor, reference_cone_penalty,
-                      reference_initial_objective, reference_max_form_objective)
+                      assert_value_first_matches_evaluate, build_initial_objective,
+                      build_refine_objective, dense_initial_objective, fit_diagnostics,
+                      phi_tensor, reference_cone_penalty, reference_initial_objective,
+                      reference_max_form_objective, reference_mma_objective,
+                      reference_reg_terms)
 from dcreg import features
 from dcreg.data import Dataset
 from dcreg.fit import (FitConfig, RegParams, STRONG, WEAK, _RefineProblem,
@@ -179,11 +182,13 @@ def test_stacked_initial_objective_is_bit_identical_to_the_split_reference(d):
         ref = reference_initial_objective(problem, rho)
         points = [problem.warm_start(), problem.certificate_point(),
                   0.5 * rng.standard_normal(layout.dim), 1e-3 * rng.standard_normal(layout.dim)]
-        for x in points:
+        for x, rejected in zip(points, points[1:] + points[:1]):
             value, grad = obj.evaluate(x)
             ref_value, ref_grad = ref.evaluate(x)
             assert value == ref_value, (variant, kind, rho)
             assert_same_bits(grad, ref_grad, (variant, kind, rho))
+            # value first, the gradient finished alone or after a rejected trial
+            assert_value_first_matches_evaluate(obj, x, rejected, (variant, kind, rho))
 
 
 @pytest.mark.parametrize("kind", features.FEATURE_KINDS)
@@ -613,7 +618,6 @@ def test_fit_edge_inputs(case):
 
 def _dense_max_form_objective(initial, ds, reg, variant):
     """The stage-2 max-form objective on the dense (n, K, slope_dim) feature tensor."""
-    from dcreg.fit import _reg_terms
     cfg = SolverConfig()
     problem = _RefineProblem(initial, ds, reg, cfg)
     assert problem.spec.name == variant
@@ -635,8 +639,8 @@ def _dense_max_form_objective(initial, ds, reg, variant):
         value = float(np.mean(r * r))
         coef1 = (2.0 / n) * r[:, None] * softmax_rows(A1)
         gW1 = np.einsum("nk,nkj->kj", coef1, phi)
-        rv, rg = _reg_terms(np.vstack([W1] if W2 is None else [W1, W2]),
-                            problem.theta, problem.c0, reg.theta2, cfg.mu)
+        rv, rg = reference_reg_terms(np.vstack([W1] if W2 is None else [W1, W2]),
+                                     problem.theta, problem.c0, reg.theta2, cfg.mu)
         value += rv
         gW1 += rg[:K]
         value += reference_cone_penalty(problem.cone, W1, problem.d, cfg.rho_pen, gW1)
@@ -674,30 +678,32 @@ def test_refine_objective_matches_dense_tensor_reference():
 @pytest.mark.parametrize("d", [1, 3, 8])
 def test_stacked_max_form_objective_is_bit_identical_to_the_per_component_reference(d):
     # Stage 2 of every max-form (variant, kind) pair, components stacked, against the
-    # per-component form it replaced.  max_min_affine refines its blocks instead.
+    # per-component form it replaced; max_min_affine's blocks against fresh arrays.
     rng = np.random.default_rng(63 + d)
     ds = _random_dataset(70, d, seed=64 + d)
     part = afpc(ds.X, seed=65)
     reg = default_reg_params(*_radii(ds), ds.n, d, part.n_centers)
     for variant, kind in _PAIRS:
-        if VARIANT_TABLE[variant].mma:
-            continue
+        mma = VARIANT_TABLE[variant].mma
         initial, _ = fit_initial(ds, part, kind, reg, SolverConfig(max_iters=50), variant)
         for rho in (SolverConfig().rho_pen, 1.0):
             problem = _RefineProblem(initial, ds, reg, SolverConfig(rho_pen=rho))
-            obj, ref, x0 = problem.objective(), reference_max_form_objective(problem), problem.x0
+            ref = (reference_mma_objective if mma else reference_max_form_objective)(problem)
+            obj, x0 = problem.objective(), problem.x0
             # the second point also exercises the hinge branch, the third the cones
-            for x in (x0, x0 * (reg.theta3 + 2.0) + 0.1 * rng.standard_normal(x0.size),
-                      0.5 * rng.standard_normal(x0.size)):
+            points = [x0, x0 * (reg.theta3 + 2.0) + 0.1 * rng.standard_normal(x0.size),
+                      0.5 * rng.standard_normal(x0.size)]
+            for x, rejected in zip(points, points[1:] + points[:1]):
                 value, grad = obj.evaluate(x)
                 ref_value, ref_grad = ref.evaluate(x)
                 assert value == ref_value, (variant, kind, rho)
                 assert_same_bits(grad, ref_grad, (variant, kind, rho))
+                # value first, the gradient finished alone or after a rejected trial
+                assert_value_first_matches_evaluate(obj, x, rejected, (variant, kind, rho))
 
 
 def _dense_mma_objective(initial, ds, reg):
     """The stage-2 max-min-affine objective on the dense (n, K, L) tensor."""
-    from dcreg.fit import _reg_terms
     cfg = SolverConfig()
     problem = _RefineProblem(initial, ds, reg, cfg)
     layout, X, y, n = problem.layout, ds.X, ds.y, ds.n
@@ -714,7 +720,7 @@ def _dense_mma_objective(initial, ds, reg):
         tau = softmax_weights(-inner, cfg.mu, axis=2)           # inner min weights
         coef = (2.0 / n) * r[:, None, None] * sig[:, :, None] * tau
         gS = np.einsum("nkl,nd->kld", coef, X)
-        rv, rg = _reg_terms(W, problem.theta, problem.c0, reg.theta2, cfg.mu)
+        rv, rg = reference_reg_terms(W, problem.theta, problem.c0, reg.theta2, cfg.mu)
         gS = gS + rg.reshape(S.shape)
         return value + rv, np.concatenate([coef.sum(axis=0).ravel(), gS.ravel()])
 
@@ -782,3 +788,34 @@ def test_solve_diagnostics_reach_the_fit_log(caplog):
         line = next(r.getMessage() for r in caplog.records if r.getMessage().startswith(stage))
         assert f"evals={report.evaluations} stop={report.stop_reason}" in line
         assert report.wall_s > 0.0 and f"wall={report.wall_s:.3f}s" in line
+
+
+def _compared_fields_equal(a, b):
+    """Dataclasses equal field by field where the field takes part in comparisons;
+    arrays as raw bytes."""
+    if dataclasses.is_dataclass(a):
+        return type(a) is type(b) and all(
+            _compared_fields_equal(getattr(a, f.name), getattr(b, f.name))
+            for f in dataclasses.fields(a) if f.compare)
+    if isinstance(a, np.ndarray):
+        return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+    if isinstance(a, tuple):
+        return len(a) == len(b) and all(map(_compared_fields_equal, a, b))
+    return a == b
+
+
+def test_fit_timings_are_reported_and_not_compared(caplog):
+    ds = _xsinx_dataset(60, seed=37)
+    config = FitConfig(variant=SYMMETRIC, kind=features.L2, seed=2,
+                       solver=SolverConfig(max_iters=100))
+    with caplog.at_level("INFO", logger="dcreg.fit"):
+        first = fit_dcf(ds, config)
+    second = fit_dcf(ds, config)
+    for result in (first, second):
+        assert set(result.timings) == {"afpc", "stage1", "stage2", "finalize"}
+        assert all(seconds >= 0.0 for seconds in result.timings.values())
+    timings_field, = (f for f in dataclasses.fields(first) if f.name == "timings")
+    assert not timings_field.compare and _compared_fields_equal(first, second)
+    line = next(r.getMessage() for r in caplog.records if r.getMessage().startswith("fit_dcf"))
+    for layer, seconds in first.timings.items():
+        assert f"{layer}={seconds:.3f}s" in line

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
+from _helpers import assign_cells
 from dcreg.data import Dataset
-from dcreg.partition import afpc, assign_cells, data_radii, khat
+from dcreg.partition import afpc, data_radii, khat
 
 
 def test_data_radii_1d():
@@ -80,6 +81,20 @@ def test_assign_cells_subset_of_centers():
     labels, eps = assign_cells(centers, centers)
     assert eps == 0.0
     assert np.array_equal(labels, [0, 1, 2])
+
+
+def test_afpc_labels_match_the_direct_assignment_on_exact_ties():
+    # Integer-grid rows, many duplicated, lie at exactly equal distances from
+    # several centers: the loop's labels must still be the smallest-index argmin.
+    rng = np.random.default_rng(13)
+    for trial in range(30):
+        n, d = int(rng.integers(2, 300)), int(rng.integers(1, 5))
+        X = rng.integers(-3, 4, (n, d)).astype(float)
+        X = np.vstack([X, X[rng.integers(0, n, n // 2)]])
+        p = afpc(X, seed=trial)
+        labels, eps = assign_cells(p.centers, X)
+        assert np.array_equal(p.assignment, labels)
+        assert p.eps_n == eps
 
 
 def test_afpc_determinism():

@@ -4,7 +4,7 @@ import pytest
 from _helpers import callable_penalty_objective, softmax_smooth
 from dcreg.solver import (GRAD_TOL, LINE_SEARCH, MAX_ITERS, NONFINITE, STALL_RTOL, STALL_WINDOW,
                           STALLED, ObjectiveHandle, SolveReport, SolverConfig, lbfgs_minimize,
-                          softmax_weights)
+                          softmax_near_ties, softmax_weights)
 
 
 def central_diff(evaluate, x, step=1e-6):
@@ -198,6 +198,14 @@ def _dense_softmax_cols(A, mu):
     return E / E.sum(axis=0, keepdims=True)
 
 
+def _near_tie_weights(A, mu):
+    """softmax_near_ties scattered into a dense array, with the column max the callers pass."""
+    near, weights = softmax_near_ties(A, mu, A.max(axis=-2))
+    w = np.zeros_like(A)
+    w.ravel()[near] = weights
+    return w
+
+
 def test_softmax_weights_along_an_axis_matches_the_dense_formula_bitwise():
     rng = np.random.default_rng(5)
     A = rng.standard_normal((64, 9))
@@ -220,7 +228,8 @@ def test_softmax_weights_along_an_axis_matches_the_dense_formula_bitwise():
     assert np.array_equal(w[1, [2, 5]], [0.5, 0.5]) and w[1].sum() == 1.0
     assert np.array_equal(w[2], np.eye(9)[4])
 
-    # C-contiguous piece-major (K, n) input along axis 0: exp on near-ties only
+    # softmax_near_ties on C-contiguous piece-major (K, n) input, with the column
+    # max its callers pass: exp on near-ties only, the dense formula's bits
     mu = 1e-6
     P = rng.standard_normal((12, 40)) * 1e-2
     P[[1, 4, 7, 10], 0] = 1.0 + 1e-7 * np.arange(4)              # four near-ties
@@ -232,14 +241,14 @@ def test_softmax_weights_along_an_axis_matches_the_dense_formula_bitwise():
     for M in (P, P[:, :2].copy(), rng.standard_normal((1, 5)), rng.standard_normal((30, 3))):
         for m in (mu, 1e-3, 0.7):
             assert M.flags.c_contiguous
-            assert np.array_equal(softmax_weights(M, m, axis=0), _dense_softmax_cols(M, m))
+            assert np.array_equal(_near_tie_weights(M, m), _dense_softmax_cols(M, m))
     # the same crafted columns in a C-contiguous (m, K, n) stack along axis 1
     S = np.stack([P, P[::-1].copy()])
     for m in (mu, 1e-3, 0.7):
         assert S.flags.c_contiguous
-        assert np.array_equal(softmax_weights(S, m, axis=1),
+        assert np.array_equal(_near_tie_weights(S, m),
                               np.stack([_dense_softmax_cols(M, m) for M in S]))
-    w = softmax_weights(P, mu, axis=0)
+    w = _near_tie_weights(P, mu)
     assert np.count_nonzero(w[:, 0]) == 4 and np.count_nonzero(w[:, 1]) == 3
     assert np.all(w[:5, 2] > 0.0) and not np.any(w[6:, 2])
     assert np.array_equal(w[:, 3], np.eye(12)[6])
@@ -384,18 +393,37 @@ def test_lbfgs_iterates_bit_identical_to_reference_two_loop():
              (late_wrong_gradient, np.array([0.0, 0.3, -0.4]), SolverConfig()))
     reasons = set()
     for evaluate, x0, cfg in cases:
+        finished = []                       # the points whose gradient thunk ran
+
+        def value_first(x, evaluate=evaluate):
+            value, grad = evaluate(x)
+
+            def gradient():
+                finished.append(x.copy())
+                return grad
+            return value, gradient
+
+        handles = (ObjectiveHandle(x0.size, evaluate),
+                   ObjectiveHandle(x0.size, evaluate, value_first))
         runs = []
-        for solve in (lbfgs_minimize, _reference_lbfgs):
+        for solve, obj in ((_reference_lbfgs, handles[0]), (lbfgs_minimize, handles[0]),
+                           (lbfgs_minimize, handles[1])):
             history = []
-            x, report = solve(ObjectiveHandle(x0.size, evaluate), x0, cfg,
+            x, report = solve(obj, x0, cfg,
                               callback=lambda i, x, f: history.append((x.copy(), f)))
             runs.append((x, report, history))
-        (x1, r1, h1), (x2, r2, h2) = runs
-        assert r1 == r2, evaluate.__name__
-        assert np.array_equal(x1.view(np.int64), x2.view(np.int64))
-        assert len(h1) == len(h2)
-        for (a, fa), (b, fb) in zip(h1, h2):
-            assert np.array_equal(a.view(np.int64), b.view(np.int64)) and fa == fb
+        (x2, r2, h2), *solver_runs = runs
+        for x1, r1, h1 in solver_runs:      # the eager adapter, then value-first trials
+            assert r1 == r2, evaluate.__name__
+            assert np.array_equal(x1.view(np.int64), x2.view(np.int64))
+            assert len(h1) == len(h2)
+            for (a, fa), (b, fb) in zip(h1, h2):
+                assert np.array_equal(a.view(np.int64), b.view(np.int64)) and fa == fb
+        # Gradients only at x0 and the trials that passed the Armijo test: the
+        # accepted iterates, and the aborting step's non-finite one.
+        assert len(finished) == 1 + r1.iterations + int(r1.aborted), evaluate.__name__
+        for a, b in zip(finished, [x0] + [x for x, _ in h1]):
+            assert np.array_equal(a.view(np.int64), b.view(np.int64))
         reasons.add(r1.stop_reason)
         if cfg.lbfgs_memory == 4:               # kinked, and Rosenbrock from [-1.2, 1, -0.5, 0.8]
             assert r1.iterations > 4
