@@ -33,7 +33,7 @@ from .model import (CONVEX_MAX_AFFINE, CONVEX_NORM, CONVEX_PLUS, COMPLEMENT,
 from .partition import Partition, afpc, data_radii, khat
 from .serialize import ModelFormatError, load_model, save_model
 from .solver import (ObjectiveHandle, SolveReport, SolverAbort, SolverConfig,
-                     lbfgs_minimize, softmax_weights)
+                     lbfgs_minimize)
 from .targets import TargetFunction, empirical_lipschitz
 
 __version__ = "0.1.0"

@@ -46,7 +46,8 @@ def _cmd_fit(args):
     preds = spec.invert_y(model_mod.eval_model(result.final_model, spec.transform_x(dataset.X)))
     train_mse = float(np.mean((preds - dataset.y) ** 2))
     print(f"variant={args.variant} kind={args.kind} n={dataset.n} d={dataset.d} "
-          f"K={result.partition.n_centers} pieces={result.final_model.component.n_pieces} "
+          f"K={result.partition.n_centers} "
+          f"pieces={[c.n_pieces for c in result.final_model.components()]} "
           f"lip={model_mod.lip_stat(result.final_model):.6g} train_mse={train_mse:.6g} "
           f"violation={result.constraint_violation_max:.3g} out={args.out}")
     return EXIT_OK

@@ -234,10 +234,7 @@ def apply_scaling(dataset: Dataset, mode: str):
     else:
         shift = np.zeros(d)
         scale = np.ones(d)
-    constant = scale <= 0.0
-    scale = np.where(constant, 1.0, scale)
-    if mode == MM:
-        shift = np.where(constant, X.min(axis=0), shift)
+    scale = np.where(scale <= 0.0, 1.0, scale)
 
     y_mean = float(np.mean(y))
     y_std = _sample_std(y)

@@ -24,13 +24,15 @@ from .model import (
 )
 from .partition import Partition, afpc
 from .solver import ObjectiveHandle, SolveReport, SolverConfig, SolverAbort, \
-    lbfgs_minimize, softmax_near_ties, softmax_weights, value_first_handle
+    lbfgs_minimize, softmax_near_ties
 
 log = logging.getLogger(__name__)
 
 WEAK = "weak"
 STRONG = "strong"
 
+MU = 1e-6               # soft-max smoothing width of the stage-2 gradients
+RHO_PEN = 1e6           # quadratic penalty weight of the stage-1 residuals
 _SMOOTH_KAPPA = 1e-12   # removes the norm kink inside penalty residuals
 _REFINE_SLACK = 1e-10   # acceptance slack for the refinement criterion
 _FLOOR_RX = 1e-12       # guards theta0 against a zero covariate radius
@@ -310,7 +312,7 @@ class _InitialProblem:
         sign_col = np.array(signs)[:, None, None, None]
         add = np.add.reduce    # x.sum(axis) without the method's Python wrapper
 
-        def value_first(params):
+        def evaluate(params):
             z, B, W = layout.stack(params)
             # theta1 z^2 + the per-cell least squares of the signed sum + the ridge
             delta = signed_sum(signs, params.take(cell_rows))
@@ -360,7 +362,7 @@ class _InitialProblem:
 
             return value + penalty, gradient
 
-        return value_first_handle(layout.dim, value_first)
+        return ObjectiveHandle(layout.dim, evaluate)
 
     def _pack_first(self, z, b, W):
         """Parameters with (b, W) in the first component and zeros in the others."""
@@ -418,11 +420,11 @@ def fit_initial(dataset: Dataset, partition: Partition, kind: str, reg: RegParam
     """
     solver_cfg = solver_cfg or SolverConfig()
     problem = _InitialProblem(dataset.X, dataset.y, partition, kind, reg, variant)
-    penalized = problem.objective(solver_cfg.rho_pen)
+    penalized = problem.objective(RHO_PEN)
     start = problem.warm_start()
     cert = problem.certificate_point()
-    cert_value = float(penalized.value_first(cert)[0])
-    if float(penalized.value_first(start)[0]) > cert_value:
+    cert_value = float(penalized.evaluate(cert)[0])
+    if float(penalized.evaluate(start)[0]) > cert_value:
         start = cert
     x_star, report = lbfgs_minimize(penalized, start, solver_cfg)
     if not np.isfinite(x_star).all():
@@ -480,12 +482,14 @@ def training_risk_std(model: DcModel, X, y) -> float:
 # ---------------------------------------------------------------------------
 # the refinement problem (max-form, smoothed gradients)
 
-def _reg_terms(W_rows, theta, c0, theta2, mu):
+def _reg_terms(W_rows, theta, c0, theta2):
     """Value of the slope regularizer, and a thunk for its per-row gradient.
 
     The hinge on the largest slope norm uses soft-max weights in the
-    gradient; the value uses the true maximum.  The norms are
-    sqrt(sum W^2), which is what np.linalg.norm computes along an axis.
+    gradient, the norms taken as one column of ``softmax_near_ties``; every
+    other row's weight is exactly zero, so only the near-tie rows get a hinge
+    term.  The value uses the true maximum.  The norms are sqrt(sum W^2),
+    which is what np.linalg.norm computes along an axis.
     """
     sq_norms = np.add.reduce(W_rows * W_rows, 1)
     norms = np.sqrt(sq_norms)
@@ -496,8 +500,9 @@ def _reg_terms(W_rows, theta, c0, theta2, mu):
     def gradient():
         grad = 2.0 * theta2 * W_rows
         if theta > 0.0 and hinge > 0.0:
-            w = softmax_weights(norms, mu)
-            grad = grad + (2.0 * theta * hinge) * (w / _smooth_norms(sq_norms))[:, None] * W_rows
+            rows, w = softmax_near_ties(norms[:, None], MU, np.array([lam]))
+            grad[rows] += ((2.0 * theta * hinge) * (w / _smooth_norms(sq_norms[rows]))[:, None]
+                           * W_rows[rows])
         return grad
 
     return value, gradient
@@ -512,13 +517,11 @@ class _RefineProblem:
     objective, so a refinement that does not run builds none.
     """
 
-    def __init__(self, initial_model: DcModel, dataset: Dataset, reg: RegParams,
-                 cfg: SolverConfig):
+    def __init__(self, initial_model: DcModel, dataset: Dataset, reg: RegParams):
         X, y = dataset.X, dataset.y
         self.X, self.y = X, y
         self.reg = reg
-        self.mu = cfg.mu
-        self.rho = cfg.rho_pen
+        self.rho = RHO_PEN      # of the cone penalty
         self.risk0 = training_risk_std(initial_model, X, y)
         self.lam0 = lip_stat(initial_model)
         self.theta = theta_fn_value(initial_model, reg, self.risk0)
@@ -548,27 +551,27 @@ class _RefineProblem:
         layout, y = self.layout, self.y
         n = y.shape[0]
         m, K, s = layout.n_components, layout.n_pieces, layout.slope_dim
-        mu, theta2 = self.mu, self.reg.theta2
+        theta2 = self.reg.theta2
         signs = self.spec.signs
         sign_col = np.array(signs)[:, None]
         kernel = _PieceKernel(self.kind, self.X, self.centers, s)
         # Made once: the piece values, the soft-max gap scratch and the coefficients.
         A, gap, coef = np.empty((3, m, K, n))
 
-        def value_first(params):
+        def evaluate(params):
             _, B, W = layout.stack(params)
             kernel.values(B, W, A, gap)
             top = A.max(axis=1)
             r = signed_sum(signs, top) - y
             value = float(np.add.reduce(r * r, None) / n)    # np.mean's bits
-            rv, reg_grad = _reg_terms(W.reshape(m * K, s), self.theta, self.c0, theta2, mu)
+            rv, reg_grad = _reg_terms(W.reshape(m * K, s), self.theta, self.c0, theta2)
             value += rv
             cones, add_cone_grad = self.cone.penalty(W, self.d, self.rho)
             for cone_value in cones:
                 value += cone_value
 
             def gradient():
-                near, weights = softmax_near_ties(A, mu, top, gap)
+                near, weights = softmax_near_ties(A, MU, top, gap)
                 coef.fill(0.0)
                 coef.ravel()[near] = weights
                 np.multiply(coef, (sign_col * ((2.0 / n) * r))[:, None, :], out=coef)
@@ -579,7 +582,7 @@ class _RefineProblem:
 
             return value, gradient
 
-        return value_first_handle(layout.dim, value_first)
+        return ObjectiveHandle(layout.dim, evaluate)
 
     def _mma_objective(self):
         """Block-major: inner values are (K, L, n), one coordinate at a time.
@@ -592,12 +595,12 @@ class _RefineProblem:
         Xt = np.ascontiguousarray(self.X.T)
         n = y.shape[0]
         (K, L), d = self.mma_shape, self.d
-        mu, theta2 = self.mu, self.reg.theta2
+        theta2 = self.reg.theta2
         # Made once: the inner values (and their scratch), the minima and the gap scratch.
         inner, tmp = np.empty((K, L, n)), (np.empty((K, L, n)) if d > 1 else None)
         m_in, gap = np.empty((2, K, n))
 
-        def value_first(params):
+        def evaluate(params):
             _, B, W = layout.stack(params)
             b, W = B[0], W[0]
             mma_inner(b.reshape(K, L), W.reshape(K, L, d), Xt, inner, tmp)
@@ -605,14 +608,14 @@ class _RefineProblem:
             top = m_in.max(axis=0)
             r = top - y
             value = float(np.add.reduce(r * r, None) / n)    # np.mean's bits
-            rv, reg_grad = _reg_terms(W, self.theta, self.c0, theta2, mu)
+            rv, reg_grad = _reg_terms(W, self.theta, self.c0, theta2)
             value += rv
 
             def gradient():
-                near, sig = softmax_near_ties(m_in, mu, top, gap)   # outer max weights
+                near, sig = softmax_near_ties(m_in, MU, top, gap)   # outer max weights
                 ks, rows = np.divmod(near, n)
                 vals = inner[ks, :, rows]                          # (pairs, L)
-                tau = np.exp((vals.min(axis=1, keepdims=True) - vals) / mu)  # inner min weights
+                tau = np.exp((vals.min(axis=1, keepdims=True) - vals) / MU)  # inner min weights
                 coef = tau * ((2.0 / n) * r[rows] * sig / tau.sum(axis=1))[:, None]
                 slot = (ks[:, None] * L + np.arange(L)).ravel()     # index of (k, l)
                 gB = np.bincount(slot, weights=coef.ravel(), minlength=K * L)
@@ -623,7 +626,7 @@ class _RefineProblem:
 
             return value, gradient
 
-        return value_first_handle(layout.dim, value_first)
+        return ObjectiveHandle(layout.dim, evaluate)
 
     def extract(self, params, initial_model: DcModel) -> DcModel:
         _, B, W = self.layout.stack(params)
@@ -648,7 +651,7 @@ def refine(initial_model: DcModel, dataset: Dataset, reg: RegParams,
     initial value (tiny slack); otherwise the initial model is returned.
     """
     cfg = cfg or SolverConfig()
-    problem = _RefineProblem(initial_model, dataset, reg, cfg)
+    problem = _RefineProblem(initial_model, dataset, reg)
     risk0 = problem.risk0
     rr0 = risk0 + reg_n_value(initial_model, initial_model, reg, risk0)
     if problem.lam0 == 0.0:

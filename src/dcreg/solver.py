@@ -24,58 +24,28 @@ class SolverAbort(RuntimeError):
 
 @dataclass(frozen=True)
 class SolverConfig:
-    mu: float = 1e-6               # soft-max smoothing width
-    rho_pen: float = 1e6           # quadratic penalty weight
     lbfgs_memory: int = 10
     max_iters: int = 2000
-    grad_tol: float = 1e-6         # on the max-norm of the gradient
-    ls_shrink: float = 0.5
-    ls_c1: float = 1e-4            # Armijo constant
-    ls_max_steps: int = 40
 
     def __post_init__(self):
-        if self.mu <= 0 or self.rho_pen <= 0:
-            raise ValueError("mu and rho_pen must be positive")
         if self.lbfgs_memory < 1 or self.max_iters < 0:
             raise ValueError("lbfgs_memory must be >= 1 and max_iters >= 0")
-        if not (0 < self.ls_shrink < 1) or not (0 < self.ls_c1 < 1):
-            raise ValueError("ls_shrink and ls_c1 must lie in (0, 1)")
-        if self.ls_max_steps < 1:
-            raise ValueError("ls_max_steps must be >= 1")
 
 
 @dataclass(frozen=True)
 class ObjectiveHandle:
-    """A differentiable objective: evaluate(x) -> (value, gradient).
+    """A differentiable objective: evaluate(x) -> (value, gradient thunk).
 
-    ``value_first(x) -> (value, gradient thunk)``, when given, computes the
-    value alone and defers the gradient to the thunk.  The thunk is called at
-    most once, and is valid until the handle's next evaluation.  The line
-    search calls it only at the trials it accepts.
+    The value is computed at once and the gradient deferred to the thunk.
+    The thunk is called at most once, and is valid until the handle's next
+    evaluation.  The line search calls it only at the trials it accepts.
     """
 
     dim: int
     evaluate: Callable[[np.ndarray], tuple]
-    value_first: Callable[[np.ndarray], tuple] = None
 
 
-def value_first_handle(dim, value_first) -> ObjectiveHandle:
-    """A handle whose ``evaluate`` finishes each value-first evaluation at once."""
-    def evaluate(x):
-        value, gradient = value_first(x)
-        return value, gradient()
-    return ObjectiveHandle(dim, evaluate, value_first)
-
-
-def _eager(evaluate):
-    """The value-first form of a two-field handle: the gradient comes with the value."""
-    def value_first(x):
-        value, grad = evaluate(x)
-        return value, lambda: grad
-    return value_first
-
-
-GRAD_TOL = "grad_tol"        # gradient max-norm reached cfg.grad_tol
+GRAD_TOL = "grad_tol"        # gradient max-norm reached GRAD_NORM_TOL
 MAX_ITERS = "max_iters"      # iteration cap reached first
 LINE_SEARCH = "line_search"  # the negative-gradient line search failed too
 NONFINITE = "nonfinite"      # an accepted step had a non-finite gradient
@@ -86,6 +56,13 @@ STOP_REASONS = (GRAD_TOL, MAX_ITERS, LINE_SEARCH, NONFINITE, STALLED)
 # by at most STALL_RTOL * max(1, |value|) in total.
 STALL_WINDOW = 50
 STALL_RTOL = 1e-7
+# Convergence: the gradient's max-norm at most GRAD_NORM_TOL.  Armijo
+# backtracking: at most LS_MAX_STEPS trials, each LS_SHRINK times the last,
+# accepted at a decrease of LS_C1 * t * slope.
+GRAD_NORM_TOL = 1e-6
+LS_SHRINK = 0.5
+LS_C1 = 1e-4
+LS_MAX_STEPS = 40
 # exp(x) is exactly 0.0 in float64 below x = -745.14; the soft-max weights
 # need only the entries within this many mu of the maximum.
 _EXP_UNDERFLOW = 746.0
@@ -110,23 +87,6 @@ class SolveReport:
     evaluations: int = 0
     stop_reason: str = ""
     wall_s: float = field(default=0.0, compare=False)
-
-
-def softmax_weights(alpha, mu: float, axis=None) -> np.ndarray:
-    """Gradient weights of the soft maximum: probability vectors along ``axis``.
-
-    exp((alpha - max) / mu) normalized to sum 1, over the whole array when
-    ``axis`` is None, else independently along that axis.  With a small mu
-    the weights are exactly zero outside near-ties of the maximum.
-    """
-    alpha = np.asarray(alpha, dtype=float)
-    if alpha.size == 0:
-        raise ValueError("empty input")
-    if mu <= 0:
-        raise ValueError("mu must be positive")
-    keep = axis is not None
-    w = np.exp((alpha - np.max(alpha, axis=axis, keepdims=keep)) / mu)
-    return w / np.sum(w, axis=axis, keepdims=keep)
 
 
 def softmax_near_ties(A: np.ndarray, mu: float, top: np.ndarray, gap=None):
@@ -178,7 +138,7 @@ def _gradient_step(g):
     return -g, -gg, 1.0 / max(1.0, sqrt(gg))
 
 
-def _backtrack(value_first, x, f, direction, slope, t0, cfg):
+def _backtrack(evaluate, x, f, direction, slope, t0):
     """Armijo backtracking along ``direction`` with g.direction = ``slope``.
 
     Each trial is tested on its value alone; only the accepted trial's
@@ -186,13 +146,13 @@ def _backtrack(value_first, x, f, direction, slope, t0, cfg):
     failure only t is set.
     """
     t = t0
-    for _ in range(cfg.ls_max_steps):
+    for _ in range(LS_MAX_STEPS):
         x_new = x + t * direction
-        f_new, gradient = value_first(x_new)
-        if isfinite(f_new) and f_new <= f + cfg.ls_c1 * t * slope:
+        f_new, gradient = evaluate(x_new)
+        if isfinite(f_new) and f_new <= f + LS_C1 * t * slope:
             return True, t, x_new, float(f_new), np.asarray(gradient(), dtype=float)
         del gradient    # free a rejected trial's arrays before the next trial
-        t *= cfg.ls_shrink
+        t *= LS_SHRINK
     return False, t, None, None, None
 
 
@@ -211,12 +171,11 @@ def lbfgs_minimize(obj: ObjectiveHandle, x0, cfg: SolverConfig, callback=None):
     """
     start = perf_counter()
     evaluations = 0
-    value_first = obj.value_first or _eager(obj.evaluate)
 
     def trial(x):
         nonlocal evaluations
         evaluations += 1
-        return value_first(x)
+        return obj.evaluate(x)
 
     x = np.array(x0, dtype=float, copy=True)
     f, gradient = trial(x)
@@ -232,7 +191,7 @@ def lbfgs_minimize(obj: ObjectiveHandle, x0, cfg: SolverConfig, callback=None):
     aborted = False
     stop_reason = MAX_ITERS
     gnorm = float(np.abs(g).max()) if g.size else 0.0
-    converged = gnorm <= cfg.grad_tol
+    converged = gnorm <= GRAD_NORM_TOL
     t_prev = 1.0  # last accepted quasi-Newton step; seeds the next trial
 
     while not converged and iters < cfg.max_iters:
@@ -253,7 +212,7 @@ def lbfgs_minimize(obj: ObjectiveHandle, x0, cfg: SolverConfig, callback=None):
             # cheap on kinked objectives while recovering full steps fast.
             t0 = min(1.0, 2.0 * t_prev)
 
-        ok, t_acc, x_new, f_new, g_new = _backtrack(trial, x, f, direction, slope, t0, cfg)
+        ok, t_acc, x_new, f_new, g_new = _backtrack(trial, x, f, direction, slope, t0)
         if not ok:
             ls_failures += 1
             if use_gradient:
@@ -263,7 +222,7 @@ def lbfgs_minimize(obj: ObjectiveHandle, x0, cfg: SolverConfig, callback=None):
             t_prev = 1.0
             use_gradient = True
             direction, slope, t0 = _gradient_step(g)
-            ok, t_acc, x_new, f_new, g_new = _backtrack(trial, x, f, direction, slope, t0, cfg)
+            ok, t_acc, x_new, f_new, g_new = _backtrack(trial, x, f, direction, slope, t0)
             if not ok:
                 ls_failures += 1
                 stop_reason = LINE_SEARCH
@@ -289,7 +248,7 @@ def lbfgs_minimize(obj: ObjectiveHandle, x0, cfg: SolverConfig, callback=None):
         if callback is not None:
             callback(iters, x, f)
         gnorm = gnorm_new
-        converged = gnorm <= cfg.grad_tol
+        converged = gnorm <= GRAD_NORM_TOL
         recent.append(f)
         if (not converged and len(recent) > STALL_WINDOW
                 and recent[0] - f <= STALL_RTOL * max(1.0, abs(f))):

@@ -1,17 +1,18 @@
 """Shared oracles for the test suite: finite differences, fit invariants, the
 dense feature tensor, the partitioned form, the dense stage-1 objective, the
 per-component objectives that the stacked ones replaced, the direct nearest-
-center assignment, and the builders, soft-max and penalty forms that only the
-tests use."""
+center assignment, the dense soft-max, the adapters for objectives that return
+their gradient with their value, and the builders and penalty forms that only
+the tests use."""
 
 import numpy as np
 
 from dcreg import features
-from dcreg.fit import (_SMOOTH_KAPPA, FitResult, ParamLayout, _InitialProblem, _PieceKernel,
-                       _RefineProblem)
+from dcreg.fit import (_SMOOTH_KAPPA, MU, RHO_PEN, FitResult, ParamLayout, _InitialProblem,
+                       _PieceKernel, _RefineProblem)
 from dcreg.model import (SINGLE, _check_dim, _piece_blocks, eval_max, eval_model, mma_inner,
                          signed_sum, variant_spec)
-from dcreg.solver import ObjectiveHandle, SolverConfig, softmax_weights
+from dcreg.solver import ObjectiveHandle
 
 
 def central_diff(evaluate, x, base_step=1e-6):
@@ -26,9 +27,23 @@ def central_diff(evaluate, x, base_step=1e-6):
     return grad
 
 
+def eager_handle(dim, evaluate):
+    """The handle of an objective ``evaluate(x) -> (value, gradient)``."""
+    def deferred(x):
+        value, grad = evaluate(x)
+        return value, lambda: grad
+    return ObjectiveHandle(dim, deferred)
+
+
+def value_and_gradient(obj: ObjectiveHandle, x):
+    """(value, gradient) of a handle at x, its gradient thunk finished at once."""
+    value, gradient = obj.evaluate(x)
+    return value, gradient()
+
+
 def assert_gradient_matches(objective, points, rtol=1e-4):
     for x in points:
-        _, ana = objective.evaluate(x)
+        _, ana = value_and_gradient(objective, x)
         num = central_diff(objective.evaluate, x)
         err = np.linalg.norm(ana - num)
         assert err <= rtol * (1.0 + np.linalg.norm(ana)), \
@@ -194,6 +209,19 @@ def _assert_partition_gap(result: FitResult, dataset):
         assert gap.max() <= bound + 1e-9, f"gap {gap.max()} above bound {bound}"
 
 
+def softmax_weights(alpha, mu: float, axis=None) -> np.ndarray:
+    """Gradient weights of the soft maximum: probability vectors along ``axis``.
+
+    exp((alpha - max) / mu) normalized to sum 1, over the whole array when
+    ``axis`` is None, else independently along that axis: the dense formula
+    that ``softmax_near_ties`` evaluates on the near-ties alone.
+    """
+    alpha = np.asarray(alpha, dtype=float)
+    keep = axis is not None
+    w = np.exp((alpha - np.max(alpha, axis=axis, keepdims=keep)) / mu)
+    return w / np.sum(w, axis=axis, keepdims=keep)
+
+
 def softmax_smooth(alpha, mu: float) -> float:
     """Soft maximum mu*log(sum(exp(alpha/mu))), computed with a max shift.
 
@@ -218,7 +246,7 @@ def callable_penalty_objective(base: ObjectiveHandle, constraints, rho_pen: floa
     cons = list(constraints)
 
     def evaluate(x):
-        value, grad = base.evaluate(x)
+        value, grad = value_and_gradient(base, x)
         grad = grad.copy()
         for con in cons:
             gi, gradi = con(x)
@@ -227,14 +255,13 @@ def callable_penalty_objective(base: ObjectiveHandle, constraints, rho_pen: floa
                 grad += (2.0 * rho_pen * gi) * gradi
         return value, grad
 
-    return ObjectiveHandle(base.dim, evaluate)
+    return eager_handle(base.dim, evaluate)
 
 
 # ---------------------------------------------------------------------------
 # builders of the objectives the fit uses, for tests
 
-def build_initial_objective(dataset, partition, kind, reg, variant=SINGLE,
-                            rho=SolverConfig().rho_pen):
+def build_initial_objective(dataset, partition, kind, reg, variant=SINGLE, rho=RHO_PEN):
     """The penalized stage-1 objective at ``rho``, its problem and its parameter layout.
 
     The problem holds the residuals: ``residuals``, ``max_violation`` and
@@ -244,9 +271,9 @@ def build_initial_objective(dataset, partition, kind, reg, variant=SINGLE,
     return problem.objective(rho), problem, problem.layout
 
 
-def build_refine_objective(initial_model, dataset, reg, cfg=None):
+def build_refine_objective(initial_model, dataset, reg):
     """The stage-2 objective of a fitted model and its starting point."""
-    problem = _RefineProblem(initial_model, dataset, reg, cfg or SolverConfig())
+    problem = _RefineProblem(initial_model, dataset, reg)
     return problem.objective(), problem.x0
 
 
@@ -266,15 +293,13 @@ def assert_same_bits(a, b, what=""):
     assert np.array_equal(a.view(np.int64), b.view(np.int64)), what
 
 
-def assert_value_first_matches_evaluate(obj, x, rejected, what=""):
-    """obj.value_first at x gives evaluate's value and gradient bits, also when its
-    thunk is finished after a trial at ``rejected`` whose thunk was dropped."""
-    value, grad = obj.evaluate(x)
-    first, gradient = obj.value_first(x)
-    assert first == value, what
-    assert_same_bits(gradient(), grad, what)
-    obj.value_first(rejected)
-    first, gradient = obj.value_first(x)
+def assert_thunk_survives_a_rejected_trial(obj, x, rejected, what=""):
+    """obj at x gives the same value and gradient bits when its thunk is finished
+    at once and when it is finished after a trial at ``rejected`` whose thunk
+    was dropped."""
+    value, grad = value_and_gradient(obj, x)
+    obj.evaluate(rejected)
+    first, gradient = obj.evaluate(x)
     assert first == value, what
     assert_same_bits(gradient(), grad, what)
 
@@ -363,17 +388,17 @@ def reference_cone_penalty(cone, W, d, rho, gW):
     return rho * float(np.sum(pos * pos))
 
 
-def penalty_objective(base: ObjectiveHandle, constraints, rho_pen: float) -> ObjectiveHandle:
+def penalty_objective(base, constraints, rho_pen: float):
     """Quadratic penalty wrapper: base(x) + constraints.penalty(x, rho_pen).
 
     ``constraints.penalty(x, rho) -> (value, gradient)`` is the vectorized
     rho * sum(max(0, g_i(x))^2) of the inequality residuals g_i(x) <= 0.
     """
     def evaluate(x):
-        v, g = base.evaluate(x)
+        v, g = base(x)
         pv, pg = constraints.penalty(x, rho_pen)
         return v + pv, g + pg
-    return ObjectiveHandle(base.dim, evaluate)
+    return evaluate
 
 
 class _ReferenceInitialConstraints:
@@ -432,8 +457,7 @@ def reference_initial_objective(problem, rho):
                 [-gb, (-gW + 2.0 * reg.theta2 * W).ravel()]
         return value, np.concatenate(parts)
 
-    return penalty_objective(ObjectiveHandle(layout.dim, base),
-                             _ReferenceInitialConstraints(problem), rho)
+    return penalty_objective(base, _ReferenceInitialConstraints(problem), rho)
 
 
 def reference_reg_terms(W_rows, theta, c0, theta2, mu):
@@ -452,7 +476,7 @@ def reference_reg_terms(W_rows, theta, c0, theta2, mu):
 
 def reference_max_form_objective(problem):
     """The stage-2 max-form objective, one component at a time, dense column soft-max."""
-    layout, y, mu, n = problem.layout, problem.y, problem.mu, problem.y.shape[0]
+    layout, y, mu, n = problem.layout, problem.y, MU, problem.y.shape[0]
     K, signs = layout.n_pieces, problem.spec.signs
     kernel = _PieceKernel(problem.kind, problem.X, problem.centers, problem.slope_dim)
 
@@ -478,12 +502,12 @@ def reference_max_form_objective(problem):
             parts += [gb, gW.ravel()]
         return value, np.concatenate(parts)
 
-    return ObjectiveHandle(layout.dim, evaluate)
+    return evaluate
 
 
 def reference_mma_objective(problem):
     """The stage-2 max-min-affine objective with fresh arrays in every evaluation."""
-    layout, y, mu = problem.layout, problem.y, problem.mu
+    layout, y, mu = problem.layout, problem.y, MU
     Xt = np.ascontiguousarray(problem.X.T)
     n = y.shape[0]
     (K, L), d = problem.mma_shape, problem.d
@@ -511,7 +535,7 @@ def reference_mma_objective(problem):
         gS += rg
         return value, np.concatenate([gB, gS.ravel()])
 
-    return ObjectiveHandle(layout.dim, evaluate)
+    return evaluate
 
 
 def reference_piece_block(comp, rows):

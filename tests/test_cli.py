@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -23,6 +24,8 @@ def test_fit_predict_inspect_round_trip(tmp_path, csv_file, capsys):
                  "--scaling", "std", "--seed", "1", "--out", str(model_path)])
     assert code == EXIT_OK
     assert model_path.exists()
+    # one piece count per component, as inspect reports them
+    fit_pieces = re.search(r"pieces=(\[\d+, \d+\]) ", capsys.readouterr().out).group(1)
 
     preds_path = tmp_path / "preds.csv"
     code = main(["predict", "--model", str(model_path), "--data", str(csv_file),
@@ -36,6 +39,7 @@ def test_fit_predict_inspect_round_trip(tmp_path, csv_file, capsys):
     assert code == EXIT_OK
     out = capsys.readouterr().out
     assert "variant=symmetric" in out
+    assert f"pieces={fit_pieces}\n" in out
     assert "lip_stat=" in out
 
 

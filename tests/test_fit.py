@@ -5,22 +5,22 @@ import numpy as np
 import pytest
 
 from _helpers import (assert_fit_invariants, assert_gradient_matches, assert_same_bits,
-                      assert_value_first_matches_evaluate, build_initial_objective,
+                      assert_thunk_survives_a_rejected_trial, build_initial_objective,
                       build_refine_objective, dense_initial_objective, fit_diagnostics,
                       phi_tensor, reference_cone_penalty, reference_initial_objective,
                       reference_max_form_objective, reference_mma_objective,
-                      reference_reg_terms)
+                      reference_reg_terms, softmax_weights, value_and_gradient)
 from dcreg import features
 from dcreg.data import Dataset
-from dcreg.fit import (FitConfig, RegParams, STRONG, WEAK, _RefineProblem,
-                       default_reg_params, finalize, fit_dcf, fit_initial,
+from dcreg.fit import (MU, RHO_PEN, FitConfig, RegParams, STRONG, WEAK, _RefineProblem,
+                       _reg_terms, default_reg_params, finalize, fit_dcf, fit_initial,
                        refine, reg_n_value, theta_fn_value, training_risk_std)
 from dcreg.model import (COMPLEMENT, CONVEX_MAX_AFFINE, CONVEX_NORM, CONVEX_PLUS,
                          MAX_MIN_AFFINE, SINGLE, SYMMETRIC, VARIANT_TABLE, DcModel,
                          eval_max, eval_mma, eval_model, lip_stat,
                          validate_model)
 from dcreg.partition import afpc
-from dcreg.solver import STOP_REASONS, SolverConfig, softmax_weights
+from dcreg.solver import STOP_REASONS, SolverConfig
 from dcreg.approx import fvu
 
 
@@ -92,7 +92,7 @@ def test_initial_objective_constant_data_certificate():
     obj, cons, layout = build_initial_objective(ds, part, features.L2, reg)
     params = layout.pack(0.0, np.full(part.n_centers, 4.2),
                          np.zeros((part.n_centers, 2)))
-    value, _ = obj.evaluate(params)
+    value, _ = value_and_gradient(obj, params)
     assert value == pytest.approx(0.0, abs=1e-24)
     assert cons.max_violation(params) == 0.0
 
@@ -153,13 +153,13 @@ def test_initial_objective_matches_dense_reference(d):
         reg = default_reg_params(*_radii(ds), ds.n, d, part.n_centers)
         assert len(_PAIRS) == 20
         # At rho = 1 and small parameters the least-squares term dominates.
-        for (variant, kind), rho in itertools.product(_PAIRS, (SolverConfig().rho_pen, 1.0)):
+        for (variant, kind), rho in itertools.product(_PAIRS, (RHO_PEN, 1.0)):
             pen, cons, layout = build_initial_objective(ds, part, kind, reg, variant, rho)
             dense, dense_residuals = dense_initial_objective(ds, part, kind, reg, variant, rho)
             for scale in (0.5, 1e-3):
                 x = scale * rng.standard_normal(layout.dim)
                 x[0] = abs(x[0])
-                value, grad = pen.evaluate(x)
+                value, grad = value_and_gradient(pen, x)
                 ref_value, ref_grad = dense(x)
                 assert value == pytest.approx(ref_value, rel=1e-12), (variant, kind)
                 tol = 1e-12 * (1.0 + np.max(np.abs(ref_grad)))
@@ -177,18 +177,17 @@ def test_stacked_initial_objective_is_bit_identical_to_the_split_reference(d):
     ds = _random_dataset(70, d, seed=61 + d)
     part = afpc(ds.X, seed=62)
     reg = default_reg_params(*_radii(ds), ds.n, d, part.n_centers)
-    for (variant, kind), rho in itertools.product(_PAIRS, (SolverConfig().rho_pen, 1.0)):
+    for (variant, kind), rho in itertools.product(_PAIRS, (RHO_PEN, 1.0)):
         obj, problem, layout = build_initial_objective(ds, part, kind, reg, variant, rho)
         ref = reference_initial_objective(problem, rho)
         points = [problem.warm_start(), problem.certificate_point(),
                   0.5 * rng.standard_normal(layout.dim), 1e-3 * rng.standard_normal(layout.dim)]
         for x, rejected in zip(points, points[1:] + points[:1]):
-            value, grad = obj.evaluate(x)
-            ref_value, ref_grad = ref.evaluate(x)
+            value, grad = value_and_gradient(obj, x)
+            ref_value, ref_grad = ref(x)
             assert value == ref_value, (variant, kind, rho)
             assert_same_bits(grad, ref_grad, (variant, kind, rho))
-            # value first, the gradient finished alone or after a rejected trial
-            assert_value_first_matches_evaluate(obj, x, rejected, (variant, kind, rho))
+            assert_thunk_survives_a_rejected_trial(obj, x, rejected, (variant, kind, rho))
 
 
 @pytest.mark.parametrize("kind", features.FEATURE_KINDS)
@@ -618,14 +617,13 @@ def test_fit_edge_inputs(case):
 
 def _dense_max_form_objective(initial, ds, reg, variant):
     """The stage-2 max-form objective on the dense (n, K, slope_dim) feature tensor."""
-    cfg = SolverConfig()
-    problem = _RefineProblem(initial, ds, reg, cfg)
+    problem = _RefineProblem(initial, ds, reg)
     assert problem.spec.name == variant
     layout, n, K = problem.layout, ds.n, problem.layout.n_pieces
     phi = phi_tensor(problem.kind, ds.X, problem.centers)[:, :, :problem.slope_dim]
 
     def softmax_rows(A):
-        E = np.exp((A - A.max(axis=1, keepdims=True)) / cfg.mu)
+        E = np.exp((A - A.max(axis=1, keepdims=True)) / MU)
         return E / E.sum(axis=1, keepdims=True)
 
     def evaluate(params):
@@ -640,10 +638,10 @@ def _dense_max_form_objective(initial, ds, reg, variant):
         coef1 = (2.0 / n) * r[:, None] * softmax_rows(A1)
         gW1 = np.einsum("nk,nkj->kj", coef1, phi)
         rv, rg = reference_reg_terms(np.vstack([W1] if W2 is None else [W1, W2]),
-                                     problem.theta, problem.c0, reg.theta2, cfg.mu)
+                                     problem.theta, problem.c0, reg.theta2, MU)
         value += rv
         gW1 += rg[:K]
-        value += reference_cone_penalty(problem.cone, W1, problem.d, cfg.rho_pen, gW1)
+        value += reference_cone_penalty(problem.cone, W1, problem.d, RHO_PEN, gW1)
         parts = [coef1.sum(axis=0), gW1.ravel()]
         if layout.n_components == 2:
             coef2 = -(2.0 / n) * r[:, None] * softmax_rows(A2)
@@ -668,7 +666,7 @@ def test_refine_objective_matches_dense_tensor_reference():
                 obj, dense, x0 = _dense_max_form_objective(initial, ds, reg, variant)
                 # the second point also exercises the hinge branch
                 for x in (x0, x0 * (reg.theta3 + 2.0) + 0.1 * rng.standard_normal(x0.size)):
-                    value, grad = obj.evaluate(x)
+                    value, grad = value_and_gradient(obj, x)
                     ref_value, ref_grad = dense(x)
                     assert value == pytest.approx(ref_value, rel=1e-12)
                     tol = 1e-12 * (1.0 + np.max(np.abs(ref_grad)))
@@ -686,26 +684,55 @@ def test_stacked_max_form_objective_is_bit_identical_to_the_per_component_refere
     for variant, kind in _PAIRS:
         mma = VARIANT_TABLE[variant].mma
         initial, _ = fit_initial(ds, part, kind, reg, SolverConfig(max_iters=50), variant)
-        for rho in (SolverConfig().rho_pen, 1.0):
-            problem = _RefineProblem(initial, ds, reg, SolverConfig(rho_pen=rho))
+        for rho in (RHO_PEN, 1.0):
+            problem = _RefineProblem(initial, ds, reg)
+            problem.rho = rho
             ref = (reference_mma_objective if mma else reference_max_form_objective)(problem)
             obj, x0 = problem.objective(), problem.x0
             # the second point also exercises the hinge branch, the third the cones
             points = [x0, x0 * (reg.theta3 + 2.0) + 0.1 * rng.standard_normal(x0.size),
                       0.5 * rng.standard_normal(x0.size)]
             for x, rejected in zip(points, points[1:] + points[:1]):
-                value, grad = obj.evaluate(x)
-                ref_value, ref_grad = ref.evaluate(x)
+                value, grad = value_and_gradient(obj, x)
+                ref_value, ref_grad = ref(x)
                 assert value == ref_value, (variant, kind, rho)
                 assert_same_bits(grad, ref_grad, (variant, kind, rho))
-                # value first, the gradient finished alone or after a rejected trial
-                assert_value_first_matches_evaluate(obj, x, rejected, (variant, kind, rho))
+                assert_thunk_survives_a_rejected_trial(obj, x, rejected, (variant, kind, rho))
+
+
+def test_reg_terms_hinge_weights_match_the_dense_reference():
+    # The hinge branch, which no benchmark fit reaches: slope rows whose largest
+    # norms tie within 746 mu, exactly or spread over 60 mu.  The near-tie weights
+    # sum their ties in row order; numpy sums fewer than 8 entries in that order
+    # too, and more in a pairwise tree.  So every bit matches with at most two
+    # ties or fewer than 8 rows.  Otherwise the two sums of the ties may round
+    # apart, and the gradient may move by the sums' 2(ties - 1) ulp plus 2 ulp for
+    # each of the five operations after them.
+    rng = np.random.default_rng(70)
+    theta, c0, theta2 = 0.7, 0.5, 0.01
+    for rows, s, spread in itertools.product((1, 2, 3, 5, 7, 8, 9, 16, 40), (1, 3), (0.0, 60.0)):
+        for ties in range(1, min(rows, 12) + 1):
+            W = rng.standard_normal((rows, s))
+            norms = np.linalg.norm(W, axis=1)
+            tied = rng.choice(rows, ties, replace=False)
+            gaps = np.concatenate([[0.0], rng.uniform(0.0, spread, ties - 1)]) * MU
+            W[tied] *= ((norms.max() + 1.0 - gaps) / norms[tied])[:, None]
+            value, gradient = _reg_terms(W, theta, c0, theta2)
+            ref_value, ref_grad = reference_reg_terms(W, theta, c0, theta2, MU)
+            grad = gradient()
+            what = (rows, s, spread, ties)
+            assert value == ref_value, what
+            assert not np.array_equal(grad, 2.0 * theta2 * W), what    # the hinge branch ran
+            if ties <= 2 or rows < 8:
+                assert_same_bits(grad, ref_grad, what)
+            else:
+                ulps = np.abs(grad - ref_grad) / np.spacing(np.abs(ref_grad))
+                assert ulps.max() <= 2 * (ties - 1) + 10, what
 
 
 def _dense_mma_objective(initial, ds, reg):
     """The stage-2 max-min-affine objective on the dense (n, K, L) tensor."""
-    cfg = SolverConfig()
-    problem = _RefineProblem(initial, ds, reg, cfg)
+    problem = _RefineProblem(initial, ds, reg)
     layout, X, y, n = problem.layout, ds.X, ds.y, ds.n
     K, L = initial.mma.biases.shape
 
@@ -716,11 +743,11 @@ def _dense_mma_objective(initial, ds, reg):
         m_in = inner.min(axis=2)
         r = m_in.max(axis=1) - y
         value = float(np.mean(r * r))
-        sig = softmax_weights(m_in, cfg.mu, axis=1)             # outer max weights
-        tau = softmax_weights(-inner, cfg.mu, axis=2)           # inner min weights
+        sig = softmax_weights(m_in, MU, axis=1)                 # outer max weights
+        tau = softmax_weights(-inner, MU, axis=2)               # inner min weights
         coef = (2.0 / n) * r[:, None, None] * sig[:, :, None] * tau
         gS = np.einsum("nkl,nd->kld", coef, X)
-        rv, rg = reference_reg_terms(W, problem.theta, problem.c0, reg.theta2, cfg.mu)
+        rv, rg = reference_reg_terms(W, problem.theta, problem.c0, reg.theta2, MU)
         gS = gS + rg.reshape(S.shape)
         return value + rv, np.concatenate([coef.sum(axis=0).ravel(), gS.ravel()])
 
@@ -738,7 +765,7 @@ def test_refine_mma_objective_matches_dense_tensor_reference():
         obj, dense, x0 = _dense_mma_objective(initial, ds, reg)
         # the second point also exercises the hinge branch
         for x in (x0, x0 * (reg.theta3 + 2.0) + 0.1 * rng.standard_normal(x0.size)):
-            value, grad = obj.evaluate(x)
+            value, grad = value_and_gradient(obj, x)
             ref_value, ref_grad = dense(x)
             assert value == pytest.approx(ref_value, rel=1e-12)
             tol = 1e-12 * (1.0 + np.max(np.abs(ref_grad)))
@@ -752,7 +779,7 @@ def test_refine_mma_extract_returns_the_initial_blocks():
         reg = default_reg_params(*_radii(ds), ds.n, d, part.n_centers)
         initial, _ = fit_initial(ds, part, features.LINF, reg, SolverConfig(max_iters=50),
                                  MAX_MIN_AFFINE)
-        problem = _RefineProblem(initial, ds, reg, SolverConfig())
+        problem = _RefineProblem(initial, ds, reg)
         model = problem.extract(problem.x0, initial)
         assert model.component is initial.component
         assert np.array_equal(model.mma.biases, initial.mma.biases)

@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
-from _helpers import callable_penalty_objective, softmax_smooth
-from dcreg.solver import (GRAD_TOL, LINE_SEARCH, MAX_ITERS, NONFINITE, STALL_RTOL, STALL_WINDOW,
-                          STALLED, ObjectiveHandle, SolveReport, SolverConfig, lbfgs_minimize,
-                          softmax_near_ties, softmax_weights)
+from _helpers import (callable_penalty_objective, eager_handle, softmax_smooth, softmax_weights,
+                      value_and_gradient)
+from dcreg.solver import (GRAD_NORM_TOL, GRAD_TOL, LINE_SEARCH, LS_C1, LS_MAX_STEPS, LS_SHRINK,
+                          MAX_ITERS, NONFINITE, STALL_RTOL, STALL_WINDOW, STALLED, ObjectiveHandle,
+                          SolveReport, SolverConfig, lbfgs_minimize, softmax_near_ties)
 
 
 def central_diff(evaluate, x, step=1e-6):
@@ -43,39 +44,28 @@ def test_softmax_smooth_empty():
         softmax_smooth([], 1.0)
 
 
-def test_softmax_weights():
-    assert np.allclose(softmax_weights([0.0, 0.0], 1.0), [0.5, 0.5])
-    w = softmax_weights([0.0, 10.0], 1e-6)
-    assert np.allclose(w, [0.0, 1.0], atol=1e-300)
-    rng = np.random.default_rng(1)
-    for _ in range(100):
-        w = softmax_weights(rng.standard_normal(7) * 5, float(rng.uniform(0.01, 3)))
-        assert np.all(w >= 0)
-        assert abs(w.sum() - 1.0) <= 1e-12
-
-
 def _quadratic(dim, center):
     def evaluate(x):
         diff = x - center
         return float(diff @ diff), 2.0 * diff
-    return ObjectiveHandle(dim, evaluate)
+    return eager_handle(dim, evaluate)
 
 
 def test_penalty_objective_satisfied_constraints_are_free():
     base = _quadratic(1, np.array([0.0]))
     cons = [lambda x: (x[0] - 1.0, np.array([1.0]))]
     pen = callable_penalty_objective(base, cons, 1e6)
-    v, g = pen.evaluate(np.array([0.5]))
-    bv, bg = base.evaluate(np.array([0.5]))
+    v, g = value_and_gradient(pen, np.array([0.5]))
+    bv, bg = value_and_gradient(base, np.array([0.5]))
     assert v == bv
     assert np.array_equal(g, bg)
 
 
 def test_penalty_objective_violated_value():
-    base = ObjectiveHandle(1, lambda x: (0.0, np.zeros(1)))
+    base = eager_handle(1, lambda x: (0.0, np.zeros(1)))
     cons = [lambda x: (x[0] - 1.0, np.array([1.0]))]
     pen = callable_penalty_objective(base, cons, 1e6)
-    v, g = pen.evaluate(np.array([2.0]))
+    v, g = value_and_gradient(pen, np.array([2.0]))
     assert v == pytest.approx(1e6)
     assert g[0] == pytest.approx(2e6)
 
@@ -91,7 +81,7 @@ def test_penalty_gradient_matches_finite_differences():
     for _ in range(20):
         x = rng.standard_normal(3)
         num = central_diff(pen.evaluate, x)
-        _, ana = pen.evaluate(x)
+        _, ana = value_and_gradient(pen, x)
         assert np.allclose(ana, num, rtol=1e-5, atol=1e-7)
 
 
@@ -112,7 +102,7 @@ def test_lbfgs_rosenbrock():
         ])
         return float(val), grad
 
-    obj = ObjectiveHandle(2, evaluate)
+    obj = eager_handle(2, evaluate)
     x, report = lbfgs_minimize(obj, np.array([-1.2, 1.0]), SolverConfig(max_iters=5000))
     assert np.allclose(x, [1.0, 1.0], atol=1e-4)
     assert report.final_value <= 1e-8
@@ -133,7 +123,7 @@ def test_lbfgs_monotone_accepted_values():
         grad = 1.5 * np.sign(x) * np.sqrt(np.abs(x)) + 2.0 * (x - 0.3)
         return val, grad
 
-    obj = ObjectiveHandle(4, evaluate)
+    obj = eager_handle(4, evaluate)
     rng = np.random.default_rng(3)
     x0 = rng.standard_normal(4) * 2
     history = [evaluate(x0)[0]]
@@ -150,7 +140,7 @@ def test_lbfgs_deterministic():
         grad = 4.0 * x ** 3 - 1.0 + 2.0 * np.maximum(x, 0.0)
         return val, grad
 
-    obj = ObjectiveHandle(5, evaluate)
+    obj = eager_handle(5, evaluate)
     x0 = np.linspace(-2, 2, 5)
     x1, r1 = lbfgs_minimize(obj, x0, SolverConfig())
     x2, r2 = lbfgs_minimize(obj, x0, SolverConfig())
@@ -160,7 +150,7 @@ def test_lbfgs_deterministic():
 
 
 def test_lbfgs_nonfinite_start_rejected():
-    obj = ObjectiveHandle(1, lambda x: (float("nan"), np.zeros(1)))
+    obj = eager_handle(1, lambda x: (float("nan"), np.zeros(1)))
     with pytest.raises(ValueError):
         lbfgs_minimize(obj, np.zeros(1), SolverConfig())
 
@@ -172,30 +162,16 @@ def test_lbfgs_aborts_on_nonfinite_region():
             return float("nan"), np.array([float("nan")])
         return float(x[0] ** 2 - x[0]), np.array([2.0 * x[0] - 1.0])
 
-    obj = ObjectiveHandle(1, evaluate)
+    obj = eager_handle(1, evaluate)
     x, report = lbfgs_minimize(obj, np.array([0.0]), SolverConfig(max_iters=50))
     assert np.isfinite(x[0])
 
 
 def test_solver_config_validation():
     with pytest.raises(ValueError):
-        SolverConfig(mu=0.0)
-    with pytest.raises(ValueError):
-        SolverConfig(ls_shrink=1.0)
-    with pytest.raises(ValueError):
         SolverConfig(lbfgs_memory=0)
-
-
-def _dense_softmax_rows(A, mu):
-    """The row-wise soft-max weights as the stage-2 objectives first wrote them."""
-    E = np.exp((A - A.max(axis=1, keepdims=True)) / mu)
-    return E / E.sum(axis=1, keepdims=True)
-
-
-def _dense_softmax_cols(A, mu):
-    """The column-wise soft-max weights, dense, on the caller's layout."""
-    E = np.exp((A - A.max(axis=0, keepdims=True)) / mu)
-    return E / E.sum(axis=0, keepdims=True)
+    with pytest.raises(ValueError):
+        SolverConfig(max_iters=-1)
 
 
 def _near_tie_weights(A, mu):
@@ -206,30 +182,10 @@ def _near_tie_weights(A, mu):
     return w
 
 
-def test_softmax_weights_along_an_axis_matches_the_dense_formula_bitwise():
+def test_softmax_near_ties_matches_the_dense_formula_bitwise():
     rng = np.random.default_rng(5)
-    A = rng.standard_normal((64, 9))
-    A[0] = 1.25                          # every entry tied
-    A[1, [2, 5]] = A[1].max() + 0.5      # an exact tie at the max
-    A[2] = -1e3
-    A[2, 4] = 0.0                        # all but the max underflow to zero
-    for mu in (1e-6, 0.3, 2.0):
-        rows = _dense_softmax_rows(A, mu)
-        assert np.array_equal(softmax_weights(A, mu, axis=1), rows)
-        assert np.array_equal(softmax_weights(A.T, mu, axis=0), _dense_softmax_rows(A, mu).T)
-        assert np.array_equal(softmax_weights(A[3], mu), rows[3])
-        # the inner-min weights of the max-min-affine objective
-        cube = rng.standard_normal((5, 4, 6))
-        E = np.exp((cube.min(axis=2)[:, :, None] - cube) / mu)
-        assert np.array_equal(softmax_weights(-cube, mu, axis=2),
-                              E / E.sum(axis=2, keepdims=True))
-    w = softmax_weights(A, 1e-6, axis=1)
-    assert np.array_equal(w[0], np.full(9, 1.0 / 9.0))
-    assert np.array_equal(w[1, [2, 5]], [0.5, 0.5]) and w[1].sum() == 1.0
-    assert np.array_equal(w[2], np.eye(9)[4])
-
-    # softmax_near_ties on C-contiguous piece-major (K, n) input, with the column
-    # max its callers pass: exp on near-ties only, the dense formula's bits
+    # C-contiguous piece-major (K, n) input, with the column max the callers pass:
+    # exp on near-ties only, the dense formula's bits
     mu = 1e-6
     P = rng.standard_normal((12, 40)) * 1e-2
     P[[1, 4, 7, 10], 0] = 1.0 + 1e-7 * np.arange(4)              # four near-ties
@@ -241,13 +197,13 @@ def test_softmax_weights_along_an_axis_matches_the_dense_formula_bitwise():
     for M in (P, P[:, :2].copy(), rng.standard_normal((1, 5)), rng.standard_normal((30, 3))):
         for m in (mu, 1e-3, 0.7):
             assert M.flags.c_contiguous
-            assert np.array_equal(_near_tie_weights(M, m), _dense_softmax_cols(M, m))
+            assert np.array_equal(_near_tie_weights(M, m), softmax_weights(M, m, axis=0))
     # the same crafted columns in a C-contiguous (m, K, n) stack along axis 1
     S = np.stack([P, P[::-1].copy()])
     for m in (mu, 1e-3, 0.7):
         assert S.flags.c_contiguous
         assert np.array_equal(_near_tie_weights(S, m),
-                              np.stack([_dense_softmax_cols(M, m) for M in S]))
+                              np.stack([softmax_weights(M, m, axis=0) for M in S]))
     w = _near_tie_weights(P, mu)
     assert np.count_nonzero(w[:, 0]) == 4 and np.count_nonzero(w[:, 1]) == 3
     assert np.all(w[:5, 2] > 0.0) and not np.any(w[6:, 2])
@@ -274,8 +230,9 @@ def _reference_two_loop(grad, s_list, y_list):
     return -q
 
 
-def _reference_lbfgs(obj, x0, cfg, callback=None):
-    """The whole solver loop as first written: s.y, y.y, g.d and the norms recomputed.
+def _reference_lbfgs(objective, x0, cfg, callback=None):
+    """The whole solver loop as first written: s.y, y.y, g.d and the norms recomputed,
+    and every gradient computed with its value by ``objective(x) -> (value, gradient)``.
 
     Returns (x, report fields but wall_s); the stop rules are lbfgs_minimize's.
     """
@@ -284,17 +241,17 @@ def _reference_lbfgs(obj, x0, cfg, callback=None):
     def evaluate(x):
         nonlocal evaluations
         evaluations += 1
-        return obj.evaluate(x)
+        return objective(x)
 
     def backtrack(x, f, g, direction, t0):
         slope = float(np.dot(g, direction))
         t = t0
-        for _ in range(cfg.ls_max_steps):
+        for _ in range(LS_MAX_STEPS):
             x_new = x + t * direction
             f_new, g_new = evaluate(x_new)
-            if np.isfinite(f_new) and f_new <= f + cfg.ls_c1 * t * slope:
+            if np.isfinite(f_new) and f_new <= f + LS_C1 * t * slope:
                 return True, t, x_new, float(f_new), np.asarray(g_new, dtype=float)
-            t *= cfg.ls_shrink
+            t *= LS_SHRINK
         return False, t, x, f, g
 
     x = np.array(x0, dtype=float, copy=True)
@@ -304,7 +261,7 @@ def _reference_lbfgs(obj, x0, cfg, callback=None):
     recent = [f]
     ls_failures, iters, aborted, stop_reason = 0, 0, False, MAX_ITERS
     gnorm = float(np.max(np.abs(g)))
-    converged = gnorm <= cfg.grad_tol
+    converged = gnorm <= GRAD_NORM_TOL
     t_prev = 1.0
     while not converged and iters < cfg.max_iters:
         use_gradient = not s_list
@@ -343,7 +300,7 @@ def _reference_lbfgs(obj, x0, cfg, callback=None):
         if callback is not None:
             callback(iters, x, f)
         gnorm = float(np.max(np.abs(g)))
-        converged = gnorm <= cfg.grad_tol
+        converged = gnorm <= GRAD_NORM_TOL
         recent = (recent + [f])[-(STALL_WINDOW + 1):]
         if (not converged and len(recent) > STALL_WINDOW
                 and recent[0] - f <= STALL_RTOL * max(1.0, abs(f))):
@@ -395,7 +352,7 @@ def test_lbfgs_iterates_bit_identical_to_reference_two_loop():
     for evaluate, x0, cfg in cases:
         finished = []                       # the points whose gradient thunk ran
 
-        def value_first(x, evaluate=evaluate):
+        def deferred(x, evaluate=evaluate):
             value, grad = evaluate(x)
 
             def gradient():
@@ -403,22 +360,16 @@ def test_lbfgs_iterates_bit_identical_to_reference_two_loop():
                 return grad
             return value, gradient
 
-        handles = (ObjectiveHandle(x0.size, evaluate),
-                   ObjectiveHandle(x0.size, evaluate, value_first))
-        runs = []
-        for solve, obj in ((_reference_lbfgs, handles[0]), (lbfgs_minimize, handles[0]),
-                           (lbfgs_minimize, handles[1])):
-            history = []
-            x, report = solve(obj, x0, cfg,
-                              callback=lambda i, x, f: history.append((x.copy(), f)))
-            runs.append((x, report, history))
-        (x2, r2, h2), *solver_runs = runs
-        for x1, r1, h1 in solver_runs:      # the eager adapter, then value-first trials
-            assert r1 == r2, evaluate.__name__
-            assert np.array_equal(x1.view(np.int64), x2.view(np.int64))
-            assert len(h1) == len(h2)
-            for (a, fa), (b, fb) in zip(h1, h2):
-                assert np.array_equal(a.view(np.int64), b.view(np.int64)) and fa == fb
+        h1, h2 = [], []
+        x1, r1 = lbfgs_minimize(ObjectiveHandle(x0.size, deferred), x0, cfg,
+                                callback=lambda i, x, f: h1.append((x.copy(), f)))
+        x2, r2 = _reference_lbfgs(evaluate, x0, cfg,
+                                  callback=lambda i, x, f: h2.append((x.copy(), f)))
+        assert r1 == r2, evaluate.__name__
+        assert np.array_equal(x1.view(np.int64), x2.view(np.int64))
+        assert len(h1) == len(h2)
+        for (a, fa), (b, fb) in zip(h1, h2):
+            assert np.array_equal(a.view(np.int64), b.view(np.int64)) and fa == fb
         # Gradients only at x0 and the trials that passed the Armijo test: the
         # accepted iterates, and the aborting step's non-finite one.
         assert len(finished) == 1 + r1.iterations + int(r1.aborted), evaluate.__name__
@@ -478,7 +429,7 @@ def test_lbfgs_stop_reasons_and_evaluation_counts():
     for evaluate, x0, cfg, reason in cases:
         wrapped, calls = _counted(evaluate)
         history = [evaluate(x0)[0]]
-        x_star, report = lbfgs_minimize(ObjectiveHandle(x0.size, wrapped), x0, cfg,
+        x_star, report = lbfgs_minimize(eager_handle(x0.size, wrapped), x0, cfg,
                                         callback=lambda i, x, f: history.append(f))
         assert report.stop_reason == reason
         assert report.evaluations == calls[0]
@@ -487,7 +438,7 @@ def test_lbfgs_stop_reasons_and_evaluation_counts():
         assert report.converged == (reason == "grad_tol")
         assert report.aborted == (reason == "nonfinite")
         if reason == "stalled":
-            assert report.final_grad_norm > cfg.grad_tol
+            assert report.final_grad_norm > GRAD_NORM_TOL
             assert history[-1 - STALL_WINDOW] - history[-1] <= 1e-7 * max(1.0, abs(history[-1]))
         else:                       # no earlier window had stalled
             assert all(a - b > 1e-7 * max(1.0, abs(b))
