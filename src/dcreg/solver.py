@@ -1,9 +1,10 @@
-"""Soft-max gradient weights and a deterministic L-BFGS.
+"""The soft maximum of matrix columns, and a deterministic L-BFGS.
 
-The optimizer uses Armijo-only backtracking.  The objectives it sees have
-gradients that are only piecewise smooth (soft-max smoothing is applied to
-gradients, not values), so whenever a line search fails the L-BFGS memory is
-reset and a plain gradient step is tried; a second failure terminates.
+The optimizer uses Armijo-only backtracking.  Stage 1's penalty objective has
+a gradient that is only piecewise smooth, and stage 2's max-min-affine
+objective takes its value from the hard max and its gradient from the
+soft-max weights, so whenever a line search fails the L-BFGS memory is reset
+and a plain gradient step is tried; a second failure terminates.
 """
 
 import logging
@@ -63,9 +64,10 @@ GRAD_NORM_TOL = 1e-6
 LS_SHRINK = 0.5
 LS_C1 = 1e-4
 LS_MAX_STEPS = 40
-# exp(x) is exactly 0.0 in float64 below x = -745.14; the soft-max weights
-# need only the entries within this many mu of the maximum.
-_EXP_UNDERFLOW = 746.0
+# The soft-max exponents are clipped at _EXP_FLOOR.  exp(-60) = 8.8e-27: a
+# column of fewer than 1e10 entries sums to the same double as unclipped, exp
+# stays off numpy's per-element path (below -707.7), and no weight is subnormal.
+_EXP_FLOOR = -60.0
 
 
 @dataclass(frozen=True)
@@ -89,24 +91,22 @@ class SolveReport:
     wall_s: float = field(default=0.0, compare=False)
 
 
-def softmax_near_ties(A: np.ndarray, mu: float, top: np.ndarray, gap=None):
-    """Column soft-max weights of C-contiguous (K, n) matrices, near-ties only.
+def softmax_columns(A: np.ndarray, mu: float, top: np.ndarray, out=None):
+    """Soft maximum of each column of (K, n) matrices, and its weights unnormalized.
 
     A is one (K, n) matrix or a stack of them, and ``top`` its column maxima,
-    A.max(axis=-2).  Returns (flat indices into A in row-major order, their
-    weights); every other weight is exactly zero, because exp(-745.2)
-    underflows.  numpy sums a C-contiguous matrix along axis 0 row by row, so
-    summing each column's near-ties in increasing row order reproduces the
-    dense formula's bits.  ``gap``, when given, is scratch of A's shape.
+    A.max(axis=-2).  Returns (value, E, sums): E = exp((A - top) / mu), its
+    exponents clipped at ``_EXP_FLOOR``, its column sums, and
+    value = top + mu log sums, which lies in [top, top + mu log K].  The weights E / sums are the value's gradient in
+    A; callers fold the division into their own scale.  E is written into
+    ``out`` when given, which may be A itself.
     """
-    K, n = A.shape[-2:]
-    gap = np.subtract(A, top[..., None, :], out=gap)
-    near = np.flatnonzero(gap >= -_EXP_UNDERFLOW * mu)
-    cols = near % n
-    if A.size > K * n:                        # stacked: one column set per matrix
-        cols += near // (K * n) * n
-    e = np.exp(gap.ravel()[near] / mu)
-    return near, e / np.bincount(cols, weights=e, minlength=A.size // K)[cols]
+    E = np.subtract(A, top[..., None, :], out=out)
+    E *= 1.0 / mu
+    np.maximum(E, _EXP_FLOOR, out=E)
+    np.exp(E, out=E)
+    sums = np.add.reduce(E, -2)
+    return top + mu * np.log(sums), E, sums
 
 
 def _two_loop(grad, memory):

@@ -1,9 +1,12 @@
 """Shared oracles for the test suite: finite differences, fit invariants, the
 dense feature tensor, the partitioned form, the dense stage-1 objective, the
 per-component objectives that the stacked ones replaced, the direct nearest-
-center assignment, the dense soft-max, the adapters for objectives that return
-their gradient with their value, and the builders and penalty forms that only
-the tests use."""
+center assignment, the dense soft-max formulas, the adapters for objectives
+that return their gradient with their value, and the builders and penalty
+forms that only the tests use."""
+
+import contextlib
+import logging
 
 import numpy as np
 
@@ -12,7 +15,7 @@ from dcreg.fit import (_SMOOTH_KAPPA, MU, RHO_PEN, FitResult, ParamLayout, _Init
                        _PieceKernel, _RefineProblem)
 from dcreg.model import (SINGLE, _check_dim, _piece_blocks, eval_max, eval_model, mma_inner,
                          signed_sum, variant_spec)
-from dcreg.solver import ObjectiveHandle
+from dcreg.solver import _EXP_FLOOR, ObjectiveHandle
 
 
 def central_diff(evaluate, x, base_step=1e-6):
@@ -222,6 +225,16 @@ def softmax_weights(alpha, mu: float, axis=None) -> np.ndarray:
     return w / np.sum(w, axis=axis, keepdims=keep)
 
 
+def floored_softmax(A, mu: float):
+    """(soft maxima, exponentials, their sums) along axis 0, the exponents floored
+    at ``_EXP_FLOOR``: the dense formula that ``softmax_columns`` evaluates, with
+    fresh arrays.  The weights are the exponentials over their sums."""
+    top = np.max(A, axis=0)
+    e = np.exp(np.maximum((A - top) * (1.0 / mu), _EXP_FLOOR))
+    total = e.sum(axis=0)
+    return top + mu * np.log(total), e, total
+
+
 def softmax_smooth(alpha, mu: float) -> float:
     """Soft maximum mu*log(sum(exp(alpha/mu))), computed with a max shift.
 
@@ -271,10 +284,10 @@ def build_initial_objective(dataset, partition, kind, reg, variant=SINGLE, rho=R
     return problem.objective(rho), problem, problem.layout
 
 
-def build_refine_objective(initial_model, dataset, reg):
-    """The stage-2 objective of a fitted model and its starting point."""
+def build_refine_objective(initial_model, dataset, reg, mu=None):
+    """The stage-2 objective of a fitted model at ``mu`` and its starting point."""
     problem = _RefineProblem(initial_model, dataset, reg)
-    return problem.objective(), problem.x0
+    return problem.objective(mu), problem.x0
 
 
 def piece_values(comp, X):
@@ -302,6 +315,32 @@ def assert_thunk_survives_a_rejected_trial(obj, x, rejected, what=""):
     first, gradient = obj.evaluate(x)
     assert first == value, what
     assert_same_bits(gradient(), grad, what)
+
+
+class _Stage2Solves(logging.Handler):
+    def __init__(self, solves):
+        super().__init__()
+        self.solves = solves
+
+    def emit(self, record):
+        message = record.getMessage()
+        if message.startswith("stage2 "):
+            self.solves.append(dict(field.split("=", 1) for field in message.split()[1:]))
+
+
+@contextlib.contextmanager
+def recording_stage2_solves(solves):
+    """Append to ``solves`` one dict per stage-2 solve logged while the block runs:
+    its variant, mu, iters, evals, stop and wall fields, as strings."""
+    logger = logging.getLogger("dcreg.fit")
+    handler, level = _Stage2Solves(solves), logger.level
+    logger.addHandler(handler)
+    logger.setLevel(logging.INFO)
+    try:
+        yield solves
+    finally:
+        logger.removeHandler(handler)
+        logger.setLevel(level)
 
 
 # ---------------------------------------------------------------------------
@@ -460,45 +499,48 @@ def reference_initial_objective(problem, rho):
     return penalty_objective(base, _ReferenceInitialConstraints(problem), rho)
 
 
-def reference_reg_terms(W_rows, theta, c0, theta2, mu):
-    """Value and per-row gradient of the stage-2 slope regularizer, computed together."""
+def reference_reg_terms(W_rows, theta, c0, theta2, mu, smooth=False):
+    """Value and per-row gradient of the stage-2 slope regularizer, computed together.
+
+    The hinge is on the largest slope norm, or with ``smooth`` on the soft
+    maximum of the norms at ``mu``; the gradient takes the soft-max weights.
+    """
     norms = np.linalg.norm(W_rows, axis=1)
-    lam = float(np.max(norms)) if norms.size else 0.0
+    soft, e, total = floored_softmax(norms, mu)
+    w = e / total
+    lam = float(soft if smooth else np.max(norms))
     hinge = max(lam - c0, 0.0)
     value = theta * hinge * hinge + theta2 * float(np.sum(norms * norms))
     grad = 2.0 * theta2 * W_rows
     if theta > 0.0 and hinge > 0.0:
-        w = softmax_weights(norms, mu)
         sn = np.sqrt((W_rows * W_rows).sum(axis=1) + _SMOOTH_KAPPA ** 2)
         grad = grad + (2.0 * theta * hinge) * (w / sn)[:, None] * W_rows
     return value, grad
 
 
-def reference_max_form_objective(problem):
-    """The stage-2 max-form objective, one component at a time, dense column soft-max."""
-    layout, y, mu, n = problem.layout, problem.y, MU, problem.y.shape[0]
+def reference_max_form_objective(problem, mu):
+    """The stage-2 max-form objective at ``mu``, one component at a time, with the
+    dense floored soft-max of each column."""
+    layout, y, n = problem.layout, problem.y, problem.y.shape[0]
     K, signs = layout.n_pieces, problem.spec.signs
     kernel = _PieceKernel(problem.kind, problem.X, problem.centers, problem.slope_dim)
-
-    def softmax_columns(A):
-        E = np.exp((A - np.max(A, axis=0, keepdims=True)) / mu)
-        return E / np.sum(E, axis=0, keepdims=True)
 
     def evaluate(params):
         _, bs, Ws = layout.stack(params)
         A = [_reference_piece_values(kernel, b, W) for b, W in zip(bs, Ws)]
-        r = signed_sum(signs, [a.max(axis=0) for a in A]) - y
+        soft = [floored_softmax(a, mu) for a in A]
+        r = signed_sum(signs, [v for v, _, _ in soft]) - y
         value = float(np.mean(r * r))
         scale = (2.0 / n) * r
         rv, rg = reference_reg_terms(np.concatenate(list(Ws)), problem.theta, problem.c0,
-                                     problem.reg.theta2, mu)
+                                     problem.reg.theta2, mu, smooth=True)
         value += rv
         parts = []
-        for i, (sign, a, W) in enumerate(zip(signs, A, Ws)):
-            gb, gW = _reference_piece_grads(kernel, softmax_columns(a)
-                                            * (scale if sign > 0 else -scale))
+        for i, (sign, (_, e, total), W) in enumerate(zip(signs, soft, Ws)):
+            gb, gW = _reference_piece_grads(kernel, e * ((scale if sign > 0 else -scale) / total))
             gW += rg[i * K:(i + 1) * K]
-            value += reference_cone_penalty(problem.cone, W, problem.d, problem.rho, gW)
+            value += reference_cone_penalty(problem.cone, W, problem.d, problem.cone_weight(mu),
+                                            gW)
             parts += [gb, gW.ravel()]
         return value, np.concatenate(parts)
 

@@ -11,7 +11,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from _helpers import assert_gradient_matches, build_initial_objective, build_refine_objective
+from _helpers import (assert_gradient_matches, build_initial_objective, build_refine_objective,
+                      recording_stage2_solves)
 from dcreg import features
 from dcreg.approx import (LIPSCHITZ, SMOOTH, eval_min_convex, fvu, grid_cover,
                           mcshane_lower, min_convex_upper, quad_lower,
@@ -49,28 +50,35 @@ def _sampled_target(make):
 # shared fits
 
 @pytest.fixture(scope="module")
-def variant_fits():
+def stage2_solves():
+    """Every stage-2 solve of the shared fits, as ``recording_stage2_solves`` logs them."""
+    return []
+
+
+@pytest.fixture(scope="module")
+def variant_fits(stage2_solves):
     """One full fit per variant on a moderate 1-d problem (plus convex 2-d)."""
     gen = SyntheticGen(target="xsinx", noise_sigma=0.1)
     ds, _ = gen.sample(300, seed=101)
     fits = []
-    for variant, kind in ((SINGLE, features.LINF), (SYMMETRIC, features.LINF),
-                          (MAX_MIN_AFFINE, features.LINF)):
-        cfg = FitConfig(variant=variant, kind=kind, seed=11)
-        fits.append((fit_dcf(ds, cfg), ds))
-    rng = np.random.default_rng(55)
-    X2 = rng.uniform(-1, 1, (400, 2))
-    ds2 = Dataset(X2, np.sum(X2 * X2, axis=1) + 0.05 * rng.standard_normal(400))
-    for variant, kind in ((CONVEX_MAX_AFFINE, features.L2),
-                          (CONVEX_NORM, features.L2),
-                          (CONVEX_PLUS, features.PLUS)):
-        cfg = FitConfig(variant=variant, kind=kind, seed=12)
-        fits.append((fit_dcf(ds2, cfg), ds2))
+    with recording_stage2_solves(stage2_solves):
+        for variant, kind in ((SINGLE, features.LINF), (SYMMETRIC, features.LINF),
+                              (MAX_MIN_AFFINE, features.LINF)):
+            cfg = FitConfig(variant=variant, kind=kind, seed=11)
+            fits.append((fit_dcf(ds, cfg), ds))
+        rng = np.random.default_rng(55)
+        X2 = rng.uniform(-1, 1, (400, 2))
+        ds2 = Dataset(X2, np.sum(X2 * X2, axis=1) + 0.05 * rng.standard_normal(400))
+        for variant, kind in ((CONVEX_MAX_AFFINE, features.L2),
+                              (CONVEX_NORM, features.L2),
+                              (CONVEX_PLUS, features.PLUS)):
+            cfg = FitConfig(variant=variant, kind=kind, seed=12)
+            fits.append((fit_dcf(ds2, cfg), ds2))
     return fits
 
 
 @pytest.fixture(scope="module")
-def trend_results():
+def trend_results(stage2_solves):
     """Criterion 10 sweep: symmetric fits over n in {256, 1024, 4096}, 5 reps."""
     gen = SyntheticGen(target="xsinx", d=1, noise_sigma=0.1)
     sizes = (256, 1024, 4096)
@@ -85,7 +93,8 @@ def trend_results():
             train, _ = gen.sample(n, seed=1000 + 17 * i + rep)
             cfg = FitConfig(variant=SYMMETRIC, kind=features.LINF,
                             theta2_mode=STRONG, seed=rep)
-            result = fit_dcf(train, cfg)
+            with recording_stage2_solves(stage2_solves):
+                result = fit_dcf(train, cfg)
             preds = eval_model(result.final_model, test_ds.X)
             mse[n].append(float(np.mean((preds - test_ds.y) ** 2)))
             fits.append((result, train))
@@ -357,6 +366,20 @@ def test_criterion_10_convergence_trend(trend_results):
     assert trend_results["elapsed"] < 600.0
     _report(10, f"median MSE {med[256]:.4f} -> {med[1024]:.4f} -> {med[4096]:.4f}, "
                 f"NW-G baseline {nw_mse:.4f} (sweep {trend_results['elapsed']:.0f}s)", t0)
+
+
+def test_max_form_stage2_solves_stop_before_the_iteration_cap(variant_fits, trend_results,
+                                                              stage2_solves):
+    # Each max-form stage 2 is one smooth solve per mu: none runs to max_iters.
+    t0 = time.perf_counter()
+    max_form = [s for s in stage2_solves if s["variant"] != MAX_MIN_AFFINE]
+    fits = [r for r, _ in list(variant_fits) + list(trend_results["fits"])
+            if r.final_model.variant != MAX_MIN_AFFINE and r.lip_chain[0] > 0.0]
+    assert len(max_form) == 3 * len(fits) == 60
+    stops = [s["stop"] for s in max_form]
+    assert "max_iters" not in stops, stops
+    _report("5b", f"{len(max_form)} max-form stage-2 solves stop before the cap "
+                  f"({', '.join(f'{r} {stops.count(r)}' for r in sorted(set(stops)))})", t0)
 
 
 def test_criterion_11_convex_regression():

@@ -9,10 +9,11 @@ from _helpers import (assert_fit_invariants, assert_gradient_matches, assert_sam
                       build_refine_objective, dense_initial_objective, fit_diagnostics,
                       phi_tensor, reference_cone_penalty, reference_initial_objective,
                       reference_max_form_objective, reference_mma_objective,
-                      reference_reg_terms, softmax_weights, value_and_gradient)
+                      reference_reg_terms, softmax_smooth, softmax_weights,
+                      value_and_gradient)
 from dcreg import features
 from dcreg.data import Dataset
-from dcreg.fit import (MU, RHO_PEN, FitConfig, RegParams, STRONG, WEAK, _RefineProblem,
+from dcreg.fit import (MU, MUS, RHO_PEN, FitConfig, RegParams, STRONG, WEAK, _RefineProblem,
                        _reg_terms, default_reg_params, finalize, fit_dcf, fit_initial,
                        refine, reg_n_value, theta_fn_value, training_risk_std)
 from dcreg.model import (COMPLEMENT, CONVEX_MAX_AFFINE, CONVEX_NORM, CONVEX_PLUS,
@@ -339,6 +340,45 @@ def test_refine_gradient_matches_finite_differences():
         assert_gradient_matches(obj, points)
 
 
+def test_refine_gradient_matches_finite_differences_at_every_mu():
+    # Each max-form objective is one smooth function, its gradient the exact
+    # derivative of its value, at every smoothing width refine solves at.
+    rng = np.random.default_rng(71)
+    ds = _random_dataset(70, 2, seed=10)
+    part = afpc(ds.X, seed=11)
+    reg = default_reg_params(*_radii(ds), ds.n, 2, part.n_centers)
+    for variant, kind in ((SINGLE, features.L2), (COMPLEMENT, features.L1),
+                          (SYMMETRIC, features.LINF), (SINGLE, features.PLUS),
+                          (CONVEX_PLUS, features.PLUS), (CONVEX_MAX_AFFINE, features.LINF),
+                          (CONVEX_NORM, features.L2)):
+        initial, _ = fit_initial(ds, part, kind, reg, variant=variant)
+        for mu in MUS:
+            obj, x0 = build_refine_objective(initial, ds, reg, mu)
+            # next to the start, where pieces nearly tie (the convex starts lie on the
+            # cone penalty's kink), farther out, and the hinge branch
+            points = [x0 + scale * rng.standard_normal(x0.size) for scale in (1e-3, 0.3, 0.3)]
+            points.append(x0 * (reg.theta3 + 2.0) + 0.1 * rng.standard_normal(x0.size))
+            assert_gradient_matches(obj, points, rtol=1e-6)
+
+
+def test_refine_cone_penalty_is_the_envelope_of_the_cone_at_mu():
+    # The stage-2 cone term is dist(W, cone)^2 / (2 mu): the cone's indicator
+    # smoothed at the width of the maxima (its Moreau envelope).
+    rng = np.random.default_rng(72)
+    ds = _random_dataset(70, 2, seed=73)
+    part = afpc(ds.X, seed=74)
+    reg = default_reg_params(*_radii(ds), ds.n, 2, part.n_centers)
+    for variant, kind in ((CONVEX_NORM, features.L2), (CONVEX_PLUS, features.PLUS)):
+        initial, _ = fit_initial(ds, part, kind, reg, SolverConfig(max_iters=50), variant)
+        problem = _RefineProblem(initial, ds, reg)
+        _, _, W = problem.layout.stack(rng.standard_normal(problem.layout.dim))
+        dist2 = float(np.sum((W[0] - problem.cone.project(W[0], problem.d)) ** 2))
+        assert dist2 > 0.0
+        for mu in MUS:
+            [value], _ = problem.cone.penalty(W, problem.d, problem.cone_weight(mu))
+            assert value == pytest.approx(dist2 / (2.0 * mu), rel=1e-12)
+
+
 def test_refine_improves_noiseless_grid_fvu():
     grid = np.linspace(0, 6, 400)[:, None]
     truth = grid[:, 0] * np.sin(grid[:, 0])
@@ -615,41 +655,47 @@ def test_fit_edge_inputs(case):
         assert result.refine_report.stop_reason in STOP_REASONS
 
 
-def _dense_max_form_objective(initial, ds, reg, variant):
-    """The stage-2 max-form objective on the dense (n, K, slope_dim) feature tensor."""
+def _dense_max_form_objective(initial, ds, reg, variant, mu):
+    """The stage-2 max-form objective at ``mu`` on the dense (n, K, slope_dim) feature
+    tensor; the soft maxima of the rows with no floor on their exponents."""
     problem = _RefineProblem(initial, ds, reg)
     assert problem.spec.name == variant
     layout, n, K = problem.layout, ds.n, problem.layout.n_pieces
     phi = phi_tensor(problem.kind, ds.X, problem.centers)[:, :, :problem.slope_dim]
 
     def softmax_rows(A):
-        E = np.exp((A - A.max(axis=1, keepdims=True)) / MU)
-        return E / E.sum(axis=1, keepdims=True)
+        top = A.max(axis=1, keepdims=True)
+        E = np.exp((A - top) / mu)
+        total = E.sum(axis=1, keepdims=True)
+        return (top + mu * np.log(total))[:, 0], E / total
 
     def evaluate(params):
         _, B, W = layout.stack(params)
         (b1, W1), (b2, W2) = (B[0], W[0]), ((B[1], W[1]) if len(B) > 1 else (None, None))
-        A1 = b1[None, :] + np.einsum("nkj,kj->nk", phi, W1)
-        r = A1.max(axis=1) - ds.y
+        soft1, w1 = softmax_rows(b1[None, :] + np.einsum("nkj,kj->nk", phi, W1))
+        r = soft1 - ds.y
         if layout.n_components == 2:
-            A2 = b2[None, :] + np.einsum("nkj,kj->nk", phi, W2)
-            r = r - A2.max(axis=1)
+            soft2, w2 = softmax_rows(b2[None, :] + np.einsum("nkj,kj->nk", phi, W2))
+            r = r - soft2
         value = float(np.mean(r * r))
-        coef1 = (2.0 / n) * r[:, None] * softmax_rows(A1)
+        coef1 = (2.0 / n) * r[:, None] * w1
         gW1 = np.einsum("nk,nkj->kj", coef1, phi)
-        rv, rg = reference_reg_terms(np.vstack([W1] if W2 is None else [W1, W2]),
-                                     problem.theta, problem.c0, reg.theta2, MU)
+        norms = np.linalg.norm(np.vstack([W1] if W2 is None else [W1, W2]), axis=1)
+        hinge = max(softmax_smooth(norms, mu) - problem.c0, 0.0)
+        rv = problem.theta * hinge * hinge + reg.theta2 * float(np.sum(norms * norms))
+        _, rg = reference_reg_terms(np.vstack([W1] if W2 is None else [W1, W2]),
+                                    problem.theta, problem.c0, reg.theta2, mu, smooth=True)
         value += rv
         gW1 += rg[:K]
-        value += reference_cone_penalty(problem.cone, W1, problem.d, RHO_PEN, gW1)
+        value += reference_cone_penalty(problem.cone, W1, problem.d, problem.cone_weight(mu), gW1)
         parts = [coef1.sum(axis=0), gW1.ravel()]
         if layout.n_components == 2:
-            coef2 = -(2.0 / n) * r[:, None] * softmax_rows(A2)
+            coef2 = -(2.0 / n) * r[:, None] * w2
             parts += [coef2.sum(axis=0),
                       (np.einsum("nk,nkj->kj", coef2, phi) + rg[K:]).ravel()]
         return value, np.concatenate(parts)
 
-    return problem.objective(), evaluate, problem.x0
+    return problem.objective(mu), evaluate, problem.x0
 
 
 def test_refine_objective_matches_dense_tensor_reference():
@@ -663,14 +709,15 @@ def test_refine_objective_matches_dense_tensor_reference():
             for variant in [SINGLE, SYMMETRIC, *convex]:
                 initial, _ = fit_initial(ds, part, kind, reg, SolverConfig(max_iters=50),
                                          variant)
-                obj, dense, x0 = _dense_max_form_objective(initial, ds, reg, variant)
-                # the second point also exercises the hinge branch
-                for x in (x0, x0 * (reg.theta3 + 2.0) + 0.1 * rng.standard_normal(x0.size)):
-                    value, grad = value_and_gradient(obj, x)
-                    ref_value, ref_grad = dense(x)
-                    assert value == pytest.approx(ref_value, rel=1e-12)
-                    tol = 1e-12 * (1.0 + np.max(np.abs(ref_grad)))
-                    assert np.max(np.abs(grad - ref_grad)) <= tol
+                for mu in MUS:
+                    obj, dense, x0 = _dense_max_form_objective(initial, ds, reg, variant, mu)
+                    # the second point also exercises the hinge branch
+                    for x in (x0, x0 * (reg.theta3 + 2.0) + 0.1 * rng.standard_normal(x0.size)):
+                        value, grad = value_and_gradient(obj, x)
+                        ref_value, ref_grad = dense(x)
+                        assert value == pytest.approx(ref_value, rel=1e-12)
+                        tol = 1e-12 * (1.0 + np.max(np.abs(ref_grad)))
+                        assert np.max(np.abs(grad - ref_grad)) <= tol
 
 
 @pytest.mark.parametrize("d", [1, 3, 8])
@@ -684,50 +731,46 @@ def test_stacked_max_form_objective_is_bit_identical_to_the_per_component_refere
     for variant, kind in _PAIRS:
         mma = VARIANT_TABLE[variant].mma
         initial, _ = fit_initial(ds, part, kind, reg, SolverConfig(max_iters=50), variant)
-        for rho in (RHO_PEN, 1.0):
-            problem = _RefineProblem(initial, ds, reg)
-            problem.rho = rho
-            ref = (reference_mma_objective if mma else reference_max_form_objective)(problem)
-            obj, x0 = problem.objective(), problem.x0
+        problem = _RefineProblem(initial, ds, reg)
+        for mu in problem.mus:
+            ref = reference_mma_objective(problem) if mma else \
+                reference_max_form_objective(problem, mu)
+            obj, x0 = problem.objective(mu), problem.x0
             # the second point also exercises the hinge branch, the third the cones
             points = [x0, x0 * (reg.theta3 + 2.0) + 0.1 * rng.standard_normal(x0.size),
                       0.5 * rng.standard_normal(x0.size)]
+            what = (variant, kind, mu)
             for x, rejected in zip(points, points[1:] + points[:1]):
                 value, grad = value_and_gradient(obj, x)
                 ref_value, ref_grad = ref(x)
-                assert value == ref_value, (variant, kind, rho)
-                assert_same_bits(grad, ref_grad, (variant, kind, rho))
-                assert_thunk_survives_a_rejected_trial(obj, x, rejected, (variant, kind, rho))
+                assert value == ref_value, what
+                assert_same_bits(grad, ref_grad, what)
+                assert_thunk_survives_a_rejected_trial(obj, x, rejected, what)
 
 
 def test_reg_terms_hinge_weights_match_the_dense_reference():
     # The hinge branch, which no benchmark fit reaches: slope rows whose largest
-    # norms tie within 746 mu, exactly or spread over 60 mu.  The near-tie weights
-    # sum their ties in row order; numpy sums fewer than 8 entries in that order
-    # too, and more in a pairwise tree.  So every bit matches with at most two
-    # ties or fewer than 8 rows.  Otherwise the two sums of the ties may round
-    # apart, and the gradient may move by the sums' 2(ties - 1) ulp plus 2 ulp for
-    # each of the five operations after them.
+    # norms tie, exactly or spread over 60 mu, at every smoothing width, with the
+    # hinge on the soft maximum (the max forms) or the largest norm (max-min-affine).
+    # Both forms sum the floored exponents of the norms as one 1-d array, so every
+    # bit matches.
     rng = np.random.default_rng(70)
     theta, c0, theta2 = 0.7, 0.5, 0.01
     for rows, s, spread in itertools.product((1, 2, 3, 5, 7, 8, 9, 16, 40), (1, 3), (0.0, 60.0)):
-        for ties in range(1, min(rows, 12) + 1):
+        for ties, mu, hard in itertools.product(range(1, min(rows, 12) + 1), (MU, *MUS),
+                                                (False, True)):
             W = rng.standard_normal((rows, s))
             norms = np.linalg.norm(W, axis=1)
             tied = rng.choice(rows, ties, replace=False)
-            gaps = np.concatenate([[0.0], rng.uniform(0.0, spread, ties - 1)]) * MU
+            gaps = np.concatenate([[0.0], rng.uniform(0.0, spread, ties - 1)]) * mu
             W[tied] *= ((norms.max() + 1.0 - gaps) / norms[tied])[:, None]
-            value, gradient = _reg_terms(W, theta, c0, theta2)
-            ref_value, ref_grad = reference_reg_terms(W, theta, c0, theta2, MU)
+            value, gradient = _reg_terms(W, theta, c0, theta2, mu, hard)
+            ref_value, ref_grad = reference_reg_terms(W, theta, c0, theta2, mu, not hard)
             grad = gradient()
-            what = (rows, s, spread, ties)
+            what = (rows, s, spread, ties, mu, hard)
             assert value == ref_value, what
             assert not np.array_equal(grad, 2.0 * theta2 * W), what    # the hinge branch ran
-            if ties <= 2 or rows < 8:
-                assert_same_bits(grad, ref_grad, what)
-            else:
-                ulps = np.abs(grad - ref_grad) / np.spacing(np.abs(ref_grad))
-                assert ulps.max() <= 2 * (ties - 1) + 10, what
+            assert_same_bits(grad, ref_grad, what)
 
 
 def _dense_mma_objective(initial, ds, reg):

@@ -1,11 +1,15 @@
+import itertools
+
 import numpy as np
 import pytest
 
-from _helpers import (callable_penalty_objective, eager_handle, softmax_smooth, softmax_weights,
-                      value_and_gradient)
-from dcreg.solver import (GRAD_NORM_TOL, GRAD_TOL, LINE_SEARCH, LS_C1, LS_MAX_STEPS, LS_SHRINK,
-                          MAX_ITERS, NONFINITE, STALL_RTOL, STALL_WINDOW, STALLED, ObjectiveHandle,
-                          SolveReport, SolverConfig, lbfgs_minimize, softmax_near_ties)
+from _helpers import (assert_same_bits, callable_penalty_objective, eager_handle,
+                      floored_softmax, softmax_smooth, softmax_weights, value_and_gradient)
+from dcreg.fit import MU, MUS
+from dcreg.solver import (_EXP_FLOOR, GRAD_NORM_TOL, GRAD_TOL, LINE_SEARCH, LS_C1, LS_MAX_STEPS,
+                          LS_SHRINK, MAX_ITERS, NONFINITE, STALL_RTOL, STALL_WINDOW, STALLED,
+                          ObjectiveHandle, SolveReport, SolverConfig, lbfgs_minimize,
+                          softmax_columns)
 
 
 def central_diff(evaluate, x, step=1e-6):
@@ -174,40 +178,70 @@ def test_solver_config_validation():
         SolverConfig(max_iters=-1)
 
 
-def _near_tie_weights(A, mu):
-    """softmax_near_ties scattered into a dense array, with the column max the callers pass."""
-    near, weights = softmax_near_ties(A, mu, A.max(axis=-2))
-    w = np.zeros_like(A)
-    w.ravel()[near] = weights
-    return w
+def _weights(softmax):
+    """The weights of a (value, exponentials, sums) triple."""
+    _, E, sums = softmax
+    return E / sums[..., None, :] if E.ndim > sums.ndim else E / sums
 
 
-def test_softmax_near_ties_matches_the_dense_formula_bitwise():
+def test_softmax_columns_matches_the_dense_formula_bitwise():
     rng = np.random.default_rng(5)
     # C-contiguous piece-major (K, n) input, with the column max the callers pass:
-    # exp on near-ties only, the dense formula's bits
+    # the dense floored formula's bits, and the unfloored formula's weights at every
+    # entry whose exponent is above the floor (to the ulp of exp at an exponent of
+    # at most 60 in size, since the exponents are scaled by 1/mu, not divided)
     mu = 1e-6
     P = rng.standard_normal((12, 40)) * 1e-2
     P[[1, 4, 7, 10], 0] = 1.0 + 1e-7 * np.arange(4)              # four near-ties
     P[[0, 3, 5], 1] = 1.0                                        # three exact ties
-    P[:, 2] = 1.0 - np.array([0.0, 744.9, 745.0, 745.1, 745.13, 745.14, 745.2, 745.9,
-                              746.0, 746.1, 747.0, 1e4]) * mu    # gaps around 745 mu
+    P[:, 2] = 1.0 - np.array([0.0, 59.9, 60.0, 60.1, 707.0, 708.0, 745.1, 745.2,
+                              746.0, 747.0, 800.0, 1e4]) * mu    # gaps around the floor
     P[:, 3] = -5.0
-    P[6, 3] = 0.0                                                # all but one underflow
+    P[6, 3] = 0.0                                                # all but one far
     for M in (P, P[:, :2].copy(), rng.standard_normal((1, 5)), rng.standard_normal((30, 3))):
         for m in (mu, 1e-3, 0.7):
             assert M.flags.c_contiguous
-            assert np.array_equal(_near_tie_weights(M, m), softmax_weights(M, m, axis=0))
+            out = softmax_columns(M, m, M.max(axis=0))
+            ref = floored_softmax(M, m)
+            for got, want in zip(out, ref):
+                assert_same_bits(got, want)
+            weights = _weights(out)
+            above = (M - M.max(axis=0)) * (1.0 / m) > _EXP_FLOOR
+            assert np.allclose(weights[above], softmax_weights(M, m, axis=0)[above],
+                               rtol=1e-13, atol=0.0)
+            assert np.all(weights[~above] <= np.exp(_EXP_FLOOR))
+            # written in place over its input
+            A = M.copy()
+            assert_same_bits(softmax_columns(A, m, A.max(axis=0), out=A)[1], ref[1])
     # the same crafted columns in a C-contiguous (m, K, n) stack along axis 1
     S = np.stack([P, P[::-1].copy()])
     for m in (mu, 1e-3, 0.7):
         assert S.flags.c_contiguous
-        assert np.array_equal(_near_tie_weights(S, m),
-                              np.stack([softmax_weights(M, m, axis=0) for M in S]))
-    w = _near_tie_weights(P, mu)
-    assert np.count_nonzero(w[:, 0]) == 4 and np.count_nonzero(w[:, 1]) == 3
-    assert np.all(w[:5, 2] > 0.0) and not np.any(w[6:, 2])
-    assert np.array_equal(w[:, 3], np.eye(12)[6])
+        out = softmax_columns(S, m, S.max(axis=1))
+        for i, M in enumerate(S):
+            for got, want in zip(out, floored_softmax(M, m)):
+                assert_same_bits(got[i], want)
+    w = _weights(softmax_columns(P, mu, P.max(axis=0)))
+    assert np.count_nonzero(w[:, 0] > 1e-3) == 4 and np.count_nonzero(w[:, 1] > 1e-3) == 3
+    assert w[0, 2] == 1.0 and w[1, 2] > np.exp(_EXP_FLOOR)
+    assert np.all(w[3:, 2] == np.exp(_EXP_FLOOR))               # at the floor
+    assert w[6, 3] == 1.0
+
+
+def test_softmax_columns_value_lies_within_mu_log_k_of_the_max():
+    rng = np.random.default_rng(6)
+    for K, n, scale in itertools.product((1, 2, 7, 8, 40, 85), (1, 5, 64), (1e-6, 1e-2, 1.0, 1e3)):
+        A = rng.standard_normal((2, K, n)) * scale
+        A[0, :K // 2 + 1, :n // 2 + 1] = 0.25                        # exact ties
+        top = A.max(axis=1)
+        for mu in (*MUS, MU, 0.7):
+            out = softmax_columns(A, mu, top)
+            value = out[0]
+            assert np.all(value >= top) and np.all(value <= top + mu * np.log(K)), (K, n, mu)
+            assert np.all(np.abs(np.add.reduce(_weights(out), 1) - 1.0) <= K * 2.0 ** -52)
+    # every entry tied: the bound itself
+    value = softmax_columns(np.zeros((8, 3)), 1e-2, np.zeros(3))[0]
+    assert np.array_equal(value, np.full(3, 1e-2 * np.log(8.0)))
 
 
 def _reference_two_loop(grad, s_list, y_list):
