@@ -2,16 +2,21 @@
 
 Stage 1 solves a convex regularized least-squares problem over per-cell
 affine-in-feature pieces, with continuity constraints at the centers and a
-shared slope-norm cap, via a quadratic penalty.  Stage 2 locally refines the
-max-form function under a slope regularizer tied to the initial solution.
-It minimizes the soft maximum mu log sum exp(a / mu) in place of each max,
-value and gradient alike, and the slope cone's envelope dist^2 / (2 mu), for
-mu = 1e-2, 1e-3 and 1e-4 in turn, each solve warm-started from the last; it
-falls back to the initial fit whenever the result fails to improve the
-penalized criterion with the true maxima.  Stage 3 prunes inactive pieces and
-centers the mean prediction on the training responses.
+shared slope-norm cap, via a quadratic penalty.  Damped semismooth Newton
+steps minimize the penalized objective at each weight of ``RHOS`` in turn,
+up to ``RHO_PEN``, each solve from the last one's point.  Stage 2 locally
+refines the max-form function under a slope regularizer tied to the initial
+solution, by L-BFGS.  It minimizes the soft maximum mu log sum exp(a / mu) in
+place of each max, value and gradient alike, and the slope cone's envelope
+dist^2 / (2 mu), for mu = 1e-2, 1e-3 and 1e-4 in turn, each solve
+warm-started from the last; it falls back to the initial fit whenever the
+result fails to improve the penalized criterion with the true maxima.
+Stage 3 prunes inactive pieces and centers the mean prediction on the
+training responses.
 """
 
+import functools
+import itertools
 import logging
 from dataclasses import dataclass, field, replace
 from time import perf_counter
@@ -27,7 +32,7 @@ from .model import (
 )
 from .partition import Partition, afpc
 from .solver import ObjectiveHandle, SolveReport, SolverConfig, SolverAbort, \
-    lbfgs_minimize, softmax_columns
+    lbfgs_minimize, newton_minimize, softmax_columns
 
 log = logging.getLogger(__name__)
 
@@ -37,6 +42,7 @@ STRONG = "strong"
 MUS = (1e-2, 1e-3, 1e-4)  # the max forms' stage-2 smoothing widths, solved in turn
 MU = 1e-6               # max-min-affine stage 2: soft-max width of its gradient
 RHO_PEN = 1e6           # quadratic penalty weight of the stage-1 residuals
+RHOS = (1.0, 1e1, 1e2, 1e3, 1e4, 1e5, RHO_PEN)  # the stage-1 penalty ladder, solved in turn
 _SMOOTH_KAPPA = 1e-12   # removes the norm kink inside penalty residuals
 _REFINE_SLACK = 1e-10   # acceptance slack for the refinement criterion
 _FLOOR_RX = 1e-12       # guards theta0 against a zero covariate radius
@@ -183,6 +189,13 @@ class _PieceKernel:
     def _relu_pair(self, j):
         diff = self.rows[:, j] - self.centers[:, j, None]
         return np.maximum(diff, 0.0), np.maximum(-diff, 0.0)
+
+    def feature_tensor(self):
+        """(K, n, s) features phi(x_i, c_k), piece-major: the values' linear map in W."""
+        diff = self.rows[None, :, :] - self.centers[:, None, :]
+        if self.kind == features.PLUS:
+            return np.concatenate([np.maximum(diff, 0.0), np.maximum(-diff, 0.0)], axis=2)
+        return diff if self.norms is None else np.concatenate([diff, self.norms[..., None]], 2)
 
     def values(self, B, W, out=None, tmp=None):
         """(m, K, n) values of biases B (m, K) and slopes W (m, K, s).
@@ -370,13 +383,102 @@ class _InitialProblem:
 
         return ObjectiveHandle(layout.dim, evaluate)
 
+    @functools.cached_property
+    def _hessian_base(self):
+        """(Phi, A0, C0, D0): the feature tensor on the centers, and the Hessian
+        blocks that do not depend on the parameters or rho: least squares,
+        ridge and z's weight.  A is the [z; B] block, C the slope rows
+        (piece, component, slope) against it, and D the pieces' slope blocks."""
+        layout, reg = self.layout, self.reg
+        m, K, s = layout.n_components, layout.n_pieces, layout.slope_dim
+        nb, ms = 1 + m * K, m * s
+        G = self.gram / self.X.shape[0]
+        sign2 = np.multiply.outer(self.spec.signs, self.spec.signs)
+        b_at, ks = 1 + np.arange(m * K).reshape(m, K), np.arange(K)
+        A0 = np.zeros((nb, nb))
+        A0[0, 0] = 2.0 * reg.theta1
+        C0 = np.zeros((K, m, s, nb))
+        D0 = np.zeros((K, m, s, m, s))
+        for i, j in np.ndindex(m, m):
+            A0[b_at[i], b_at[j]] += 2.0 * sign2[i, j] * G[:, 0, 0]
+            C0[ks, i, :, b_at[j]] = 2.0 * sign2[i, j] * G[:, 1:, 0]
+            D0[:, i, :, j, :] = 2.0 * sign2[i, j] * G[:, 1:, 1:]
+        D0.reshape(K, ms, ms)[:, range(ms), range(ms)] += 2.0 * reg.theta2
+        return self.kernel.feature_tensor(), A0, C0, D0
+
+    def newton_direction(self, rho):
+        """direction(params, grad, shift): the step d with (H + shift I) d = -grad.
+
+        H is the generalized Hessian of ``objective(rho)`` at params: the cell
+        Grams, the ridge and z's weight, plus 2 rho a a' for the gradient a of
+        each active residual (positive, so in the penalty), and for each
+        active cap rho times the Hessian of its square.  The pair residual
+        b_l + w_l . Phi[l, k] - b_k has Phi[l, k] = phi(c_k, c_l), the piece
+        kernel's feature tensor, built once per problem with the blocks that
+        do not depend on rho.  The slopes are coupled only within a piece,
+        so the blocks of the K pieces' slopes (of all m components) are
+        eliminated, and the Schur complement is solved on [z; B], of size
+        1 + mK.  No dense Hessian is built.
+        """
+        layout, reg, cone, d = self.layout, self.reg, self.spec.cone, self.d
+        m, K, s = layout.n_components, layout.n_pieces, layout.slope_dim
+        nb, ms = 1 + m * K, m * s
+        Phi, A0, C0, D0 = self._hessian_base
+        b_at, ks = 1 + np.arange(m * K).reshape(m, K), np.arange(K)
+        cone_at = [np.atleast_1d(np.arange(s)[c]) for c in cone.columns(d)]
+        eye = np.eye(s)
+
+        def direction(params, grad, shift):
+            z, B, W = layout.stack(params)
+            A, C, D = A0.copy(), C0.copy(), D0.copy()
+            # slope caps sqrt(|w|^2 + kappa^2) - kappa - z - theta0, active where positive
+            sn = _smooth_norms(np.add.reduce(W * W, 2))
+            h = sn - _SMOOTH_KAPPA - z - reg.theta0
+            on = 2.0 * rho * (h > 0.0)
+            u = W / sn[..., None]
+            A[0, 0] += on.sum()
+            C[:, :, :, 0] -= (on[..., None] * u).transpose(1, 0, 2)
+            curv = on * np.where(h > 0.0, h / sn, 0.0)
+            caps = (on - curv)[..., None, None] * (u[..., :, None] * u[..., None, :]) \
+                + curv[..., None, None] * eye
+            # continuity: a = e(b_l) - e(b_k) + Phi[l, k] on w_l, for active (l, k)
+            active = self.pair_residuals(B, W) > 0.0
+            # cones: each residual sums the columns cone_at, active where positive
+            cones = 2.0 * rho * (cone.residuals(W, d) > 0.0).reshape(m, K, -1)
+            for i in range(m):
+                M = active[i].astype(float)
+                at = slice(1 + i * K, 1 + (i + 1) * K)
+                A[at, at] += 2.0 * rho * (np.diag(M.sum(0) + M.sum(1)) - M - M.T)
+                MPhi = M[:, :, None] * Phi
+                C[:, i, :, at] -= 2.0 * rho * MPhi.transpose(0, 2, 1)
+                C[ks, i, :, b_at[i]] += 2.0 * rho * MPhi.sum(1)
+                D[:, i, :, i, :] += 2.0 * rho * np.matmul(MPhi.transpose(0, 2, 1), Phi) + caps[i]
+                for c1, c2 in itertools.product(cone_at, repeat=2):
+                    D[:, i, c1, i, c2] += cones[i]
+            A[range(nb), range(nb)] += shift
+            D = D.reshape(K, ms, ms)
+            D[:, range(ms), range(ms)] += shift
+            C = C.reshape(K, ms, nb)
+            gz, gB, gW = layout.stack(grad)
+            g_slopes = gW.transpose(1, 0, 2).reshape(K, ms, 1)
+            Y = np.linalg.solve(D, np.concatenate([C, g_slopes], axis=2))
+            YC = Y[:, :, :nb].reshape(K * ms, nb)
+            S = A - C.reshape(K * ms, nb).T @ YC
+            step_b = np.linalg.solve(S, YC.T @ g_slopes.ravel()
+                                     - np.concatenate([[gz], gB.ravel()]))
+            step_w = (-Y[:, :, nb] - (YC @ step_b).reshape(K, ms)).reshape(K, m, s)
+            return layout.pack(step_b[0], *[a for i in range(m) for a in (
+                step_b[1 + i * K:1 + (i + 1) * K], step_w[:, i])])
+
+        return direction
+
     def _pack_first(self, z, b, W):
         """Parameters with (b, W) in the first component and zeros in the others."""
         zeros = [np.zeros_like(b), np.zeros_like(W)] * (self.layout.n_components - 1)
         return self.layout.pack(z, b, W, *zeros)
 
     def warm_start(self) -> np.ndarray:
-        """Per-cell ridge fits, a feasibility pass on the biases, and the cap z."""
+        """Per-cell ridge fits, their slopes projected on the cone, and the cap z."""
         K, s = self.layout.n_pieces, self.layout.slope_dim
         b = np.zeros(K)
         W = np.zeros((K, s))
@@ -397,11 +499,8 @@ class _InitialProblem:
         # The fit is of the first component's signed contribution.
         sign = self.spec.signs[0]
         W = self.spec.cone.project(sign * W, self.d)
-        # One pairwise-max pass lifts biases toward continuity feasibility.
-        b = sign * b
-        b += self.pair_residuals(b[None], W[None])[0].max(axis=0)
         z = float(np.max(np.maximum(np.linalg.norm(W, axis=1) - self.reg.theta0, 0.0)))
-        return self._pack_first(z, b, W)
+        return self._pack_first(z, sign * b, W)
 
     def certificate_point(self) -> np.ndarray:
         """The feasible constant fit at the mean response."""
@@ -420,21 +519,29 @@ def fit_initial(dataset: Dataset, partition: Partition, kind: str, reg: RegParam
                 solver_cfg: SolverConfig = None, variant: str = SINGLE):
     """Solve the stage-1 penalty problem; returns (model, info dict).
 
-    The solve starts from the better of the per-cell ridge warm start and the
-    constant-fit certificate point, so with monotone descent the final
-    penalized value never exceeds the certificate.
+    ``newton_minimize`` solves the penalized objective at each weight of
+    ``RHOS`` in turn, the first from the per-cell ridge warm start, each next
+    from the last one's point; ``solver_cfg.max_iters`` caps their steps in
+    all.  The report sums the solves' iterations, evaluations, line-search
+    failures and wall time, and takes the last one's stop reason, value
+    (the ``RHO_PEN`` penalized objective) and gradient norm.  The constant fit
+    is feasible, so the converged penalized value does not exceed its value,
+    reported as the certificate.
     """
     solver_cfg = solver_cfg or SolverConfig()
     problem = _InitialProblem(dataset.X, dataset.y, partition, kind, reg, variant)
-    penalized = problem.objective(RHO_PEN)
-    start = problem.warm_start()
-    cert = problem.certificate_point()
-    cert_value = float(penalized.evaluate(cert)[0])
-    if float(penalized.evaluate(start)[0]) > cert_value:
-        start = cert
-    x_star, report = lbfgs_minimize(penalized, start, solver_cfg)
+    x_star, solves = problem.warm_start(), []
+    for rho in RHOS:
+        penalized = problem.objective(rho)
+        budget = solver_cfg.max_iters - sum(r.iterations for r in solves)
+        x_star, last = newton_minimize(penalized, problem.newton_direction(rho), x_star, budget)
+        solves.append(last)
+        log.info("stage1 variant=%s rho=%g iters=%d evals=%d stop=%s wall=%.3fs", variant, rho,
+                 last.iterations, last.evaluations, last.stop_reason, last.wall_s)
+    report = _summed(solves)
     if not np.isfinite(x_star).all():
         raise SolverAbort("stage-1 solve produced non-finite parameters")
+    cert_value = float(penalized.evaluate(problem.certificate_point())[0])
     spec, s = problem.spec, problem.slope_dim
     res = spec.cone.residuals(problem.layout.stack(x_star)[2], problem.d)
     cone_violation = float(max(0.0, res.max())) if res.size else 0.0
@@ -455,6 +562,13 @@ def fit_initial(dataset: Dataset, partition: Partition, kind: str, reg: RegParam
         "cone_violation": cone_violation,
     }
     return model, info
+
+
+def _summed(solves):
+    """The last solve's report with the iterations, evaluations, line-search
+    failures and wall time of all of them."""
+    return replace(solves[-1], **{name: sum(getattr(r, name) for r in solves) for name in (
+        "iterations", "evaluations", "line_search_failures", "wall_s")})
 
 
 # ---------------------------------------------------------------------------
@@ -692,8 +806,7 @@ def refine(initial_model: DcModel, dataset: Dataset, reg: RegParams,
                  last.stop_reason, last.wall_s)
         if last.aborted:
             break
-    report = replace(last, **{name: sum(getattr(r, name) for r in solves) for name in (
-        "iterations", "evaluations", "line_search_failures", "wall_s")})
+    report = _summed(solves)
     candidate = problem.extract(x_star, initial_model)
     rr_cand = (training_risk_std(candidate, dataset.X, dataset.y)
                + reg_n_value(candidate, initial_model, reg, risk0))

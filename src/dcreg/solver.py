@@ -1,10 +1,12 @@
-"""The soft maximum of matrix columns, and a deterministic L-BFGS.
+"""The soft maximum of matrix columns, a deterministic L-BFGS and a damped Newton method.
 
-The optimizer uses Armijo-only backtracking.  Stage 1's penalty objective has
-a gradient that is only piecewise smooth, and stage 2's max-min-affine
-objective takes its value from the hard max and its gradient from the
-soft-max weights, so whenever a line search fails the L-BFGS memory is reset
-and a plain gradient step is tried; a second failure terminates.
+Both optimizers use Armijo-only backtracking, testing each trial on its
+value.  Stage 2's max-min-affine objective takes its value from the hard max
+and its gradient from the soft-max weights, so whenever an L-BFGS line search
+fails the memory is reset and a plain gradient step is tried; a second
+failure terminates.  Stage 1 runs the Newton method: its penalty objective
+has a gradient that is only piecewise smooth, and each step solves with a
+generalized Hessian of it, shifted in proportion to the gradient.
 """
 
 import logging
@@ -64,6 +66,8 @@ GRAD_NORM_TOL = 1e-6
 LS_SHRINK = 0.5
 LS_C1 = 1e-4
 LS_MAX_STEPS = 40
+# Newton's Levenberg-Marquardt shift: NEWTON_SHIFT times the gradient's max-norm.
+NEWTON_SHIFT = 0.1
 # The soft-max exponents are clipped at _EXP_FLOOR.  exp(-60) = 8.8e-27: a
 # column of fewer than 1e10 entries sums to the same double as unclipped, exp
 # stays off numpy's per-element path (below -707.7), and no weight is subnormal.
@@ -107,6 +111,27 @@ def softmax_columns(A: np.ndarray, mu: float, top: np.ndarray, out=None):
     np.exp(E, out=E)
     sums = np.add.reduce(E, -2)
     return top + mu * np.log(sums), E, sums
+
+
+class _Trials:
+    """obj.evaluate, counting its calls."""
+
+    def __init__(self, obj: ObjectiveHandle):
+        self.evaluate, self.count = obj.evaluate, 0
+
+    def __call__(self, x):
+        self.count += 1
+        return self.evaluate(x)
+
+    def first(self, x0):
+        """(x, value, gradient) at a copy of x0; both must be finite."""
+        x = np.array(x0, dtype=float, copy=True)
+        f, gradient = self(x)
+        f = float(f)
+        g = np.asarray(gradient(), dtype=float)
+        if not np.isfinite(f) or not np.isfinite(g).all():
+            raise ValueError("objective must be finite at the starting point")
+        return x, f, g
 
 
 def _two_loop(grad, memory):
@@ -170,19 +195,8 @@ def lbfgs_minimize(obj: ObjectiveHandle, x0, cfg: SolverConfig, callback=None):
     many times the objective was evaluated, and how long it took.
     """
     start = perf_counter()
-    evaluations = 0
-
-    def trial(x):
-        nonlocal evaluations
-        evaluations += 1
-        return obj.evaluate(x)
-
-    x = np.array(x0, dtype=float, copy=True)
-    f, gradient = trial(x)
-    f = float(f)
-    g = np.asarray(gradient(), dtype=float)
-    if not np.isfinite(f) or not np.isfinite(g).all():
-        raise ValueError("objective must be finite at the starting point")
+    trial = _Trials(obj)
+    x, f, g = trial.first(x0)
 
     memory: deque = deque(maxlen=cfg.lbfgs_memory)   # (s, y, 1/(s.y), s.y, y.y)
     recent = deque([f], maxlen=STALL_WINDOW + 1)      # values of the last accepted steps
@@ -262,7 +276,58 @@ def lbfgs_minimize(obj: ObjectiveHandle, x0, cfg: SolverConfig, callback=None):
         line_search_failures=ls_failures,
         converged=bool(converged),
         aborted=aborted,
-        evaluations=evaluations,
+        evaluations=trial.count,
+        stop_reason=GRAD_TOL if converged else stop_reason,
+        wall_s=perf_counter() - start,
+    )
+    return x, report
+
+
+def newton_minimize(obj: ObjectiveHandle, direction, x0, max_iters: int):
+    """Minimize obj from x0 by damped Newton steps; returns (x_star, SolveReport).
+
+    ``direction(x, g, shift)`` solves (H + shift I) d = -g for a generalized
+    Hessian H of obj at x.  The shift is ``NEWTON_SHIFT`` times the gradient's
+    max-norm, the Levenberg-Marquardt regularization of the semismooth Newton
+    method of Li, Fukushima, Qi & Yamashita (Comput. Optim. Appl. 2004), so
+    the steps lengthen to full Newton steps as the gradient vanishes.  Each
+    step is backtracked from t = 1 by ``_backtrack``; a direction that is not
+    one of descent, which only rounding can give, is replaced by the negative
+    gradient.  The solve stops at ``GRAD_NORM_TOL``, after ``max_iters``
+    steps, when a line search fails, or, with ``aborted`` set, when an
+    accepted step has a non-finite gradient.
+    """
+    start = perf_counter()
+    trial = _Trials(obj)
+    x, f, g = trial.first(x0)
+    gnorm = float(np.abs(g).max()) if g.size else 0.0
+    iters, stop_reason = 0, MAX_ITERS
+    while gnorm > GRAD_NORM_TOL and iters < max_iters:
+        d = direction(x, g, NEWTON_SHIFT * gnorm)
+        slope = float(g.dot(d))
+        t0 = 1.0
+        if not slope < 0.0:
+            d, slope, t0 = _gradient_step(g)
+        ok, _, x_new, f_new, g_new = _backtrack(trial, x, f, d, slope, t0)
+        if not ok:
+            stop_reason = LINE_SEARCH
+            break
+        gnorm_new = float(np.abs(g_new).max())
+        if not isfinite(gnorm_new):
+            log.warning("newton abort: non-finite gradient at iter=%d", iters)
+            stop_reason = NONFINITE
+            break
+        x, f, g, gnorm = x_new, f_new, g_new, gnorm_new
+        iters += 1
+    converged = gnorm <= GRAD_NORM_TOL
+    report = SolveReport(
+        iterations=iters,
+        final_value=f,
+        final_grad_norm=gnorm,
+        line_search_failures=int(stop_reason == LINE_SEARCH),
+        converged=converged,
+        aborted=stop_reason == NONFINITE,
+        evaluations=trial.count,
         stop_reason=GRAD_TOL if converged else stop_reason,
         wall_s=perf_counter() - start,
     )

@@ -1,9 +1,10 @@
 """Shared oracles for the test suite: finite differences, fit invariants, the
-dense feature tensor, the partitioned form, the dense stage-1 objective, the
-per-component objectives that the stacked ones replaced, the direct nearest-
-center assignment, the dense soft-max formulas, the adapters for objectives
-that return their gradient with their value, and the builders and penalty
-forms that only the tests use."""
+dense feature tensor, the partitioned form, the dense stage-1 objective and
+scipy's solve of it, the per-component objectives that the stacked ones
+replaced, the direct nearest-center assignment, the dense soft-max formulas,
+the adapters for objectives that return their gradient with their value, the
+solve log recorder, and the builders and penalty forms that only the tests
+use."""
 
 import contextlib
 import logging
@@ -177,6 +178,69 @@ def dense_initial_objective(dataset, partition, kind, reg, variant, rho):
     return evaluate, residuals
 
 
+def scipy_initial_minimum(dataset, partition, kind, reg, variant, rho):
+    """The minimum of the stage-1 penalized objective by scipy's SLSQP, from zero.
+
+    The penalty rho sum max(r_i, 0)^2 is written as a smooth problem: minimize
+    f(x) + sum t_i^2 subject to t_i >= sqrt(rho) r_i(x) and t_i >= 0, with f
+    the row-wise least squares of ``dense_initial_objective`` at rho = 0.
+    The residuals are the off-diagonal continuity pairs, the slope caps
+    ||w_k|| - z - theta0 and the cone residuals, with their exact Jacobian.
+    """
+    from scipy.optimize import minimize
+
+    spec = variant_spec(variant)
+    K, d, m = partition.n_centers, dataset.d, len(spec.signs)
+    s = spec.slope_dim(kind, d)
+    layout = ParamLayout(K, s, m)
+    base, _ = dense_initial_objective(dataset, partition, kind, reg, variant, 0.0)
+    phi = phi_tensor(kind, partition.centers, partition.centers)[:, :, :s]
+    cone_cols = [np.atleast_1d(np.arange(s)[c]) for c in spec.cone.columns(d)]
+    # the linear residuals as rows of a matrix: b_l + w_l . phi(c_k, c_l) - b_k, then the cones
+    rows = []
+    for i in range(m):
+        at = 1 + i * K * (1 + s)
+
+        def w_at(k):
+            return slice(at + K + k * s, at + K + (k + 1) * s)
+
+        for k, l in zip(*np.nonzero(~np.eye(K, dtype=bool))):
+            a = np.zeros(layout.dim)
+            a[at + l], a[at + k], a[w_at(l)] = 1.0, -1.0, phi[k, l]
+            rows.append(a)
+        for k in range(K):
+            for j in range(len(cone_cols[0]) if cone_cols else 0):
+                a = np.zeros(layout.dim)
+                a[[w_at(k).start + c[j] for c in cone_cols]] = spec.cone.sign
+                rows.append(a)
+    L = np.array(rows).reshape(-1, layout.dim)
+    n_x, n_t, root = layout.dim, len(L) + m * K, np.sqrt(rho)
+
+    def residuals(x):
+        z, _, W = layout.stack(x)
+        norms = np.linalg.norm(W, axis=2)
+        J = np.zeros((m * K, n_x))
+        J[:, 0] = -1.0
+        for i, k in np.ndindex(m, K):
+            at = 1 + i * K * (1 + s) + K + k * s
+            J[i * K + k, at:at + s] = W[i, k] / max(norms[i, k], 1e-300)
+        return np.concatenate([L @ x, (norms - z - reg.theta0).ravel()]), np.vstack([L, J])
+
+    def objective(v):
+        value, grad = base(v[:n_x])
+        t = v[n_x:]
+        return value + t @ t, np.concatenate([grad, 2.0 * t])
+
+    start = np.concatenate([np.zeros(n_x), np.maximum(root * residuals(np.zeros(n_x))[0], 0.0)])
+    constraint = {"type": "ineq",
+                  "fun": lambda v: v[n_x:] - root * residuals(v[:n_x])[0],
+                  "jac": lambda v: np.hstack([-root * residuals(v[:n_x])[1], np.eye(n_t)])}
+    result = minimize(objective, start, jac=True, method="SLSQP", constraints=[constraint],
+                      bounds=[(None, None)] * n_x + [(0.0, None)] * n_t,
+                      options={"ftol": 1e-15, "maxiter": 2000})
+    return float(result.fun)
+
+
 def assert_fit_invariants(result: FitResult, dataset, viol_tol=1e-4):
     """The refinement/finalization chain guarantees, checked on one fit."""
     rr0, rr1, rr2 = result.risk_reg_chain
@@ -317,23 +381,24 @@ def assert_thunk_survives_a_rejected_trial(obj, x, rejected, what=""):
     assert_same_bits(gradient(), grad, what)
 
 
-class _Stage2Solves(logging.Handler):
+class _LoggedSolves(logging.Handler):
     def __init__(self, solves):
         super().__init__()
         self.solves = solves
 
     def emit(self, record):
-        message = record.getMessage()
-        if message.startswith("stage2 "):
-            self.solves.append(dict(field.split("=", 1) for field in message.split()[1:]))
+        stage, *fields = record.getMessage().split()
+        if stage in ("stage1", "stage2"):
+            self.solves.append({"stage": stage, **dict(field.split("=", 1) for field in fields)})
 
 
 @contextlib.contextmanager
-def recording_stage2_solves(solves):
-    """Append to ``solves`` one dict per stage-2 solve logged while the block runs:
-    its variant, mu, iters, evals, stop and wall fields, as strings."""
+def recording_solves(solves):
+    """Append to ``solves`` one dict per stage-1 or stage-2 solve logged while the
+    block runs: its stage, variant, rho or mu, iters, evals, stop and wall fields,
+    as strings."""
     logger = logging.getLogger("dcreg.fit")
-    handler, level = _Stage2Solves(solves), logger.level
+    handler, level = _LoggedSolves(solves), logger.level
     logger.addHandler(handler)
     logger.setLevel(logging.INFO)
     try:

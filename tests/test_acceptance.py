@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from _helpers import (assert_gradient_matches, build_initial_objective, build_refine_objective,
-                      recording_stage2_solves)
+                      recording_solves)
 from dcreg import features
 from dcreg.approx import (LIPSCHITZ, SMOOTH, eval_min_convex, fvu, grid_cover,
                           mcshane_lower, min_convex_upper, quad_lower,
@@ -22,7 +22,7 @@ from dcreg.baselines import (GAUSSIAN_KERNEL, KnnModel, NwModel, kfold_cv,
                              knn_predict, nw_cv_grid, nw_predict)
 from dcreg.data import Dataset, SyntheticGen
 from dcreg.experiment import ExperimentSpec, run_experiment, write_bench_outputs
-from dcreg.fit import FitConfig, STRONG, default_reg_params, fit_dcf, fit_initial
+from dcreg.fit import RHOS, FitConfig, STRONG, default_reg_params, fit_dcf, fit_initial
 from dcreg.model import (CONVEX_MAX_AFFINE, CONVEX_NORM, CONVEX_PLUS,
                          MAX_MIN_AFFINE, SINGLE, SYMMETRIC, DcComponent,
                          eval_max, eval_mma, eval_model, eval_model_std, prune,
@@ -50,18 +50,18 @@ def _sampled_target(make):
 # shared fits
 
 @pytest.fixture(scope="module")
-def stage2_solves():
-    """Every stage-2 solve of the shared fits, as ``recording_stage2_solves`` logs them."""
+def logged_solves():
+    """Every stage-1 and stage-2 solve of the shared fits, as ``recording_solves`` logs them."""
     return []
 
 
 @pytest.fixture(scope="module")
-def variant_fits(stage2_solves):
+def variant_fits(logged_solves):
     """One full fit per variant on a moderate 1-d problem (plus convex 2-d)."""
     gen = SyntheticGen(target="xsinx", noise_sigma=0.1)
     ds, _ = gen.sample(300, seed=101)
     fits = []
-    with recording_stage2_solves(stage2_solves):
+    with recording_solves(logged_solves):
         for variant, kind in ((SINGLE, features.LINF), (SYMMETRIC, features.LINF),
                               (MAX_MIN_AFFINE, features.LINF)):
             cfg = FitConfig(variant=variant, kind=kind, seed=11)
@@ -78,7 +78,7 @@ def variant_fits(stage2_solves):
 
 
 @pytest.fixture(scope="module")
-def trend_results(stage2_solves):
+def trend_results(logged_solves):
     """Criterion 10 sweep: symmetric fits over n in {256, 1024, 4096}, 5 reps."""
     gen = SyntheticGen(target="xsinx", d=1, noise_sigma=0.1)
     sizes = (256, 1024, 4096)
@@ -93,7 +93,7 @@ def trend_results(stage2_solves):
             train, _ = gen.sample(n, seed=1000 + 17 * i + rep)
             cfg = FitConfig(variant=SYMMETRIC, kind=features.LINF,
                             theta2_mode=STRONG, seed=rep)
-            with recording_stage2_solves(stage2_solves):
+            with recording_solves(logged_solves):
                 result = fit_dcf(train, cfg)
             preds = eval_model(result.final_model, test_ds.X)
             mse[n].append(float(np.mean((preds - test_ds.y) ** 2)))
@@ -208,28 +208,38 @@ def test_criterion_03_clustering_invariants():
     _report(3, f"window/cover/cap/determinism exact on {checked} random datasets", t0)
 
 
-def test_criterion_04_stage1_solve_quality():
+@pytest.fixture(scope="module")
+def criterion4_solves():
+    """Criterion 4's 50 stage-1 solves: their info dicts, responses, logged rungs and time."""
     t0 = time.perf_counter()
     rng = np.random.default_rng(13)
     kinds = (features.L1, features.L2, features.LINF, features.PLUS)
+    infos, rungs = [], []
+    with recording_solves(rungs):
+        for trial in range(50):
+            n = int(rng.integers(20, 501))
+            d = int(rng.integers(1, 4))
+            X = rng.uniform(-1, 1, (n, d))
+            y = (np.max(X, axis=1) - 0.7 * np.abs(X[:, 0])
+                 + 0.1 * rng.standard_normal(n))
+            ds = Dataset(X, y)
+            part = afpc(X, seed=trial)
+            r_x, r_y = data_radii(ds)
+            reg = default_reg_params(r_x, r_y, n, d, part.n_centers)
+            model, info = fit_initial(ds, part, kinds[trial % 4], reg)
+            infos.append((info, y))
+    return {"infos": infos, "rungs": rungs, "elapsed": time.perf_counter() - t0}
+
+
+def test_criterion_04_stage1_solve_quality(criterion4_solves):
+    t0 = time.perf_counter()
     worst_viol = 0.0
-    for trial in range(50):
-        n = int(rng.integers(20, 501))
-        d = int(rng.integers(1, 4))
-        X = rng.uniform(-1, 1, (n, d))
-        y = (np.max(X, axis=1) - 0.7 * np.abs(X[:, 0])
-             + 0.1 * rng.standard_normal(n))
-        ds = Dataset(X, y)
-        part = afpc(X, seed=trial)
-        r_x, r_y = data_radii(ds)
-        reg = default_reg_params(r_x, r_y, n, d, part.n_centers)
-        model, info = fit_initial(ds, part, kinds[trial % 4], reg)
+    for trial, (info, y) in enumerate(criterion4_solves["infos"]):
         cert = float(np.mean((y - y.mean()) ** 2))
         assert info["violation"] <= 1e-4, f"trial {trial}: {info['violation']}"
         assert info["penalized_objective"] <= cert + 1e-12
         worst_viol = max(worst_viol, info["violation"])
-    elapsed = time.perf_counter() - t0
-    assert elapsed < 60.0
+    assert criterion4_solves["elapsed"] < 60.0
     _report(4, f"50 solves: max violation {worst_viol:.2e} <= 1e-4, "
                "penalized objective <= constant certificate", t0)
 
@@ -369,10 +379,11 @@ def test_criterion_10_convergence_trend(trend_results):
 
 
 def test_max_form_stage2_solves_stop_before_the_iteration_cap(variant_fits, trend_results,
-                                                              stage2_solves):
+                                                              logged_solves):
     # Each max-form stage 2 is one smooth solve per mu: none runs to max_iters.
     t0 = time.perf_counter()
-    max_form = [s for s in stage2_solves if s["variant"] != MAX_MIN_AFFINE]
+    max_form = [s for s in logged_solves
+                if s["stage"] == "stage2" and s["variant"] != MAX_MIN_AFFINE]
     fits = [r for r, _ in list(variant_fits) + list(trend_results["fits"])
             if r.final_model.variant != MAX_MIN_AFFINE and r.lip_chain[0] > 0.0]
     assert len(max_form) == 3 * len(fits) == 60
@@ -380,6 +391,24 @@ def test_max_form_stage2_solves_stop_before_the_iteration_cap(variant_fits, tren
     assert "max_iters" not in stops, stops
     _report("5b", f"{len(max_form)} max-form stage-2 solves stop before the cap "
                   f"({', '.join(f'{r} {stops.count(r)}' for r in sorted(set(stops)))})", t0)
+
+
+def test_stage1_solves_stop_before_the_iteration_cap(criterion4_solves, variant_fits,
+                                                     trend_results, logged_solves):
+    # Stage 1 is one Newton solve per penalty weight of RHOS: none runs to max_iters.
+    t0 = time.perf_counter()
+    rungs = criterion4_solves["rungs"] + [s for s in logged_solves if s["stage"] == "stage1"]
+    fits = 50 + len(variant_fits) + len(trend_results["fits"])
+    assert len(rungs) == len(RHOS) * fits == 7 * 71
+    stops = [s["stop"] for s in rungs]
+    assert "max_iters" not in stops, stops
+    reports = [info["report"] for info, _ in criterion4_solves["infos"]] + [
+        r.initial_report for r, _ in list(variant_fits) + list(trend_results["fits"])]
+    assert all(r.stop_reason != "max_iters" for r in reports)
+    steps = [r.iterations for r in reports]
+    _report("4b", f"{len(rungs)} stage-1 solves of {fits} fits stop before the cap "
+                  f"({', '.join(f'{r} {stops.count(r)}' for r in sorted(set(stops)))}), "
+                  f"{min(steps)}-{max(steps)} Newton steps per fit", t0)
 
 
 def test_criterion_11_convex_regression():

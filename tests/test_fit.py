@@ -9,8 +9,8 @@ from _helpers import (assert_fit_invariants, assert_gradient_matches, assert_sam
                       build_refine_objective, dense_initial_objective, fit_diagnostics,
                       phi_tensor, reference_cone_penalty, reference_initial_objective,
                       reference_max_form_objective, reference_mma_objective,
-                      reference_reg_terms, softmax_smooth, softmax_weights,
-                      value_and_gradient)
+                      reference_reg_terms, scipy_initial_minimum, softmax_smooth,
+                      softmax_weights, value_and_gradient)
 from dcreg import features
 from dcreg.data import Dataset
 from dcreg.fit import (MU, MUS, RHO_PEN, FitConfig, RegParams, STRONG, WEAK, _RefineProblem,
@@ -228,6 +228,23 @@ def test_fit_initial_certificate_inequality():
         assert info["penalized_objective"] <= cert + 1e-12
         assert info["certificate"] == pytest.approx(cert, rel=1e-12)
         assert info["violation"] <= 1e-4
+
+
+@pytest.mark.parametrize("variant,kind", _PAIRS)
+def test_fit_initial_reaches_the_minimum_of_an_independent_scipy_solve(variant, kind):
+    # Small instances (K <= 10, d <= 2): the stage-1 penalized objective at the
+    # returned point against SLSQP on the same penalized problem, written smooth.
+    index = _PAIRS.index((variant, kind))
+    d = 1 + index % 2
+    rng = np.random.default_rng(80 + index)
+    X = rng.uniform(-1, 1, (40, d))
+    ds = Dataset(X, np.max(X, axis=1) - 0.7 * np.abs(X[:, 0]) + 0.1 * rng.standard_normal(40))
+    part = afpc(X, seed=index)
+    assert part.n_centers <= 10
+    reg = default_reg_params(*_radii(ds), ds.n, d, part.n_centers)
+    _, info = fit_initial(ds, part, kind, reg, variant=variant)
+    oracle = scipy_initial_minimum(ds, part, kind, reg, variant, RHO_PEN)
+    assert info["penalized_objective"] == pytest.approx(oracle, rel=1e-6)
 
 
 def _radii(ds):
@@ -827,6 +844,31 @@ def test_refine_mma_extract_returns_the_initial_blocks():
         assert model.component is initial.component
         assert np.array_equal(model.mma.biases, initial.mma.biases)
         assert np.array_equal(model.mma.slopes, initial.mma.slopes)
+
+
+@pytest.mark.parametrize("variant,kind,d", [(SYMMETRIC, features.LINF, 1),
+                                             (SINGLE, features.LINF, 2),
+                                             (SYMMETRIC, features.L2, 2),
+                                             (CONVEX_MAX_AFFINE, features.L2, 2)])
+def test_fit_predictions_barely_move_under_a_one_ulp_rescale_of_x(variant, kind, d):
+    # Stage 1 converges to the minimum of a convex problem, so an ulp-level change
+    # of the inputs barely moves its point, nor the stage-2 solve that starts there.
+    # The largest move measured on these eight fits is 1.5e-5; a stage 1 stopped
+    # at its iteration cap moved four of them by 0.023-0.105.
+    for seed in (1, 2):
+        rng = np.random.default_rng(300 + seed)
+        if d == 1:
+            X = rng.uniform(0, 6, (200, 1))
+            y = X[:, 0] * np.sin(X[:, 0]) + 0.1 * rng.standard_normal(200)
+            grid = np.linspace(0, 6, 400)[:, None]
+        else:
+            X = rng.uniform(-1, 1, (200, d))
+            y = np.sum(X * X, axis=1) + 0.1 * rng.standard_normal(200)
+            grid = rng.uniform(-1, 1, (400, d))
+        config = FitConfig(variant=variant, kind=kind, seed=1)
+        preds = [eval_model(fit_dcf(Dataset(X * scale, y), config).final_model, grid)
+                 for scale in (1.0, 1.0 + 1e-15)]
+        assert np.max(np.abs(preds[1] - preds[0])) <= 1e-3, (variant, seed)
 
 
 def test_fit_does_not_depend_on_input_layout():

@@ -7,9 +7,9 @@ from _helpers import (assert_same_bits, callable_penalty_objective, eager_handle
                       floored_softmax, softmax_smooth, softmax_weights, value_and_gradient)
 from dcreg.fit import MU, MUS
 from dcreg.solver import (_EXP_FLOOR, GRAD_NORM_TOL, GRAD_TOL, LINE_SEARCH, LS_C1, LS_MAX_STEPS,
-                          LS_SHRINK, MAX_ITERS, NONFINITE, STALL_RTOL, STALL_WINDOW, STALLED,
-                          ObjectiveHandle, SolveReport, SolverConfig, lbfgs_minimize,
-                          softmax_columns)
+                          LS_SHRINK, MAX_ITERS, NEWTON_SHIFT, NONFINITE, STALL_RTOL, STALL_WINDOW,
+                          STALLED, ObjectiveHandle, SolveReport, SolverConfig, lbfgs_minimize,
+                          newton_minimize, softmax_columns)
 
 
 def central_diff(evaluate, x, step=1e-6):
@@ -480,3 +480,70 @@ def test_lbfgs_stop_reasons_and_evaluation_counts():
         if evaluate is long_rosenbrock:
             assert report.iterations > STALL_WINDOW
     assert SolveReport(0, 1.0, 0.0, 0, True).stop_reason == ""
+
+
+def test_newton_stop_reasons_and_evaluation_counts():
+    # A penalized quadratic: 0.5 |x - c|^2 + rho sum max(x - 1, 0)^2, kinked at x = 1;
+    # its generalized Hessian is diagonal.
+    c, rho = np.array([3.0, -2.0, 0.5]), 1e6
+
+    def kinked(x):
+        over = np.maximum(x - 1.0, 0.0)
+        return (0.5 * float((x - c) @ (x - c)) + rho * float(over @ over),
+                x - c + 2.0 * rho * over)
+
+    def newton(x, g, shift):
+        return -g / (1.0 + 2.0 * rho * (x > 1.0) + shift)
+
+    def quad(x):
+        return float((x - c) @ (x - c)), 2.0 * (x - c)
+
+    def uphill(x, g, shift):        # not a descent direction: the negative gradient is used
+        return g
+
+    def nan_gradient(x):            # finite values, a NaN gradient beyond x = 0.3
+        return float((x[0] - 1.0) ** 2), (np.array([np.nan]) if x[0] > 0.3
+                                           else 2.0 * (x - 1.0))
+
+    def wrong_gradient(x):          # the gradient points uphill: no step is accepted
+        return float(x @ x), -2.0 * x
+
+    cases = ((kinked, newton, np.zeros(3), 2000, "grad_tol"),
+             (kinked, newton, np.full(3, 5.0), 2000, "grad_tol"),
+             (quad, uphill, np.zeros(3), 2000, "grad_tol"),
+             (kinked, newton, np.full(3, 5.0), 1, "max_iters"),
+             (kinked, newton, np.zeros(3), 0, "max_iters"),
+             (nan_gradient, newton, np.zeros(1), 2000, "nonfinite"),
+             (wrong_gradient, uphill, np.ones(2), 2000, "line_search"))
+    for evaluate, direction, x0, max_iters, reason in cases:
+        wrapped, calls = _counted(evaluate)
+        x_star, report = newton_minimize(eager_handle(x0.size, wrapped), direction, x0,
+                                         max_iters)
+        assert report.stop_reason == reason, (reason, report)
+        assert report.evaluations == calls[0] > report.iterations
+        assert report.iterations <= max_iters
+        assert report.final_value == evaluate(x_star)[0] <= evaluate(x0)[0]
+        assert report.converged == (reason == "grad_tol")
+        assert report.aborted == (reason == "nonfinite")
+        if reason == "grad_tol":
+            assert np.abs(evaluate(x_star)[1]).max() <= GRAD_NORM_TOL
+            assert np.allclose(x_star, np.minimum(c, 1.0) if evaluate is kinked else c,
+                               atol=1e-6)
+
+
+def test_newton_steps_lengthen_to_full_steps_as_the_gradient_vanishes():
+    # On a quadratic with its exact Hessian the shifted step is -g / (1 + shift), so the
+    # gradient shrinks by shift / (1 + shift) per step: superlinear convergence.
+    c = np.array([4.0, -3.0])
+    evaluate = _quadratic(2, c).evaluate
+    norms = []
+
+    def direction(x, g, shift):
+        norms.append(np.abs(g).max())
+        assert shift == NEWTON_SHIFT * norms[-1]
+        return -g / (2.0 + shift)
+
+    x_star, report = newton_minimize(ObjectiveHandle(2, evaluate), direction, np.zeros(2), 50)
+    assert report.stop_reason == "grad_tol" and report.iterations <= 6
+    assert all(b <= a * a for a, b in zip(norms[1:], norms[2:]))
+    assert np.allclose(x_star, c, atol=1e-6)
