@@ -12,7 +12,7 @@ import sys
 import numpy as np
 
 from . import features, model as model_mod
-from .data import (DataError, SyntheticGen, apply_scaling, load_csv,
+from .data import (DataError, SyntheticGen, load_csv,
                    read_csv_matrix, SCALING_MODES, SYNTHETIC_TARGETS)
 from .experiment import (ALL_ESTIMATORS, ExperimentSpec, demo_figures,
                          run_experiment, write_bench_outputs, write_csv)
@@ -38,12 +38,11 @@ _VARIANTS = {
 
 def _cmd_fit(args):
     dataset = load_csv(args.data, args.response_col)
-    scaled, spec = apply_scaling(dataset, args.scaling)
     cfg = FitConfig(variant=_VARIANTS[args.variant], kind=args.kind,
                     theta2_mode=args.theta2, seed=args.seed)
-    result = fit_dcf(scaled, cfg)
-    save_model(result.final_model, args.out, scaling_spec=spec)
-    preds = spec.invert_y(model_mod.eval_model(result.final_model, spec.transform_x(dataset.X)))
+    result = fit_dcf(dataset, cfg)
+    save_model(result.final_model, args.out)
+    preds = model_mod.eval_model(result.final_model, dataset.X)
     train_mse = float(np.mean((preds - dataset.y) ** 2))
     print(f"variant={args.variant} kind={args.kind} n={dataset.n} d={dataset.d} "
           f"K={result.partition.n_centers} "
@@ -123,7 +122,8 @@ def _cmd_inspect(args):
     print(f"parameters={model_mod.n_parameters(model)} "
           f"parameters_with_centers={model_mod.n_parameters(model, include_centers=True)}")
     print(f"lip_stat={model_mod.lip_stat(model):.6g} offset={model.offset:.6g}")
-    print(f"scaling={'none' if scaling is None else scaling.mode}")
+    own = "none" if model.x_shift is None else "std"
+    print(f"scaling={own if scaling is None else scaling.mode}")   # outer map: older files
     return EXIT_OK
 
 
@@ -140,7 +140,8 @@ def build_parser():
     p.add_argument("--variant", choices=sorted(_VARIANTS), default="symmetric")
     p.add_argument("--kind", choices=features.FEATURE_KINDS, default=features.LINF)
     p.add_argument("--theta2", choices=(WEAK, STRONG), default=STRONG)
-    p.add_argument("--scaling", choices=SCALING_MODES, default="std")
+    p.add_argument("--scaling", choices=SCALING_MODES, default="std",
+                   help="no effect (every fit standardizes); kept for older command lines")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_fit)

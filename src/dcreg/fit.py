@@ -3,16 +3,16 @@
 Stage 1 solves a convex regularized least-squares problem over per-cell
 affine-in-feature pieces, with continuity constraints at the centers and a
 shared slope-norm cap, via a quadratic penalty.  Damped semismooth Newton
-steps minimize the penalized objective at each weight of ``RHOS`` in turn,
-up to ``RHO_PEN``, each solve from the last one's point.  Stage 2 locally
-refines the max-form function under a slope regularizer tied to the initial
-solution, by L-BFGS.  It minimizes the soft maximum mu log sum exp(a / mu) in
-place of each max, value and gradient alike, and the slope cone's envelope
-dist^2 / (2 mu), for mu = 1e-2, 1e-3 and 1e-4 in turn, each solve
-warm-started from the last; it falls back to the initial fit whenever the
-result fails to improve the penalized criterion with the true maxima.
-Stage 3 prunes inactive pieces and centers the mean prediction on the
-training responses.
+steps minimize the penalized objective at each weight of ``RHOS`` in turn, up
+to ``RHO_PEN``, the first from the constant fit at the mean response, each
+next from the last one's point.  Stage 2 locally refines the max-form
+function under a slope regularizer tied to the initial solution, by L-BFGS.
+It minimizes the soft maximum mu log sum exp(a / mu) in place of each max,
+value and gradient alike, and the slope cone's envelope dist^2 / (2 mu), for
+mu = 1e-2, 1e-3 and 1e-4 in turn, each solve warm-started from the last; it
+falls back to the initial fit whenever the result fails to improve the
+penalized criterion with the true maxima.  Stage 3 prunes inactive pieces and
+centers the mean prediction on the training responses.
 """
 
 import functools
@@ -246,8 +246,8 @@ class _InitialProblem:
     """The stage-1 problem of one variant on one partition: objective and residuals.
 
     The least-squares term is kept as per-cell statistics, built once: the
-    Gram matrix and moment of each cell's design rows D_k = [1, phi(x_i, c_k)],
-    a least-squares point beta_k, and the residual mean square rss0 at beta.
+    Gram matrix of each cell's design rows D_k = [1, phi(x_i, c_k)], a
+    least-squares point beta_k, and the residual mean square rss0 at beta.
     Then mean(r^2) = sum_k (theta_k - beta_k)' G_k (theta_k - beta_k) + rss0
     with G_k = D_k' D_k / n, so an evaluation never reads the n rows.
 
@@ -270,7 +270,7 @@ class _InitialProblem:
         self.kernel = _PieceKernel(kind, part.centers, part.centers, self.slope_dim)
 
     def _cell_statistics(self):
-        """Per cell: D'D, D'y and a least-squares point beta; rss0 row by row."""
+        """Per cell: D'D and a least-squares point beta; rss0 row by row."""
         X, y, part = self.X, self.y, self.part
         n, K, p = X.shape[0], part.n_centers, self.slope_dim + 1
         # Rows sorted by cell, each cell's rows in increasing index order.
@@ -282,15 +282,14 @@ class _InitialProblem:
         design = np.hstack([np.ones((n, 1)), phi_own[:, :self.slope_dim]])
         y_sorted = y[order]
         self.gram = np.empty((K, p, p))
-        self.moment = np.empty((K, p))
         self.beta = np.empty((K, p))
         for k in range(K):
             A = design[bounds[k]:bounds[k + 1]]
             self.gram[k] = A.T @ A
-            self.moment[k] = A.T @ y_sorted[bounds[k]:bounds[k + 1]]
+            moment = A.T @ y_sorted[bounds[k]:bounds[k + 1]]
             # lstsq keeps D'D beta - D'y, which the centred form neglects, least;
             # a cell with fewer rows than columns has a singular Gram.
-            self.beta[k] = np.linalg.lstsq(self.gram[k], self.moment[k], rcond=None)[0]
+            self.beta[k] = np.linalg.lstsq(self.gram[k], moment, rcond=None)[0]
         r = np.einsum("nj,nj->n", design, self.beta[labels]) - y_sorted
         self.rss0 = float(np.mean(r * r))
 
@@ -472,41 +471,11 @@ class _InitialProblem:
 
         return direction
 
-    def _pack_first(self, z, b, W):
-        """Parameters with (b, W) in the first component and zeros in the others."""
-        zeros = [np.zeros_like(b), np.zeros_like(W)] * (self.layout.n_components - 1)
-        return self.layout.pack(z, b, W, *zeros)
-
-    def warm_start(self) -> np.ndarray:
-        """Per-cell ridge fits, their slopes projected on the cone, and the cap z."""
-        K, s = self.layout.n_pieces, self.layout.slope_dim
-        b = np.zeros(K)
-        W = np.zeros((K, s))
-        ridge = max(self.X.shape[0] * self.reg.theta2, 0.0)
-        for k in range(K):
-            gram = self.gram[k].copy()
-            gram[1:, 1:] += ridge * np.eye(s)
-            rhs = self.moment[k]
-            try:
-                beta = np.linalg.solve(gram, rhs)
-            except np.linalg.LinAlgError:
-                beta = np.linalg.lstsq(gram, rhs, rcond=None)[0]
-            if not np.isfinite(beta).all():
-                beta = np.zeros(s + 1)
-                beta[0] = rhs[0] / gram[0, 0]   # the cell's mean response
-            b[k] = beta[0]
-            W[k] = beta[1:]
-        # The fit is of the first component's signed contribution.
-        sign = self.spec.signs[0]
-        W = self.spec.cone.project(sign * W, self.d)
-        z = float(np.max(np.maximum(np.linalg.norm(W, axis=1) - self.reg.theta0, 0.0)))
-        return self._pack_first(z, sign * b, W)
-
     def certificate_point(self) -> np.ndarray:
-        """The feasible constant fit at the mean response."""
-        K, s = self.layout.n_pieces, self.layout.slope_dim
-        ybar = float(np.mean(self.y))
-        return self._pack_first(0.0, np.full(K, self.spec.signs[0] * ybar), np.zeros((K, s)))
+        """The feasible constant fit at the mean response, in the first component."""
+        x = np.zeros(self.layout.dim)
+        self.layout.stack(x)[1][0] = self.spec.signs[0] * float(np.mean(self.y))
+        return x
 
     def extract(self, params):
         """(z, components) of a solution: cone-projected, norm column re-embedded."""
@@ -520,17 +489,18 @@ def fit_initial(dataset: Dataset, partition: Partition, kind: str, reg: RegParam
     """Solve the stage-1 penalty problem; returns (model, info dict).
 
     ``newton_minimize`` solves the penalized objective at each weight of
-    ``RHOS`` in turn, the first from the per-cell ridge warm start, each next
-    from the last one's point; ``solver_cfg.max_iters`` caps their steps in
-    all.  The report sums the solves' iterations, evaluations, line-search
-    failures and wall time, and takes the last one's stop reason, value
-    (the ``RHO_PEN`` penalized objective) and gradient norm.  The constant fit
-    is feasible, so the converged penalized value does not exceed its value,
-    reported as the certificate.
+    ``RHOS`` in turn, the first from the constant fit at the mean response,
+    each next from the last one's point; ``solver_cfg.max_iters`` caps their
+    steps in all.  The report sums the solves' iterations, evaluations,
+    line-search failures and wall time, and takes the last one's stop reason,
+    value (the ``RHO_PEN`` penalized objective) and gradient norm.  The start
+    is feasible, so its value, reported as the certificate, has no penalty
+    and bounds the converged value from above.
     """
     solver_cfg = solver_cfg or SolverConfig()
     problem = _InitialProblem(dataset.X, dataset.y, partition, kind, reg, variant)
-    x_star, solves = problem.warm_start(), []
+    start = problem.certificate_point()
+    x_star, solves = start, []
     for rho in RHOS:
         penalized = problem.objective(rho)
         budget = solver_cfg.max_iters - sum(r.iterations for r in solves)
@@ -541,7 +511,7 @@ def fit_initial(dataset: Dataset, partition: Partition, kind: str, reg: RegParam
     report = _summed(solves)
     if not np.isfinite(x_star).all():
         raise SolverAbort("stage-1 solve produced non-finite parameters")
-    cert_value = float(penalized.evaluate(problem.certificate_point())[0])
+    cert_value = float(penalized.evaluate(start)[0])
     spec, s = problem.spec, problem.slope_dim
     res = spec.cone.residuals(problem.layout.stack(x_star)[2], problem.d)
     cone_violation = float(max(0.0, res.max())) if res.size else 0.0

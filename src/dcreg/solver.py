@@ -27,12 +27,11 @@ class SolverAbort(RuntimeError):
 
 @dataclass(frozen=True)
 class SolverConfig:
-    lbfgs_memory: int = 10
     max_iters: int = 2000
 
     def __post_init__(self):
-        if self.lbfgs_memory < 1 or self.max_iters < 0:
-            raise ValueError("lbfgs_memory must be >= 1 and max_iters >= 0")
+        if self.max_iters < 0:
+            raise ValueError("max_iters must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -66,6 +65,7 @@ GRAD_NORM_TOL = 1e-6
 LS_SHRINK = 0.5
 LS_C1 = 1e-4
 LS_MAX_STEPS = 40
+LBFGS_MEMORY = 10   # L-BFGS keeps the curvature pairs of this many last steps
 # Newton's Levenberg-Marquardt shift: NEWTON_SHIFT times the gradient's max-norm.
 NEWTON_SHIFT = 0.1
 # The soft-max exponents are clipped at _EXP_FLOOR.  exp(-60) = 8.8e-27: a
@@ -198,7 +198,7 @@ def lbfgs_minimize(obj: ObjectiveHandle, x0, cfg: SolverConfig, callback=None):
     trial = _Trials(obj)
     x, f, g = trial.first(x0)
 
-    memory: deque = deque(maxlen=cfg.lbfgs_memory)   # (s, y, 1/(s.y), s.y, y.y)
+    memory: deque = deque(maxlen=LBFGS_MEMORY)   # (s, y, 1/(s.y), s.y, y.y)
     recent = deque([f], maxlen=STALL_WINDOW + 1)      # values of the last accepted steps
     ls_failures = 0
     iters = 0

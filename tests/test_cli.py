@@ -5,6 +5,10 @@ import numpy as np
 import pytest
 
 from dcreg.cli import (EXIT_DATA, EXIT_OK, EXIT_SOLVER, EXIT_USAGE, main)
+from dcreg.data import apply_scaling, load_csv
+from dcreg.fit import FitConfig, fit_dcf
+from dcreg.model import eval_model
+from dcreg.serialize import load_bundle, save_model
 
 
 @pytest.fixture()
@@ -154,10 +158,24 @@ def test_verbose_logging_smoke(tmp_path, csv_file, caplog):
 
 
 def _expected_predictions(model_path, X):
-    from dcreg.model import eval_model
-    from dcreg.serialize import load_bundle
+    """The model on X; in a two-map file, inside its outer scaling as well."""
     model, scaling = load_bundle(model_path)
+    if scaling is None:
+        return eval_model(model, X)
     return scaling.invert_y(eval_model(model, scaling.transform_x(X)))
+
+
+def test_fit_scaling_flag_has_no_effect(tmp_path, csv_file):
+    # Every fit standardizes its rows, and the file holds that one map.
+    written = []
+    for mode in ("mm", "std", "nofs"):
+        path = tmp_path / f"{mode}.json"
+        assert main(["fit", "--data", str(csv_file), "--scaling", mode,
+                     "--out", str(path)]) == EXIT_OK
+        written.append(path.read_bytes())
+    assert written[0] == written[1] == written[2]
+    payload = json.loads(written[0])
+    assert "scaling_spec" not in payload and "standardization" in payload
 
 
 def test_predict_one_column_features_for_1d_model(tmp_path, csv_file):
@@ -223,7 +241,9 @@ def test_bench_failed_cell_exits_nonzero(tmp_path, monkeypatch, caplog):
 
 @pytest.fixture(scope="module")
 def saved_3d_models(tmp_path_factory):
-    """Payloads of a `single` and a `mma` d=3 model saved by `dcreg fit`, and a features file."""
+    """Payloads of a `single` and a `mma` d=3 model saved by `dcreg fit`, and of a
+    two-map `single` model fitted on min-max scaled rows, as older files are;
+    then a features file, and the two-map model and its scaling."""
     tmp = tmp_path_factory.mktemp("models3d")
     rng = np.random.default_rng(11)
     X = rng.uniform(-1, 1, (60, 3))
@@ -237,7 +257,12 @@ def saved_3d_models(tmp_path_factory):
         assert main(["fit", "--data", str(data), "--variant", variant, "--kind", "linf",
                      "--out", str(path)]) == EXIT_OK
         payloads[variant] = json.loads(path.read_text())
-    return payloads, data
+    ds = load_csv(data)
+    scaled, spec = apply_scaling(ds, "mm")
+    model = fit_dcf(scaled, FitConfig(variant="single", kind="linf")).final_model
+    save_model(model, tmp / "two_map.json", spec)
+    payloads["two_map"] = json.loads((tmp / "two_map.json").read_text())
+    return payloads, data, (model, spec)
 
 
 def _set_x_shift_one_element(p):
@@ -288,8 +313,10 @@ def _set_mma_norm_coefficient_positive(p):
     ("mma", _set_mma_norm_coefficient_positive),
 ])
 def test_predict_rejects_malformed_model(tmp_path, saved_3d_models, variant, corrupt, capsys):
-    payloads, data = saved_3d_models
-    payload = json.loads(json.dumps(payloads[variant]))
+    payloads, data, _ = saved_3d_models
+    # the outer scaling spec is in the two-map file only
+    source = "two_map" if corrupt.__name__.startswith("_set_scaling") else variant
+    payload = json.loads(json.dumps(payloads[source]))
     corrupt(payload)
     model_path = tmp_path / "bad.json"
     model_path.write_text(json.dumps(payload))
@@ -302,9 +329,30 @@ def test_predict_rejects_malformed_model(tmp_path, saved_3d_models, variant, cor
 
 
 def test_predict_accepts_the_unmodified_models(tmp_path, saved_3d_models):
-    payloads, data = saved_3d_models
+    payloads, data, _ = saved_3d_models
     for variant, payload in payloads.items():
         model_path = tmp_path / f"{variant}.json"
         model_path.write_text(json.dumps(payload))
         assert main(["predict", "--model", str(model_path), "--data", str(data),
                      "--out", str(tmp_path / "p.csv")]) == EXIT_OK
+
+
+def test_predict_two_map_file_bit_for_bit(tmp_path, saved_3d_models):
+    payloads, data, (model, spec) = saved_3d_models
+    model_path = tmp_path / "two_map.json"
+    model_path.write_text(json.dumps(payloads["two_map"]))
+    out = tmp_path / "p.csv"
+    assert main(["predict", "--model", str(model_path), "--data", str(data),
+                 "--out", str(out)]) == EXIT_OK
+    preds = np.array([float(v) for v in out.read_text().splitlines()[1:]])
+    X = np.asfortranarray(load_csv(data).X)
+    assert np.array_equal(preds, spec.invert_y(eval_model(model, spec.transform_x(X))))
+
+
+def test_inspect_reports_the_map_a_file_holds(tmp_path, saved_3d_models, capsys):
+    payloads, _, _ = saved_3d_models
+    for source, mode in (("single", "std"), ("two_map", "mm")):
+        model_path = tmp_path / f"{source}.json"
+        model_path.write_text(json.dumps(payloads[source]))
+        assert main(["inspect", "--model", str(model_path)]) == EXIT_OK
+        assert f"scaling={mode}\n" in capsys.readouterr().out

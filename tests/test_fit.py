@@ -181,7 +181,10 @@ def test_stacked_initial_objective_is_bit_identical_to_the_split_reference(d):
     for (variant, kind), rho in itertools.product(_PAIRS, (RHO_PEN, 1.0)):
         obj, problem, layout = build_initial_objective(ds, part, kind, reg, variant, rho)
         ref = reference_initial_objective(problem, rho)
-        points = [problem.warm_start(), problem.certificate_point(),
+        lsq = np.zeros(layout.dim)          # the per-cell least-squares point, first component
+        _, B, W = layout.stack(lsq)
+        B[0], W[0] = problem.beta[:, 0], problem.beta[:, 1:]
+        points = [lsq, problem.certificate_point(),
                   0.5 * rng.standard_normal(layout.dim), 1e-3 * rng.standard_normal(layout.dim)]
         for x, rejected in zip(points, points[1:] + points[:1]):
             value, grad = value_and_gradient(obj, x)

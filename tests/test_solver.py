@@ -6,6 +6,7 @@ import pytest
 from _helpers import (assert_same_bits, callable_penalty_objective, eager_handle,
                       floored_softmax, softmax_smooth, softmax_weights, value_and_gradient)
 from dcreg.fit import MU, MUS
+import dcreg.solver
 from dcreg.solver import (_EXP_FLOOR, GRAD_NORM_TOL, GRAD_TOL, LINE_SEARCH, LS_C1, LS_MAX_STEPS,
                           LS_SHRINK, MAX_ITERS, NEWTON_SHIFT, NONFINITE, STALL_RTOL, STALL_WINDOW,
                           STALLED, ObjectiveHandle, SolveReport, SolverConfig, lbfgs_minimize,
@@ -173,8 +174,6 @@ def test_lbfgs_aborts_on_nonfinite_region():
 
 def test_solver_config_validation():
     with pytest.raises(ValueError):
-        SolverConfig(lbfgs_memory=0)
-    with pytest.raises(ValueError):
         SolverConfig(max_iters=-1)
 
 
@@ -264,7 +263,7 @@ def _reference_two_loop(grad, s_list, y_list):
     return -q
 
 
-def _reference_lbfgs(objective, x0, cfg, callback=None):
+def _reference_lbfgs(objective, x0, cfg, memory, callback=None):
     """The whole solver loop as first written: s.y, y.y, g.d and the norms recomputed,
     and every gradient computed with its value by ``objective(x) -> (value, gradient)``.
 
@@ -328,7 +327,7 @@ def _reference_lbfgs(objective, x0, cfg, callback=None):
             break
         s, yv = x_new - x, g_new - g
         if float(np.dot(s, yv)) > 1e-12 * float(np.linalg.norm(s)) * float(np.linalg.norm(yv)):
-            s_list, y_list = (s_list + [s])[-cfg.lbfgs_memory:], (y_list + [yv])[-cfg.lbfgs_memory:]
+            s_list, y_list = (s_list + [s])[-memory:], (y_list + [yv])[-memory:]
         x, f, g = x_new, f_new, g_new
         iters += 1
         if callback is not None:
@@ -344,7 +343,7 @@ def _reference_lbfgs(objective, x0, cfg, callback=None):
                           GRAD_TOL if converged else stop_reason)
 
 
-def test_lbfgs_iterates_bit_identical_to_reference_two_loop():
+def test_lbfgs_iterates_bit_identical_to_reference_two_loop(monkeypatch):
     # Every iterate, value and report field of the solver against the loop as first
     # written, on smooth, kinked, stalling, failing and non-finite objectives.
     def kinked(x):
@@ -373,17 +372,19 @@ def test_lbfgs_iterates_bit_identical_to_reference_two_loop():
         grad = 2.0 * (x - 1.0)
         return float(np.sum((x - 1.0) ** 2)), (grad if x[0] < 0.5 else -grad)
 
-    cases = ((kinked, np.linspace(-2.0, 2.0, 6), SolverConfig(max_iters=300, lbfgs_memory=4)),
-             (rosenbrock, np.array([-1.2, 1.0, -0.5, 0.8]),
-              SolverConfig(max_iters=300, lbfgs_memory=4)),
-             (rosenbrock, np.linspace(-1.5, 1.5, 12), SolverConfig()),
-             (rosenbrock, np.linspace(-1.5, 1.5, 12), SolverConfig(max_iters=20)),
-             (l1, np.linspace(-1.0, 1.0, 5), SolverConfig()),
-             (wrong_gradient, np.ones(2), SolverConfig()),
-             (nan_gradient, np.zeros(1), SolverConfig()),
-             (late_wrong_gradient, np.array([0.0, 0.3, -0.4]), SolverConfig()))
+    # (objective, x0, config, curvature memory); memory 4 evicts pairs
+    default = dcreg.solver.LBFGS_MEMORY
+    cases = ((kinked, np.linspace(-2.0, 2.0, 6), SolverConfig(max_iters=300), 4),
+             (rosenbrock, np.array([-1.2, 1.0, -0.5, 0.8]), SolverConfig(max_iters=300), 4),
+             (rosenbrock, np.linspace(-1.5, 1.5, 12), SolverConfig(), default),
+             (rosenbrock, np.linspace(-1.5, 1.5, 12), SolverConfig(max_iters=20), default),
+             (l1, np.linspace(-1.0, 1.0, 5), SolverConfig(), default),
+             (wrong_gradient, np.ones(2), SolverConfig(), default),
+             (nan_gradient, np.zeros(1), SolverConfig(), default),
+             (late_wrong_gradient, np.array([0.0, 0.3, -0.4]), SolverConfig(), default))
     reasons = set()
-    for evaluate, x0, cfg in cases:
+    for evaluate, x0, cfg, memory in cases:
+        monkeypatch.setattr(dcreg.solver, "LBFGS_MEMORY", memory)
         finished = []                       # the points whose gradient thunk ran
 
         def deferred(x, evaluate=evaluate):
@@ -397,7 +398,7 @@ def test_lbfgs_iterates_bit_identical_to_reference_two_loop():
         h1, h2 = [], []
         x1, r1 = lbfgs_minimize(ObjectiveHandle(x0.size, deferred), x0, cfg,
                                 callback=lambda i, x, f: h1.append((x.copy(), f)))
-        x2, r2 = _reference_lbfgs(evaluate, x0, cfg,
+        x2, r2 = _reference_lbfgs(evaluate, x0, cfg, memory,
                                   callback=lambda i, x, f: h2.append((x.copy(), f)))
         assert r1 == r2, evaluate.__name__
         assert np.array_equal(x1.view(np.int64), x2.view(np.int64))
@@ -410,7 +411,7 @@ def test_lbfgs_iterates_bit_identical_to_reference_two_loop():
         for a, b in zip(finished, [x0] + [x for x, _ in h1]):
             assert np.array_equal(a.view(np.int64), b.view(np.int64))
         reasons.add(r1.stop_reason)
-        if cfg.lbfgs_memory == 4:               # kinked, and Rosenbrock from [-1.2, 1, -0.5, 0.8]
+        if memory == 4:                         # kinked, and Rosenbrock from [-1.2, 1, -0.5, 0.8]
             assert r1.iterations > 4
         if evaluate is late_wrong_gradient:     # the memory step, then the gradient step
             assert r1.line_search_failures == 2 and r1.iterations >= 1

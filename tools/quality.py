@@ -57,17 +57,15 @@ def ulp_scale(k):
 def _fit(path, variant, cli_path, model_path):
     """The fit of one training CSV as the benchmark makes it; returns (FitResult, fields).
 
-    ``cli_path`` repeats what `dcreg fit --scaling std` does, as the
-    predict_cli set-up runs it, and reads the model file back with json.
+    ``cli_path`` repeats what `dcreg fit` does, as the predict_cli set-up runs
+    it, and reads the model file back with json.
     """
     ds = dcreg.data.load_csv(path)
     cfg = dcreg.fit.FitConfig(variant=variant, kind="linf", seed=worker.TRAINING_SEED)
+    result = dcreg.fit.fit_dcf(ds, cfg)
     if not cli_path:
-        result = dcreg.fit.fit_dcf(ds, cfg)
         return result, checks.fields_from_model(result.final_model)
-    scaled, spec = dcreg.data.apply_scaling(ds, "std")
-    result = dcreg.fit.fit_dcf(scaled, cfg)
-    dcreg.serialize.save_model(result.final_model, model_path, scaling_spec=spec)
+    dcreg.serialize.save_model(result.final_model, model_path)
     with open(model_path) as fh:
         return result, checks.fields_from_payload(json.load(fh))
 
