@@ -161,7 +161,8 @@ def build_parser():
     p.add_argument("--reps", type=int, default=5)
     p.add_argument("--estimators", nargs="+", default=["dcf_symmetric", "knn"],
                    choices=ALL_ESTIMATORS)
-    p.add_argument("--scaling", choices=SCALING_MODES, default="std")
+    p.add_argument("--scaling", choices=SCALING_MODES, default="std",
+                   help="covariate scaling of the baselines; a dcf fit standardizes its own")
     p.add_argument("--kind", choices=features.FEATURE_KINDS, default=features.LINF)
     p.add_argument("--theta2", choices=(WEAK, STRONG), default=STRONG)
     p.add_argument("--seed", type=int, default=0)

@@ -145,14 +145,19 @@ def _run_cell(spec, full, estimator, n_idx, rep):
     row = {"estimator": estimator, "n": n, "rep": rep, "status": "ok"}
     try:
         train, test_X, test_targets = _draw_cell_data(spec, full, n_idx, rep)
-        train_scaled, scaling = apply_scaling(train, spec.scaling)
-        test_X_scaled = scaling.transform_x(test_X)
+        # A dcf model carries its own standardization and takes raw rows, as
+        # `dcreg fit` does; only the baselines take rows scaled by spec.scaling.
+        if estimator in DCF_ESTIMATORS:
+            train_scaled, transform_x, invert_y = train, (lambda X: X), (lambda y: y)
+        else:
+            train_scaled, scaling = apply_scaling(train, spec.scaling)
+            transform_x, invert_y = scaling.transform_x, scaling.invert_y
         seed = _cell_seed(spec.seed, n_idx, rep)
         t0 = timer()
         predict, info = _fit_predict_cell(estimator, spec, train_scaled, seed)
         row["train_time_s"] = timer() - t0
         t1 = timer()
-        preds = scaling.invert_y(predict(test_X_scaled))
+        preds = invert_y(predict(transform_x(test_X)))
         row["predict_time_per_1000_s"] = (timer() - t1) * 1000.0 / len(preds)
         row["test_mse"] = float(np.mean((preds - test_targets) ** 2))
         row.update(info)

@@ -9,12 +9,14 @@ next from the last one's point.  Stage 2 locally refines the max-form
 function under a slope regularizer tied to the initial solution, by L-BFGS.
 It minimizes the soft maximum mu log sum exp(a / mu) in place of each max,
 value and gradient alike, and the slope cone's envelope dist^2 / (2 mu), for
-mu = 1e-2, 1e-3 and 1e-4 in turn, each solve warm-started from the last; it
+mu = 1e-2, 1e-3 and 1e-4 in turn, each solve warm-started from the last and
+run on the pieces whose soft-max exponents are not all clipped at its mu; it
 falls back to the initial fit whenever the result fails to improve the
 penalized criterion with the true maxima.  Stage 3 prunes inactive pieces and
 centers the mean prediction on the training responses.
 """
 
+import copy
 import functools
 import itertools
 import logging
@@ -32,7 +34,7 @@ from .model import (
 )
 from .partition import Partition, afpc
 from .solver import ObjectiveHandle, SolveReport, SolverConfig, SolverAbort, \
-    lbfgs_minimize, newton_minimize, softmax_columns
+    lbfgs_minimize, newton_minimize, softmax_columns, unclipped_rows
 
 log = logging.getLogger(__name__)
 
@@ -417,7 +419,10 @@ class _InitialProblem:
         do not depend on rho.  The slopes are coupled only within a piece,
         so the blocks of the K pieces' slopes (of all m components) are
         eliminated, and the Schur complement is solved on [z; B], of size
-        1 + mK.  No dense Hessian is built.
+        1 + mK.  No dense Hessian is built.  Each slope block is solved
+        against the [z; B] columns its row block of C touches, a few of them,
+        with the LU solve: with an explicit inverse of the blocks instead, a
+        rho = 1e6 solve of a benchmark fit took 124 steps instead of 1.
         """
         layout, reg, cone, d = self.layout, self.reg, self.spec.cone, self.d
         m, K, s = layout.n_components, layout.n_pieces, layout.slope_dim
@@ -425,7 +430,7 @@ class _InitialProblem:
         Phi, A0, C0, D0 = self._hessian_base
         b_at, ks = 1 + np.arange(m * K).reshape(m, K), np.arange(K)
         cone_at = [np.atleast_1d(np.arange(s)[c]) for c in cone.columns(d)]
-        eye = np.eye(s)
+        eye, block_rows = np.eye(s), np.arange(ms)[:, None]
 
         def direction(params, grad, shift):
             z, B, W = layout.stack(params)
@@ -460,12 +465,22 @@ class _InitialProblem:
             C = C.reshape(K, ms, nb)
             gz, gB, gW = layout.stack(grad)
             g_slopes = gW.transpose(1, 0, 2).reshape(K, ms, 1)
-            Y = np.linalg.solve(D, np.concatenate([C, g_slopes], axis=2))
-            YC = Y[:, :, :nb].reshape(K * ms, nb)
+            # Row block l of C is zero outside the columns of z, of l's own biases
+            # and of the biases of its active-pair partners: D_l is solved against
+            # those, padded with its zero columns to the widest block, and the
+            # gradient, and D^-1 C is zero outside them too.
+            touched = np.ones((K, nb), dtype=bool)
+            touched[:, 1:] = (active | np.eye(K, dtype=bool)).transpose(1, 0, 2).reshape(K, -1)
+            at = ks[:, None, None], block_rows, \
+                np.argsort(~touched, axis=1, kind="stable")[:, None, :touched.sum(1).max()]
+            Y = np.linalg.solve(D, np.concatenate([C[at], g_slopes], axis=2))
+            YC = np.zeros((K, ms, nb))
+            YC[at] = Y[:, :, :-1]
+            YC = YC.reshape(K * ms, nb)
             S = A - C.reshape(K * ms, nb).T @ YC
             step_b = np.linalg.solve(S, YC.T @ g_slopes.ravel()
                                      - np.concatenate([[gz], gB.ravel()]))
-            step_w = (-Y[:, :, nb] - (YC @ step_b).reshape(K, ms)).reshape(K, m, s)
+            step_w = (-Y[:, :, -1] - (YC @ step_b).reshape(K, ms)).reshape(K, m, s)
             return layout.pack(step_b[0], *[a for i in range(m) for a in (
                 step_b[1 + i * K:1 + (i + 1) * K], step_w[:, i])])
 
@@ -606,7 +621,10 @@ class _RefineProblem:
     statistic and hinge strength the regularizer is tied to.  The max forms
     are evaluated by the piece kernel on the training rows, built with the
     objective, so a refinement that does not run builds none.  ``mus`` are
-    the smoothing widths ``refine`` solves at in turn.
+    the smoothing widths ``refine`` solves at in turn.  ``pieces`` is the
+    working set: the indices of the initial model's pieces (outer blocks of
+    max-min-affine) that the parameters hold, all of them until
+    ``restricted`` drops some.
     """
 
     def __init__(self, initial_model: DcModel, dataset: Dataset, reg: RegParams):
@@ -624,6 +642,7 @@ class _RefineProblem:
         self.centers = comp.used_centers()
         self.slope_dim = self.spec.slope_dim(self.kind, self.d)
         self.mus = (MU,) if self.spec.mma else MUS
+        self.pieces = np.arange(comp.n_pieces)
         if self.spec.mma:
             # One (K*L, d) block: the inner pieces' biases, then their slopes.
             mma = initial_model.mma
@@ -635,6 +654,29 @@ class _RefineProblem:
             self.layout = ParamLayout(comp.n_pieces, self.slope_dim, len(comps), with_z=False)
             self.x0 = self.layout.pack(0.0, *[a for c in comps
                                               for a in (c.biases, c.weights[:, :self.slope_dim])])
+            # Every piece's parameters, those ``restricted`` drops held fixed.
+            self.full_layout, self.x_all = self.layout, self.x0
+
+    def restricted(self, params, mu):
+        """(problem, params) on the pieces that weigh more than the soft-max clip at mu.
+
+        Every piece is tested, at ``params`` in the working set and at its
+        held value off it, in every row and component.  The dropped pieces
+        leave the layout and the piece kernel and are held in ``x_all``, so
+        their slope rows still enter the regularizer and the cone term: the
+        restricted objective is the full one with them held fixed, less their
+        clipped weights.
+        """
+        x_all = self.x_all.copy()
+        _, B, W = self.full_layout.stack(x_all)
+        _, B[:, self.pieces], W[:, self.pieces] = self.layout.stack(params)
+        A = _PieceKernel(self.kind, self.X, self.centers, self.slope_dim).values(B, W)
+        keep = np.flatnonzero(unclipped_rows(A, mu, A.max(axis=1)).any(axis=0))
+        problem = copy.copy(self)
+        problem.x_all, problem.pieces = x_all, keep
+        problem.layout = replace(self.layout, n_pieces=keep.size)
+        return problem, problem.layout.pack(0.0, *[a for b, w in zip(B[:, keep], W[:, keep])
+                                                   for a in (b, w)])
 
     def cone_weight(self, mu):
         """Weight of the squared cone residuals a.w: 1 / (2 mu |a|^2), so the penalty is
@@ -648,18 +690,21 @@ class _RefineProblem:
 
     def _max_form_objective(self, mu):
         """Every max replaced by its soft maximum at ``mu``, and the cone by its
-        envelope at ``mu``: one smooth function."""
-        layout, y = self.layout, self.y
+        envelope at ``mu``: one smooth function of the working set's pieces."""
+        layout, y, pieces = self.layout, self.y, self.pieces
         n = y.shape[0]
         m, K, s = layout.n_components, layout.n_pieces, layout.slope_dim
         theta2 = self.reg.theta2
         signs = self.spec.signs
         sign_col = np.array(signs)[:, None]
-        kernel = _PieceKernel(self.kind, self.X, self.centers, s)
+        kernel = _PieceKernel(self.kind, self.X, self.centers[pieces], s)
         rho = self.cone_weight(mu)
         # Made once: the piece values, overwritten by their soft-max exponentials,
-        # and the coefficients, which are the values' scratch too.
+        # and the coefficients, which are the values' scratch too; the slope rows
+        # of every piece, the working set's first, written in at each evaluation.
         A, coef = np.empty((2, m, K, n))
+        W_held = self.full_layout.stack(self.x_all)[2]
+        W_all = np.concatenate([W_held[:, pieces], np.delete(W_held, pieces, 1)], axis=1)
 
         def evaluate(params):
             _, B, W = layout.stack(params)
@@ -667,18 +712,20 @@ class _RefineProblem:
             smooth, E, sums = softmax_columns(A, mu, A.max(axis=1), out=A)
             r = signed_sum(signs, smooth) - y
             value = float(np.add.reduce(r * r, None) / n)    # np.mean's bits
-            rv, reg_grad = _reg_terms(W.reshape(m * K, s), self.theta, self.c0, theta2, mu)
+            W_all[:, :K] = W
+            rv, reg_grad = _reg_terms(W_all.reshape(-1, s), self.theta, self.c0, theta2, mu)
             value += rv
-            cones, add_cone_grad = self.cone.penalty(W, self.d, rho)
+            cones, add_cone_grad = self.cone.penalty(W_all, self.d, rho)
             for cone_value in cones:
                 value += cone_value
 
             def gradient():
                 np.multiply(E, (sign_col * ((2.0 / n) * r) / sums)[:, None, :], out=coef)
                 gb, gW = kernel.grads(coef)
-                gW += reg_grad().reshape(m, K, s)
-                add_cone_grad(gW)
-                return np.concatenate([gb, gW.reshape(m, -1)], axis=1).ravel()
+                g_all = reg_grad().reshape(W_all.shape)
+                g_all[:, :K] += gW
+                add_cone_grad(g_all)
+                return np.concatenate([gb, g_all[:, :K].reshape(m, -1)], axis=1).ravel()
 
             return value, gradient
 
@@ -720,8 +767,9 @@ class _RefineProblem:
                 e = np.exp(gap.ravel()[near] / mu)
                 sig = e / np.bincount(rows, weights=e, minlength=n)[rows]
                 vals = inner[ks, :, rows]                          # (pairs, L)
-                tau = np.exp((vals.min(axis=1, keepdims=True) - vals) / mu)  # inner min weights
-                coef = tau * ((2.0 / n) * r[rows] * sig / tau.sum(axis=1))[:, None]
+                # Reductions over the L columns, one column at a time, left to right.
+                tau = np.exp((functools.reduce(np.minimum, vals.T)[:, None] - vals) / mu)
+                coef = tau * ((2.0 / n) * r[rows] * sig / functools.reduce(np.add, tau.T))[:, None]
                 slot = (ks[:, None] * L + np.arange(L)).ravel()     # index of (k, l)
                 gB = np.bincount(slot, weights=coef.ravel(), minlength=K * L)
                 gS = np.column_stack([np.bincount(slot, weights=(coef * x[:, None]).ravel(),
@@ -742,7 +790,7 @@ class _RefineProblem:
             return DcModel(self.spec.name, comp,
                            mma=MaxMinAffine(b.reshape(shape).copy(),
                                             W.reshape(*shape, self.d).copy()))
-        comps = [self.spec.component_from(t.kind, t.centers, b, W, t.center_idx)
+        comps = [self.spec.component_from(t.kind, t.centers, b, W, t.center_idx[self.pieces])
                  for t, b, W in zip(initial_model.components(), B, W)]
         return DcModel(self.spec.name, *comps)
 
@@ -753,9 +801,12 @@ def refine(initial_model: DcModel, dataset: Dataset, reg: RegParams,
 
     With zero initial slopes the initial model is returned unchanged.  Else
     one solve runs per smoothing width (``MUS``, or ``MU`` for
-    max-min-affine), each from the last one's result, until one aborts.  The
-    report sums the solves' iterations, evaluations, line-search failures and
-    wall time, and takes the last one's stop reason, value and gradient norm.
+    max-min-affine), each from the last one's result, until one aborts.
+    Each max-form solve after the first runs on the working set that
+    ``_RefineProblem.restricted`` keeps at its width, and the candidate holds
+    the pieces of the last one.  The report sums the solves' iterations,
+    evaluations, line-search failures and wall time, and takes the last
+    one's stop reason, value and gradient norm.
     The candidate is accepted only if risk + reg, with the true maxima, does
     not exceed the initial value (tiny slack); else the initial model is
     returned.
@@ -769,11 +820,13 @@ def refine(initial_model: DcModel, dataset: Dataset, reg: RegParams,
         return initial_model, report, False
     x_star, solves = problem.x0, []
     for mu in problem.mus:
+        if solves:
+            problem, x_star = problem.restricted(x_star, mu)
         x_star, last = lbfgs_minimize(problem.objective(mu), x_star, cfg)
         solves.append(last)
-        log.info("stage2 variant=%s mu=%g iters=%d evals=%d stop=%s wall=%.3fs",
-                 initial_model.variant, mu, last.iterations, last.evaluations,
-                 last.stop_reason, last.wall_s)
+        log.info("stage2 variant=%s mu=%g pieces=%d iters=%d evals=%d stop=%s wall=%.3fs",
+                 initial_model.variant, mu, problem.pieces.size, last.iterations,
+                 last.evaluations, last.stop_reason, last.wall_s)
         if last.aborted:
             break
     report = _summed(solves)

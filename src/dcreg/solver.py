@@ -113,6 +113,12 @@ def softmax_columns(A: np.ndarray, mu: float, top: np.ndarray, out=None):
     return top + mu * np.log(sums), E, sums
 
 
+def unclipped_rows(A: np.ndarray, mu: float, top: np.ndarray) -> np.ndarray:
+    """Whether each row of ``softmax_columns``' matrices weighs more than its clip
+    in some column; every other row adds e^_EXP_FLOOR to each column sum."""
+    return (softmax_columns(A, mu, top)[1] > np.exp(_EXP_FLOOR)).any(axis=-1)
+
+
 class _Trials:
     """obj.evaluate, counting its calls."""
 

@@ -1,3 +1,4 @@
+import csv
 import json
 import re
 
@@ -76,6 +77,20 @@ def test_bench_synthetic_and_determinism(tmp_path):
     assert main(args + ["--out", str(out1)]) == EXIT_OK
     assert main(args + ["--out", str(out2)]) == EXIT_OK
     assert (out1 / "results.csv").read_bytes() == (out2 / "results.csv").read_bytes()
+
+
+def test_bench_scaling_applies_to_the_baselines_and_not_to_dcf_fits(tmp_path):
+    # A dcf fit takes the raw rows and standardizes them itself, as `dcreg fit` does.
+    results = {}
+    for scaling in ("mm", "std"):
+        out = tmp_path / scaling
+        assert main(["bench", "--target", "xsinx", "--sizes", "128", "--reps", "1",
+                     "--estimators", "dcf_symmetric", "nw_gaussian", "--seed", "3",
+                     "--scaling", scaling, "--out", str(out)]) == EXIT_OK
+        with open(out / "results.csv") as fh:
+            results[scaling] = {r["estimator"]: r["test_mse"] for r in csv.DictReader(fh)}
+    assert results["mm"]["dcf_symmetric"] == results["std"]["dcf_symmetric"]
+    assert results["mm"]["nw_gaussian"] != results["std"]["nw_gaussian"]
 
 
 def test_bench_spec_json(tmp_path):

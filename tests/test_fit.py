@@ -13,15 +13,16 @@ from _helpers import (assert_fit_invariants, assert_gradient_matches, assert_sam
                       softmax_weights, value_and_gradient)
 from dcreg import features
 from dcreg.data import Dataset
-from dcreg.fit import (MU, MUS, RHO_PEN, FitConfig, RegParams, STRONG, WEAK, _RefineProblem,
-                       _reg_terms, default_reg_params, finalize, fit_dcf, fit_initial,
-                       refine, reg_n_value, theta_fn_value, training_risk_std)
+from dcreg.fit import (MU, MUS, RHO_PEN, FitConfig, RegParams, STRONG, WEAK, _InitialProblem,
+                       _PieceKernel, _RefineProblem, _reg_terms, default_reg_params, finalize,
+                       fit_dcf, fit_initial, refine, reg_n_value, theta_fn_value,
+                       training_risk_std)
 from dcreg.model import (COMPLEMENT, CONVEX_MAX_AFFINE, CONVEX_NORM, CONVEX_PLUS,
                          MAX_MIN_AFFINE, SINGLE, SYMMETRIC, VARIANT_TABLE, DcModel,
                          eval_max, eval_mma, eval_model, lip_stat,
                          validate_model)
 from dcreg.partition import afpc
-from dcreg.solver import STOP_REASONS, SolverConfig
+from dcreg.solver import _EXP_FLOOR, NEWTON_SHIFT, STOP_REASONS, SolverConfig, softmax_columns
 from dcreg.approx import fvu
 
 
@@ -255,6 +256,53 @@ def _radii(ds):
     return data_radii(ds)
 
 
+def _point_off_the_kinks(layout, residuals, reg, rng, margin=1e-3):
+    """A point where every residual but the identically zero pair diagonals lies at
+    least ``margin`` from zero, and where pairs and slope caps are both active and
+    inactive: there the penalized objective is twice differentiable."""
+    m, K = layout.n_components, layout.n_pieces
+    for _ in range(100):
+        x = rng.standard_normal(layout.dim)
+        z, _, W = layout.stack(x)
+        x[0] = abs(z) * 0.1
+        W *= (reg.theta0 * rng.uniform(0.5, 1.5, (m, K)) / np.linalg.norm(W, axis=2))[..., None]
+        res = residuals(x)
+        caps = np.linalg.norm(W, axis=2) - x[0] - reg.theta0
+        if (np.count_nonzero(res == 0.0) == m * K and np.abs(res[res != 0.0]).min() > margin
+                and (caps > 0.0).any() and (caps < 0.0).any()):
+            return x
+    raise AssertionError("no point off the kinks drawn")
+
+
+_DIRECTION_RTOL = 1e-6    # relative residual of (H + shift I) d = -g, H by central differences
+
+
+@pytest.mark.parametrize("rho", [1.0, 1e3])
+@pytest.mark.parametrize("variant,kind", _PAIRS)
+def test_newton_direction_solves_the_shifted_generalized_hessian_system(variant, kind, rho):
+    # H is the Jacobian of the dense reference gradient by central differences, at
+    # a point off the kinks, so that no step of the differences crosses one.
+    index = _PAIRS.index((variant, kind))
+    d = 1 + index % 2
+    rng = np.random.default_rng(90 + index)
+    X = rng.uniform(-1, 1, (40, d))
+    ds = Dataset(X, np.max(X, axis=1) - 0.7 * np.abs(X[:, 0]) + 0.1 * rng.standard_normal(40))
+    part = afpc(X, seed=index)
+    assert part.n_centers <= 10
+    reg = default_reg_params(*_radii(ds), ds.n, d, part.n_centers)
+    problem = _InitialProblem(ds.X, ds.y, part, kind, reg, variant)
+    evaluate, residuals = dense_initial_objective(ds, part, kind, reg, variant, rho)
+    x = _point_off_the_kinks(problem.layout, residuals, reg, rng)
+    g = evaluate(x)[1]
+    h = 1e-6
+    H = np.column_stack([(evaluate(x + h * e)[1] - evaluate(x - h * e)[1]) / (2.0 * h)
+                         for e in np.eye(x.size)])
+    shift = NEWTON_SHIFT * np.abs(g).max()
+    step = problem.newton_direction(rho)(x, g, shift)
+    residual = H @ step + shift * step + g
+    assert np.linalg.norm(residual) <= _DIRECTION_RTOL * np.linalg.norm(g)
+
+
 def test_fit_initial_complement_fits_the_negated_max_form():
     # A concave target: the complement's one component enters with sign -1.
     X = np.linspace(-1, 1, 120)[:, None]
@@ -379,6 +427,47 @@ def test_refine_gradient_matches_finite_differences_at_every_mu():
             points = [x0 + scale * rng.standard_normal(x0.size) for scale in (1e-3, 0.3, 0.3)]
             points.append(x0 * (reg.theta3 + 2.0) + 0.1 * rng.standard_normal(x0.size))
             assert_gradient_matches(obj, points, rtol=1e-6)
+
+
+@pytest.mark.parametrize("variant,kind", [(SINGLE, features.LINF), (SYMMETRIC, features.L2)])
+def test_refine_working_set_drops_only_fully_clipped_pieces(variant, kind, monkeypatch):
+    # At each restriction point the full problem is taken at the working set's
+    # parameters and every dropped piece's held ones.
+    ds = _random_dataset(200, 2, seed=75)
+    part = afpc(ds.X, seed=76)
+    reg = default_reg_params(*_radii(ds), ds.n, 2, part.n_centers)
+    initial, _ = fit_initial(ds, part, kind, reg, variant=variant)
+    full = _RefineProblem(initial, ds, reg)
+    restrictions, restricted = [], _RefineProblem.restricted
+
+    def recording(problem, params, mu):
+        out = restricted(problem, params, mu)
+        restrictions.append((problem, params, mu, *out))
+        return out
+
+    monkeypatch.setattr(_RefineProblem, "restricted", recording)
+    refined, _, accepted = refine(initial, ds, reg)
+    assert accepted and [r[2] for r in restrictions] == list(MUS[1:])
+    layout, x_all = full.layout, full.x0.copy()
+    _, b_at, w_at = layout.stack(np.arange(layout.dim))
+    for problem, params, mu, kept, x in restrictions:
+        _, B, W = layout.stack(x_all)
+        _, B[:, problem.pieces], W[:, problem.pieces] = problem.layout.stack(params)
+        at = np.concatenate([np.concatenate([b[kept.pieces], w[kept.pieces].ravel()])
+                             for b, w in zip(b_at, w_at)])
+        assert np.array_equal(x, x_all[at])
+        # No piece with an exponent above the clip is dropped, and some pieces are.
+        A = _PieceKernel(kind, ds.X, full.centers, layout.slope_dim).values(B, W)
+        _, E, _ = softmax_columns(A, mu, A.max(axis=1))
+        live = np.flatnonzero((E > np.exp(_EXP_FLOOR)).any(axis=(0, 2)))
+        assert set(live) <= set(kept.pieces) and kept.pieces.size < layout.n_pieces
+        value, grad = value_and_gradient(kept.objective(mu), x)
+        full_value, full_grad = value_and_gradient(full.objective(mu), x_all)
+        assert value == pytest.approx(full_value, rel=1e-15, abs=0.0)
+        assert np.max(np.abs(grad - full_grad[at])) <= 1e-15 * np.max(np.abs(full_grad[at]))
+    for comp, first in zip(refined.components(), initial.components()):
+        assert comp.n_pieces < first.n_pieces
+        assert set(comp.center_idx) <= set(first.center_idx)
 
 
 def test_refine_cone_penalty_is_the_envelope_of_the_cone_at_mu():

@@ -16,13 +16,17 @@ the model's raw fields (``checks.evaluate``), and the error is numpy's, so
 nothing of dcreg grades itself.  Everything is deterministic.
 
 The printed table gives, per fitted set and pooled per variant and over the
-workload, the median, quartiles and range of excess MSE, and the stop
-reasons and iteration counts of both stages.  ``--compare`` pairs the fits by
-(variant, set, k) and applies the rule ``RULE`` below.
+workload, the median, quartiles and range of excess MSE, the stop reasons
+and iteration counts of both stages, and the range of the stage-2 working
+set (the ``pieces=`` of each logged solve) per smoothing width.
+``--compare`` pairs the fits by (variant, set, k) and applies the rule
+``RULE`` below.
 """
 
 import argparse
+import contextlib
 import json
+import logging
 import sys
 import tempfile
 from collections import Counter
@@ -70,6 +74,31 @@ def _fit(path, variant, cli_path, model_path):
         return result, checks.fields_from_payload(json.load(fh))
 
 
+class _Stage2Pieces(logging.Handler):
+    def __init__(self):
+        super().__init__()
+        self.pieces = []
+
+    def emit(self, record):
+        stage, *fields = record.getMessage().split()
+        if stage == "stage2":
+            self.pieces.append(int(dict(f.split("=", 1) for f in fields)["pieces"]))
+
+
+@contextlib.contextmanager
+def _stage2_pieces():
+    """The working-set size of each stage-2 solve logged in the block, in order."""
+    logger = logging.getLogger("dcreg.fit")
+    handler, level = _Stage2Pieces(), logger.level
+    logger.addHandler(handler)
+    logger.setLevel(logging.INFO)
+    try:
+        yield handler.pieces
+    finally:
+        logger.removeHandler(handler)
+        logger.setLevel(level)
+
+
 def _training_sets(workload, sizes, workdir):
     """[(variant, set, X, y)], the held-out rows and their clean targets per variant."""
     if workload == "predict_cli":
@@ -92,8 +121,9 @@ def measure(workload, sizes=worker.FULL, ks=KS):
             for k in ks:
                 path = workdir / f"quality{j}_{variant}_{k}.csv"
                 worker.write_rows(path, np.column_stack([X * ulp_scale(k), y]))
-                result, fields = _fit(path, variant, workload == "predict_cli",
-                                      workdir / "quality_model.json")
+                with _stage2_pieces() as pieces:
+                    result, fields = _fit(path, variant, workload == "predict_cli",
+                                          workdir / "quality_model.json")
                 preds = checks.evaluate(fields, test_X)
                 records.append({
                     "variant": variant, "set": j, "k": k,
@@ -102,6 +132,7 @@ def measure(workload, sizes=worker.FULL, ks=KS):
                                result.initial_report.stop_reason],
                     "stage2": [result.refine_report.iterations,
                                result.refine_report.stop_reason],
+                    "stage2_pieces": pieces,
                     "pieces": sum(c.n_pieces for c in result.final_model.components()),
                 })
     return {"workload": workload, "ks": list(ks), "records": records}
@@ -131,14 +162,20 @@ def _stops(recs, stage):
     return f"{reasons} iters {min(iters)}-{max(iters)}"
 
 
+def _pieces(recs):
+    """Range of the stage-2 working set per solve, '/' between the smoothing widths."""
+    solves = [r.get("stage2_pieces", []) for r in recs]
+    return "/".join(f"{min(p)}-{max(p)}" for p in zip(*solves)) or "-"
+
+
 def report(measurement):
     lines = [f"{measurement['workload']}: excess MSE over k = {measurement['ks']}",
              f"{'group':28} {'median':>8} {'q1':>8} {'q3':>8} {'min':>8} {'max':>8}"
-             f"  stage-1 stops; stage-2 stops"]
+             f"  stage-1 stops; stage-2 stops; stage-2 pieces per mu"]
     for label, recs in groups(measurement["records"]).items():
         med, q1, q3, lo, hi = summary([r["excess_mse"] for r in recs])
         lines.append(f"{label:28} {med:8.4f} {q1:8.4f} {q3:8.4f} {lo:8.4f} {hi:8.4f}"
-                     f"  {_stops(recs, 'stage1')}; {_stops(recs, 'stage2')}")
+                     f"  {_stops(recs, 'stage1')}; {_stops(recs, 'stage2')}; {_pieces(recs)}")
     return "\n".join(lines)
 
 
