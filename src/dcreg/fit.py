@@ -801,7 +801,8 @@ def refine(initial_model: DcModel, dataset: Dataset, reg: RegParams,
 
     With zero initial slopes the initial model is returned unchanged.  Else
     one solve runs per smoothing width (``MUS``, or ``MU`` for
-    max-min-affine), each from the last one's result, until one aborts.
+    max-min-affine), each from the last one's result, until one aborts; a
+    solve whose line search fails stops there, and the next width goes on.
     Each max-form solve after the first runs on the working set that
     ``_RefineProblem.restricted`` keeps at its width, and the candidate holds
     the pieces of the last one.  The report sums the solves' iterations,
@@ -816,7 +817,7 @@ def refine(initial_model: DcModel, dataset: Dataset, reg: RegParams,
     risk0 = problem.risk0
     rr0 = risk0 + reg_n_value(initial_model, initial_model, reg, risk0)
     if problem.lam0 == 0.0:
-        report = SolveReport(0, rr0, 0.0, 0, True)
+        report = SolveReport(0, rr0, 0.0, 0)
         return initial_model, report, False
     x_star, solves = problem.x0, []
     for mu in problem.mus:

@@ -1,12 +1,11 @@
 """The soft maximum of matrix columns, a deterministic L-BFGS and a damped Newton method.
 
-Both optimizers use Armijo-only backtracking, testing each trial on its
-value.  Stage 2's max-min-affine objective takes its value from the hard max
-and its gradient from the soft-max weights, so whenever an L-BFGS line search
-fails the memory is reset and a plain gradient step is tried; a second
-failure terminates.  Stage 1 runs the Newton method: its penalty objective
-has a gradient that is only piecewise smooth, and each step solves with a
-generalized Hessian of it, shifted in proportion to the gradient.
+Both optimizers run one descent loop, with Armijo-only backtracking that
+tests each trial on its value, one set of stop rules and one report; they
+differ only in the rule that proposes each direction.  Stage 2 runs L-BFGS.
+Stage 1 runs the Newton method: its penalty objective has a gradient that is
+only piecewise smooth, and each step solves with a generalized Hessian of it,
+shifted in proportion to the gradient.
 """
 
 import logging
@@ -49,7 +48,7 @@ class ObjectiveHandle:
 
 GRAD_TOL = "grad_tol"        # gradient max-norm reached GRAD_NORM_TOL
 MAX_ITERS = "max_iters"      # iteration cap reached first
-LINE_SEARCH = "line_search"  # the negative-gradient line search failed too
+LINE_SEARCH = "line_search"  # the line search found no acceptable step
 NONFINITE = "nonfinite"      # an accepted step had a non-finite gradient
 STALLED = "stalled"          # the value stopped falling over the stall window
 STOP_REASONS = (GRAD_TOL, MAX_ITERS, LINE_SEARCH, NONFINITE, STALLED)
@@ -79,20 +78,27 @@ class SolveReport:
     """Outcome of one solve.
 
     ``evaluations`` counts objective calls, line-search trials included;
-    ``stop_reason`` is one of ``STOP_REASONS``, or empty when no solve ran.
-    ``wall_s`` is the solve's wall time; it takes no part in comparisons, so
-    two reports of the same solve are equal.
+    ``stop_reason`` is one of ``STOP_REASONS``, or empty when no solve ran;
+    ``converged`` and ``aborted`` read it.  ``wall_s`` is the solve's wall
+    time; it takes no part in comparisons, so two reports of the same solve
+    are equal.
     """
 
     iterations: int
     final_value: float
     final_grad_norm: float
     line_search_failures: int
-    converged: bool
-    aborted: bool = False
     evaluations: int = 0
     stop_reason: str = ""
     wall_s: float = field(default=0.0, compare=False)
+
+    @property
+    def converged(self) -> bool:
+        return self.stop_reason == GRAD_TOL
+
+    @property
+    def aborted(self) -> bool:
+        return self.stop_reason == NONFINITE
 
 
 def softmax_columns(A: np.ndarray, mu: float, top: np.ndarray, out=None):
@@ -141,7 +147,7 @@ class _Trials:
 
 
 def _two_loop(grad, memory):
-    """L-BFGS direction from curvature pairs (s, y, 1/(s.y), s.y, y.y), oldest first.
+    """L-BFGS direction from one or more curvature pairs (s, y, 1/(s.y), s.y, y.y), oldest first.
 
     The two-loop recursion of Nocedal & Wright, Numerical Optimization, Alg. 7.4.
     """
@@ -151,9 +157,8 @@ def _two_loop(grad, memory):
         a = rho * float(s.dot(q))
         alphas.append(a)
         q -= a * yv
-    if memory:
-        _, _, _, sy, yy = memory[-1]
-        q *= sy / yy
+    _, _, _, sy, yy = memory[-1]
+    q *= sy / yy
     for (s, yv, rho, _, _), a in zip(memory, reversed(alphas)):
         b = rho * float(yv.dot(q))
         q += (a - b) * s
@@ -187,106 +192,104 @@ def _backtrack(evaluate, x, f, direction, slope, t0):
     return False, t, None, None, None
 
 
-def lbfgs_minimize(obj: ObjectiveHandle, x0, cfg: SolverConfig, callback=None):
-    """Minimize obj from x0; returns (x_star, SolveReport).
+class _Memory:
+    """The L-BFGS direction rule: the curvature pairs of the last ``LBFGS_MEMORY`` steps."""
 
-    Accepted steps are monotone non-increasing in the objective.  A failed
-    backtracking line search resets the curvature memory and retries along
-    the negative gradient; failing that too, the solve terminates.  If a
-    step's gradient is non-finite, the last accepted iterate is returned with
-    ``aborted`` set.  The solve stalls, and stops, once the last
+    def __init__(self):
+        self.pairs: deque = deque(maxlen=LBFGS_MEMORY)   # (s, y, 1/(s.y), s.y, y.y)
+        self.t_prev = 1.0  # last accepted quasi-Newton step; seeds the next trial
+
+    def direction(self, x, g, gnorm):
+        """The two-loop direction, or None (the gradient step) while no pair is kept."""
+        if not self.pairs:
+            return None
+        # Growing restart from the last accepted step keeps backtracking
+        # cheap on kinked objectives while recovering full steps fast.
+        return _two_loop(g, self.pairs), min(1.0, 2.0 * self.t_prev)
+
+    def accepted(self, s, yv, t, proposed):
+        """Keep the step's pair if its curvature is positive; a gradient step
+        taken in place of a proposal first drops the memory that proposed it."""
+        if proposed:
+            self.t_prev = t
+        else:
+            self.pairs.clear()
+            self.t_prev = 1.0
+        sy = float(s.dot(yv))
+        yy = float(yv.dot(yv))
+        if sy > 1e-12 * sqrt(float(s.dot(s))) * sqrt(yy):
+            self.pairs.append((s, yv, 1.0 / sy, sy, yy))
+
+
+def _descend(obj: ObjectiveHandle, x0, max_iters: int, direction, accepted=None,
+             callback=None):
+    """Minimize obj from x0 by backtracked descent steps; returns (x_star, SolveReport).
+
+    ``direction(x, g, gnorm)`` proposes (d, first trial step), or None for the
+    steepest-descent step, which also replaces a proposal whose slope g.d is
+    not finite and negative.  Each step is backtracked by ``_backtrack``, so
+    accepted steps never raise the value.  ``accepted(s, y, t, proposed)``
+    sees each accepted step, then ``callback(iteration, x, value)`` runs.
+    The solve stops at ``GRAD_NORM_TOL``, after ``max_iters`` steps, when a
+    line search fails, when an accepted step has a non-finite gradient (the
+    last finite iterate is returned), or, stalled, once the last
     ``STALL_WINDOW`` accepted steps lowered the value by at most
-    ``STALL_RTOL * max(1, |value|)``.  ``callback(iteration, x, value)`` runs
-    after every accepted step.  The report says why the solve stopped and how
-    many times the objective was evaluated, and how long it took.
+    ``STALL_RTOL * max(1, |value|)``.
     """
     start = perf_counter()
     trial = _Trials(obj)
     x, f, g = trial.first(x0)
-
-    memory: deque = deque(maxlen=LBFGS_MEMORY)   # (s, y, 1/(s.y), s.y, y.y)
-    recent = deque([f], maxlen=STALL_WINDOW + 1)      # values of the last accepted steps
-    ls_failures = 0
-    iters = 0
-    aborted = False
-    stop_reason = MAX_ITERS
     gnorm = float(np.abs(g).max()) if g.size else 0.0
-    converged = gnorm <= GRAD_NORM_TOL
-    t_prev = 1.0  # last accepted quasi-Newton step; seeds the next trial
-
-    while not converged and iters < cfg.max_iters:
-        use_gradient = not memory
-        if not use_gradient:
-            direction = _two_loop(g, memory)
-            slope = float(g.dot(direction))
+    recent = deque([f], maxlen=STALL_WINDOW + 1)      # values of the last accepted steps
+    iters, stop_reason = 0, MAX_ITERS
+    while gnorm > GRAD_NORM_TOL and iters < max_iters:
+        proposal = direction(x, g, gnorm)
+        proposed = False
+        if proposal is not None:
+            d, t0 = proposal
+            slope = float(g.dot(d))
             # A finite slope implies a finite direction, since g is finite.
-            if slope >= 0.0 or (not isfinite(slope) and not np.isfinite(direction).all()):
-                # Memory produced a non-descent direction: drop it.
-                memory.clear()
-                use_gradient = True
-                t_prev = 1.0
-        if use_gradient:
-            direction, slope, t0 = _gradient_step(g)
-        else:
-            # Growing restart from the last accepted step keeps backtracking
-            # cheap on kinked objectives while recovering full steps fast.
-            t0 = min(1.0, 2.0 * t_prev)
-
-        ok, t_acc, x_new, f_new, g_new = _backtrack(trial, x, f, direction, slope, t0)
+            proposed = slope < 0.0 and isfinite(slope)
+        if not proposed:
+            d, slope, t0 = _gradient_step(g)
+        ok, t, x_new, f_new, g_new = _backtrack(trial, x, f, d, slope, t0)
         if not ok:
-            ls_failures += 1
-            if use_gradient:
-                stop_reason = LINE_SEARCH  # nothing left to try
-                break
-            memory.clear()
-            t_prev = 1.0
-            use_gradient = True
-            direction, slope, t0 = _gradient_step(g)
-            ok, t_acc, x_new, f_new, g_new = _backtrack(trial, x, f, direction, slope, t0)
-            if not ok:
-                ls_failures += 1
-                stop_reason = LINE_SEARCH
-                break
-        if not use_gradient:
-            t_prev = t_acc
-
+            stop_reason = LINE_SEARCH
+            break
         gnorm_new = float(np.abs(g_new).max())
         if not isfinite(gnorm_new):   # an accepted value is finite; NaN propagates to the max
-            log.warning("lbfgs abort: non-finite value/gradient at iter=%d", iters)
-            aborted = True
+            log.warning("solve abort: non-finite gradient at iter=%d", iters)
             stop_reason = NONFINITE
             break
-
-        s = x_new - x
-        yv = g_new - g
-        sy = float(s.dot(yv))
-        yy = float(yv.dot(yv))
-        if sy > 1e-12 * sqrt(float(s.dot(s))) * sqrt(yy):
-            memory.append((s, yv, 1.0 / sy, sy, yy))
-        x, f, g = x_new, f_new, g_new
+        if accepted is not None:
+            accepted(x_new - x, g_new - g, t, proposed)
+        x, f, g, gnorm = x_new, f_new, g_new, gnorm_new
         iters += 1
         if callback is not None:
             callback(iters, x, f)
-        gnorm = gnorm_new
-        converged = gnorm <= GRAD_NORM_TOL
         recent.append(f)
-        if (not converged and len(recent) > STALL_WINDOW
+        if (gnorm > GRAD_NORM_TOL and len(recent) > STALL_WINDOW
                 and recent[0] - f <= STALL_RTOL * max(1.0, abs(f))):
             stop_reason = STALLED
             break
+    if gnorm <= GRAD_NORM_TOL:
+        stop_reason = GRAD_TOL
+    return x, SolveReport(iters, f, gnorm, int(stop_reason == LINE_SEARCH), trial.count,
+                          stop_reason, perf_counter() - start)
 
-    report = SolveReport(
-        iterations=iters,
-        final_value=f,
-        final_grad_norm=gnorm,
-        line_search_failures=ls_failures,
-        converged=bool(converged),
-        aborted=aborted,
-        evaluations=trial.count,
-        stop_reason=GRAD_TOL if converged else stop_reason,
-        wall_s=perf_counter() - start,
-    )
-    return x, report
+
+def lbfgs_minimize(obj: ObjectiveHandle, x0, cfg: SolverConfig, callback=None):
+    """Minimize obj from x0 by L-BFGS; returns (x_star, SolveReport).
+
+    The directions are the two-loop recursion's over the curvature pairs of
+    the last ``LBFGS_MEMORY`` steps; the first step, and any whose direction
+    is not one of descent, is a gradient step from an empty memory.  Each
+    solve runs at most ``cfg.max_iters`` steps; the stop rules, and
+    ``callback(iteration, x, value)`` after every accepted step, are
+    ``_descend``'s.
+    """
+    memory = _Memory()
+    return _descend(obj, x0, cfg.max_iters, memory.direction, memory.accepted, callback)
 
 
 def newton_minimize(obj: ObjectiveHandle, direction, x0, max_iters: int):
@@ -297,44 +300,9 @@ def newton_minimize(obj: ObjectiveHandle, direction, x0, max_iters: int):
     max-norm, the Levenberg-Marquardt regularization of the semismooth Newton
     method of Li, Fukushima, Qi & Yamashita (Comput. Optim. Appl. 2004), so
     the steps lengthen to full Newton steps as the gradient vanishes.  Each
-    step is backtracked from t = 1 by ``_backtrack``; a direction that is not
-    one of descent, which only rounding can give, is replaced by the negative
-    gradient.  The solve stops at ``GRAD_NORM_TOL``, after ``max_iters``
-    steps, when a line search fails, or, with ``aborted`` set, when an
-    accepted step has a non-finite gradient.
+    step is backtracked from t = 1; a direction that is not one of descent,
+    which only rounding can give, is replaced by the negative gradient.  The
+    stop rules are ``_descend``'s.
     """
-    start = perf_counter()
-    trial = _Trials(obj)
-    x, f, g = trial.first(x0)
-    gnorm = float(np.abs(g).max()) if g.size else 0.0
-    iters, stop_reason = 0, MAX_ITERS
-    while gnorm > GRAD_NORM_TOL and iters < max_iters:
-        d = direction(x, g, NEWTON_SHIFT * gnorm)
-        slope = float(g.dot(d))
-        t0 = 1.0
-        if not slope < 0.0:
-            d, slope, t0 = _gradient_step(g)
-        ok, _, x_new, f_new, g_new = _backtrack(trial, x, f, d, slope, t0)
-        if not ok:
-            stop_reason = LINE_SEARCH
-            break
-        gnorm_new = float(np.abs(g_new).max())
-        if not isfinite(gnorm_new):
-            log.warning("newton abort: non-finite gradient at iter=%d", iters)
-            stop_reason = NONFINITE
-            break
-        x, f, g, gnorm = x_new, f_new, g_new, gnorm_new
-        iters += 1
-    converged = gnorm <= GRAD_NORM_TOL
-    report = SolveReport(
-        iterations=iters,
-        final_value=f,
-        final_grad_norm=gnorm,
-        line_search_failures=int(stop_reason == LINE_SEARCH),
-        converged=converged,
-        aborted=stop_reason == NONFINITE,
-        evaluations=trial.count,
-        stop_reason=GRAD_TOL if converged else stop_reason,
-        wall_s=perf_counter() - start,
-    )
-    return x, report
+    return _descend(obj, x0, max_iters,
+                    lambda x, g, gnorm: (direction(x, g, NEWTON_SHIFT * gnorm), 1.0))

@@ -760,6 +760,7 @@ def test_fit_edge_inputs(case):
     assert result.initial_report.stop_reason in STOP_REASONS
     if result.lip_chain[0] == 0.0:              # zero slopes: no refinement solve runs
         assert result.refine_report.stop_reason == "" and result.refine_report.iterations == 0
+        assert not result.refine_report.converged and not result.refine_report.aborted
     else:
         assert result.refine_report.stop_reason in STOP_REASONS
 

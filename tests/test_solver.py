@@ -292,7 +292,7 @@ def _reference_lbfgs(objective, x0, cfg, memory, callback=None):
     f, g = float(f), np.asarray(g, dtype=float)
     s_list, y_list = [], []
     recent = [f]
-    ls_failures, iters, aborted, stop_reason = 0, 0, False, MAX_ITERS
+    ls_failures, iters, stop_reason = 0, 0, MAX_ITERS
     gnorm = float(np.max(np.abs(g)))
     converged = gnorm <= GRAD_NORM_TOL
     t_prev = 1.0
@@ -308,22 +308,12 @@ def _reference_lbfgs(objective, x0, cfg, memory, callback=None):
         ok, t_acc, x_new, f_new, g_new = backtrack(x, f, g, direction, t0)
         if not ok:
             ls_failures += 1
-            if use_gradient:
-                stop_reason = LINE_SEARCH
-                break
-            s_list, y_list = [], []
-            t_prev = 1.0
-            use_gradient = True
-            ok, t_acc, x_new, f_new, g_new = backtrack(
-                x, f, g, -g, 1.0 / max(1.0, float(np.linalg.norm(g))))
-            if not ok:
-                ls_failures += 1
-                stop_reason = LINE_SEARCH
-                break
+            stop_reason = LINE_SEARCH
+            break
         if not use_gradient:
             t_prev = t_acc
         if not np.isfinite(f_new) or not np.isfinite(g_new).all():
-            aborted, stop_reason = True, NONFINITE
+            stop_reason = NONFINITE
             break
         s, yv = x_new - x, g_new - g
         if float(np.dot(s, yv)) > 1e-12 * float(np.linalg.norm(s)) * float(np.linalg.norm(yv)):
@@ -339,7 +329,7 @@ def _reference_lbfgs(objective, x0, cfg, memory, callback=None):
                 and recent[0] - f <= STALL_RTOL * max(1.0, abs(f))):
             stop_reason = STALLED
             break
-    return x, SolveReport(iters, f, gnorm, ls_failures, bool(converged), aborted, evaluations,
+    return x, SolveReport(iters, f, gnorm, ls_failures, evaluations,
                           GRAD_TOL if converged else stop_reason)
 
 
@@ -368,7 +358,7 @@ def test_lbfgs_iterates_bit_identical_to_reference_two_loop(monkeypatch):
         grad = 2.0 * x - 1.0 if abs(x[0]) <= 0.3 else np.array([np.nan])
         return float(x[0] ** 2 - x[0]), grad
 
-    def late_wrong_gradient(x):     # uphill beyond x_0 = 0.5: a memory step fails first
+    def late_wrong_gradient(x):     # uphill beyond x_0 = 0.5: a memory step fails
         grad = 2.0 * (x - 1.0)
         return float(np.sum((x - 1.0) ** 2)), (grad if x[0] < 0.5 else -grad)
 
@@ -413,8 +403,8 @@ def test_lbfgs_iterates_bit_identical_to_reference_two_loop(monkeypatch):
         reasons.add(r1.stop_reason)
         if memory == 4:                         # kinked, and Rosenbrock from [-1.2, 1, -0.5, 0.8]
             assert r1.iterations > 4
-        if evaluate is late_wrong_gradient:     # the memory step, then the gradient step
-            assert r1.line_search_failures == 2 and r1.iterations >= 1
+        if evaluate is late_wrong_gradient:     # the memory step's failure stops the solve
+            assert r1.line_search_failures == 1 and r1.iterations >= 1
     assert reasons == {"grad_tol", "max_iters", "stalled", "line_search", "nonfinite"}
 
 
@@ -480,7 +470,7 @@ def test_lbfgs_stop_reasons_and_evaluation_counts():
                        for a, b in zip(history, history[STALL_WINDOW:]))
         if evaluate is long_rosenbrock:
             assert report.iterations > STALL_WINDOW
-    assert SolveReport(0, 1.0, 0.0, 0, True).stop_reason == ""
+    assert SolveReport(0, 1.0, 0.0, 0).stop_reason == ""
 
 
 def test_newton_stop_reasons_and_evaluation_counts():
@@ -509,13 +499,20 @@ def test_newton_stop_reasons_and_evaluation_counts():
     def wrong_gradient(x):          # the gradient points uphill: no step is accepted
         return float(x @ x), -2.0 * x
 
+    def l1(x):                      # |gradient| stays 1 at every step
+        return float(np.sum(np.abs(x))), np.sign(x)
+
+    def creep(x, g, shift):         # a descent step of 1e-12 per coordinate
+        return -1e-12 * g
+
     cases = ((kinked, newton, np.zeros(3), 2000, "grad_tol"),
              (kinked, newton, np.full(3, 5.0), 2000, "grad_tol"),
              (quad, uphill, np.zeros(3), 2000, "grad_tol"),
              (kinked, newton, np.full(3, 5.0), 1, "max_iters"),
              (kinked, newton, np.zeros(3), 0, "max_iters"),
              (nan_gradient, newton, np.zeros(1), 2000, "nonfinite"),
-             (wrong_gradient, uphill, np.ones(2), 2000, "line_search"))
+             (wrong_gradient, uphill, np.ones(2), 2000, "line_search"),
+             (l1, creep, np.array([0.3, -0.7]), 2000, "stalled"))
     for evaluate, direction, x0, max_iters, reason in cases:
         wrapped, calls = _counted(evaluate)
         x_star, report = newton_minimize(eager_handle(x0.size, wrapped), direction, x0,
@@ -526,6 +523,8 @@ def test_newton_stop_reasons_and_evaluation_counts():
         assert report.final_value == evaluate(x_star)[0] <= evaluate(x0)[0]
         assert report.converged == (reason == "grad_tol")
         assert report.aborted == (reason == "nonfinite")
+        if reason == "stalled":             # each step lowers the value by 2e-12
+            assert report.iterations == STALL_WINDOW
         if reason == "grad_tol":
             assert np.abs(evaluate(x_star)[1]).max() <= GRAD_NORM_TOL
             assert np.allclose(x_star, np.minimum(c, 1.0) if evaluate is kinked else c,
