@@ -72,9 +72,7 @@ def _load_features(path, d):
     if ncols not in (d, d + 1):
         raise DataError(f"model expects {d} features, file has {ncols} columns "
                         f"(expected {d}, or {d + 1} with a trailing response)")
-    # eval_model's last bits depend on the memory layout.  Column-major is
-    # the layout load_csv's column split gives, and eval_model is faster on it.
-    return np.asfortranarray(rows[:, :d])
+    return rows[:, :d]
 
 
 def _cmd_bench(args):

@@ -623,8 +623,7 @@ class _RefineProblem:
     objective, so a refinement that does not run builds none.  ``mus`` are
     the smoothing widths ``refine`` solves at in turn.  ``pieces`` is the
     working set: the indices of the initial model's pieces (outer blocks of
-    max-min-affine) that the parameters hold, all of them until
-    ``restricted`` drops some.
+    max-min-affine) that the parameters hold.  ``restricted`` only shrinks it.
     """
 
     def __init__(self, initial_model: DcModel, dataset: Dataset, reg: RegParams):
@@ -654,26 +653,20 @@ class _RefineProblem:
             self.layout = ParamLayout(comp.n_pieces, self.slope_dim, len(comps), with_z=False)
             self.x0 = self.layout.pack(0.0, *[a for c in comps
                                               for a in (c.biases, c.weights[:, :self.slope_dim])])
-            # Every piece's parameters, those ``restricted`` drops held fixed.
-            self.full_layout, self.x_all = self.layout, self.x0
 
     def restricted(self, params, mu):
-        """(problem, params) on the pieces that weigh more than the soft-max clip at mu.
+        """(problem, params) on the working-set pieces that weigh more than the clip at mu.
 
-        Every piece is tested, at ``params`` in the working set and at its
-        held value off it, in every row and component.  The dropped pieces
-        leave the layout and the piece kernel and are held in ``x_all``, so
-        their slope rows still enter the regularizer and the cone term: the
-        restricted objective is the full one with them held fixed, less their
-        clipped weights.
+        Each working-set piece is tested at ``params``, in every row and
+        component.  A dropped piece leaves the layout, the piece kernel, the
+        regularizer and the cone term, and is not tested again: the restricted
+        objective is the smoothed criterion of the kept pieces alone.
         """
-        x_all = self.x_all.copy()
-        _, B, W = self.full_layout.stack(x_all)
-        _, B[:, self.pieces], W[:, self.pieces] = self.layout.stack(params)
-        A = _PieceKernel(self.kind, self.X, self.centers, self.slope_dim).values(B, W)
+        _, B, W = self.layout.stack(params)
+        A = _PieceKernel(self.kind, self.X, self.centers[self.pieces], self.slope_dim).values(B, W)
         keep = np.flatnonzero(unclipped_rows(A, mu, A.max(axis=1)).any(axis=0))
         problem = copy.copy(self)
-        problem.x_all, problem.pieces = x_all, keep
+        problem.pieces = self.pieces[keep]
         problem.layout = replace(self.layout, n_pieces=keep.size)
         return problem, problem.layout.pack(0.0, *[a for b, w in zip(B[:, keep], W[:, keep])
                                                    for a in (b, w)])
@@ -691,20 +684,17 @@ class _RefineProblem:
     def _max_form_objective(self, mu):
         """Every max replaced by its soft maximum at ``mu``, and the cone by its
         envelope at ``mu``: one smooth function of the working set's pieces."""
-        layout, y, pieces = self.layout, self.y, self.pieces
+        layout, y = self.layout, self.y
         n = y.shape[0]
         m, K, s = layout.n_components, layout.n_pieces, layout.slope_dim
         theta2 = self.reg.theta2
         signs = self.spec.signs
         sign_col = np.array(signs)[:, None]
-        kernel = _PieceKernel(self.kind, self.X, self.centers[pieces], s)
+        kernel = _PieceKernel(self.kind, self.X, self.centers[self.pieces], s)
         rho = self.cone_weight(mu)
         # Made once: the piece values, overwritten by their soft-max exponentials,
-        # and the coefficients, which are the values' scratch too; the slope rows
-        # of every piece, the working set's first, written in at each evaluation.
+        # and the coefficients, which are the values' scratch too.
         A, coef = np.empty((2, m, K, n))
-        W_held = self.full_layout.stack(self.x_all)[2]
-        W_all = np.concatenate([W_held[:, pieces], np.delete(W_held, pieces, 1)], axis=1)
 
         def evaluate(params):
             _, B, W = layout.stack(params)
@@ -712,20 +702,18 @@ class _RefineProblem:
             smooth, E, sums = softmax_columns(A, mu, A.max(axis=1), out=A)
             r = signed_sum(signs, smooth) - y
             value = float(np.add.reduce(r * r, None) / n)    # np.mean's bits
-            W_all[:, :K] = W
-            rv, reg_grad = _reg_terms(W_all.reshape(-1, s), self.theta, self.c0, theta2, mu)
+            rv, reg_grad = _reg_terms(W.reshape(-1, s), self.theta, self.c0, theta2, mu)
             value += rv
-            cones, add_cone_grad = self.cone.penalty(W_all, self.d, rho)
+            cones, add_cone_grad = self.cone.penalty(W, self.d, rho)
             for cone_value in cones:
                 value += cone_value
 
             def gradient():
                 np.multiply(E, (sign_col * ((2.0 / n) * r) / sums)[:, None, :], out=coef)
                 gb, gW = kernel.grads(coef)
-                g_all = reg_grad().reshape(W_all.shape)
-                g_all[:, :K] += gW
-                add_cone_grad(g_all)
-                return np.concatenate([gb, g_all[:, :K].reshape(m, -1)], axis=1).ravel()
+                gW += reg_grad().reshape(gW.shape)
+                add_cone_grad(gW)
+                return np.concatenate([gb, gW.reshape(m, -1)], axis=1).ravel()
 
             return value, gradient
 

@@ -220,8 +220,9 @@ def test_predict_output_bytes(tmp_path):
     feats = tmp_path / "features.csv"
     feats.write_text("u,v,w\n" + "".join(",".join(map(repr, row)) + "\n"
                                          for row in X.tolist()))
-    # header "prediction", then one repr per line; the rows are evaluated
-    # column-major, the layout of load_csv's features
+    # header "prediction", then one repr per line; eval_model's bits do not
+    # depend on the memory layout, so column-major X gives those of predict's
+    # row-major rows
     preds = _expected_predictions(model_path, np.asfortranarray(X))
     expected = "prediction\n" + "".join(f"{p!r}\n" for p in preds.tolist())
     for source in (data, feats):

@@ -429,10 +429,17 @@ def test_refine_gradient_matches_finite_differences_at_every_mu():
             assert_gradient_matches(obj, points, rtol=1e-6)
 
 
+def _piece_positions(layout, idx):
+    """Where the parameters of pieces ``idx`` sit in ``layout``'s vector, in its order."""
+    _, b_at, w_at = layout.stack(np.arange(layout.dim))
+    return np.concatenate([np.concatenate([b[idx], w[idx].ravel()]) for b, w in zip(b_at, w_at)])
+
+
 @pytest.mark.parametrize("variant,kind", [(SINGLE, features.LINF), (SYMMETRIC, features.L2)])
 def test_refine_working_set_drops_only_fully_clipped_pieces(variant, kind, monkeypatch):
-    # At each restriction point the full problem is taken at the working set's
-    # parameters and every dropped piece's held ones.
+    # The working set only shrinks, and a dropped piece leaves the problem: at
+    # each restriction the restricted objective is the full one with every
+    # piece off the working set switched off (zero slopes, biases of -1e6).
     ds = _random_dataset(200, 2, seed=75)
     part = afpc(ds.X, seed=76)
     reg = default_reg_params(*_radii(ds), ds.n, 2, part.n_centers)
@@ -448,21 +455,25 @@ def test_refine_working_set_drops_only_fully_clipped_pieces(variant, kind, monke
     monkeypatch.setattr(_RefineProblem, "restricted", recording)
     refined, _, accepted = refine(initial, ds, reg)
     assert accepted and [r[2] for r in restrictions] == list(MUS[1:])
-    layout, x_all = full.layout, full.x0.copy()
-    _, b_at, w_at = layout.stack(np.arange(layout.dim))
+    layout = full.layout
     for problem, params, mu, kept, x in restrictions:
-        _, B, W = layout.stack(x_all)
-        _, B[:, problem.pieces], W[:, problem.pieces] = problem.layout.stack(params)
-        at = np.concatenate([np.concatenate([b[kept.pieces], w[kept.pieces].ravel()])
-                             for b, w in zip(b_at, w_at)])
-        assert np.array_equal(x, x_all[at])
+        # The kept pieces are a subset of the working set, and x holds their parameters.
+        assert set(kept.pieces) <= set(problem.pieces)
+        inner = np.flatnonzero(np.isin(problem.pieces, kept.pieces))
+        assert np.array_equal(x, params[_piece_positions(problem.layout, inner)])
         # No piece with an exponent above the clip is dropped, and some pieces are.
-        A = _PieceKernel(kind, ds.X, full.centers, layout.slope_dim).values(B, W)
+        _, B, W = problem.layout.stack(params)
+        A = _PieceKernel(kind, ds.X, full.centers[problem.pieces], layout.slope_dim).values(B, W)
         _, E, _ = softmax_columns(A, mu, A.max(axis=1))
-        live = np.flatnonzero((E > np.exp(_EXP_FLOOR)).any(axis=(0, 2)))
+        live = problem.pieces[(E > np.exp(_EXP_FLOOR)).any(axis=(0, 2))]
         assert set(live) <= set(kept.pieces) and kept.pieces.size < layout.n_pieces
+        x_full = np.zeros(layout.dim)
+        _, B, W = layout.stack(x_full)
+        B[...] = -1e6
+        _, B[:, kept.pieces], W[:, kept.pieces] = kept.layout.stack(x)
+        at = _piece_positions(layout, kept.pieces)
         value, grad = value_and_gradient(kept.objective(mu), x)
-        full_value, full_grad = value_and_gradient(full.objective(mu), x_all)
+        full_value, full_grad = value_and_gradient(full.objective(mu), x_full)
         assert value == pytest.approx(full_value, rel=1e-15, abs=0.0)
         assert np.max(np.abs(grad - full_grad[at])) <= 1e-15 * np.max(np.abs(full_grad[at]))
     for comp, first in zip(refined.components(), initial.components()):
