@@ -42,6 +42,7 @@ WEAK = "weak"
 STRONG = "strong"
 
 MUS = (1e-2, 1e-3, 1e-4)  # the max forms' stage-2 smoothing widths, solved in turn
+GAMMA = 1e-2            # each width but the last is solved to gradient max-norm GAMMA * mu
 MU = 1e-6               # max-min-affine stage 2: soft-max width of its gradient
 RHO_PEN = 1e6           # quadratic penalty weight of the stage-1 residuals
 RHOS = (1.0, 1e1, 1e2, 1e3, 1e4, 1e5, RHO_PEN)  # the stage-1 penalty ladder, solved in turn
@@ -791,6 +792,10 @@ def refine(initial_model: DcModel, dataset: Dataset, reg: RegParams,
     one solve runs per smoothing width (``MUS``, or ``MU`` for
     max-min-affine), each from the last one's result, until one aborts; a
     solve whose line search fails stops there, and the next width goes on.
+    Every width but the last only brings the next one into its basin, so its
+    solve stops once the gradient's max-norm is at most
+    max(``cfg.grad_tol``, ``GAMMA`` * mu), after X. Chen's smoothing method
+    (Math. Program. 134, 2012); the last width's stops at ``cfg.grad_tol``.
     Each max-form solve after the first runs on the working set that
     ``_RefineProblem.restricted`` keeps at its width, and the candidate holds
     the pieces of the last one.  The report sums the solves' iterations,
@@ -808,14 +813,16 @@ def refine(initial_model: DcModel, dataset: Dataset, reg: RegParams,
         report = SolveReport(0, rr0, 0.0, 0)
         return initial_model, report, False
     x_star, solves = problem.x0, []
-    for mu in problem.mus:
+    mus = problem.mus
+    for i, mu in enumerate(mus):
         if solves:
             problem, x_star = problem.restricted(x_star, mu)
-        x_star, last = lbfgs_minimize(problem.objective(mu), x_star, cfg)
+        tol = cfg.grad_tol if i == len(mus) - 1 else max(cfg.grad_tol, GAMMA * mu)
+        x_star, last = lbfgs_minimize(problem.objective(mu), x_star, replace(cfg, grad_tol=tol))
         solves.append(last)
-        log.info("stage2 variant=%s mu=%g pieces=%d iters=%d evals=%d stop=%s wall=%.3fs",
-                 initial_model.variant, mu, problem.pieces.size, last.iterations,
-                 last.evaluations, last.stop_reason, last.wall_s)
+        log.info("stage2 variant=%s mu=%g pieces=%d iters=%d evals=%d stop=%s tol=%g gnorm=%.6g "
+                 "wall=%.3fs", initial_model.variant, mu, problem.pieces.size, last.iterations,
+                 last.evaluations, last.stop_reason, tol, last.final_grad_norm, last.wall_s)
         if last.aborted:
             break
     report = _summed(solves)

@@ -2,7 +2,9 @@
 
 Both optimizers run one descent loop, with Armijo-only backtracking that
 tests each trial on its value, one set of stop rules and one report; they
-differ only in the rule that proposes each direction.  Stage 2 runs L-BFGS.
+differ only in the rule that proposes each direction.  Stage 2 runs L-BFGS,
+whose direction is the compact form of the inverse Hessian over the last
+``LBFGS_MEMORY`` curvature pairs.
 Stage 1 runs the Newton method: its penalty objective has a gradient that is
 only piecewise smooth, and each step solves with a generalized Hessian of it,
 shifted in proportion to the gradient.
@@ -25,15 +27,6 @@ class SolverAbort(RuntimeError):
 
 
 @dataclass(frozen=True)
-class SolverConfig:
-    max_iters: int = 2000
-
-    def __post_init__(self):
-        if self.max_iters < 0:
-            raise ValueError("max_iters must be >= 0")
-
-
-@dataclass(frozen=True)
 class ObjectiveHandle:
     """A differentiable objective: evaluate(x) -> (value, gradient thunk).
 
@@ -46,7 +39,7 @@ class ObjectiveHandle:
     evaluate: Callable[[np.ndarray], tuple]
 
 
-GRAD_TOL = "grad_tol"        # gradient max-norm reached GRAD_NORM_TOL
+GRAD_TOL = "grad_tol"        # gradient max-norm reached the solve's tolerance
 MAX_ITERS = "max_iters"      # iteration cap reached first
 LINE_SEARCH = "line_search"  # the line search found no acceptable step
 NONFINITE = "nonfinite"      # an accepted step had a non-finite gradient
@@ -56,21 +49,37 @@ STOP_REASONS = (GRAD_TOL, MAX_ITERS, LINE_SEARCH, NONFINITE, STALLED)
 # Stall rule: stop once the last STALL_WINDOW accepted steps lowered the value
 # by at most STALL_RTOL * max(1, |value|) in total.
 STALL_WINDOW = 50
-STALL_RTOL = 1e-7
-# Convergence: the gradient's max-norm at most GRAD_NORM_TOL.  Armijo
-# backtracking: at most LS_MAX_STEPS trials, each LS_SHRINK times the last,
-# accepted at a decrease of LS_C1 * t * slope.
+STALL_RTOL = 1e-8
+# Convergence: the gradient's max-norm at most GRAD_NORM_TOL, unless a solve's
+# SolverConfig.grad_tol says otherwise.  Armijo backtracking: at most
+# LS_MAX_STEPS trials, each LS_SHRINK times the last, accepted at a decrease
+# of LS_C1 * t * slope.
 GRAD_NORM_TOL = 1e-6
 LS_SHRINK = 0.5
 LS_C1 = 1e-4
 LS_MAX_STEPS = 40
-LBFGS_MEMORY = 10   # L-BFGS keeps the curvature pairs of this many last steps
+LBFGS_MEMORY = 30   # L-BFGS keeps the curvature pairs of this many last steps
 # Newton's Levenberg-Marquardt shift: NEWTON_SHIFT times the gradient's max-norm.
 NEWTON_SHIFT = 0.1
 # The soft-max exponents are clipped at _EXP_FLOOR.  exp(-60) = 8.8e-27: a
 # column of fewer than 1e10 entries sums to the same double as unclipped, exp
 # stays off numpy's per-element path (below -707.7), and no weight is subnormal.
 _EXP_FLOOR = -60.0
+
+
+@dataclass(frozen=True)
+class SolverConfig:
+    """The iteration cap of a solve (of all stage-1 Newton solves together), and
+    the gradient max-norm at which an L-BFGS solve converges."""
+
+    max_iters: int = 2000
+    grad_tol: float = GRAD_NORM_TOL
+
+    def __post_init__(self):
+        if self.max_iters < 0:
+            raise ValueError("max_iters must be >= 0")
+        if not self.grad_tol >= 0.0:
+            raise ValueError("grad_tol must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -146,25 +155,6 @@ class _Trials:
         return x, f, g
 
 
-def _two_loop(grad, memory):
-    """L-BFGS direction from one or more curvature pairs (s, y, 1/(s.y), s.y, y.y), oldest first.
-
-    The two-loop recursion of Nocedal & Wright, Numerical Optimization, Alg. 7.4.
-    """
-    q = grad.copy()
-    alphas = []
-    for s, yv, rho, _, _ in reversed(memory):
-        a = rho * float(s.dot(q))
-        alphas.append(a)
-        q -= a * yv
-    _, _, _, sy, yy = memory[-1]
-    q *= sy / yy
-    for (s, yv, rho, _, _), a in zip(memory, reversed(alphas)):
-        b = rho * float(yv.dot(q))
-        q += (a - b) * s
-    return -q
-
-
 def _gradient_step(g):
     """(direction, g.direction, first trial step) of a steepest-descent step.
 
@@ -193,19 +183,55 @@ def _backtrack(evaluate, x, f, direction, slope, t0):
 
 
 class _Memory:
-    """The L-BFGS direction rule: the curvature pairs of the last ``LBFGS_MEMORY`` steps."""
+    """The L-BFGS direction rule over the curvature pairs of the last ``LBFGS_MEMORY`` steps.
 
-    def __init__(self):
-        self.pairs: deque = deque(maxlen=LBFGS_MEMORY)   # (s, y, 1/(s.y), s.y, y.y)
+    The direction is -H g for the compact form of the inverse Hessian (Byrd,
+    Nocedal & Schnabel, Math. Program. 63, 1994), with S and Y the pairs' s
+    and y as rows, oldest first:
+
+        H g = gamma g + S'u - gamma Y'p,  p = R^-1 (S g),
+        u = R^-T (D p + gamma (Y Y' p - Y g)),
+
+    where R is the upper triangle of the table s_i.y_j, D its diagonal, and
+    gamma = s.y / y.y of the newest pair.  The pairs live in a ring of slots,
+    (s, y) side by side, so that one product gives both S g and Y g and one
+    gives S'u - gamma Y'p.  The small tables Y Y', D and R^-1 are indexed by
+    slot too: the formula holds for any order of the pairs that S, Y and the
+    tables share, with R keeping s_i.y_j wherever pair i is not newer than
+    pair j.  A new pair takes the oldest one's slot: it drops that pair's row
+    and column from the tables, and one product with its y gives its own.
+    R^-1 keeps the rest, for the inverse of an upper triangular matrix
+    without its first row and column is its inverse without them.
+    """
+
+    def __init__(self, dim):
+        size = LBFGS_MEMORY
+        self.pairs = np.empty((size, 2, dim))   # slot k % size holds the k-th kept pair
+        self.kept = 0                           # pairs kept since the last reset
+        self.yy = np.empty((size, size))        # y_i.y_j
+        self.r_inv = np.zeros((size, size))     # R^-1
+        self.sy = np.empty(size)                # D: s_i.y_i
+        self.gamma = 1.0
         self.t_prev = 1.0  # last accepted quasi-Newton step; seeds the next trial
 
     def direction(self, x, g, gnorm):
-        """The two-loop direction, or None (the gradient step) while no pair is kept."""
-        if not self.pairs:
+        """The compact direction, or None (the gradient step) while no pair is kept."""
+        m = min(self.kept, self.sy.size)
+        if not m:
             return None
+        pairs = self.pairs[:m].reshape(2 * m, -1)
+        sg, yg = (pairs @ g).reshape(m, 2).T
+        r_inv = self.r_inv[:m, :m]
+        p = r_inv @ sg
+        u = r_inv.T @ (self.sy[:m] * p + self.gamma * (self.yy[:m, :m] @ p - yg))
+        coef = np.empty(2 * m)
+        coef[0::2] = u
+        np.multiply(p, -self.gamma, out=coef[1::2])
+        d = pairs.T @ coef
+        d += self.gamma * g
         # Growing restart from the last accepted step keeps backtracking
         # cheap on kinked objectives while recovering full steps fast.
-        return _two_loop(g, self.pairs), min(1.0, 2.0 * self.t_prev)
+        return np.negative(d, out=d), min(1.0, 2.0 * self.t_prev)
 
     def accepted(self, s, yv, t, proposed):
         """Keep the step's pair if its curvature is positive; a gradient step
@@ -213,16 +239,32 @@ class _Memory:
         if proposed:
             self.t_prev = t
         else:
-            self.pairs.clear()
+            self.kept = 0
             self.t_prev = 1.0
         sy = float(s.dot(yv))
         yy = float(yv.dot(yv))
         if sy > 1e-12 * sqrt(float(s.dot(s))) * sqrt(yy):
-            self.pairs.append((s, yv, 1.0 / sy, sy, yy))
+            self._keep(s, yv, sy, yy)
+
+    def _keep(self, s, yv, sy, yy):
+        k = self.kept % self.sy.size
+        self.kept += 1
+        m = min(self.kept, self.sy.size)
+        self.pairs[k, 0] = s
+        self.pairs[k, 1] = yv
+        col = (self.pairs[:m].reshape(2 * m, -1) @ yv).reshape(m, 2)
+        col[k] = sy, yy     # the curvature test's s.y > 0, so R stays invertible
+        self.yy[:m, k] = self.yy[k, :m] = col[:, 1]
+        self.sy[k] = sy
+        r_inv = self.r_inv[:m, :m]
+        r_inv[k] = r_inv[:, k] = 0.0
+        r_inv[:, k] = -(r_inv @ col[:, 0]) / sy
+        r_inv[k, k] = 1.0 / sy
+        self.gamma = sy / yy
 
 
-def _descend(obj: ObjectiveHandle, x0, max_iters: int, direction, accepted=None,
-             callback=None):
+def _descend(obj: ObjectiveHandle, x0, max_iters: int, grad_tol: float, direction,
+             accepted=None, callback=None):
     """Minimize obj from x0 by backtracked descent steps; returns (x_star, SolveReport).
 
     ``direction(x, g, gnorm)`` proposes (d, first trial step), or None for the
@@ -230,11 +272,11 @@ def _descend(obj: ObjectiveHandle, x0, max_iters: int, direction, accepted=None,
     not finite and negative.  Each step is backtracked by ``_backtrack``, so
     accepted steps never raise the value.  ``accepted(s, y, t, proposed)``
     sees each accepted step, then ``callback(iteration, x, value)`` runs.
-    The solve stops at ``GRAD_NORM_TOL``, after ``max_iters`` steps, when a
-    line search fails, when an accepted step has a non-finite gradient (the
-    last finite iterate is returned), or, stalled, once the last
-    ``STALL_WINDOW`` accepted steps lowered the value by at most
-    ``STALL_RTOL * max(1, |value|)``.
+    The solve stops once the gradient's max-norm is at most ``grad_tol``,
+    after ``max_iters`` steps, when a line search fails, when an accepted
+    step has a non-finite gradient (the last finite iterate is returned), or,
+    stalled, once the last ``STALL_WINDOW`` accepted steps lowered the value
+    by at most ``STALL_RTOL * max(1, |value|)``.
     """
     start = perf_counter()
     trial = _Trials(obj)
@@ -242,7 +284,7 @@ def _descend(obj: ObjectiveHandle, x0, max_iters: int, direction, accepted=None,
     gnorm = float(np.abs(g).max()) if g.size else 0.0
     recent = deque([f], maxlen=STALL_WINDOW + 1)      # values of the last accepted steps
     iters, stop_reason = 0, MAX_ITERS
-    while gnorm > GRAD_NORM_TOL and iters < max_iters:
+    while gnorm > grad_tol and iters < max_iters:
         proposal = direction(x, g, gnorm)
         proposed = False
         if proposal is not None:
@@ -268,11 +310,11 @@ def _descend(obj: ObjectiveHandle, x0, max_iters: int, direction, accepted=None,
         if callback is not None:
             callback(iters, x, f)
         recent.append(f)
-        if (gnorm > GRAD_NORM_TOL and len(recent) > STALL_WINDOW
+        if (gnorm > grad_tol and len(recent) > STALL_WINDOW
                 and recent[0] - f <= STALL_RTOL * max(1.0, abs(f))):
             stop_reason = STALLED
             break
-    if gnorm <= GRAD_NORM_TOL:
+    if gnorm <= grad_tol:
         stop_reason = GRAD_TOL
     return x, SolveReport(iters, f, gnorm, int(stop_reason == LINE_SEARCH), trial.count,
                           stop_reason, perf_counter() - start)
@@ -281,15 +323,16 @@ def _descend(obj: ObjectiveHandle, x0, max_iters: int, direction, accepted=None,
 def lbfgs_minimize(obj: ObjectiveHandle, x0, cfg: SolverConfig, callback=None):
     """Minimize obj from x0 by L-BFGS; returns (x_star, SolveReport).
 
-    The directions are the two-loop recursion's over the curvature pairs of
-    the last ``LBFGS_MEMORY`` steps; the first step, and any whose direction
-    is not one of descent, is a gradient step from an empty memory.  Each
-    solve runs at most ``cfg.max_iters`` steps; the stop rules, and
-    ``callback(iteration, x, value)`` after every accepted step, are
-    ``_descend``'s.
+    The directions are ``_Memory``'s, over the curvature pairs of the last
+    ``LBFGS_MEMORY`` steps; the first step, and any whose direction is not
+    one of descent, is a gradient step from an empty memory.  Each solve
+    runs at most ``cfg.max_iters`` steps and converges at ``cfg.grad_tol``;
+    the stop rules, and ``callback(iteration, x, value)`` after every
+    accepted step, are ``_descend``'s.
     """
-    memory = _Memory()
-    return _descend(obj, x0, cfg.max_iters, memory.direction, memory.accepted, callback)
+    memory = _Memory(obj.dim)
+    return _descend(obj, x0, cfg.max_iters, cfg.grad_tol, memory.direction, memory.accepted,
+                    callback)
 
 
 def newton_minimize(obj: ObjectiveHandle, direction, x0, max_iters: int):
@@ -302,7 +345,7 @@ def newton_minimize(obj: ObjectiveHandle, direction, x0, max_iters: int):
     the steps lengthen to full Newton steps as the gradient vanishes.  Each
     step is backtracked from t = 1; a direction that is not one of descent,
     which only rounding can give, is replaced by the negative gradient.  The
-    stop rules are ``_descend``'s.
+    solve converges at ``GRAD_NORM_TOL``; the stop rules are ``_descend``'s.
     """
-    return _descend(obj, x0, max_iters,
+    return _descend(obj, x0, max_iters, GRAD_NORM_TOL,
                     lambda x, g, gnorm: (direction(x, g, NEWTON_SHIFT * gnorm), 1.0))

@@ -22,13 +22,15 @@ from dcreg.baselines import (GAUSSIAN_KERNEL, KnnModel, NwModel, kfold_cv,
                              knn_predict, nw_cv_grid, nw_predict)
 from dcreg.data import Dataset, SyntheticGen
 from dcreg.experiment import ExperimentSpec, run_experiment, write_bench_outputs
-from dcreg.fit import RHOS, FitConfig, STRONG, default_reg_params, fit_dcf, fit_initial
+from dcreg.fit import (GAMMA, MUS, RHOS, FitConfig, STRONG, default_reg_params, fit_dcf,
+                       fit_initial)
 from dcreg.model import (CONVEX_MAX_AFFINE, CONVEX_NORM, CONVEX_PLUS,
                          MAX_MIN_AFFINE, SINGLE, SYMMETRIC, DcComponent,
                          eval_max, eval_mma, eval_model, eval_model_std, prune,
                          prune_mma, to_max_min_affine)
 from dcreg.partition import afpc, data_radii, khat
 from dcreg.serialize import load_model, save_model
+from dcreg.solver import GRAD_NORM_TOL
 from dcreg.targets import empirical_lipschitz, pw_linear_target, xsinx_target
 
 GRID = np.linspace(0.0, 6.0, 1000)[:, None]
@@ -391,6 +393,26 @@ def test_max_form_stage2_solves_stop_before_the_iteration_cap(variant_fits, tren
     assert "max_iters" not in stops, stops
     _report("5b", f"{len(max_form)} max-form stage-2 solves stop before the cap "
                   f"({', '.join(f'{r} {stops.count(r)}' for r in sorted(set(stops)))})", t0)
+
+
+def test_early_width_stage2_solves_stop_at_gamma_mu(variant_fits, trend_results, logged_solves):
+    # Every max-form width but the last is solved to gradient max-norm GAMMA * mu, the
+    # last to GRAD_NORM_TOL.  Every first-width solve reaches its tolerance, and every
+    # early solve that stops at grad_tol is within it.
+    t0 = time.perf_counter()
+    max_form = [s for s in logged_solves
+                if s["stage"] == "stage2" and s["variant"] != MAX_MIN_AFFINE]
+    early = [s for s in max_form if float(s["mu"]) != MUS[-1]]
+    assert len(early) == 2 * len(max_form) // 3 == 40
+    for s in max_form:
+        mu = float(s["mu"])
+        tol = GRAD_NORM_TOL if mu == MUS[-1] else max(GRAD_NORM_TOL, GAMMA * mu)
+        assert float(s["tol"]) == pytest.approx(tol, rel=1e-5), s
+    at_tol = [s for s in early if s["stop"] == "grad_tol"]
+    assert all(float(s["gnorm"]) <= float(s["tol"]) for s in at_tol), at_tol
+    assert all(s in at_tol for s in early if float(s["mu"]) == MUS[0])
+    _report("5b", f"{len(at_tol)} of {len(early)} early-width stage-2 solves stop at "
+                  f"grad_tol, within GAMMA * mu", t0)
 
 
 def test_stage1_solves_stop_before_the_iteration_cap(criterion4_solves, variant_fits,
