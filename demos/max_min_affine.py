@@ -2,8 +2,10 @@
 
 A max-norm component with nonpositive norm coefficients rewrites exactly as
 a max of minima of 2d affine pieces.  The fitter solves the constrained
-initial problem, converts, then refines directly in the max-min-affine
-parameterization; pruning usually discards most blocks.
+initial problem, refines the max-norm component like every other variant,
+projects it back onto its cone, prunes it, and converts: the final blocks
+are the exact rewrite of the final pieces.  Pruning usually discards most
+blocks.
 """
 
 import numpy as np
@@ -28,6 +30,11 @@ grid_std = result.initial_model.transform_x(grid)
 gap = np.max(np.abs(eval_mma(to_max_min_affine(source), grid_std)
                     - eval_max(source, grid_std)))
 print(f"conversion identity: max |max-min form - norm form| = {gap:.2e}")
+
+# the same identity on the final model: its pieces and its blocks are one function
+final_std = model.transform_x(grid)
+gap = np.max(np.abs(eval_mma(model.mma, final_std) - eval_max(model.component, final_std)))
+print(f"final model: max |blocks - pieces| = {gap:.2e}")
 
 blocks, inner = model.mma.biases.shape
 print(f"blocks after pruning: {blocks} (from {result.partition.n_centers}), "

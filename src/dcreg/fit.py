@@ -12,7 +12,9 @@ value and gradient alike, and the slope cone's envelope dist^2 / (2 mu), for
 mu = 1e-2, 1e-3 and 1e-4 in turn, each solve warm-started from the last and
 run on the pieces whose soft-max exponents are not all clipped at its mu; it
 falls back to the initial fit whenever the result fails to improve the
-penalized criterion with the true maxima.  Stage 3 prunes inactive pieces and
+penalized criterion with the true maxima.  Every variant refines its max
+form: max-min-affine's blocks are the rewrite of its component, refined free
+of its cone and projected onto it.  Stage 3 prunes inactive pieces and
 centers the mean prediction on the training responses.
 """
 
@@ -28,9 +30,8 @@ import numpy as np
 from . import features
 from .data import STD, Dataset, apply_scaling
 from .model import (
-    SINGLE, DcModel, MaxMinAffine, center, eval_model_std, lip_stat, mma_inner, prune,
-    prune_mma, signed_sum, slope_rows, symmetric_bias_center, to_max_min_affine,
-    variant_spec,
+    NO_CONE, SINGLE, DcModel, center, eval_model_std, lip_stat, prune, signed_sum, slope_rows,
+    symmetric_bias_center, variant_spec,
 )
 from .partition import Partition, afpc
 from .solver import ObjectiveHandle, SolveReport, SolverConfig, SolverAbort, \
@@ -41,9 +42,8 @@ log = logging.getLogger(__name__)
 WEAK = "weak"
 STRONG = "strong"
 
-MUS = (1e-2, 1e-3, 1e-4)  # the max forms' stage-2 smoothing widths, solved in turn
+MUS = (1e-2, 1e-3, 1e-4)  # the stage-2 smoothing widths, solved in turn
 GAMMA = 1e-2            # each width but the last is solved to gradient max-norm GAMMA * mu
-MU = 1e-6               # max-min-affine stage 2: soft-max width of its gradient
 RHO_PEN = 1e6           # quadratic penalty weight of the stage-1 residuals
 RHOS = (1.0, 1e1, 1e2, 1e3, 1e4, 1e5, RHO_PEN)  # the stage-1 penalty ladder, solved in turn
 _SMOOTH_KAPPA = 1e-12   # removes the norm kink inside penalty residuals
@@ -538,8 +538,7 @@ def fit_initial(dataset: Dataset, partition: Partition, kind: str, reg: RegParam
              "violation=%.3g wall=%.3fs", variant, partition.n_centers, report.iterations,
              report.evaluations, report.stop_reason, report.final_value, violation,
              report.wall_s)
-    # DcModel(variant, component[, second]): one positional field per component.
-    model = DcModel(variant, *comps, mma=to_max_min_affine(comps[0]) if spec.mma else None)
+    model = DcModel.of(variant, comps)
     info = {
         "report": report,
         "penalized_objective": float(report.final_value),
@@ -588,20 +587,18 @@ def training_risk_std(model: DcModel, X, y) -> float:
 # ---------------------------------------------------------------------------
 # the refinement problem (soft maxima)
 
-def _reg_terms(W_rows, theta, c0, theta2, mu, hard=False):
+def _reg_terms(W_rows, theta, c0, theta2, mu):
     """Value of the slope regularizer, and a thunk for its per-row gradient.
 
     The hinge is on the soft maximum of the slope norms at ``mu``, taken as
     one column of ``softmax_columns``, and its gradient is that soft
-    maximum's.  With ``hard`` the value takes the largest norm itself, as
-    the max-min-affine objective does.  The norms are sqrt(sum W^2), which is
-    what np.linalg.norm computes along an axis.
+    maximum's.  The norms are sqrt(sum W^2), which is what np.linalg.norm
+    computes along an axis.
     """
     sq_norms = np.add.reduce(W_rows * W_rows, 1)
     norms = np.sqrt(sq_norms)
-    top = np.max(norms, keepdims=True)
-    lam, E, sums = softmax_columns(norms[:, None], mu, top)
-    hinge = max(float((top if hard else lam)[0]) - c0, 0.0)
+    lam, E, sums = softmax_columns(norms[:, None], mu, np.max(norms, keepdims=True))
+    hinge = max(float(lam[0]) - c0, 0.0)
     value = theta * hinge * hinge + theta2 * float(np.sum(norms * norms))
 
     def gradient():
@@ -621,10 +618,10 @@ class _RefineProblem:
     The one constructor of stage 2: it computes the initial risk, slope
     statistic and hinge strength the regularizer is tied to.  The max forms
     are evaluated by the piece kernel on the training rows, built with the
-    objective, so a refinement that does not run builds none.  ``mus`` are
-    the smoothing widths ``refine`` solves at in turn.  ``pieces`` is the
-    working set: the indices of the initial model's pieces (outer blocks of
-    max-min-affine) that the parameters hold.  ``restricted`` only shrinks it.
+    objective, so a refinement that does not run builds none.  A
+    max-min-affine model is refined as its max-form component.  ``pieces``
+    is the working set: the indices of the initial model's pieces that the
+    parameters hold.  ``restricted`` only shrinks it.
     """
 
     def __init__(self, initial_model: DcModel, dataset: Dataset, reg: RegParams):
@@ -636,24 +633,17 @@ class _RefineProblem:
         self.theta = theta_fn_value(initial_model, reg, self.risk0)
         self.c0 = reg.theta3 * self.lam0
         self.spec = initial_model.spec
-        self.cone = self.spec.cone
-        comp = initial_model.component
+        # Max-min-affine's cone only makes its rewrite exact: ``extract`` projects onto it.
+        self.cone = NO_CONE if self.spec.mma else self.spec.cone
+        comps = initial_model.components()
+        comp = comps[0]
         self.kind, self.d = comp.kind, comp.d
         self.centers = comp.used_centers()
         self.slope_dim = self.spec.slope_dim(self.kind, self.d)
-        self.mus = (MU,) if self.spec.mma else MUS
         self.pieces = np.arange(comp.n_pieces)
-        if self.spec.mma:
-            # One (K*L, d) block: the inner pieces' biases, then their slopes.
-            mma = initial_model.mma
-            self.mma_shape = mma.biases.shape
-            self.layout = ParamLayout(mma.biases.size, self.d, with_z=False)
-            self.x0 = self.layout.pack(0.0, mma.biases, mma.slopes)
-        else:
-            comps = initial_model.components()
-            self.layout = ParamLayout(comp.n_pieces, self.slope_dim, len(comps), with_z=False)
-            self.x0 = self.layout.pack(0.0, *[a for c in comps
-                                              for a in (c.biases, c.weights[:, :self.slope_dim])])
+        self.layout = ParamLayout(comp.n_pieces, self.slope_dim, len(comps), with_z=False)
+        self.x0 = self.layout.pack(0.0, *[a for c in comps
+                                          for a in (c.biases, c.weights[:, :self.slope_dim])])
 
     def restricted(self, params, mu):
         """(problem, params) on the working-set pieces that weigh more than the clip at mu.
@@ -677,14 +667,10 @@ class _RefineProblem:
         dist(W, cone)^2 / (2 mu), the cone's indicator smoothed like the maxima."""
         return 1.0 / (2.0 * mu * max(1, len(self.cone.columns(self.d))))
 
-    def objective(self, mu=None) -> ObjectiveHandle:
-        """The stage-2 objective at smoothing width ``mu``, by default the last of ``mus``."""
-        mu = self.mus[-1] if mu is None else mu
-        return self._mma_objective(mu) if self.spec.mma else self._max_form_objective(mu)
-
-    def _max_form_objective(self, mu):
-        """Every max replaced by its soft maximum at ``mu``, and the cone by its
-        envelope at ``mu``: one smooth function of the working set's pieces."""
+    def objective(self, mu) -> ObjectiveHandle:
+        """The stage-2 objective at smoothing width ``mu``: every max replaced by
+        its soft maximum at ``mu``, and the cone by its envelope at ``mu``, one
+        smooth function of the working set's pieces."""
         layout, y = self.layout, self.y
         n = y.shape[0]
         m, K, s = layout.n_components, layout.n_pieces, layout.slope_dim
@@ -720,68 +706,11 @@ class _RefineProblem:
 
         return ObjectiveHandle(layout.dim, evaluate)
 
-    def _mma_objective(self, mu):
-        """Block-major: inner values are (K, L, n), one coordinate at a time.
-
-        The value takes the hard min and max, the gradient their soft-max
-        weights at ``mu``.  Only the (block, row) near-ties of the outer max
-        carry gradient (exp underflows beyond 745.2 mu); the outer and inner
-        weights and the scatter-add run on those pairs alone.
-        """
-        layout, y = self.layout, self.y
-        # One fixed layout for the row blocks, whatever the caller's layout.
-        Xt = np.ascontiguousarray(self.X.T)
-        n = y.shape[0]
-        (K, L), d = self.mma_shape, self.d
-        theta2 = self.reg.theta2
-        # Made once: the inner values (and their scratch), the minima and the gap scratch.
-        inner, tmp = np.empty((K, L, n)), (np.empty((K, L, n)) if d > 1 else None)
-        m_in, gap = np.empty((2, K, n))
-
-        def evaluate(params):
-            _, B, W = layout.stack(params)
-            b, W = B[0], W[0]
-            mma_inner(b.reshape(K, L), W.reshape(K, L, d), Xt, inner, tmp)
-            inner.min(axis=1, out=m_in)
-            top = m_in.max(axis=0)
-            r = top - y
-            value = float(np.add.reduce(r * r, None) / n)    # np.mean's bits
-            rv, reg_grad = _reg_terms(W, self.theta, self.c0, theta2, mu, hard=True)
-            value += rv
-
-            def gradient():
-                np.subtract(m_in, top, out=gap)                    # outer max weights
-                near = np.flatnonzero(gap >= -746.0 * mu)
-                ks, rows = np.divmod(near, n)
-                e = np.exp(gap.ravel()[near] / mu)
-                sig = e / np.bincount(rows, weights=e, minlength=n)[rows]
-                vals = inner[ks, :, rows]                          # (pairs, L)
-                # Reductions over the L columns, one column at a time, left to right.
-                tau = np.exp((functools.reduce(np.minimum, vals.T)[:, None] - vals) / mu)
-                coef = tau * ((2.0 / n) * r[rows] * sig / functools.reduce(np.add, tau.T))[:, None]
-                slot = (ks[:, None] * L + np.arange(L)).ravel()     # index of (k, l)
-                gB = np.bincount(slot, weights=coef.ravel(), minlength=K * L)
-                gS = np.column_stack([np.bincount(slot, weights=(coef * x[:, None]).ravel(),
-                                                  minlength=K * L) for x in Xt[:, rows]])
-                gS += reg_grad()
-                return np.concatenate([gB, gS.ravel()])
-
-            return value, gradient
-
-        return ObjectiveHandle(layout.dim, evaluate)
-
     def extract(self, params, initial_model: DcModel) -> DcModel:
         _, B, W = self.layout.stack(params)
-        if self.spec.mma:
-            b, W = B[0], W[0]
-            comp = initial_model.component  # pre-conversion snapshot, kept in sync
-            shape = self.mma_shape
-            return DcModel(self.spec.name, comp,
-                           mma=MaxMinAffine(b.reshape(shape).copy(),
-                                            W.reshape(*shape, self.d).copy()))
-        comps = [self.spec.component_from(t.kind, t.centers, b, W, t.center_idx[self.pieces])
-                 for t, b, W in zip(initial_model.components(), B, W)]
-        return DcModel(self.spec.name, *comps)
+        return DcModel.of(self.spec.name, [
+            self.spec.component_from(t.kind, t.centers, b, W, t.center_idx[self.pieces])
+            for t, b, W in zip(initial_model.components(), B, W)])
 
 
 def refine(initial_model: DcModel, dataset: Dataset, reg: RegParams,
@@ -789,18 +718,21 @@ def refine(initial_model: DcModel, dataset: Dataset, reg: RegParams,
     """Locally refine a fitted model; never returns a worse criterion value.
 
     With zero initial slopes the initial model is returned unchanged.  Else
-    one solve runs per smoothing width (``MUS``, or ``MU`` for
-    max-min-affine), each from the last one's result, until one aborts; a
-    solve whose line search fails stops there, and the next width goes on.
+    one solve runs per smoothing width of ``MUS``, each from the last one's
+    result, until one aborts; a solve whose line search fails stops there,
+    and the next width goes on.
     Every width but the last only brings the next one into its basin, so its
     solve stops once the gradient's max-norm is at most
     max(``cfg.grad_tol``, ``GAMMA`` * mu), after X. Chen's smoothing method
     (Math. Program. 134, 2012); the last width's stops at ``cfg.grad_tol``.
-    Each max-form solve after the first runs on the working set that
+    Each solve after the first runs on the working set that
     ``_RefineProblem.restricted`` keeps at its width, and the candidate holds
-    the pieces of the last one.  The report sums the solves' iterations,
-    evaluations, line-search failures and wall time, and takes the last
-    one's stop reason, value and gradient norm.
+    the pieces of the last one.  A max-min-affine model is refined as its
+    max-form component, free of its cone; the candidate's component is
+    projected onto the cone, and its blocks are that component's rewrite.
+    The report sums the solves' iterations, evaluations, line-search failures
+    and wall time, and takes the last one's stop reason, value and gradient
+    norm.
     The candidate is accepted only if risk + reg, with the true maxima, does
     not exceed the initial value (tiny slack); else the initial model is
     returned.
@@ -813,11 +745,10 @@ def refine(initial_model: DcModel, dataset: Dataset, reg: RegParams,
         report = SolveReport(0, rr0, 0.0, 0)
         return initial_model, report, False
     x_star, solves = problem.x0, []
-    mus = problem.mus
-    for i, mu in enumerate(mus):
+    for mu in MUS:
         if solves:
             problem, x_star = problem.restricted(x_star, mu)
-        tol = cfg.grad_tol if i == len(mus) - 1 else max(cfg.grad_tol, GAMMA * mu)
+        tol = cfg.grad_tol if mu == MUS[-1] else max(cfg.grad_tol, GAMMA * mu)
         x_star, last = lbfgs_minimize(problem.objective(mu), x_star, replace(cfg, grad_tol=tol))
         solves.append(last)
         log.info("stage2 variant=%s mu=%g pieces=%d iters=%d evals=%d stop=%s tol=%g gnorm=%.6g "
@@ -839,11 +770,7 @@ def refine(initial_model: DcModel, dataset: Dataset, reg: RegParams,
 def finalize(refined: DcModel, dataset: Dataset) -> DcModel:
     """Prune inactive pieces and center the mean prediction on mean(y)."""
     Xc = refined.transform_x(dataset.X)
-    if refined.spec.mma:
-        mma, keep = prune_mma(refined.mma, Xc)
-        model = replace(refined, component=refined.component.take(keep), mma=mma)
-    else:
-        model = refined.with_components([prune(c, Xc) for c in refined.components()])
+    model = refined.with_components([prune(c, Xc) for c in refined.components()])
     model = center(model, dataset)
     if len(model.components()) > 1:
         model = symmetric_bias_center(model)

@@ -113,7 +113,7 @@ class Variant:
     signs: tuple = (1.0,)       # one sign per component
     norm_column: bool = True    # False: the norm coefficient is pinned at 0, not fitted
     cone: Cone = NO_CONE        # on each component's fitted slope rows
-    mma: bool = False           # refined and evaluated in max-min-affine form
+    mma: bool = False           # evaluated as the max-min-affine rewrite of its component
 
     def slope_dim(self, kind, d):
         """Length of a fitted slope row."""
@@ -260,11 +260,19 @@ class DcModel:
     def d(self) -> int:
         return self.component.d
 
+    @classmethod
+    def of(cls, variant, comps) -> "DcModel":
+        """The ``variant`` model of ``comps``; max-min-affine blocks are their rewrite."""
+        return cls(variant, *comps,
+                   mma=to_max_min_affine(comps[0]) if variant_spec(variant).mma else None)
+
     def components(self):
         return (self.component,) if self.second is None else (self.component, self.second)
 
     def with_components(self, comps) -> "DcModel":
-        return replace(self, component=comps[0], second=comps[1] if len(comps) > 1 else None)
+        """This model on components ``comps``; max-min-affine blocks are their rewrite."""
+        return replace(self, component=comps[0], second=comps[1] if len(comps) > 1 else None,
+                       mma=to_max_min_affine(comps[0]) if self.spec.mma else None)
 
     def transform_x(self, X) -> np.ndarray:
         """Map raw inputs into the model's internal coordinates."""
@@ -445,19 +453,6 @@ def lip_stat(model: DcModel) -> float:
     return float(np.max(np.linalg.norm(slope_rows(model), axis=1)))
 
 
-def _attaining(blocks, n_blocks):
-    """Indices of the blocks (pieces) within the relative band of the max at some row.
-
-    ``blocks`` yields (lo, hi, values) per row block; the band is
-    1e-9 * (1 + |max value|) per row.
-    """
-    keep = np.zeros(n_blocks, dtype=bool)
-    for _, _, vals in blocks:
-        top = vals.max(axis=0)
-        keep |= (vals >= top - 1e-9 * (1.0 + np.abs(top))).any(axis=1)
-    return np.where(keep)[0]
-
-
 def prune(comp: DcComponent, X) -> DcComponent:
     """Drop pieces that never attain the max on the given inputs.
 
@@ -466,14 +461,11 @@ def prune(comp: DcComponent, X) -> DcComponent:
     The kept pieces' centers are in ``center_idx``.
     """
     X = _check_dim(X, comp.d, "component")
-    return comp.take(_attaining(_piece_blocks(comp, X), comp.n_pieces))
-
-
-def prune_mma(mma: MaxMinAffine, X):
-    """Drop outer blocks whose min never attains the outer max; returns (pruned, kept)."""
-    X = _check_dim(X, mma.d, "mma")
-    keep = _attaining(_mma_blocks(mma, X), mma.n_blocks)
-    return MaxMinAffine(mma.biases[keep], mma.slopes[keep]), keep
+    keep = np.zeros(comp.n_pieces, dtype=bool)
+    for _, _, vals in _piece_blocks(comp, X):
+        top = vals.max(axis=0)
+        keep |= (vals >= top - 1e-9 * (1.0 + np.abs(top))).any(axis=1)
+    return comp.take(np.where(keep)[0])
 
 
 def center(model: DcModel, dataset: Dataset) -> DcModel:

@@ -12,10 +12,10 @@ import logging
 import numpy as np
 
 from dcreg import features
-from dcreg.fit import (_SMOOTH_KAPPA, MU, RHO_PEN, FitResult, ParamLayout, _InitialProblem,
+from dcreg.fit import (_SMOOTH_KAPPA, MUS, RHO_PEN, FitResult, ParamLayout, _InitialProblem,
                        _PieceKernel, _RefineProblem)
-from dcreg.model import (SINGLE, _check_dim, _piece_blocks, eval_max, eval_model, mma_inner,
-                         signed_sum, variant_spec)
+from dcreg.model import (SINGLE, _check_dim, _piece_blocks, eval_max, eval_model, signed_sum,
+                         variant_spec)
 from dcreg.solver import _EXP_FLOOR, ObjectiveHandle
 
 
@@ -348,7 +348,7 @@ def build_initial_objective(dataset, partition, kind, reg, variant=SINGLE, rho=R
     return problem.objective(rho), problem, problem.layout
 
 
-def build_refine_objective(initial_model, dataset, reg, mu=None):
+def build_refine_objective(initial_model, dataset, reg, mu=MUS[-1]):
     """The stage-2 objective of a fitted model at ``mu`` and its starting point."""
     problem = _RefineProblem(initial_model, dataset, reg)
     return problem.objective(mu), problem.x0
@@ -564,17 +564,16 @@ def reference_initial_objective(problem, rho):
     return penalty_objective(base, _ReferenceInitialConstraints(problem), rho)
 
 
-def reference_reg_terms(W_rows, theta, c0, theta2, mu, smooth=False):
+def reference_reg_terms(W_rows, theta, c0, theta2, mu):
     """Value and per-row gradient of the stage-2 slope regularizer, computed together.
 
-    The hinge is on the largest slope norm, or with ``smooth`` on the soft
-    maximum of the norms at ``mu``; the gradient takes the soft-max weights.
+    The hinge is on the soft maximum of the slope norms at ``mu``, and the
+    gradient takes its soft-max weights.
     """
     norms = np.linalg.norm(W_rows, axis=1)
     soft, e, total = floored_softmax(norms, mu)
     w = e / total
-    lam = float(soft if smooth else np.max(norms))
-    hinge = max(lam - c0, 0.0)
+    hinge = max(float(soft) - c0, 0.0)
     value = theta * hinge * hinge + theta2 * float(np.sum(norms * norms))
     grad = 2.0 * theta2 * W_rows
     if theta > 0.0 and hinge > 0.0:
@@ -598,7 +597,7 @@ def reference_max_form_objective(problem, mu):
         value = float(np.mean(r * r))
         scale = (2.0 / n) * r
         rv, rg = reference_reg_terms(np.concatenate(list(Ws)), problem.theta, problem.c0,
-                                     problem.reg.theta2, mu, smooth=True)
+                                     problem.reg.theta2, mu)
         value += rv
         parts = []
         for i, (sign, (_, e, total), W) in enumerate(zip(signs, soft, Ws)):
@@ -608,39 +607,6 @@ def reference_max_form_objective(problem, mu):
                                             gW)
             parts += [gb, gW.ravel()]
         return value, np.concatenate(parts)
-
-    return evaluate
-
-
-def reference_mma_objective(problem):
-    """The stage-2 max-min-affine objective with fresh arrays in every evaluation."""
-    layout, y, mu = problem.layout, problem.y, MU
-    Xt = np.ascontiguousarray(problem.X.T)
-    n = y.shape[0]
-    (K, L), d = problem.mma_shape, problem.d
-
-    def evaluate(params):
-        _, [b], [W] = layout.stack(params)
-        inner = mma_inner(b.reshape(K, L), W.reshape(K, L, d), Xt)
-        m_in = inner.min(axis=1)
-        r = m_in.max(axis=0) - y
-        value = float(np.mean(r * r))
-        gap = m_in - np.max(m_in, axis=0, keepdims=True)     # outer max weights, near-ties
-        near = np.flatnonzero(gap >= -746.0 * mu)
-        ks, rows = np.divmod(near, n)
-        e = np.exp(gap.ravel()[near] / mu)
-        sig = e / np.bincount(rows, weights=e, minlength=n)[rows]
-        vals = inner[ks, :, rows]
-        tau = np.exp((vals.min(axis=1, keepdims=True) - vals) / mu)  # inner min weights
-        coef = tau * ((2.0 / n) * r[rows] * sig / tau.sum(axis=1))[:, None]
-        slot = (ks[:, None] * L + np.arange(L)).ravel()
-        gB = np.bincount(slot, weights=coef.ravel(), minlength=K * L)
-        gS = np.column_stack([np.bincount(slot, weights=(coef * x[:, None]).ravel(),
-                                          minlength=K * L) for x in Xt[:, rows]])
-        rv, rg = reference_reg_terms(W, problem.theta, problem.c0, problem.reg.theta2, mu)
-        value += rv
-        gS += rg
-        return value, np.concatenate([gB, gS.ravel()])
 
     return evaluate
 

@@ -27,7 +27,7 @@ from dcreg.fit import (GAMMA, MUS, RHOS, FitConfig, STRONG, default_reg_params, 
 from dcreg.model import (CONVEX_MAX_AFFINE, CONVEX_NORM, CONVEX_PLUS,
                          MAX_MIN_AFFINE, SINGLE, SYMMETRIC, DcComponent,
                          eval_max, eval_mma, eval_model, eval_model_std, prune,
-                         prune_mma, to_max_min_affine)
+                         to_max_min_affine)
 from dcreg.partition import afpc, data_radii, khat
 from dcreg.serialize import load_model, save_model
 from dcreg.solver import GRAD_NORM_TOL
@@ -269,13 +269,7 @@ def test_criterion_06_centering_and_pruning(variant_fits, trend_results):
         refined = result.refined_model
         Xs = refined.transform_x(ds.X)
         before = eval_model_std(refined, Xs)
-        if refined.variant == MAX_MIN_AFFINE:
-            pruned = replace(refined, mma=prune_mma(refined.mma, Xs)[0])
-        elif refined.variant == SYMMETRIC:
-            pruned = replace(refined, component=prune(refined.component, Xs),
-                             second=prune(refined.second, Xs))
-        else:
-            pruned = replace(refined, component=prune(refined.component, Xs))
+        pruned = refined.with_components([prune(c, Xs) for c in refined.components()])
         after = eval_model_std(pruned, Xs)
         y_std = (ds.y - refined.y_shift) / refined.y_scale
         risk_gap = abs(float(np.mean((before - y_std) ** 2))
@@ -382,13 +376,13 @@ def test_criterion_10_convergence_trend(trend_results):
 
 def test_max_form_stage2_solves_stop_before_the_iteration_cap(variant_fits, trend_results,
                                                               logged_solves):
-    # Each max-form stage 2 is one smooth solve per mu: none runs to max_iters.
+    # Each stage 2 is one smooth solve of the max form per mu (max-min-affine's too):
+    # none runs to max_iters.
     t0 = time.perf_counter()
-    max_form = [s for s in logged_solves
-                if s["stage"] == "stage2" and s["variant"] != MAX_MIN_AFFINE]
+    max_form = [s for s in logged_solves if s["stage"] == "stage2"]
     fits = [r for r, _ in list(variant_fits) + list(trend_results["fits"])
-            if r.final_model.variant != MAX_MIN_AFFINE and r.lip_chain[0] > 0.0]
-    assert len(max_form) == 3 * len(fits) == 60
+            if r.lip_chain[0] > 0.0]
+    assert len(max_form) == 3 * len(fits) == 63
     stops = [s["stop"] for s in max_form]
     assert "max_iters" not in stops, stops
     _report("5b", f"{len(max_form)} max-form stage-2 solves stop before the cap "
@@ -400,10 +394,9 @@ def test_early_width_stage2_solves_stop_at_gamma_mu(variant_fits, trend_results,
     # last to GRAD_NORM_TOL.  Every first-width solve reaches its tolerance, and every
     # early solve that stops at grad_tol is within it.
     t0 = time.perf_counter()
-    max_form = [s for s in logged_solves
-                if s["stage"] == "stage2" and s["variant"] != MAX_MIN_AFFINE]
+    max_form = [s for s in logged_solves if s["stage"] == "stage2"]
     early = [s for s in max_form if float(s["mu"]) != MUS[-1]]
-    assert len(early) == 2 * len(max_form) // 3 == 40
+    assert len(early) == 2 * len(max_form) // 3 == 42
     for s in max_form:
         mu = float(s["mu"])
         tol = GRAD_NORM_TOL if mu == MUS[-1] else max(GRAD_NORM_TOL, GAMMA * mu)

@@ -10,20 +10,20 @@ from _helpers import (assert_fit_invariants, assert_gradient_matches, assert_sam
                       assert_thunk_survives_a_rejected_trial, build_initial_objective,
                       build_refine_objective, dense_initial_objective, fit_diagnostics,
                       phi_tensor, reference_cone_penalty, reference_initial_objective,
-                      reference_max_form_objective, reference_mma_objective,
-                      reference_reg_terms, scipy_initial_minimum, softmax_smooth,
-                      softmax_weights, value_and_gradient)
+                      recording_solves, reference_max_form_objective, reference_reg_terms,
+                      scipy_initial_minimum, softmax_smooth, value_and_gradient)
 from dcreg import features
 from dcreg.data import Dataset
-from dcreg.fit import (MU, MUS, RHO_PEN, FitConfig, RegParams, STRONG, WEAK, _InitialProblem,
+from dcreg.fit import (MUS, RHO_PEN, FitConfig, RegParams, STRONG, WEAK, _InitialProblem,
                        _PieceKernel, _RefineProblem, _reg_terms, default_reg_params, finalize,
                        fit_dcf, fit_initial, refine, reg_n_value, theta_fn_value,
                        training_risk_std)
 from dcreg.model import (COMPLEMENT, CONVEX_MAX_AFFINE, CONVEX_NORM, CONVEX_PLUS,
-                         MAX_MIN_AFFINE, SINGLE, SYMMETRIC, VARIANT_TABLE, DcModel,
+                         MAX_MIN_AFFINE, NO_CONE, SINGLE, SYMMETRIC, VARIANT_TABLE, DcModel,
                          eval_max, eval_mma, eval_model, lip_stat,
                          validate_model)
 from dcreg.partition import afpc
+from dcreg.serialize import load_model, save_model
 from dcreg.solver import (_EXP_FLOOR, GRAD_NORM_TOL, NEWTON_SHIFT, STOP_REASONS, SolverConfig,
                           softmax_columns)
 from dcreg.approx import fvu
@@ -39,6 +39,11 @@ def _xsinx_dataset(n, sigma=0.1, seed=0, lo=0.0, hi=6.0):
     if sigma > 0:
         y = y + sigma * rng.standard_normal(n)
     return Dataset(X, y)
+
+
+def _linf_target(X):
+    """|x|_inf - 0.5 |x_1|, a piecewise-linear target."""
+    return np.max(np.abs(X), axis=1) - 0.5 * np.abs(X[:, 0])
 
 
 def _random_dataset(n, d, seed):
@@ -440,7 +445,7 @@ def test_refine_gradient_matches_finite_differences_at_every_mu():
     for variant, kind in ((SINGLE, features.L2), (COMPLEMENT, features.L1),
                           (SYMMETRIC, features.LINF), (SINGLE, features.PLUS),
                           (CONVEX_PLUS, features.PLUS), (CONVEX_MAX_AFFINE, features.LINF),
-                          (CONVEX_NORM, features.L2)):
+                          (CONVEX_NORM, features.L2), (MAX_MIN_AFFINE, features.LINF)):
         initial, _ = fit_initial(ds, part, kind, reg, variant=variant)
         for mu in MUS:
             obj, x0 = build_refine_objective(initial, ds, reg, mu)
@@ -667,6 +672,19 @@ def test_fit_max_min_affine():
     assert_fit_invariants(result, ds)
 
 
+def test_max_min_affine_model_file_blocks_are_the_rewrite_of_its_pieces(tmp_path):
+    # Stage 2 refines the max-form component and the blocks are its rewrite, so a
+    # saved model's pieces and blocks are one function, within criterion 08's bound.
+    ds = _xsinx_dataset(300, seed=19)
+    result = fit_dcf(ds, FitConfig(variant=MAX_MIN_AFFINE, kind=features.LINF, seed=7))
+    assert result.refine_accepted
+    path = tmp_path / "model.json"
+    save_model(result.final_model, path)
+    model = load_model(path)
+    grid = model.transform_x(np.linspace(0.0, 6.0, 2001)[:, None])
+    assert np.max(np.abs(eval_max(model.component, grid) - eval_mma(model.mma, grid))) < 1e-10
+
+
 def test_fit_convex_variants_on_affine_target():
     rng = np.random.default_rng(19)
     X = rng.uniform(-1, 1, (150, 2))
@@ -827,7 +845,7 @@ def _dense_max_form_objective(initial, ds, reg, variant, mu):
         hinge = max(softmax_smooth(norms, mu) - problem.c0, 0.0)
         rv = problem.theta * hinge * hinge + reg.theta2 * float(np.sum(norms * norms))
         _, rg = reference_reg_terms(np.vstack([W1] if W2 is None else [W1, W2]),
-                                    problem.theta, problem.c0, reg.theta2, mu, smooth=True)
+                                    problem.theta, problem.c0, reg.theta2, mu)
         value += rv
         gW1 += rg[:K]
         value += reference_cone_penalty(problem.cone, W1, problem.d, problem.cone_weight(mu), gW1)
@@ -849,7 +867,8 @@ def test_refine_objective_matches_dense_tensor_reference():
         reg = default_reg_params(*_radii(ds), ds.n, d, part.n_centers)
         for kind in features.FEATURE_KINDS:
             convex = [CONVEX_PLUS] if kind == features.PLUS else [CONVEX_MAX_AFFINE, CONVEX_NORM]
-            for variant in [SINGLE, SYMMETRIC, *convex]:
+            mma = [MAX_MIN_AFFINE] if kind == features.LINF else []
+            for variant in [SINGLE, SYMMETRIC, *convex, *mma]:
                 initial, _ = fit_initial(ds, part, kind, reg, SolverConfig(max_iters=50),
                                          variant)
                 for mu in MUS:
@@ -865,19 +884,19 @@ def test_refine_objective_matches_dense_tensor_reference():
 
 @pytest.mark.parametrize("d", [1, 3, 8])
 def test_stacked_max_form_objective_is_bit_identical_to_the_per_component_reference(d):
-    # Stage 2 of every max-form (variant, kind) pair, components stacked, against the
-    # per-component form it replaced; max_min_affine's blocks against fresh arrays.
+    # Stage 2 of every (variant, kind) pair, components stacked, against the
+    # per-component form it replaced; max_min_affine's max form has no cone term.
     rng = np.random.default_rng(63 + d)
     ds = _random_dataset(70, d, seed=64 + d)
     part = afpc(ds.X, seed=65)
     reg = default_reg_params(*_radii(ds), ds.n, d, part.n_centers)
     for variant, kind in _PAIRS:
-        mma = VARIANT_TABLE[variant].mma
         initial, _ = fit_initial(ds, part, kind, reg, SolverConfig(max_iters=50), variant)
         problem = _RefineProblem(initial, ds, reg)
-        for mu in problem.mus:
-            ref = reference_mma_objective(problem) if mma else \
-                reference_max_form_objective(problem, mu)
+        spec = VARIANT_TABLE[variant]
+        assert problem.cone is (NO_CONE if spec.mma else spec.cone)
+        for mu in MUS:
+            ref = reference_max_form_objective(problem, mu)
             obj, x0 = problem.objective(mu), problem.x0
             # the second point also exercises the hinge branch, the third the cones
             points = [x0, x0 * (reg.theta3 + 2.0) + 0.1 * rng.standard_normal(x0.size),
@@ -893,72 +912,29 @@ def test_stacked_max_form_objective_is_bit_identical_to_the_per_component_refere
 
 def test_reg_terms_hinge_weights_match_the_dense_reference():
     # The hinge branch, which no benchmark fit reaches: slope rows whose largest
-    # norms tie, exactly or spread over 60 mu, at every smoothing width, with the
-    # hinge on the soft maximum (the max forms) or the largest norm (max-min-affine).
-    # Both forms sum the floored exponents of the norms as one 1-d array, so every
-    # bit matches.
+    # norms tie, exactly or spread over 60 mu, at every smoothing width.  Both forms
+    # sum the floored exponents of the norms as one 1-d array, so every bit matches.
     rng = np.random.default_rng(70)
     theta, c0, theta2 = 0.7, 0.5, 0.01
     for rows, s, spread in itertools.product((1, 2, 3, 5, 7, 8, 9, 16, 40), (1, 3), (0.0, 60.0)):
-        for ties, mu, hard in itertools.product(range(1, min(rows, 12) + 1), (MU, *MUS),
-                                                (False, True)):
+        for ties, mu in itertools.product(range(1, min(rows, 12) + 1), MUS):
             W = rng.standard_normal((rows, s))
             norms = np.linalg.norm(W, axis=1)
             tied = rng.choice(rows, ties, replace=False)
             gaps = np.concatenate([[0.0], rng.uniform(0.0, spread, ties - 1)]) * mu
             W[tied] *= ((norms.max() + 1.0 - gaps) / norms[tied])[:, None]
-            value, gradient = _reg_terms(W, theta, c0, theta2, mu, hard)
-            ref_value, ref_grad = reference_reg_terms(W, theta, c0, theta2, mu, not hard)
+            value, gradient = _reg_terms(W, theta, c0, theta2, mu)
+            ref_value, ref_grad = reference_reg_terms(W, theta, c0, theta2, mu)
             grad = gradient()
-            what = (rows, s, spread, ties, mu, hard)
+            what = (rows, s, spread, ties, mu)
             assert value == ref_value, what
             assert not np.array_equal(grad, 2.0 * theta2 * W), what    # the hinge branch ran
             assert_same_bits(grad, ref_grad, what)
 
 
-def _dense_mma_objective(initial, ds, reg):
-    """The stage-2 max-min-affine objective on the dense (n, K, L) tensor."""
-    problem = _RefineProblem(initial, ds, reg)
-    layout, X, y, n = problem.layout, ds.X, ds.y, ds.n
-    K, L = initial.mma.biases.shape
-
-    def evaluate(params):
-        _, [b], [W] = layout.stack(params)
-        B, S = b.reshape(K, L), W.reshape(K, L, ds.d)
-        inner = B[None, :, :] + np.einsum("kld,nd->nkl", S, X)
-        m_in = inner.min(axis=2)
-        r = m_in.max(axis=1) - y
-        value = float(np.mean(r * r))
-        sig = softmax_weights(m_in, MU, axis=1)                 # outer max weights
-        tau = softmax_weights(-inner, MU, axis=2)               # inner min weights
-        coef = (2.0 / n) * r[:, None, None] * sig[:, :, None] * tau
-        gS = np.einsum("nkl,nd->kld", coef, X)
-        rv, rg = reference_reg_terms(W, problem.theta, problem.c0, reg.theta2, MU)
-        gS = gS + rg.reshape(S.shape)
-        return value + rv, np.concatenate([coef.sum(axis=0).ravel(), gS.ravel()])
-
-    return problem.objective(), evaluate, problem.x0
-
-
-def test_refine_mma_objective_matches_dense_tensor_reference():
-    rng = np.random.default_rng(37)
-    for d in (1, 3):
-        ds = _random_dataset(90, d, seed=38 + d)
-        part = afpc(ds.X, seed=39)
-        reg = default_reg_params(*_radii(ds), ds.n, d, part.n_centers)
-        initial, _ = fit_initial(ds, part, features.LINF, reg, SolverConfig(max_iters=50),
-                                 MAX_MIN_AFFINE)
-        obj, dense, x0 = _dense_mma_objective(initial, ds, reg)
-        # the second point also exercises the hinge branch
-        for x in (x0, x0 * (reg.theta3 + 2.0) + 0.1 * rng.standard_normal(x0.size)):
-            value, grad = value_and_gradient(obj, x)
-            ref_value, ref_grad = dense(x)
-            assert value == pytest.approx(ref_value, rel=1e-12)
-            tol = 1e-12 * (1.0 + np.max(np.abs(ref_grad)))
-            assert np.max(np.abs(grad - ref_grad)) <= tol
-
-
 def test_refine_mma_extract_returns_the_initial_blocks():
+    # At the start, extract gives back the initial component and its blocks bit for
+    # bit: the stage-1 slopes lie in the cone, so the projection leaves them be.
     for d in (1, 3):
         ds = _random_dataset(90, d, seed=38 + d)
         part = afpc(ds.X, seed=39)
@@ -967,7 +943,9 @@ def test_refine_mma_extract_returns_the_initial_blocks():
                                  MAX_MIN_AFFINE)
         problem = _RefineProblem(initial, ds, reg)
         model = problem.extract(problem.x0, initial)
-        assert model.component is initial.component
+        for field in ("biases", "weights", "center_idx"):
+            assert np.array_equal(getattr(model.component, field),
+                                  getattr(initial.component, field))
         assert np.array_equal(model.mma.biases, initial.mma.biases)
         assert np.array_equal(model.mma.slopes, initial.mma.slopes)
 
@@ -977,14 +955,19 @@ def test_refine_mma_extract_returns_the_initial_blocks():
                                                (SYMMETRIC, features.L2, 2, 200),
                                                (CONVEX_MAX_AFFINE, features.L2, 2, 200),
                                                (SINGLE, features.LINF, 8, 256),
-                                               (CONVEX_MAX_AFFINE, features.LINF, 8, 256)])
+                                               (CONVEX_MAX_AFFINE, features.LINF, 8, 256),
+                                               (MAX_MIN_AFFINE, features.LINF, 4, 400)])
 def test_fit_predictions_barely_move_under_a_one_ulp_rescale_of_x(variant, kind, d, n):
     # Stage 1 converges to the minimum of a convex problem, so an ulp-level change
     # of the inputs barely moves its point, nor the stage-2 solve that starts there.
     # The largest move measured on the eight fits at d <= 2 is 1.7e-8; a stage 1
     # stopped at its iteration cap moved four of them by 0.023-0.105.  At d = 8
     # (the benchmark's difference of max-affine target for single, ||x||^2 for
-    # convex) the largest moves measured are 3.2e-5 to 7.4e-5.
+    # convex) the largest moves measured are 3.2e-5 to 7.4e-5.  Max-min-affine at
+    # d = 4, on |x|_inf - 0.5 |x_1|, moves by 1.9e-5 and 3.3e-5, and no stage-2
+    # solve reaches max_iters; refined through its own hard-max objective, it
+    # moved by 1.8e-3 and 3.8e-3, and one solve reached the cap.
+    solves = []
     for seed in (1, 2):
         rng = np.random.default_rng(300 + seed)
         if d == 1:
@@ -993,13 +976,18 @@ def test_fit_predictions_barely_move_under_a_one_ulp_rescale_of_x(variant, kind,
             grid = np.linspace(0, 6, 400)[:, None]
         else:
             X = rng.uniform(-1, 1, (n, d))
-            target = dma_target(8) if d == 8 and variant == SINGLE else normsq
+            if variant == MAX_MIN_AFFINE:
+                target = _linf_target
+            else:
+                target = dma_target(8) if d == 8 and variant == SINGLE else normsq
             y = target(X) + 0.1 * rng.standard_normal(n)
             grid = rng.uniform(-1, 1, (400, d))
         config = FitConfig(variant=variant, kind=kind, seed=1)
-        preds = [eval_model(fit_dcf(Dataset(X * scale, y), config).final_model, grid)
-                 for scale in (1.0, 1.0 + 1e-15)]
+        with recording_solves(solves):
+            preds = [eval_model(fit_dcf(Dataset(X * scale, y), config).final_model, grid)
+                     for scale in (1.0, 1.0 + 1e-15)]
         assert np.max(np.abs(preds[1] - preds[0])) <= 1e-3, (variant, seed)
+    assert all(s["stop"] != "max_iters" for s in solves if s["stage"] == "stage2"), solves
 
 
 def test_fit_does_not_depend_on_input_layout():

@@ -10,7 +10,7 @@ from dcreg.data import Dataset
 from dcreg.model import (_CHUNK, COMPLEMENT, MAX_MIN_AFFINE, SINGLE, SYMMETRIC,
                          DcComponent, DcModel, MaxMinAffine, center, eval_max,
                          eval_mma, eval_model, lip_stat,
-                         n_parameters, prune, prune_mma,
+                         n_parameters, prune,
                          symmetric_bias_center, to_max_min_affine, validate_model)
 
 
@@ -244,12 +244,14 @@ def test_eval_mma_affine_single_piece():
     assert eval_mma(mma, x) == pytest.approx(2.0 + 4.5, abs=0)
 
 
-def test_prune_mma_drops_dominated_block():
-    mma = MaxMinAffine(np.array([[0.0], [-1e9]]), np.zeros((2, 1, 1)))
+def test_max_min_affine_prune_drops_a_dominated_piece_and_its_block():
+    # A max-min-affine model prunes its component; its blocks are the pruned rewrite.
+    comp = _component(features.LINF, [[0.0], [0.5]], [0.0, -1e9], [[0.0, 0.0], [0.0, 0.0]])
+    model = DcModel.of(MAX_MIN_AFFINE, [comp])
     X = np.linspace(-1, 1, 7)[:, None]
-    pruned, keep = prune_mma(mma, X)
-    assert np.array_equal(keep, [0])
-    assert np.allclose(eval_mma(pruned, X), eval_mma(mma, X), atol=0)
+    pruned = model.with_components([prune(c, X) for c in model.components()])
+    assert np.array_equal(pruned.component.center_idx, [0]) and pruned.mma.n_blocks == 1
+    assert np.array_equal(eval_model(pruned, X), eval_model(model, X))
 
 
 def test_symmetric_bias_center():
@@ -376,18 +378,23 @@ def test_prune_matches_dense_reference():
         assert np.array_equal(kept, np.where(band.any(axis=0))[0])
 
 
-def test_eval_mma_and_prune_mma_match_dense_reference():
+def test_eval_mma_and_the_max_min_affine_prune_match_dense_reference():
     rng = np.random.default_rng(49)
     for d in (1, 3):
         mma = MaxMinAffine(rng.standard_normal((6, 2 * d)), rng.standard_normal((6, 2 * d, d)))
         X = rng.standard_normal((_CHUNK + 1, d))
         inner = mma.biases[None, :, :] + np.einsum("kld,nd->nkl", mma.slopes, X)
+        assert np.allclose(eval_mma(mma, X), inner.min(axis=2).max(axis=1), rtol=0, atol=1e-12)
+        # The pruned component keeps the blocks within the band of the max at some row.
+        comp = _random_component(rng, features.LINF, d, 6)
+        comp = replace(comp, weights=np.column_stack([comp.weights[:, :d],
+                                                      -np.abs(comp.weights[:, d])]))
+        mma = to_max_min_affine(comp)
+        inner = mma.biases[None, :, :] + np.einsum("kld,nd->nkl", mma.slopes, X)
         blocks = inner.min(axis=2)
-        assert np.allclose(eval_mma(mma, X), blocks.max(axis=1), rtol=0, atol=1e-12)
         top = blocks.max(axis=1)
         band = blocks >= (top - 1e-9 * (1.0 + np.abs(top)))[:, None]
-        _, keep = prune_mma(mma, X)
-        assert np.array_equal(keep, np.where(band.any(axis=0))[0])
+        assert np.array_equal(prune(comp, X).center_idx, np.where(band.any(axis=0))[0])
 
 
 def test_eval_model_does_not_depend_on_input_layout():

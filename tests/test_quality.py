@@ -34,9 +34,8 @@ def test_measurement_is_deterministic_and_compares_equal_to_itself(workload, tmp
         assert r["excess_mse"] > 0.0 and np.isfinite(r["excess_mse"])
         assert r["stage1"][1] and r["stage2"][1] in ("", *STOP_REASONS)
         assert r["pieces"] >= 1
-        # one working-set size per stage-2 solve: three max-form widths, one max-min-affine
-        solves = (0 if not r["stage2"][1] else 1 if r["variant"] == "max_min_affine"
-                  else len(quality.dcreg.fit.MUS))
+        # one working-set size per stage-2 solve, one solve per width
+        solves = len(quality.dcreg.fit.MUS) if r["stage2"][1] else 0
         assert len(r["stage2_pieces"]) == solves and all(p >= 1 for p in r["stage2_pieces"])
     text, passed = quality.compare(first, second)
     assert passed and text.endswith("PASS")

@@ -5,7 +5,7 @@ import pytest
 
 from _helpers import (assert_same_bits, callable_penalty_objective, eager_handle,
                       floored_softmax, softmax_smooth, softmax_weights, value_and_gradient)
-from dcreg.fit import MU, MUS
+from dcreg.fit import MUS
 import dcreg.solver
 from dcreg.solver import (_EXP_FLOOR, GRAD_NORM_TOL, GRAD_TOL, LINE_SEARCH, LS_C1, LS_MAX_STEPS,
                           LS_SHRINK, MAX_ITERS, NEWTON_SHIFT, NONFINITE, STALL_RTOL, STALL_WINDOW,
@@ -263,7 +263,7 @@ def test_softmax_columns_value_lies_within_mu_log_k_of_the_max():
         A = rng.standard_normal((2, K, n)) * scale
         A[0, :K // 2 + 1, :n // 2 + 1] = 0.25                        # exact ties
         top = A.max(axis=1)
-        for mu in (*MUS, MU, 0.7):
+        for mu in (*MUS, 1e-6, 0.7):
             out = softmax_columns(A, mu, top)
             value = out[0]
             assert np.all(value >= top) and np.all(value <= top + mu * np.log(K)), (K, n, mu)

@@ -10,7 +10,7 @@ from dcreg import features
 from dcreg.data import Dataset
 from dcreg.fit import FitConfig, fit_dcf
 from dcreg.model import (VARIANT_TABLE, VARIANTS, DcComponent, DcModel, eval_max,
-                         eval_mma, eval_model, prune, prune_mma, to_max_min_affine,
+                         eval_mma, eval_model, prune, to_max_min_affine,
                          variant_spec)
 from dcreg.serialize import ModelFormatError, load_model, save_model
 from dcreg.solver import SolverConfig
@@ -118,8 +118,9 @@ def test_a_cone_violation_is_rejected_at_load(tmp_path, model, data):
         col = col if isinstance(col, int) else col.start + j
         W[k, col] += spec.cone.sign * (0.25 - excess[k, j])
         assert spec.cone.residuals(W, d).max() > 0.0
-    bad = model.with_components([DcComponent(comp.kind, comp.centers, comp.biases, W,
-                                             comp.center_idx)])
+    # The component alone leaves the cone: max-min-affine blocks exist only inside it.
+    bad = replace(model, component=DcComponent(comp.kind, comp.centers, comp.biases, W,
+                                               comp.center_idx))
     path = tmp_path / "model.json"
     save_model(bad, path)
     with pytest.raises(ModelFormatError):
@@ -145,10 +146,7 @@ def test_projected_slopes_pass_the_load_check(variant):
 def test_prune_keeps_every_training_prediction(model, seed):
     X = _inputs(model, n=40, seed=seed)
     Xc = model.transform_x(X)
-    if model.mma is not None:
-        pruned = replace(model, mma=prune_mma(model.mma, Xc)[0])
-    else:
-        pruned = model.with_components([prune(c, Xc) for c in model.components()])
+    pruned = model.with_components([prune(c, Xc) for c in model.components()])
     assert np.array_equal(eval_model(pruned, X), eval_model(model, X))
 
 
