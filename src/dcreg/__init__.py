@@ -13,8 +13,8 @@ from .approx import (CoverSpec, MaxAffine, QuadraticMax, WeaklyDeltaApprox,
                      mcshane_lower, min_convex_upper, quad_lower,
                      quad_taylor_max_affine, quad_upper, smooth_lower,
                      smooth_upper, weakly_and_delta_max_affine)
-from .baselines import (KnnModel, NwModel, OlsModel, kfold_cv, knn_cv_grid,
-                        knn_predict, nw_cv_grid, nw_predict, ols_fit,
+from .baselines import (KnnModel, NwModel, OlsModel, kfold_cv, knn_cv_fold, knn_cv_grid,
+                        knn_predict, nw_cv_fold, nw_cv_grid, nw_predict, ols_fit,
                         ols_predict)
 from .data import (Dataset, DataError, ScalingSpec, SyntheticGen,
                    apply_scaling, load_csv)

@@ -49,13 +49,18 @@ def _distances(X, queries):
     return np.sqrt(np.maximum(sq, 0.0))
 
 
+def knn_cv_fold(X_tr, y_tr, X_va):
+    """k-NN's fold step for ``kfold_cv``: predict(k), each query's mean response
+    over its k nearest training rows, k capped at the rows.  One stable sort of
+    the distances serves every k, and ties go to the smaller index."""
+    order = np.argsort(_distances(X_tr, X_va), axis=1, kind="stable")
+    return lambda k: y_tr[order[:, :min(int(k), len(y_tr))]].mean(axis=1)
+
+
 def knn_predict(model: KnnModel, x):
     """Mean response of the k nearest rows; distance ties go to smaller index."""
     single = np.asarray(x).ndim == 1
-    dist = _distances(model.train.X, x)
-    # Stable sort keeps equal distances in index order.
-    order = np.argsort(dist, axis=1, kind="stable")[:, :model.k]
-    vals = model.train.y[order].mean(axis=1)
+    vals = knn_cv_fold(model.train.X, model.train.y, x)(model.k)
     return float(vals[0]) if single else vals
 
 
@@ -74,23 +79,38 @@ def knn_cv_grid(n: int, d: int, max_values: int = 50):
     return [int(k) for k in ks]
 
 
+def nw_cv_fold(kernel):
+    """Nadaraya-Watson's fold step for ``kfold_cv`` with ``kernel``:
+    fold(X_tr, y_tr, X_va) -> predict(h), the kernel-weighted mean responses at
+    bandwidth h.  The distances are computed once and serve every h; zero
+    total weight falls back to the nearest row."""
+    def fold(X_tr, y_tr, X_va):
+        dist = _distances(X_tr, X_va)
+
+        def predict(bandwidth):
+            u = dist / bandwidth
+            if kernel == GAUSSIAN_KERNEL:
+                w = np.exp(-0.5 * u * u)
+            else:
+                w = np.where(u <= 1.0, (1.0 - np.minimum(u, 1.0) ** 2) ** 3, 0.0)
+            denom = w.sum(axis=1)
+            vals = np.empty(dist.shape[0])
+            ok = denom > 0.0
+            if ok.any():
+                vals[ok] = (w[ok] @ y_tr) / denom[ok]
+            if (~ok).any():
+                nearest = np.argmin(dist[~ok], axis=1)  # first occurrence = smaller index
+                vals[~ok] = y_tr[nearest]
+            return vals
+
+        return predict
+    return fold
+
+
 def nw_predict(model: NwModel, x):
     """Kernel-weighted mean response; zero total weight falls back to 1-NN."""
     single = np.asarray(x).ndim == 1
-    dist = _distances(model.train.X, x)
-    u = dist / model.bandwidth
-    if model.kernel == GAUSSIAN_KERNEL:
-        w = np.exp(-0.5 * u * u)
-    else:
-        w = np.where(u <= 1.0, (1.0 - np.minimum(u, 1.0) ** 2) ** 3, 0.0)
-    denom = w.sum(axis=1)
-    vals = np.empty(dist.shape[0])
-    ok = denom > 0.0
-    if ok.any():
-        vals[ok] = (w[ok] @ model.train.y) / denom[ok]
-    if (~ok).any():
-        nearest = np.argmin(dist[~ok], axis=1)  # first occurrence = smaller index
-        vals[~ok] = model.train.y[nearest]
+    vals = nw_cv_fold(model.kernel)(model.train.X, model.train.y, x)(model.bandwidth)
     return float(vals[0]) if single else vals
 
 
@@ -122,14 +142,16 @@ def ols_predict(model: OlsModel, x):
     return float(vals[0]) if single else vals
 
 
-def kfold_cv(dataset: Dataset, grid, fit_predict, folds: int = 5, seed: int = 0,
+def kfold_cv(dataset: Dataset, grid, fold_fit, folds: int = 5, seed: int = 0,
              return_scores: bool = False):
     """Pick the grid value with the lowest mean validation MSE.
 
-    ``fit_predict(train_X, train_y, eval_X, value)`` must return predictions
-    for eval_X.  Rows are shuffled once with the seed and split into
-    contiguous folds; ties (including duplicate grid entries) resolve to the
-    first index.
+    ``fold_fit(train_X, train_y, eval_X)`` runs once per fold and returns
+    ``predict(value)``, the predictions for eval_X at one grid value, so the
+    work the grid values share (``knn_cv_fold``'s sort, ``nw_cv_fold``'s
+    distances) is done once per fold.  Rows are shuffled once with the seed
+    and split into contiguous folds; ties (including duplicate grid entries)
+    resolve to the first index.
     """
     grid = list(grid)
     if not grid:
@@ -144,9 +166,9 @@ def kfold_cv(dataset: Dataset, grid, fit_predict, folds: int = 5, seed: int = 0,
         holdout[part] = True
         X_tr, y_tr = dataset.X[~holdout], dataset.y[~holdout]
         X_va, y_va = dataset.X[holdout], dataset.y[holdout]
+        predict = fold_fit(X_tr, y_tr, X_va)
         for j, value in enumerate(grid):
-            pred = fit_predict(X_tr, y_tr, X_va, value)
-            scores[j] += float(np.mean((pred - y_va) ** 2))
+            scores[j] += float(np.mean((predict(value) - y_va) ** 2))
     scores /= folds
     best = grid[int(np.argmin(scores))]
     return (best, scores) if return_scores else best

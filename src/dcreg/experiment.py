@@ -111,12 +111,7 @@ def _fit_predict_cell(estimator, spec, train_scaled, seed):
 
     if estimator == "knn":
         grid = baselines.knn_cv_grid(train_scaled.n, train_scaled.d)
-
-        def fit_predict(Xtr, ytr, Xva, k):
-            k = min(int(k), len(ytr))  # folds train on a subset of n rows
-            return baselines.knn_predict(baselines.KnnModel(Dataset(Xtr, ytr), k), Xva)
-
-        k = baselines.kfold_cv(train_scaled, grid, fit_predict, seed=seed)
+        k = baselines.kfold_cv(train_scaled, grid, baselines.knn_cv_fold, seed=seed)
         mdl = baselines.KnnModel(train_scaled, k)
         info["hyperparameter"] = k
         return (lambda Xq: baselines.knn_predict(mdl, Xq)), info
@@ -127,11 +122,7 @@ def _fit_predict_cell(estimator, spec, train_scaled, seed):
         r_x, r_y = data_radii(train_scaled)
         grid = baselines.nw_cv_grid(max(r_x, 1e-12), max(r_y, 1e-12),
                                     train_scaled.n, train_scaled.d)
-
-        def fit_predict(Xtr, ytr, Xva, h):
-            return baselines.nw_predict(baselines.NwModel(Dataset(Xtr, ytr), kernel, h), Xva)
-
-        h = baselines.kfold_cv(train_scaled, grid, fit_predict, seed=seed)
+        h = baselines.kfold_cv(train_scaled, grid, baselines.nw_cv_fold(kernel), seed=seed)
         mdl = baselines.NwModel(train_scaled, kernel, h)
         info["hyperparameter"] = h
         return (lambda Xq: baselines.nw_predict(mdl, Xq)), info

@@ -49,6 +49,8 @@ RHOS = (1.0, 1e1, 1e2, 1e3, 1e4, 1e5, RHO_PEN)  # the stage-1 penalty ladder, so
 _SMOOTH_KAPPA = 1e-12   # removes the norm kink inside penalty residuals
 _REFINE_SLACK = 1e-10   # acceptance slack for the refinement criterion
 _FLOOR_RX = 1e-12       # guards theta0 against a zero covariate radius
+_DENSE_RATIO = 128.0    # stage-1 Schur products: when a block goes dense (``_schur_groups``)
+_GROUP_COST = 6000      # and the padded entries that a second sparse group is worth
 
 
 @dataclass(frozen=True)
@@ -165,6 +167,35 @@ class ParamLayout:
 def _smooth_norms(sq_norms):
     """sqrt(||w||^2 + kappa^2) from squared norms: differentiable at zero slopes."""
     return np.sqrt(sq_norms + _SMOOTH_KAPPA ** 2)
+
+
+def _schur_groups(width, rows, nbx):
+    """Groups (blocks, dense) of the stage-1 slope blocks, for their Schur products.
+
+    Block l adds Z_l' Z_l to the (nbx, nbx) Schur system, Z_l having ``rows``
+    rows and ``width[l]`` touched columns.  A dense group scatters its Z_l
+    into nbx columns and adds them in one product, at a cost in nbx^2; a
+    sparse group pads its blocks to the widest of them and adds their Gram
+    entries by ``np.bincount``, at a cost in width^2.  A block goes dense
+    where ``_DENSE_RATIO`` width^2 exceeds rows nbx^2.  The sparse blocks form
+    one group, or two split at the width that pads the fewest entries, if
+    that saves more than ``_GROUP_COST`` of them.
+    """
+    top = int(width.max())
+    if width.size * top * top <= _GROUP_COST:
+        return [(slice(None), False)]
+    dense = _DENSE_RATIO * width * width > rows * nbx * nbx
+    groups = [(np.flatnonzero(dense), True)] if dense.any() else []
+    if dense.all():
+        return groups
+    count = np.cumsum(np.bincount(width[~dense]))   # count[t]: sparse blocks at most t wide
+    t = np.arange(count.size)
+    padded = count * t * t + (count[-1] - count) * t[-1] ** 2   # entries, split after width t
+    split = int(np.argmin(padded))
+    if padded[split] + _GROUP_COST < padded[-1]:
+        return groups + [(np.flatnonzero(~dense & (width <= split)), False),
+                         (np.flatnonzero(~dense & (width > split)), False)]
+    return groups + [(np.flatnonzero(~dense), False)]
 
 
 # ---------------------------------------------------------------------------
@@ -387,26 +418,30 @@ class _InitialProblem:
 
     @functools.cached_property
     def _hessian_base(self):
-        """(Phi, A0, C0, D0): the feature tensor on the centers, and the Hessian
-        blocks that do not depend on the parameters or rho: least squares,
-        ridge and z's weight.  A is the [z; B] block, C the slope rows
-        (piece, component, slope) against it, and D the pieces' slope blocks."""
+        """(Phi, A0, F0, D0, own): the Hessian blocks that do not depend on the
+        parameters or rho, the least squares, ridge and z's weight.  Phi[l K + k]
+        is phi(c_k, c_l), the piece kernel's feature tensor; A0 is the [z; B]
+        block, with a zero row and column for the gradient's slot and the
+        padding's; D0 holds the pieces' slope blocks, F0 each block's columns
+        for z, its own biases and the gradient, and own those columns' indices."""
         layout, reg = self.layout, self.reg
         m, K, s = layout.n_components, layout.n_pieces, layout.slope_dim
         nb, ms = 1 + m * K, m * s
         G = self.gram / self.X.shape[0]
         sign2 = np.multiply.outer(self.spec.signs, self.spec.signs)
-        b_at, ks = 1 + np.arange(m * K).reshape(m, K), np.arange(K)
-        A0 = np.zeros((nb, nb))
+        b_at = 1 + np.arange(m * K).reshape(m, K)
+        A0 = np.zeros((nb + 2, nb + 2))
         A0[0, 0] = 2.0 * reg.theta1
-        C0 = np.zeros((K, m, s, nb))
+        F0 = np.zeros((K, 2 + m, m, s))
         D0 = np.zeros((K, m, s, m, s))
         for i, j in np.ndindex(m, m):
             A0[b_at[i], b_at[j]] += 2.0 * sign2[i, j] * G[:, 0, 0]
-            C0[ks, i, :, b_at[j]] = 2.0 * sign2[i, j] * G[:, 1:, 0]
+            F0[:, 1 + j, i] = 2.0 * sign2[i, j] * G[:, 1:, 0]
             D0[:, i, :, j, :] = 2.0 * sign2[i, j] * G[:, 1:, 1:]
         D0.reshape(K, ms, ms)[:, range(ms), range(ms)] += 2.0 * reg.theta2
-        return self.kernel.feature_tensor(), A0, C0, D0
+        own = np.column_stack([np.zeros(K, int), b_at.T, np.full(K, nb)])
+        return (self.kernel.feature_tensor().reshape(K * K, s), A0, F0, D0.reshape(K, ms, ms),
+                own)
 
     def newton_direction(self, rho):
         """direction(params, grad, shift): the step d with (H + shift I) d = -grad.
@@ -415,74 +450,121 @@ class _InitialProblem:
         Grams, the ridge and z's weight, plus 2 rho a a' for the gradient a of
         each active residual (positive, so in the penalty), and for each
         active cap rho times the Hessian of its square.  The pair residual
-        b_l + w_l . Phi[l, k] - b_k has Phi[l, k] = phi(c_k, c_l), the piece
-        kernel's feature tensor, built once per problem with the blocks that
-        do not depend on rho.  The slopes are coupled only within a piece,
-        so the blocks of the K pieces' slopes (of all m components) are
-        eliminated, and the Schur complement is solved on [z; B], of size
-        1 + mK.  No dense Hessian is built.  Each slope block is solved
-        against the [z; B] columns its row block of C touches, a few of them,
-        with the LU solve: with an explicit inverse of the blocks instead, a
-        rho = 1e6 solve of a benchmark fit took 124 steps instead of 1.
+        b_l + w_l . Phi[l, k] - b_k is active for a few (l, k), and the step is
+        built from the list of those; no array spans the K^2 pairs.  The
+        slopes are coupled only within a piece, so the blocks D_l of the K
+        pieces' slopes (of all m components) are eliminated, and the Schur
+        complement S = A - sum_l C_l' D_l^-1 C_l is solved on [z; B], of size
+        1 + mK.  Row block C_l touches few columns: z's, piece l's own biases
+        and its active partners' biases.  Each D_l is factored once by a
+        batched Cholesky, D_l = L_l L_l'; Z_l = L_l^-1 C_l, over those columns
+        and the gradient's, comes from one forward substitution over the
+        columns of all blocks, and S gathers each Z_l' Z_l (``_schur_groups``).
+        The triangular solves are backward stable: with an explicit inverse of
+        the blocks instead, a rho = 1e6 solve of a benchmark fit took 124 steps
+        instead of 1.
         """
         layout, reg, cone, d = self.layout, self.reg, self.spec.cone, self.d
         m, K, s = layout.n_components, layout.n_pieces, layout.slope_dim
-        nb, ms = 1 + m * K, m * s
-        Phi, A0, C0, D0 = self._hessian_base
-        b_at, ks = 1 + np.arange(m * K).reshape(m, K), np.arange(K)
+        nb, ms, nf = 1 + m * K, m * s, 2 + m
+        nbx = nb + 2    # [z; B], then the gradient's slot and the padding's
+        Phi, A0, F0, D0, own = self._hessian_base
         cone_at = [np.atleast_1d(np.arange(s)[c]) for c in cone.columns(d)]
-        eye, block_rows = np.eye(s), np.arange(ms)[:, None]
+        two_rho, diag, comps = 2.0 * rho, np.arange(ms), range(m)
+        fixed_at, fixed_block = np.arange(K * nf).reshape(K, nf), np.repeat(np.arange(K), nf)
 
         def direction(params, grad, shift):
             z, B, W = layout.stack(params)
-            A, C, D = A0.copy(), C0.copy(), D0.copy()
+            gz, gB, gW = layout.stack(grad)
+            A, D, F = A0.copy(), D0.copy(), F0.copy()
+            D5 = D.reshape(K, m, s, m, s)
+            F[:, -1] = gW.transpose(1, 0, 2)
             # slope caps sqrt(|w|^2 + kappa^2) - kappa - z - theta0, active where positive
             sn = _smooth_norms(np.add.reduce(W * W, 2))
-            h = sn - _SMOOTH_KAPPA - z - reg.theta0
-            on = 2.0 * rho * (h > 0.0)
-            u = W / sn[..., None]
-            A[0, 0] += on.sum()
-            C[:, :, :, 0] -= (on[..., None] * u).transpose(1, 0, 2)
-            curv = on * np.where(h > 0.0, h / sn, 0.0)
-            caps = (on - curv)[..., None, None] * (u[..., :, None] * u[..., None, :]) \
-                + curv[..., None, None] * eye
-            # continuity: a = e(b_l) - e(b_k) + Phi[l, k] on w_l, for active (l, k)
-            active = self.pair_residuals(B, W) > 0.0
+            ci, cl = np.nonzero(sn - _SMOOTH_KAPPA - z - reg.theta0 > 0.0)
+            if ci.size:
+                snc = sn[ci, cl]
+                u = W[ci, cl] / snc[:, None]
+                curv = two_rho * ((snc - _SMOOTH_KAPPA - z - reg.theta0) / snc)
+                D5[cl, ci, :, ci, :] += ((two_rho - curv)[:, None, None] * u[:, :, None]
+                                         * u[:, None, :] + curv[:, None, None] * np.eye(s))
+                F[cl, 0, ci] = -two_rho * u
+                A[0, 0] += two_rho * ci.size
             # cones: each residual sums the columns cone_at, active where positive
-            cones = 2.0 * rho * (cone.residuals(W, d) > 0.0).reshape(m, K, -1)
-            for i in range(m):
-                M = active[i].astype(float)
-                at = slice(1 + i * K, 1 + (i + 1) * K)
-                A[at, at] += 2.0 * rho * (np.diag(M.sum(0) + M.sum(1)) - M - M.T)
-                MPhi = M[:, :, None] * Phi
-                C[:, i, :, at] -= 2.0 * rho * MPhi.transpose(0, 2, 1)
-                C[ks, i, :, b_at[i]] += 2.0 * rho * MPhi.sum(1)
-                D[:, i, :, i, :] += 2.0 * rho * np.matmul(MPhi.transpose(0, 2, 1), Phi) + caps[i]
+            cones = two_rho * (cone.residuals(W, d) > 0.0).reshape(m, K, -1)
+            for i in comps:
                 for c1, c2 in itertools.product(cone_at, repeat=2):
-                    D[:, i, c1, i, c2] += cones[i]
-            A[range(nb), range(nb)] += shift
-            D = D.reshape(K, ms, ms)
-            D[:, range(ms), range(ms)] += shift
-            C = C.reshape(K, ms, nb)
-            gz, gB, gW = layout.stack(grad)
-            g_slopes = gW.transpose(1, 0, 2).reshape(K, ms, 1)
-            # Row block l of C is zero outside the columns of z, of l's own biases
-            # and of the biases of its active-pair partners: D_l is solved against
-            # those, padded with its zero columns to the widest block, and the
-            # gradient, and D^-1 C is zero outside them too.
-            touched = np.ones((K, nb), dtype=bool)
-            touched[:, 1:] = (active | np.eye(K, dtype=bool)).transpose(1, 0, 2).reshape(K, -1)
-            at = ks[:, None, None], block_rows, \
-                np.argsort(~touched, axis=1, kind="stable")[:, None, :touched.sum(1).max()]
-            Y = np.linalg.solve(D, np.concatenate([C[at], g_slopes], axis=2))
-            YC = np.zeros((K, ms, nb))
-            YC[at] = Y[:, :, :-1]
-            YC = YC.reshape(K * ms, nb)
-            S = A - C.reshape(K * ms, nb).T @ YC
-            step_b = np.linalg.solve(S, YC.T @ g_slopes.ravel()
-                                     - np.concatenate([[gz], gB.ravel()]))
-            step_w = (-Y[:, :, -1] - (YC @ step_b).reshape(K, ms)).reshape(K, m, s)
-            return layout.pack(step_b[0], *[a for i in range(m) for a in (
+                    D5[:, i, c1, i, c2] += cones[i]
+            # continuity: a = e(b_l) - e(b_k) + Phi[l, k] on w_l for the active (l, k),
+            # listed by piece l, then component i, then partner k
+            li, pk = divmod(np.flatnonzero(self.pair_residuals(B, W).transpose(1, 0, 2) > 0.0), K)
+            pl, pi = divmod(li, m)
+            n_act = pk.size
+            bl, bk = 1 + pi * K + pl, 1 + pi * K + pk
+            A[bl, bk] -= two_rho
+            A[bk, bl] -= two_rho
+            A.flat[:nb * nbx:nbx + 1] += two_rho * (np.bincount(bl, minlength=nb)
+                                                    + np.bincount(bk, minlength=nb)) + shift
+            # U's rows: each pair's slope gradient e_i (x) Phi[l, k], and a one
+            U = np.zeros((n_act + 1, ms + 1))
+            U[:, ms] = 1.0
+            U[:n_act, :ms].reshape(n_act, m, s)[np.arange(n_act), pi] = Phi.take(pl * K + pk, 0)
+            n_l = np.bincount(pl, minlength=K)
+            r = np.arange(n_l.max(initial=0))
+            pairs_at = np.where(r < n_l[:, None], (np.cumsum(n_l) - n_l)[:, None] + r, n_act)
+            Pg = U.take(pairs_at, 0)                      # each block's pairs, zero-padded
+            PP = two_rho * np.matmul(Pg.transpose(0, 2, 1), Pg)
+            D += PP[:, :ms, :ms]
+            own_sums = PP[:, :ms, ms].reshape(K, m, s)   # 2 rho sum Phi on w_l against b_l
+            for i in comps:
+                F[:, 1 + i, i] += own_sums[:, i]
+            D[:, diag, diag] += shift
+            L = np.linalg.cholesky(D)
+            Ld = L[:, diag, diag]
+            # LuT[j, r, l] = L[l, r, j] / L[l, r, r]: the unit triangles, column by column
+            LuT = (L / Ld[:, :, None]).transpose(2, 1, 0).copy()
+            # The columns of the C_l: every block's z, own-bias and gradient columns,
+            # then one per pair, then a zero one for the padding; their indices into
+            # S and their blocks.
+            N = nf * K + n_act
+            Zt = np.empty((ms, N + 1))
+            Zt[:, :nf * K] = F.reshape(K * nf, ms).T
+            np.multiply(U[:n_act, :ms].T, -two_rho, out=Zt[:, nf * K:N])
+            Zt[:, N] = 0.0
+            cols = np.concatenate([own.ravel(), bk, [nb + 1]])
+            block_of = np.concatenate([fixed_block, pl])
+            # Z = L^-1 C, column j of every block's triangle at a time
+            Zt[:, :N] /= Ld.T.take(block_of, 1)
+            for j in range(ms - 1):
+                Zt[j + 1:, :N] -= LuT[j, j + 1:].take(block_of, 1) * Zt[j, :N]
+            Zr = Zt.T.copy()
+            touched = np.concatenate([fixed_at, pairs_at + nf * K], axis=1)
+            S, parts = A, []
+            for blocks, dense in _schur_groups(nf + n_l, ms, nbx):
+                at = touched[blocks, :nf + n_l[blocks].max()]
+                Zg, c = Zr.take(at, 0), cols.take(at)
+                parts.append((blocks, Zg, c))
+                if dense:
+                    Zd = np.zeros((len(at), ms, nbx))
+                    Zd[np.arange(len(at))[:, None], :, c] = Zg
+                    Zd = Zd.reshape(-1, nbx)
+                    S -= Zd.T @ Zd
+                else:
+                    S -= np.bincount((c[:, :, None] * nbx + c[:, None, :]).ravel(),
+                                     np.matmul(Zg, Zg.transpose(0, 2, 1)).ravel(),
+                                     minlength=nbx * nbx).reshape(nbx, nbx)
+            # S[:nb, nb] is -sum_l C_l' D_l^-1 g_l, for g's column has index nb
+            step_b = np.linalg.solve(S[:nb, :nb], -S[:nb, nb] - np.concatenate([[gz], gB.ravel()]))
+            # step_w = -D^-1 (g + C step_b) = -L'^-1 (L^-1 g + Z step_b), block by block
+            coef = np.append(step_b, [1.0, 0.0])
+            V = np.empty((K, ms))
+            for blocks, Zg, c in parts:
+                V[blocks] = np.matmul(coef.take(c)[:, None, :], Zg)[:, 0]
+            V = V.T.copy()
+            for j in range(ms - 1, 0, -1):
+                V[:j] -= LuT[:j, j] * V[j]
+            step_w = (V / -Ld.T).T.reshape(K, m, s)
+            return layout.pack(step_b[0], *[a for i in comps for a in (
                 step_b[1 + i * K:1 + (i + 1) * K], step_w[:, i])])
 
         return direction
@@ -593,12 +675,17 @@ def _reg_terms(W_rows, theta, c0, theta2, mu):
     The hinge is on the soft maximum of the slope norms at ``mu``, taken as
     one column of ``softmax_columns``, and its gradient is that soft
     maximum's.  The norms are sqrt(sum W^2), which is what np.linalg.norm
-    computes along an axis.
+    computes along an axis.  The soft maximum is at most top + mu log K for
+    the largest norm top; where that, with a margin for the rounding of the
+    exponentials' sum, stays below c0, the hinge is zero and is not computed.
     """
     sq_norms = np.add.reduce(W_rows * W_rows, 1)
     norms = np.sqrt(sq_norms)
-    lam, E, sums = softmax_columns(norms[:, None], mu, np.max(norms, keepdims=True))
-    hinge = max(float(lam[0]) - c0, 0.0)
+    top = np.max(norms, keepdims=True)
+    hinge = 0.0
+    if float(top[0]) + mu * (np.log(norms.size) + 1e-9) >= c0 * (1.0 - 1e-12):
+        lam, E, sums = softmax_columns(norms[:, None], mu, top)
+        hinge = max(float(lam[0]) - c0, 0.0)
     value = theta * hinge * hinge + theta2 * float(np.sum(norms * norms))
 
     def gradient():

@@ -442,9 +442,8 @@ def eval_model(model: DcModel, x):
 
 
 def slope_rows(model: DcModel) -> np.ndarray:
-    """All slope vectors of a model as rows (inner pieces for max-min-affine)."""
-    if model.spec.mma:
-        return model.mma.slopes.reshape(-1, model.mma.d)
+    """All slope vectors of a model's components as rows; a max-min-affine model's
+    are its component's (u, v), which stage 2 regularizes, not its blocks'."""
     return np.vstack([c.weights for c in model.components()])
 
 

@@ -1,6 +1,6 @@
 """Shared oracles for the test suite: finite differences, fit invariants, the
-dense feature tensor, the partitioned form, the dense stage-1 objective and
-scipy's solve of it, the per-component objectives that the stacked ones
+dense feature tensor, the partitioned form, the dense stage-1 objective, its
+generalized Hessian and scipy's solve of it, the per-component objectives that the stacked ones
 replaced, the direct nearest-center assignment, the dense soft-max formulas,
 the adapters for objectives that return their gradient with their value, the
 solve log recorder, and the builders and penalty forms that only the tests
@@ -176,6 +176,53 @@ def dense_initial_objective(dataset, partition, kind, reg, variant, rho):
         return value, np.concatenate([[gz], *parts])
 
     return evaluate, residuals
+
+
+def dense_generalized_hessian(problem, params, rho):
+    """The stage-1 generalized Hessian at params, assembled dense, term by term.
+
+    The cell Grams (signed between components), the ridge and z's weight,
+    2 rho a a' for the gradient a of each positive pair residual
+    b_l + w_l . phi(c_k, c_l) - b_k (with ``phi_tensor``) and of each positive
+    cone residual, and for each positive slope cap rho times the Hessian of
+    its square.
+    """
+    layout, reg, spec, d = problem.layout, problem.reg, problem.spec, problem.d
+    m, K, s = layout.n_components, layout.n_pieces, layout.slope_dim
+    phi = phi_tensor(problem.kind, problem.part.centers, problem.part.centers)[:, :, :s]
+    G = problem.gram / problem.X.shape[0]
+    z, B, W = layout.stack(params)
+    _, b_at, w_at = layout.stack(np.arange(layout.dim))
+    cone_cols = [np.atleast_1d(np.arange(s)[c]) for c in spec.cone.columns(d)]
+    H = np.zeros((layout.dim, layout.dim))
+    H[0, 0] = 2.0 * reg.theta1
+
+    def add_outer(at, a, weight):
+        H[np.ix_(at, at)] += weight * np.outer(a, a)
+
+    for k, i, j in np.ndindex(K, m, m):
+        H[np.ix_(np.r_[b_at[i, k], w_at[i, k]], np.r_[b_at[j, k], w_at[j, k]])] += (
+            2.0 * spec.signs[i] * spec.signs[j] * G[k])
+    for i in range(m):
+        R = B[i][None, :] + np.einsum("klj,lj->kl", phi, W[i]) - B[i][:, None]
+        cones = spec.cone.residuals(W[i], d).reshape(K, -1)
+        for l in range(K):
+            w = w_at[i, l]
+            H[w, w] += 2.0 * reg.theta2
+            for k in np.flatnonzero(R[:, l] > 0.0):
+                if k != l:
+                    add_outer(np.r_[b_at[i, l], b_at[i, k], w], np.r_[1.0, -1.0, phi[k, l]],
+                              2.0 * rho)
+            sn = np.sqrt(W[i, l] @ W[i, l] + _SMOOTH_KAPPA ** 2)
+            h = sn - _SMOOTH_KAPPA - z - reg.theta0
+            if h > 0.0:
+                add_outer(np.r_[0, w], np.r_[-1.0, W[i, l] / sn], 2.0 * rho)
+                u = W[i, l] / sn
+                H[np.ix_(w, w)] += 2.0 * rho * h * (np.eye(s) - np.outer(u, u)) / sn
+            for j in np.flatnonzero(cones[l] > 0.0):
+                at = np.array([w[c[j]] for c in cone_cols])
+                add_outer(at, np.full(at.size, spec.cone.sign), 2.0 * rho)
+    return H
 
 
 def scipy_initial_minimum(dataset, partition, kind, reg, variant, rho):

@@ -19,7 +19,7 @@ from dcreg.approx import (LIPSCHITZ, SMOOTH, eval_min_convex, fvu, grid_cover,
                           quad_taylor_max_affine, smooth_lower,
                           weakly_and_delta_max_affine)
 from dcreg.baselines import (GAUSSIAN_KERNEL, KnnModel, NwModel, kfold_cv,
-                             knn_predict, nw_cv_grid, nw_predict)
+                             knn_predict, nw_cv_fold, nw_cv_grid, nw_predict)
 from dcreg.data import Dataset, SyntheticGen
 from dcreg.experiment import ExperimentSpec, run_experiment, write_bench_outputs
 from dcreg.fit import (GAMMA, MUS, RHOS, FitConfig, STRONG, default_reg_params, fit_dcf,
@@ -104,11 +104,7 @@ def trend_results(logged_solves):
     train, _ = gen.sample(4096, seed=1000 + 17 * 2)
     r_x, r_y = data_radii(train)
     grid = nw_cv_grid(r_x, r_y, train.n, train.d)
-
-    def fit_predict(Xtr, ytr, Xva, h):
-        return nw_predict(NwModel(Dataset(Xtr, ytr), GAUSSIAN_KERNEL, h), Xva)
-
-    h_star = kfold_cv(train, grid, fit_predict, seed=0)
+    h_star = kfold_cv(train, grid, nw_cv_fold(GAUSSIAN_KERNEL), seed=0)
     nw_preds = nw_predict(NwModel(train, GAUSSIAN_KERNEL, h_star), test_ds.X)
     nw_mse = float(np.mean((nw_preds - test_ds.y) ** 2))
     elapsed = time.perf_counter() - t0

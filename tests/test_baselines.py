@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from dcreg.baselines import (GAUSSIAN_KERNEL, TRIWEIGHT_KERNEL, KnnModel,
-                             NwModel, kfold_cv, knn_cv_grid, knn_predict,
-                             nw_cv_grid, nw_predict, ols_fit, ols_predict)
+                             NwModel, kfold_cv, knn_cv_fold, knn_cv_grid, knn_predict,
+                             nw_cv_fold, nw_cv_grid, nw_predict, ols_fit, ols_predict)
 from dcreg.data import Dataset
 
 
@@ -134,19 +134,19 @@ def test_ols_rank_deficient_matches_normal_equations_oracle():
     assert np.allclose(ols_predict(model, X), y, atol=1e-6)
 
 
-def _mean_fit_predict(Xtr, ytr, Xva, k):
-    return np.full(Xva.shape[0], float(np.mean(ytr)))
+def _mean_fold(Xtr, ytr, Xva):
+    return lambda k: np.full(Xva.shape[0], float(np.mean(ytr)))
 
 
 def test_kfold_cv_single_grid_value():
     ds = _line_dataset()
-    assert kfold_cv(ds, [7], _mean_fit_predict, folds=3, seed=0) == 7
+    assert kfold_cv(ds, [7], _mean_fold, folds=3, seed=0) == 7
 
 
 def test_kfold_cv_duplicate_entries_first_wins():
     rng = np.random.default_rng(4)
     ds = Dataset(rng.standard_normal((20, 1)), rng.standard_normal(20))
-    best, scores = kfold_cv(ds, [3, 3, 3], _mean_fit_predict, folds=5, seed=0,
+    best, scores = kfold_cv(ds, [3, 3, 3], _mean_fold, folds=5, seed=0,
                             return_scores=True)
     assert best == 3
     assert np.allclose(scores, scores[0])
@@ -158,30 +158,47 @@ def test_kfold_cv_planted_optimum():
     X = np.sort(rng.uniform(0, 1, 200))[:, None]
     y = np.sin(20 * X[:, 0])
     ds = Dataset(X, y)
-
-    def fit_predict(Xtr, ytr, Xva, k):
-        return knn_predict(KnnModel(Dataset(Xtr, ytr), k), Xva)
-
-    best = kfold_cv(ds, [1, 20, 60], fit_predict, seed=1)
+    best = kfold_cv(ds, [1, 20, 60], knn_cv_fold, seed=1)
     assert best == 1
 
 
 def test_kfold_cv_deterministic():
     rng = np.random.default_rng(6)
     ds = Dataset(rng.standard_normal((40, 2)), rng.standard_normal(40))
-
-    def fit_predict(Xtr, ytr, Xva, k):
-        return knn_predict(KnnModel(Dataset(Xtr, ytr), k), Xva)
-
-    a = kfold_cv(ds, [1, 2, 5], fit_predict, seed=3, return_scores=True)
-    b = kfold_cv(ds, [1, 2, 5], fit_predict, seed=3, return_scores=True)
+    a = kfold_cv(ds, [1, 2, 5], knn_cv_fold, seed=3, return_scores=True)
+    b = kfold_cv(ds, [1, 2, 5], knn_cv_fold, seed=3, return_scores=True)
     assert a[0] == b[0]
     assert np.array_equal(a[1], b[1])
+
+
+def test_kfold_cv_fold_steps_give_the_scores_of_a_fit_per_grid_value():
+    # The fold steps compute each fold's distances (and, for k-NN, its sort) once;
+    # the scores are those of predicting afresh at every grid value, bit for bit.
+    # The k grid runs past a fold's 96 training rows, where the fold caps k.
+    rng = np.random.default_rng(8)
+    ds = Dataset(rng.uniform(-1, 1, (120, 2)), rng.standard_normal(120))
+    perm = np.random.default_rng(2).permutation(ds.n)
+    cases = [(knn_cv_fold, [1, 2, 7, 30, 96, 119],
+              lambda tr, k: KnnModel(tr, min(k, tr.n)), knn_predict)]
+    for kernel in (GAUSSIAN_KERNEL, TRIWEIGHT_KERNEL):
+        cases.append((nw_cv_fold(kernel), [0.01, 0.1, 0.3, 1.0, 5.0],
+                      lambda tr, h, kernel=kernel: NwModel(tr, kernel, h), nw_predict))
+    for fold_fit, grid, model, predict in cases:
+        expected = np.zeros(len(grid))
+        for part in np.array_split(perm, 5):
+            holdout = np.isin(np.arange(ds.n), part)
+            train = Dataset(ds.X[~holdout], ds.y[~holdout])
+            for j, value in enumerate(grid):
+                pred = predict(model(train, value), ds.X[holdout])
+                expected[j] += float(np.mean((pred - ds.y[holdout]) ** 2))
+        best, scores = kfold_cv(ds, grid, fold_fit, seed=2, return_scores=True)
+        assert np.array_equal(scores, expected / 5)
+        assert best == grid[int(np.argmin(scores))]
 
 
 def test_kfold_cv_validation():
     ds = _line_dataset()
     with pytest.raises(ValueError):
-        kfold_cv(ds, [], _mean_fit_predict)
+        kfold_cv(ds, [], _mean_fold)
     with pytest.raises(ValueError):
-        kfold_cv(ds, [1], _mean_fit_predict, folds=5)
+        kfold_cv(ds, [1], _mean_fold, folds=5)

@@ -8,11 +8,12 @@ import pytest
 
 from _helpers import (assert_fit_invariants, assert_gradient_matches, assert_same_bits,
                       assert_thunk_survives_a_rejected_trial, build_initial_objective,
-                      build_refine_objective, dense_initial_objective, fit_diagnostics,
-                      phi_tensor, reference_cone_penalty, reference_initial_objective,
-                      recording_solves, reference_max_form_objective, reference_reg_terms,
-                      scipy_initial_minimum, softmax_smooth, value_and_gradient)
-from dcreg import features
+                      build_refine_objective, dense_generalized_hessian, dense_initial_objective,
+                      fit_diagnostics, phi_tensor, reference_cone_penalty,
+                      reference_initial_objective, recording_solves,
+                      reference_max_form_objective, reference_reg_terms, scipy_initial_minimum,
+                      softmax_smooth, value_and_gradient)
+from dcreg import features, fit
 from dcreg.data import Dataset
 from dcreg.fit import (MUS, RHO_PEN, FitConfig, RegParams, STRONG, WEAK, _InitialProblem,
                        _PieceKernel, _RefineProblem, _reg_terms, default_reg_params, finalize,
@@ -328,6 +329,44 @@ def test_newton_direction_solves_the_shifted_generalized_hessian_system(variant,
     step = problem.newton_direction(rho)(x, g, shift)
     residual = H @ step + shift * step + g
     assert np.linalg.norm(residual) <= _DIRECTION_RTOL * np.linalg.norm(g)
+
+
+@pytest.mark.parametrize("rho", [1.0, RHO_PEN])
+@pytest.mark.parametrize("variant,kind", _PAIRS)
+def test_newton_direction_matches_the_dense_shifted_generalized_hessian_solve(
+        variant, kind, rho, monkeypatch):
+    # K = 35 at d = 3.  Piece 0 lies far above the others, so it is active against
+    # every other piece; piece 1 far below, so it has no active partner; five pieces'
+    # slope caps are active.  The Schur products take each of their routes: the
+    # default grouping, all blocks dense, and all sparse in as many groups as pay.
+    index = _PAIRS.index((variant, kind))
+    rng = np.random.default_rng(110 + index)
+    X = rng.uniform(-1, 1, (360, 3))
+    ds = Dataset(X, np.max(X, axis=1) - 0.7 * np.abs(X[:, 0]) + 0.1 * rng.standard_normal(360))
+    part = afpc(X, seed=index)
+    reg = default_reg_params(*_radii(ds), ds.n, 3, part.n_centers)
+    problem = _InitialProblem(ds.X, ds.y, part, kind, reg, variant)
+    layout = problem.layout
+    m, K = layout.n_components, layout.n_pieces
+    assert 30 <= K <= 40
+    x = 0.3 * rng.standard_normal(layout.dim)
+    x[0] = abs(x[0])
+    _, B, W = layout.stack(x)
+    B[:, 0] += 50.0
+    B[:, 1] -= 50.0
+    W[:, 2:7] *= 10.0 * reg.theta0 / np.linalg.norm(W[:, 2:7], axis=2, keepdims=True)
+    partners = (problem.pair_residuals(B, W) > 0.0).sum(axis=2)
+    assert (partners[:, 0] == K - 1).all() and (partners[:, 1] == 0).all()
+    grad = value_and_gradient(problem.objective(rho), x)[1]
+    shift = NEWTON_SHIFT * np.abs(grad).max()
+    H = dense_generalized_hessian(problem, x, rho) + shift * np.eye(layout.dim)
+    expected = np.linalg.solve(H, -grad)
+    for dense_ratio, group_cost in ((fit._DENSE_RATIO, fit._GROUP_COST), (np.inf, 0), (0.0, 0)):
+        monkeypatch.setattr(fit, "_DENSE_RATIO", dense_ratio)
+        monkeypatch.setattr(fit, "_GROUP_COST", group_cost)
+        step = problem.newton_direction(rho)(x, grad, shift)
+        assert np.linalg.norm(step - expected) <= 1e-9 * np.linalg.norm(expected), \
+            (dense_ratio, group_cost)
 
 
 def test_fit_initial_complement_fits_the_negated_max_form():
@@ -930,6 +969,46 @@ def test_reg_terms_hinge_weights_match_the_dense_reference():
             assert value == ref_value, what
             assert not np.array_equal(grad, 2.0 * theta2 * W), what    # the hinge branch ran
             assert_same_bits(grad, ref_grad, what)
+
+
+def test_reg_terms_skip_the_soft_max_only_where_the_hinge_cannot_bind(monkeypatch):
+    # c0 on both sides of the skip bound top + mu log K, and of the soft maximum itself,
+    # which equals the bound when the norms tie: the value and gradient are the soft-max
+    # path's, bit for bit, whether the soft max was skipped or not, and it is skipped
+    # only where c0 exceeds the bound.
+    soft_max_calls = []
+
+    def counted(*args, **kwargs):
+        soft_max_calls.append(1)
+        return softmax_columns(*args, **kwargs)
+
+    monkeypatch.setattr(fit, "softmax_columns", counted)
+    rng = np.random.default_rng(71)
+    theta, theta2 = 0.7, 0.01
+    skipped = ran = 0
+    for rows, s, mu, tied in itertools.product((1, 2, 7, 40, 300), (1, 3), MUS, (False, True)):
+        W = rng.standard_normal((rows, s))
+        if tied:        # equal norms: the soft maximum is the bound itself
+            W[:] = W[0]
+        norms = np.linalg.norm(W, axis=1)
+        bound = norms.max() + mu * np.log(rows)
+        soft = reference_reg_terms(W, 0.0, 0.0, theta2, mu)    # theta 0: the ridge alone
+        soft_max = float(np.log(np.sum(np.exp((norms - norms.max()) / mu)))) * mu + norms.max()
+        for c0 in (bound * (1.0 + 1e-6), bound * (1.0 + 1e-11), bound, bound * (1.0 - 1e-11),
+                   soft_max * (1.0 + 1e-14), soft_max, soft_max * (1.0 - 1e-9), 0.5 * soft_max):
+            soft_max_calls.clear()
+            value, gradient = _reg_terms(W, theta, c0, theta2, mu)
+            ref_value, ref_grad = reference_reg_terms(W, theta, c0, theta2, mu)
+            what = (rows, s, mu, c0)
+            assert value == ref_value, what
+            assert np.array_equal(gradient(), ref_grad), what
+            if soft_max_calls:
+                ran += 1
+                assert c0 * (1.0 - 1e-12) <= bound + 1e-9 * mu, what
+            else:
+                skipped += 1
+                assert c0 > bound and value == soft[0], what
+    assert skipped >= 60 and ran >= 120, (skipped, ran)
 
 
 def test_refine_mma_extract_returns_the_initial_blocks():

@@ -118,6 +118,20 @@ def test_lip_stat():
     assert lip_stat(sym) == 5.0
 
 
+def test_lip_stat_of_a_max_min_affine_model_reads_its_component():
+    # The rows (u, v) that stage 2 regularizes, not the blocks' inner slopes u +- v e_j:
+    # the largest row norm is |(3, 0, .., -4)| = 5, while u - v e_1 = (7, 0, ..) is longer.
+    for d in (1, 3):
+        rng = np.random.default_rng(30 + d)
+        weights = np.hstack([rng.uniform(-1, 1, (4, d)), -rng.uniform(0, 1, (4, 1))])
+        weights[2] = np.r_[3.0, np.zeros(d - 1), -4.0]
+        comp = _component(features.LINF, rng.standard_normal((4, d)), rng.standard_normal(4),
+                          weights)
+        model = DcModel.of(MAX_MIN_AFFINE, [comp])
+        assert lip_stat(model) == np.max(np.linalg.norm(weights, axis=1)) == 5.0
+        assert np.max(np.linalg.norm(model.mma.slopes, axis=2)) > 5.0
+
+
 def test_model_is_lip_stat_lipschitz():
     # |f(x) - f(x')| <= lip_stat * c_phi * ||x - x'||
     rng = np.random.default_rng(4)

@@ -74,26 +74,26 @@ def _fit(path, variant, cli_path, model_path):
         return result, checks.fields_from_payload(json.load(fh))
 
 
-class _Stage2Pieces(logging.Handler):
+class _SolveLines(logging.Handler):
     def __init__(self):
         super().__init__()
-        self.pieces = []
+        self.lines = []
 
     def emit(self, record):
         stage, *fields = record.getMessage().split()
-        if stage == "stage2":
-            self.pieces.append(int(dict(f.split("=", 1) for f in fields)["pieces"]))
+        if stage in ("stage1", "stage2"):
+            self.lines.append((stage, dict(f.split("=", 1) for f in fields)))
 
 
 @contextlib.contextmanager
-def _stage2_pieces():
-    """The working-set size of each stage-2 solve logged in the block, in order."""
+def solve_lines():
+    """(stage, fields) of each ``stage1`` and ``stage2`` solve logged in the block, in order."""
     logger = logging.getLogger("dcreg.fit")
-    handler, level = _Stage2Pieces(), logger.level
+    handler, level = _SolveLines(), logger.level
     logger.addHandler(handler)
     logger.setLevel(logging.INFO)
     try:
-        yield handler.pieces
+        yield handler.lines
     finally:
         logger.removeHandler(handler)
         logger.setLevel(level)
@@ -121,7 +121,7 @@ def measure(workload, sizes=worker.FULL, ks=KS):
             for k in ks:
                 path = workdir / f"quality{j}_{variant}_{k}.csv"
                 worker.write_rows(path, np.column_stack([X * ulp_scale(k), y]))
-                with _stage2_pieces() as pieces:
+                with solve_lines() as lines:
                     result, fields = _fit(path, variant, workload == "predict_cli",
                                           workdir / "quality_model.json")
                 preds = checks.evaluate(fields, test_X)
@@ -132,7 +132,8 @@ def measure(workload, sizes=worker.FULL, ks=KS):
                                result.initial_report.stop_reason],
                     "stage2": [result.refine_report.iterations,
                                result.refine_report.stop_reason],
-                    "stage2_pieces": pieces,
+                    "stage2_pieces": [int(f["pieces"]) for stage, f in lines
+                                      if stage == "stage2"],
                     "pieces": sum(c.n_pieces for c in result.final_model.components()),
                 })
     return {"workload": workload, "ks": list(ks), "records": records}
