@@ -22,8 +22,7 @@ from .experiment import ExperimentSpec, demo_figures, run_experiment
 from .features import (FEATURE_KINDS, L1, L2, LINF, PLUS, FeatureConstants,
                        constants, feature_dim, phi)
 from .fit import (FitConfig, FitResult, RegParams, STRONG, WEAK,
-                  default_reg_params, finalize, fit_dcf, fit_initial, refine,
-                  reg_n_value)
+                  default_reg_params, finalize, fit_dcf, fit_initial, refine)
 from .model import (CONVEX_MAX_AFFINE, CONVEX_NORM, CONVEX_PLUS, COMPLEMENT,
                     MAX_MIN_AFFINE, SINGLE, SYMMETRIC, VARIANT_TABLE, Cone,
                     DcComponent, DcModel, MaxMinAffine, Variant, center,

@@ -79,10 +79,14 @@ def _cmd_bench(args):
     if args.spec:
         with open(args.spec) as fh:
             raw = json.load(fh)
-        synth = None
-        if "synthetic" in raw:
-            synth = SyntheticGen(**raw.pop("synthetic"))
-        spec = ExperimentSpec(synthetic=synth, **raw)
+        try:    # a spec that is not an object, or has unknown or ill-typed fields
+            if not isinstance(raw, dict):
+                raise TypeError("the spec is not a JSON object")
+            synth = raw.pop("synthetic", None)
+            spec = ExperimentSpec(synthetic=None if synth is None else SyntheticGen(**synth),
+                                  **raw)
+        except TypeError as exc:
+            raise DataError(f"malformed spec {args.spec}: {exc}") from None
     else:
         if args.target is None:
             raise DataError("bench needs --spec or synthetic flags (--target ...)")

@@ -12,10 +12,11 @@ value and gradient alike, and the slope cone's envelope dist^2 / (2 mu), for
 mu = 1e-2, 1e-3 and 1e-4 in turn, each solve warm-started from the last and
 run on the pieces whose soft-max exponents are not all clipped at its mu; it
 falls back to the initial fit whenever the result fails to improve the
-penalized criterion with the true maxima.  Every variant refines its max
-form: max-min-affine's blocks are the rewrite of its component, refined free
-of its cone and projected onto it.  Stage 3 prunes inactive pieces and
-centers the mean prediction on the training responses.
+criterion with the true maxima, which ``_RefineProblem.criterion`` states
+once for the acceptance test and the fit's risk + reg chain.  Every variant
+refines its max form: max-min-affine's blocks are the rewrite of its
+component, refined free of its cone and projected onto it.  Stage 3 prunes
+inactive pieces and centers the mean prediction on the training responses.
 """
 
 import copy
@@ -28,7 +29,7 @@ from time import perf_counter
 import numpy as np
 
 from . import features
-from .data import STD, Dataset, apply_scaling
+from .data import STD, DataError, Dataset, apply_scaling
 from .model import (
     NO_CONE, SINGLE, DcModel, center, eval_model_std, lip_stat, prune, signed_sum, slope_rows,
     symmetric_bias_center, variant_spec,
@@ -639,34 +640,6 @@ def _summed(solves):
 
 
 # ---------------------------------------------------------------------------
-# slope bookkeeping shared by the refinement and the diagnostics
-
-def slope_sumsq(model: DcModel) -> float:
-    return float(np.sum(np.square(slope_rows(model))))
-
-
-def theta_fn_value(initial_model: DcModel, reg: RegParams, risk_initial: float) -> float:
-    """Hinge strength of the refinement regularizer; zero when slopes vanish."""
-    lam = lip_stat(initial_model)
-    if lam == 0.0:
-        return 0.0
-    return (risk_initial + reg.theta2 * slope_sumsq(initial_model)) / (lam * lam)
-
-
-def reg_n_value(model: DcModel, initial_model: DcModel, reg: RegParams,
-                risk_initial: float) -> float:
-    """Refinement regularizer: hinge on the largest slope plus the ridge."""
-    lam0 = lip_stat(initial_model)
-    theta = theta_fn_value(initial_model, reg, risk_initial)
-    hinge = max(lip_stat(model) - reg.theta3 * lam0, 0.0)
-    return theta * hinge * hinge + reg.theta2 * slope_sumsq(model)
-
-
-def training_risk_std(model: DcModel, X, y) -> float:
-    return float(np.mean((eval_model_std(model, X) - y) ** 2))
-
-
-# ---------------------------------------------------------------------------
 # the refinement problem (soft maxima)
 
 def _reg_terms(W_rows, theta, c0, theta2, mu):
@@ -702,23 +675,27 @@ def _reg_terms(W_rows, theta, c0, theta2, mu):
 class _RefineProblem:
     """Unconstrained risk + regularizer over the max-form parameters.
 
-    The one constructor of stage 2: it computes the initial risk, slope
-    statistic and hinge strength the regularizer is tied to.  The max forms
-    are evaluated by the piece kernel on the training rows, built with the
-    objective, so a refinement that does not run builds none.  A
-    max-min-affine model is refined as its max-form component.  ``pieces``
-    is the working set: the indices of the initial model's pieces that the
-    parameters hold.  ``restricted`` only shrinks it.
+    The one statement of stage 2's criterion: ``criterion`` is the training
+    risk plus ``reg_n``, the hinge theta max(lip - c0, 0)^2 on the largest
+    slope norm plus the theta2 ridge, both with the true maxima.  The hinge
+    starts at c0 = theta3 lam0 for the initial model's largest slope norm
+    lam0, and its strength theta is the initial criterion over lam0^2 (zero
+    when the initial slopes vanish).  ``objective`` smooths the same
+    criterion.  The max forms are evaluated by the piece kernel on the
+    training rows, built with the objective, so a refinement that does not
+    run builds none.  A max-min-affine model is refined as its max-form
+    component.  ``pieces`` is the working set: the indices of the initial
+    model's pieces that the parameters hold.  ``restricted`` only shrinks it.
     """
 
     def __init__(self, initial_model: DcModel, dataset: Dataset, reg: RegParams):
-        X, y = dataset.X, dataset.y
-        self.X, self.y = X, y
+        self.X, self.y = dataset.X, dataset.y
         self.reg = reg
-        self.risk0 = training_risk_std(initial_model, X, y)
         self.lam0 = lip_stat(initial_model)
-        self.theta = theta_fn_value(initial_model, reg, self.risk0)
         self.c0 = reg.theta3 * self.lam0
+        self.theta = 0.0
+        if self.lam0 != 0.0:
+            self.theta = self.criterion(initial_model) / (self.lam0 * self.lam0)
         self.spec = initial_model.spec
         # Max-min-affine's cone only makes its rewrite exact: ``extract`` projects onto it.
         self.cone = NO_CONE if self.spec.mma else self.spec.cone
@@ -731,6 +708,17 @@ class _RefineProblem:
         self.layout = ParamLayout(comp.n_pieces, self.slope_dim, len(comps), with_z=False)
         self.x0 = self.layout.pack(0.0, *[a for c in comps
                                           for a in (c.biases, c.weights[:, :self.slope_dim])])
+
+    def risk(self, model: DcModel) -> float:
+        return float(np.mean((eval_model_std(model, self.X) - self.y) ** 2))
+
+    def reg_n(self, model: DcModel) -> float:
+        hinge = max(lip_stat(model) - self.c0, 0.0)
+        sumsq = float(np.sum(np.square(slope_rows(model))))
+        return self.theta * hinge * hinge + self.reg.theta2 * sumsq
+
+    def criterion(self, model: DcModel) -> float:
+        return self.risk(model) + self.reg_n(model)
 
     def restricted(self, params, mu):
         """(problem, params) on the working-set pieces that weigh more than the clip at mu.
@@ -820,14 +808,13 @@ def refine(initial_model: DcModel, dataset: Dataset, reg: RegParams,
     The report sums the solves' iterations, evaluations, line-search failures
     and wall time, and takes the last one's stop reason, value and gradient
     norm.
-    The candidate is accepted only if risk + reg, with the true maxima, does
-    not exceed the initial value (tiny slack); else the initial model is
-    returned.
+    The candidate is accepted only if ``problem.criterion``, risk + reg_n with
+    the true maxima, does not exceed the initial model's (tiny slack); else
+    the initial model is returned.
     """
     cfg = cfg or SolverConfig()
     problem = _RefineProblem(initial_model, dataset, reg)
-    risk0 = problem.risk0
-    rr0 = risk0 + reg_n_value(initial_model, initial_model, reg, risk0)
+    rr0 = problem.criterion(initial_model)
     if problem.lam0 == 0.0:
         report = SolveReport(0, rr0, 0.0, 0)
         return initial_model, report, False
@@ -845,8 +832,7 @@ def refine(initial_model: DcModel, dataset: Dataset, reg: RegParams,
             break
     report = _summed(solves)
     candidate = problem.extract(x_star, initial_model)
-    rr_cand = (training_risk_std(candidate, dataset.X, dataset.y)
-               + reg_n_value(candidate, initial_model, reg, risk0))
+    rr_cand = problem.criterion(candidate)
     accepted = bool(np.isfinite(rr_cand) and rr_cand <= rr0 + _REFINE_SLACK)
     log.info("refine variant=%s iters=%d evals=%d stop=%s accepted=%s rr0=%.6g rr=%.6g "
              "wall=%.3fs", initial_model.variant, report.iterations, report.evaluations,
@@ -883,29 +869,20 @@ def fit_dcf(dataset: Dataset, config: FitConfig = None) -> FitResult:
     """
     config = config or FitConfig()
     if dataset.n < 2:
-        raise ValueError("need at least two samples")
+        raise DataError("need at least two samples")
     ds_std, spec = apply_scaling(dataset, STD)
-    Xs, ys = ds_std.X, ds_std.y
     timings = {}
-    part = _timed(timings, "afpc", afpc, Xs, config.seed, ys)
+    part = _timed(timings, "afpc", afpc, ds_std.X, config.seed, ds_std.y)
     log.info("afpc K=%d eps=%.4g r_x=%.4g", part.n_centers, part.eps_n, part.r_x)
     reg = default_reg_params(part.r_x, part.r_y, dataset.n, dataset.d,
                              part.n_centers, config.theta2_mode)
 
     initial_std, info = _timed(timings, "stage1", fit_initial, ds_std, part, config.kind,
                                reg, config.solver, config.variant)
-    risk0 = training_risk_std(initial_std, Xs, ys)
-    theta = theta_fn_value(initial_std, reg, risk0)
-    rr0 = risk0 + reg_n_value(initial_std, initial_std, reg, risk0)
-
     refined_std, refine_report, accepted = _timed(timings, "stage2", refine, initial_std,
                                                   ds_std, reg, config.solver)
-    risk1 = training_risk_std(refined_std, Xs, ys)
-    rr1 = risk1 + reg_n_value(refined_std, initial_std, reg, risk0)
-
     final_std = _timed(timings, "finalize", finalize, refined_std, ds_std)
-    risk2 = training_risk_std(final_std, Xs, ys)
-    rr2 = risk2 + reg_n_value(final_std, initial_std, reg, risk0)
+    problem = _RefineProblem(initial_std, ds_std, reg)
     log.info("fit_dcf variant=%s K=%d %s", config.variant, part.n_centers,
              " ".join(f"{layer}={seconds:.3f}s" for layer, seconds in timings.items()))
 
@@ -922,9 +899,9 @@ def fit_dcf(dataset: Dataset, config: FitConfig = None) -> FitResult:
         initial_penalized_objective=info["penalized_objective"],
         constraint_violation_max=info["violation"],
         cone_violation_max=info["cone_violation"],
-        theta_fn=theta,
+        theta_fn=problem.theta,
         constant_certificate=info["certificate"],
-        risk_reg_chain=(rr0, rr1, rr2),
+        risk_reg_chain=tuple(problem.criterion(m) for m in (initial_std, refined_std, final_std)),
         lip_chain=(lip_stat(initial_std), lip_stat(refined_std), lip_stat(final_std)),
         refine_accepted=accepted,
         timings=timings,

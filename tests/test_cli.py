@@ -107,6 +107,29 @@ def test_bench_spec_json(tmp_path):
     assert (tmp_path / "o" / "results.csv").exists()
 
 
+@pytest.mark.parametrize("spec", [
+    {"train_sizes": [48], "repetitons": 1, "estimators": ["ols"],
+     "synthetic": {"target": "xsinx"}},
+    [1, 2],
+    {"train_sizes": [48], "estimators": ["ols"], "synthetic": {"target": "xsinx", "dim": 2}},
+    {"train_sizes": 50, "estimators": ["ols"], "synthetic": {"target": "xsinx"}},
+], ids=["misspelled-key", "list", "unknown-synthetic-key", "scalar-train-sizes"])
+def test_bench_malformed_spec_is_a_data_error(tmp_path, capsys, spec):
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps(spec))
+    assert main(["bench", "--spec", str(spec_path), "--out", str(tmp_path / "o")]) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert err.startswith("data error: malformed spec ") and err.count("\n") == 1, err
+    assert not (tmp_path / "o").exists()
+
+
+def test_fit_one_row_is_a_data_error(tmp_path, capsys):
+    data = tmp_path / "one.csv"
+    data.write_text("x,y\n1.0,2.0\n")
+    assert main(["fit", "--data", str(data), "--out", str(tmp_path / "m.json")]) == EXIT_DATA
+    assert capsys.readouterr().err == "data error: need at least two samples\n"
+
+
 def test_bench_requires_source(tmp_path):
     assert main(["bench", "--out", str(tmp_path / "o")]) == EXIT_DATA
 

@@ -17,11 +17,10 @@ from dcreg import features, fit
 from dcreg.data import Dataset
 from dcreg.fit import (MUS, RHO_PEN, FitConfig, RegParams, STRONG, WEAK, _InitialProblem,
                        _PieceKernel, _RefineProblem, _reg_terms, default_reg_params, finalize,
-                       fit_dcf, fit_initial, refine, reg_n_value, theta_fn_value,
-                       training_risk_std)
+                       fit_dcf, fit_initial, refine)
 from dcreg.model import (COMPLEMENT, CONVEX_MAX_AFFINE, CONVEX_NORM, CONVEX_PLUS,
                          MAX_MIN_AFFINE, NO_CONE, SINGLE, SYMMETRIC, VARIANT_TABLE, DcModel,
-                         eval_max, eval_mma, eval_model, lip_stat,
+                         eval_max, eval_mma, eval_model, lip_stat, slope_rows,
                          validate_model)
 from dcreg.partition import afpc
 from dcreg.serialize import load_model, save_model
@@ -407,28 +406,38 @@ def _toy_model(weights):
     return DcModel(SINGLE, comp)
 
 
+def _toy_problem(initial, reg, risk):
+    """The stage-2 problem of a toy model on ten rows at the origin, where every
+    toy model is 0, with responses whose mean square, the initial risk, is ``risk``."""
+    y = (np.arange(10) < round(10 * risk)).astype(float)
+    problem = _RefineProblem(initial, Dataset(np.zeros((10, 1)), y), reg)
+    assert problem.risk(initial) == risk
+    return problem
+
+
 def test_reg_n_value_at_initial_is_ridge_only():
     model = _toy_model([[1.0, 0.0], [0.5, 0.5]])
     reg = RegParams(0.0, 1.0, 0.1, 2.0)
-    value = reg_n_value(model, model, reg, risk_initial=0.3)
+    value = _toy_problem(model, reg, risk=0.3).reg_n(model)
     assert value == pytest.approx(0.1 * (1.0 + 0.5), rel=1e-12)
 
 
 def test_reg_n_value_degenerate_zero_slopes():
     model = _toy_model([[0.0, 0.0]])
     reg = RegParams(0.0, 1.0, 0.25, 1.5)
-    assert theta_fn_value(model, reg, 1.0) == 0.0
+    problem = _toy_problem(model, reg, risk=1.0)
+    assert problem.theta == 0.0
     other = _toy_model([[3.0, 4.0]])
-    assert reg_n_value(other, model, reg, 1.0) == pytest.approx(0.25 * 25.0, rel=1e-12)
+    assert problem.reg_n(other) == pytest.approx(0.25 * 25.0, rel=1e-12)
 
 
 def test_reg_n_value_hinge_active():
     initial = _toy_model([[1.0, 0.0]])
     reg = RegParams(0.0, 1.0, 0.0, 1.0)
     doubled = _toy_model([[3.0, 0.0]])
-    theta = theta_fn_value(initial, reg, risk_initial=0.5)
-    assert theta == pytest.approx(0.5, rel=1e-12)   # (0.5 + 0) / 1
-    value = reg_n_value(doubled, initial, reg, 0.5)
+    problem = _toy_problem(initial, reg, risk=0.5)
+    assert problem.theta == pytest.approx(0.5, rel=1e-12)   # (0.5 + 0) / 1
+    value = problem.reg_n(doubled)
     assert value == pytest.approx(0.5 * (3.0 - 1.0) ** 2, rel=1e-12)
 
 
@@ -450,11 +459,10 @@ def test_refine_never_increases_criterion():
     part = afpc(ds.X, seed=8)
     reg = default_reg_params(*_radii(ds), ds.n, 1, part.n_centers)
     initial, _ = fit_initial(ds, part, features.LINF, reg)
-    risk0 = training_risk_std(initial, ds.X, ds.y)
-    rr0 = risk0 + reg_n_value(initial, initial, reg, risk0)
+    problem = _RefineProblem(initial, ds, reg)
+    rr0 = problem.criterion(initial)
     refined, _, accepted = refine(initial, ds, reg)
-    rr1 = (training_risk_std(refined, ds.X, ds.y)
-           + reg_n_value(refined, initial, reg, risk0))
+    rr1 = problem.criterion(refined)
     assert rr1 <= rr0 + 1e-10
 
 
@@ -969,6 +977,37 @@ def test_reg_terms_hinge_weights_match_the_dense_reference():
             assert value == ref_value, what
             assert not np.array_equal(grad, 2.0 * theta2 * W), what    # the hinge branch ran
             assert_same_bits(grad, ref_grad, what)
+
+
+def test_reg_terms_lie_between_the_exact_regularizer_and_its_soft_max_bound():
+    # The soft maximum of K slope norms lies in [top, top + mu log K], so the smoothed
+    # regularizer lies between the exact reg_n of the same rows, with the true maximum,
+    # and theta (hinge + mu log K)^2 plus the ridge, up to rounding.
+    rng = np.random.default_rng(72)
+    ds = _random_dataset(70, 2, seed=73)
+    part = afpc(ds.X, seed=74)
+    reg = default_reg_params(*_radii(ds), ds.n, 2, part.n_centers)
+    binds = 0
+    for variant, kind in ((SINGLE, features.L2), (SYMMETRIC, features.LINF)):
+        initial, _ = fit_initial(ds, part, kind, reg, variant=variant)
+        problem = _RefineProblem(initial, ds, reg)
+        theta, c0, s = problem.theta, problem.c0, problem.slope_dim
+        assert theta > 0.0
+        for scale, mu in itertools.product((0.25, 0.5, 1.0, 2.0), MUS):
+            x = problem.x0.copy()
+            W = problem.layout.stack(x)[2]
+            W[:] = rng.standard_normal(W.shape) * (scale * c0 / np.sqrt(s))
+            rows = W.reshape(-1, s)
+            model = problem.extract(x, initial)
+            assert np.array_equal(slope_rows(model), rows)
+            value = _reg_terms(rows, theta, c0, reg.theta2, mu)[0]
+            hinge = max(float(np.linalg.norm(rows, axis=1).max()) - c0, 0.0)
+            upper = (theta * (hinge + mu * np.log(len(rows))) ** 2
+                     + reg.theta2 * float(np.sum(rows * rows)))
+            what = (variant, scale, mu)
+            assert problem.reg_n(model) * (1.0 - 1e-12) <= value <= upper * (1.0 + 1e-12), what
+            binds += hinge > 0.0
+    assert 0 < binds < 2 * 4 * len(MUS), binds
 
 
 def test_reg_terms_skip_the_soft_max_only_where_the_hinge_cannot_bind(monkeypatch):
