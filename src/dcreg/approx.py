@@ -13,7 +13,7 @@ import numpy as np
 
 from . import features
 from .model import DcComponent, eval_max
-from .targets import TargetFunction, empirical_lipschitz  # noqa: F401  (re-export)
+from .targets import TargetFunction
 
 
 @dataclass(frozen=True)
@@ -55,17 +55,15 @@ class MaxAffine:
 
 @dataclass(frozen=True)
 class QuadraticMax:
-    """Max (or min) over centers of affine-minus-quadratic local models.
+    """Max over centers of affine-minus-quadratic local models.
 
-    Lower form: max_k b_k + s_k . (x - c_k) - curvature * ||x - c_k||^2.
-    Upper form flips both the extremum and the curvature sign.
+    max_k b_k + s_k . (x - c_k) - curvature * ||x - c_k||^2.
     """
 
     centers: np.ndarray
     biases: np.ndarray
     slopes: np.ndarray
     curvature: float
-    upper: bool = False
 
     def __call__(self, X):
         X = np.atleast_2d(np.asarray(X, dtype=float))
@@ -73,8 +71,6 @@ class QuadraticMax:
         vals = (self.biases[None, :]
                 + np.einsum("nkd,kd->nk", diff, self.slopes))
         sq = np.sum(diff * diff, axis=2)
-        if self.upper:
-            return np.min(vals + self.curvature * sq, axis=1)
         return np.max(vals - self.curvature * sq, axis=1)
 
 
@@ -86,7 +82,6 @@ def mcshane_lower(target: TargetFunction, cover: CoverSpec, kind: str) -> DcComp
     l1 norm).  The result lower-bounds f, matches it at the centers, and is
     within (1 + t1/t0)*lambda*eps of f on the covered set.
     """
-    features.check_kind(kind)
     centers = cover.centers
     k, d = centers.shape
     cons = features.constants(kind, d)
@@ -126,13 +121,11 @@ def smooth_lower(target: TargetFunction, cover: CoverSpec) -> QuadraticMax:
                         float(target.smoothness))
 
 
-def smooth_upper(target: TargetFunction, cover: CoverSpec) -> QuadraticMax:
-    """Gradient-based upper companion of smooth_lower (min form)."""
-    if target.grad is None or target.smoothness is None:
-        raise ValueError("smooth approximation needs a gradient and a smoothness constant")
-    centers = cover.centers
-    return QuadraticMax(centers, target(centers), target.gradient(centers),
-                        float(target.smoothness), upper=True)
+def smooth_upper(target: TargetFunction, cover: CoverSpec):
+    """Gradient-based upper companion of smooth_lower: the negated lower one of -f."""
+    lower = smooth_lower(target.negate(), cover)
+    # Exact, as the min form; 0.0 - v, unlike -v, keeps a zero of it +0.0.
+    return lambda X: 0.0 - lower(X)
 
 
 def quad_lower(target: TargetFunction, cover: CoverSpec) -> QuadraticMax:
@@ -148,14 +141,10 @@ def quad_lower(target: TargetFunction, cover: CoverSpec) -> QuadraticMax:
     return QuadraticMax(centers, target(centers), zero, target.lipschitz / cover.eps)
 
 
-def quad_upper(target: TargetFunction, cover: CoverSpec) -> QuadraticMax:
-    """Quadratic-feature upper companion of quad_lower (min form)."""
-    if cover.eps <= 0:
-        raise ValueError("a positive cover radius is required")
-    centers = cover.centers
-    zero = np.zeros_like(centers)
-    return QuadraticMax(centers, target(centers), zero, target.lipschitz / cover.eps,
-                        upper=True)
+def quad_upper(target: TargetFunction, cover: CoverSpec):
+    """Quadratic-feature upper companion of quad_lower: the negated lower one of -f."""
+    lower = quad_lower(target.negate(), cover)
+    return lambda X: 0.0 - lower(X)    # as in smooth_upper
 
 
 def quad_taylor_max_affine(cover: CoverSpec) -> MaxAffine:
@@ -199,30 +188,22 @@ def weakly_and_delta_max_affine(target: TargetFunction, cover: CoverSpec,
                                 mode: str) -> WeaklyDeltaApprox:
     """Weakly/delta max-affine approximations built on a cover.
 
-    LIPSCHITZ mode expands the quadratic-feature construction (curvature
-    lambda/eps); SMOOTH mode expands the gradient-based one (curvature nu).
-    The weak form equals the corresponding QuadraticMax pointwise; the delta
-    form replaces the quadratic by its Taylor max, losing at most
-    curvature * eps^2 uniformly.
+    LIPSCHITZ mode expands the quadratic-feature construction (quad_lower,
+    curvature lambda/eps); SMOOTH mode expands the gradient-based one
+    (smooth_lower, curvature nu).  b + s.(x - c) - q ||x - c||^2 is
+    (b - s.c - q ||c||^2) + (s + 2 q c).x - q ||x||^2, so the weak form
+    equals that QuadraticMax pointwise; the delta form replaces the quadratic
+    by its Taylor max, losing at most curvature * eps^2 uniformly.
     """
     if cover.eps <= 0:
         raise ValueError("a positive cover radius is required")
-    centers = cover.centers
-    fvals = target(centers)
-    csq = np.sum(centers * centers, axis=1)
-    if mode == LIPSCHITZ:
-        s = target.lipschitz / cover.eps
-        biases = fvals - s * csq
-        slopes = 2.0 * s * centers
-    elif mode == SMOOTH:
-        if target.grad is None or target.smoothness is None:
-            raise ValueError("SMOOTH mode needs a gradient and a smoothness constant")
-        s = float(target.smoothness)
-        grads = target.gradient(centers)
-        biases = fvals - np.einsum("kd,kd->k", grads, centers) - s * csq
-        slopes = grads + 2.0 * s * centers
-    else:
+    if mode not in (LIPSCHITZ, SMOOTH):
         raise ValueError(f"unknown mode {mode!r}")
+    quad = (quad_lower if mode == LIPSCHITZ else smooth_lower)(target, cover)
+    centers, s = quad.centers, quad.curvature
+    biases = (quad.biases - np.einsum("kd,kd->k", quad.slopes, centers)
+              - s * np.sum(centers * centers, axis=1))
+    slopes = quad.slopes + 2.0 * s * centers
     mhat = quad_taylor_max_affine(cover)
     quad_part = MaxAffine(s * mhat.biases, s * mhat.slopes)
     return WeaklyDeltaApprox(MaxAffine(biases, slopes), s, quad_part)

@@ -79,13 +79,13 @@ def _cmd_bench(args):
     if args.spec:
         with open(args.spec) as fh:
             raw = json.load(fh)
-        try:    # a spec that is not an object, or has unknown or ill-typed fields
+        try:    # a spec that is not an object, or has unknown, ill-typed or invalid fields
             if not isinstance(raw, dict):
                 raise TypeError("the spec is not a JSON object")
             synth = raw.pop("synthetic", None)
             spec = ExperimentSpec(synthetic=None if synth is None else SyntheticGen(**synth),
                                   **raw)
-        except TypeError as exc:
+        except (TypeError, ValueError) as exc:
             raise DataError(f"malformed spec {args.spec}: {exc}") from None
     else:
         if args.target is None:

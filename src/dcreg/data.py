@@ -197,9 +197,6 @@ class ScalingSpec:
     def transform_x(self, X):
         return (np.asarray(X, dtype=float) - self.shift) / self.scale
 
-    def invert_x(self, X):
-        return np.asarray(X, dtype=float) * self.scale + self.shift
-
     def transform_y(self, y):
         return (np.asarray(y, dtype=float) - self.y_mean) / self.y_std
 
@@ -260,6 +257,8 @@ class SyntheticGen:
             raise ValueError(f"unknown synthetic target {self.target!r}")
         if self.target in (XSINX, PW_LINEAR) and self.d != 1:
             raise ValueError(f"target {self.target} is one-dimensional")
+        if self.d < 1:
+            raise ValueError(f"dimension must be >= 1, got {self.d}")
         if self.noise_sigma < 0:
             raise ValueError("noise_sigma must be >= 0")
         if self.covariate_law not in (UNIFORM_CUBE, GAUSSIAN):

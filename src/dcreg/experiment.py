@@ -17,7 +17,7 @@ from timeit import default_timer as timer
 import numpy as np
 
 from . import approx, baselines, features, model as model_mod, targets
-from .data import Dataset, SyntheticGen, apply_scaling, load_csv, STD
+from .data import Dataset, SyntheticGen, apply_scaling, load_csv, SCALING_MODES, STD
 from .fit import FitConfig, STRONG, fit_dcf
 from .partition import data_radii
 
@@ -64,7 +64,12 @@ class ExperimentSpec:
         unknown = [e for e in self.estimators if e not in ALL_ESTIMATORS]
         if unknown:
             raise ValueError(f"unknown estimators {unknown}; choose from {ALL_ESTIMATORS}")
+        if self.scaling not in SCALING_MODES:
+            raise ValueError(f"unknown scaling {self.scaling!r}; expected one of {SCALING_MODES}")
+        FitConfig(kind=self.kind, theta2_mode=self.theta2_mode)   # checks kind and mode
         object.__setattr__(self, "train_sizes", tuple(int(n) for n in self.train_sizes))
+        if min(self.train_sizes, default=1) < 1 or self.test_size < 1:
+            raise ValueError("train and test sizes must be >= 1")
         object.__setattr__(self, "estimators", tuple(self.estimators))
 
 

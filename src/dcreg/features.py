@@ -52,9 +52,7 @@ def feature_dim(kind: str, d: int) -> int:
 
 def constants(kind: str, d: int) -> FeatureConstants:
     """Norm constants of the feature map ``kind`` in dimension ``d``."""
-    check_kind(kind)
-    if d < 1:
-        raise ValueError(f"dimension must be >= 1, got {d}")
+    d_feat = feature_dim(kind, d)
     c_phi = np.sqrt(1.0 + (kind in (L2, LINF)) + d * (kind == L1))
     lip_phi = 1.0 + (kind != L1) + np.sqrt(d) * (kind == L1)
     # "plus" inherits (t0, t1) from the l1 case.
@@ -63,8 +61,7 @@ def constants(kind: str, d: int) -> FeatureConstants:
     else:
         t0 = 1.0 / np.sqrt(d)
     t1 = np.sqrt(d) if kind == LINF else 1.0
-    return FeatureConstants(float(c_phi), float(lip_phi), float(t0), float(t1),
-                            feature_dim(kind, d))
+    return FeatureConstants(float(c_phi), float(lip_phi), float(t0), float(t1), d_feat)
 
 
 def phi(kind: str, x: np.ndarray, xhat: np.ndarray) -> np.ndarray:

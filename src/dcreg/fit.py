@@ -158,11 +158,11 @@ class ParamLayout:
         return (float(params[0]) if self.with_z else 0.0), V[:, :K], \
             V[:, K:].reshape(m, K, self.slope_dim)
 
-    def pack(self, z, *arrays):
-        """The flat vector of (z, b_1, W_1, ..., b_m, W_m); ``stack`` views it."""
-        parts = [np.array([z], dtype=float)] if self.with_z else []
-        parts += [np.asarray(a, dtype=float).ravel() for a in arrays]
-        return np.concatenate(parts)
+    def pack(self, z, B, W):
+        """The flat vector of (z, B, W), B (m, K) and W (m, K, s): the inverse of ``stack``."""
+        m, K = self.n_components, self.n_pieces
+        V = np.hstack([np.reshape(B, (m, K)), np.reshape(W, (m, -1))]).ravel()
+        return np.concatenate([[z], V]) if self.with_z else V
 
 
 def _smooth_norms(sq_norms):
@@ -565,8 +565,7 @@ class _InitialProblem:
             for j in range(ms - 1, 0, -1):
                 V[:j] -= LuT[:j, j] * V[j]
             step_w = (V / -Ld.T).T.reshape(K, m, s)
-            return layout.pack(step_b[0], *[a for i in comps for a in (
-                step_b[1 + i * K:1 + (i + 1) * K], step_w[:, i])])
+            return layout.pack(step_b[0], step_b[1:], step_w.transpose(1, 0, 2))
 
         return direction
 
@@ -615,8 +614,8 @@ def fit_initial(dataset: Dataset, partition: Partition, kind: str, reg: RegParam
     res = spec.cone.residuals(problem.layout.stack(x_star)[2], problem.d)
     cone_violation = float(max(0.0, res.max())) if res.size else 0.0
     z, comps = problem.extract(x_star)
-    violation = problem.max_violation(
-        problem.layout.pack(z, *[a for c in comps for a in (c.biases, c.weights[:, :s])]))
+    violation = problem.max_violation(problem.layout.pack(
+        z, [c.biases for c in comps], [c.weights[:, :s] for c in comps]))
     log.info("fit_initial variant=%s K=%d iters=%d evals=%d stop=%s penalized=%.6g "
              "violation=%.3g wall=%.3fs", variant, partition.n_centers, report.iterations,
              report.evaluations, report.stop_reason, report.final_value, violation,
@@ -706,8 +705,8 @@ class _RefineProblem:
         self.slope_dim = self.spec.slope_dim(self.kind, self.d)
         self.pieces = np.arange(comp.n_pieces)
         self.layout = ParamLayout(comp.n_pieces, self.slope_dim, len(comps), with_z=False)
-        self.x0 = self.layout.pack(0.0, *[a for c in comps
-                                          for a in (c.biases, c.weights[:, :self.slope_dim])])
+        self.x0 = self.layout.pack(0.0, [c.biases for c in comps],
+                                   [c.weights[:, :self.slope_dim] for c in comps])
 
     def risk(self, model: DcModel) -> float:
         return float(np.mean((eval_model_std(model, self.X) - self.y) ** 2))
@@ -734,8 +733,7 @@ class _RefineProblem:
         problem = copy.copy(self)
         problem.pieces = self.pieces[keep]
         problem.layout = replace(self.layout, n_pieces=keep.size)
-        return problem, problem.layout.pack(0.0, *[a for b, w in zip(B[:, keep], W[:, keep])
-                                                   for a in (b, w)])
+        return problem, problem.layout.pack(0.0, B[:, keep], W[:, keep])
 
     def cone_weight(self, mu):
         """Weight of the squared cone residuals a.w: 1 / (2 mu |a|^2), so the penalty is

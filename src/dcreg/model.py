@@ -382,31 +382,23 @@ def eval_max(comp: DcComponent, x):
     return float(vals[0]) if single else vals
 
 
-def mma_inner(B, S, columns, out=None, tmp=None) -> np.ndarray:
-    """(K, L, n) inner values B[k, l] + S[k, l] . x_i, one coordinate at a time.
-
-    ``columns[j]`` holds coordinate j of the n rows, so the bits do not
-    depend on the memory layout of the rows.  The values are written into
-    ``out`` when given, and ``tmp`` is scratch of the same shape.
-    """
-    inner = np.multiply(S[:, :, 0, None], columns[0], out=out)
-    for j in range(1, S.shape[2]):
-        tmp = np.multiply(S[:, :, j, None], columns[j], out=tmp)
-        inner += tmp
-    inner += B[:, :, None]
-    return inner
-
-
 def _mma_blocks(mma: MaxMinAffine, X: np.ndarray):
     """(lo, hi, minima) per row block: block-major (K, rows) inner minima.
 
-    Every block is written into the same buffers, as in ``_piece_blocks``.
+    The (K, L, rows) inner values B[k, l] + S[k, l] . x_i are summed one
+    coordinate at a time, from the columns of the rows, so the bits do not
+    depend on the memory layout of X.  Every block is written into the same
+    buffers, as in ``_piece_blocks``; only d > 1 needs the second, scratch one.
     """
-    bufs = _buffers(2 if mma.d > 1 else 1, mma.biases.shape, X.shape[0])  # out[, tmp]
+    B, S = mma.biases, mma.slopes
+    bufs = _buffers(2 if mma.d > 1 else 1, B.shape, X.shape[0])
     min_buf, = _buffers(1, (mma.n_blocks,), X.shape[0])
     for lo, hi, rows in _row_blocks(X):
-        r = hi - lo
-        inner = mma_inner(mma.biases, mma.slopes, rows.T, *(buf[:, :, :r] for buf in bufs))
+        r, columns = hi - lo, rows.T
+        inner = np.multiply(S[:, :, 0, None], columns[0], out=bufs[0][:, :, :r])
+        for j in range(1, mma.d):
+            inner += np.multiply(S[:, :, j, None], columns[j], out=bufs[1][:, :, :r])
+        inner += B[:, :, None]
         yield lo, hi, inner.min(axis=1, out=min_buf[:, :r])
 
 

@@ -84,15 +84,6 @@ def normsq_target(d: int, radius: float = 1.0) -> TargetFunction:
     )
 
 
-def abs_target() -> TargetFunction:
-    """f(x) = |x| with the zero subgradient selected at the kink."""
-    return TargetFunction(
-        fn=lambda X: np.abs(X[:, 0]),
-        grad=lambda X: np.sign(X[:, 0])[:, None],
-        lipschitz=1.0,
-    )
-
-
 def random_delta_max_affine_target(d: int, lipschitz: float, seed: int,
                                    pieces: int = 6) -> TargetFunction:
     """Random piecewise-linear Lipschitz target: difference of two max-affine parts.

@@ -8,7 +8,7 @@ from dcreg.approx import (CoverSpec, LIPSCHITZ, SMOOTH, convex_taylor,
                           quad_upper, smooth_lower, smooth_upper,
                           weakly_and_delta_max_affine)
 from dcreg.model import eval_max, eval_mma, to_max_min_affine
-from dcreg.targets import (TargetFunction, abs_target, empirical_lipschitz,
+from dcreg.targets import (TargetFunction, empirical_lipschitz,
                            normsq_target, pw_linear_target,
                            random_delta_max_affine_target, xsinx_target)
 
@@ -150,6 +150,31 @@ def test_quad_band():
         assert np.all(gap_u <= 2.0 * lam * COVER.eps + 1e-12)
 
 
+def _min_form(X, centers, biases, slopes, curvature):
+    """min_k b_k + s_k . (x - c_k) + curvature ||x - c_k||^2, as written out directly."""
+    diff = X[:, None, :] - centers[None, :, :]
+    vals = biases[None, :] + np.einsum("nkd,kd->nk", diff, slopes)
+    return np.min(vals + curvature * np.sum(diff * diff, axis=2), axis=1)
+
+
+def test_upper_approximations_are_the_min_form_bit_for_bit():
+    # The negated lower approximation of -f: on x sin x through f(0) = 0 (a
+    # center and a grid point), and on ||x||^2 at d = 2, 3 with the origin too.
+    rng = np.random.default_rng(12)
+    cases = [(xsinx_target(), COVER, GRID)]
+    for d in (2, 3):
+        centers = np.vstack([np.zeros(d), rng.uniform(-1, 1, (7, d))])
+        cases.append((normsq_target(d), CoverSpec(centers, 0.5),
+                      np.vstack([np.zeros(d), rng.uniform(-1, 1, (300, d))])))
+    for target, cover, X in cases:
+        c = cover.centers
+        smooth = _min_form(X, c, target(c), target.gradient(c), float(target.smoothness))
+        quad = _min_form(X, c, target(c), np.zeros_like(c), target.lipschitz / cover.eps)
+        assert smooth_upper(target, cover)(X).tobytes() == smooth.tobytes()
+        assert quad_upper(target, cover)(X).tobytes() == quad.tobytes()
+        assert quad[0] == smooth[0] == 0.0 and not np.signbit([quad[0], smooth[0]]).any()
+
+
 def test_quad_band_constant_target():
     const = TargetFunction(lambda X: np.ones(X.shape[0]), lipschitz=1.0)
     approx = quad_lower(const, COVER)
@@ -197,6 +222,9 @@ def test_weakly_delta_lipschitz_mode():
     target = pw_linear_target()
     vals = target(GRID)
     res = weakly_and_delta_max_affine(target, COVER, LIPSCHITZ)
+    c, s = COVER.centers, target.lipschitz / COVER.eps
+    assert res.max_affine.biases.tobytes() == (target(c) - s * np.sum(c * c, axis=1)).tobytes()
+    assert res.max_affine.slopes.tobytes() == (2.0 * s * c).tobytes()
     # the weak form IS the quadratic-feature construction
     assert np.allclose(res.weak_values(GRID), quad_lower(target, COVER)(GRID),
                        atol=1e-10)
@@ -209,6 +237,10 @@ def test_weakly_delta_smooth_mode():
     target = xsinx_target()
     vals = target(GRID)
     res = weakly_and_delta_max_affine(target, COVER, SMOOTH)
+    c, s, g = COVER.centers, target.smoothness, target.gradient(COVER.centers)
+    biases = target(c) - np.einsum("kd,kd->k", g, c) - s * np.sum(c * c, axis=1)
+    assert res.max_affine.biases.tobytes() == biases.tobytes()
+    assert res.max_affine.slopes.tobytes() == (g + 2.0 * s * c).tobytes()
     assert np.allclose(res.weak_values(GRID), smooth_lower(target, COVER)(GRID),
                        atol=1e-10)
     delta = target.smoothness * COVER.eps
@@ -250,7 +282,9 @@ def test_convex_taylor_affine_exact():
 
 
 def test_convex_taylor_abs_kink():
-    target = abs_target()
+    # |x| with the zero subgradient selected at the kink
+    target = TargetFunction(lambda X: np.abs(X[:, 0]), lipschitz=1.0,
+                            grad=lambda X: np.sign(X[:, 0])[:, None])
     cover = grid_cover(-1.0, 1.0, 9)
     grid = np.linspace(-1, 1, 801)[:, None]
     mhat = convex_taylor(target, cover)

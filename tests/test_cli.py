@@ -107,19 +107,50 @@ def test_bench_spec_json(tmp_path):
     assert (tmp_path / "o" / "results.csv").exists()
 
 
+# Well-typed field values that ExperimentSpec or SyntheticGen reject.
+_INVALID_SPEC_FIELDS = {
+    "kind": {"kind": "bogus"},
+    "scaling": {"scaling": "bogus"},
+    "theta2-mode": {"theta2_mode": "bogus"},
+    "test-size": {"test_size": 0},
+    "train-size": {"train_sizes": [48, 0]},
+    "synthetic-d": {"synthetic": {"target": "normsq", "d": 0}},
+    "repetitions": {"repetitions": 0},
+    "train-sizes-str": {"train_sizes": ["a"]},
+    "noise-sigma": {"synthetic": {"target": "normsq", "noise_sigma": -1}},
+}
+
+
 @pytest.mark.parametrize("spec", [
     {"train_sizes": [48], "repetitons": 1, "estimators": ["ols"],
      "synthetic": {"target": "xsinx"}},
     [1, 2],
     {"train_sizes": [48], "estimators": ["ols"], "synthetic": {"target": "xsinx", "dim": 2}},
     {"train_sizes": 50, "estimators": ["ols"], "synthetic": {"target": "xsinx"}},
-], ids=["misspelled-key", "list", "unknown-synthetic-key", "scalar-train-sizes"])
-def test_bench_malformed_spec_is_a_data_error(tmp_path, capsys, spec):
+    *({"train_sizes": [48], "estimators": ["dcf", "ols"], "synthetic": {"target": "normsq"},
+       **field} for field in _INVALID_SPEC_FIELDS.values()),
+], ids=["misspelled-key", "list", "unknown-synthetic-key", "scalar-train-sizes",
+        *_INVALID_SPEC_FIELDS])
+def test_bench_malformed_spec_is_a_data_error(tmp_path, capsys, monkeypatch, spec):
+    # Checked when the spec is built: no cell runs, and no file is written.
+    monkeypatch.setattr("dcreg.experiment._run_cell", lambda *a: pytest.fail("a cell ran"))
     spec_path = tmp_path / "spec.json"
     spec_path.write_text(json.dumps(spec))
     assert main(["bench", "--spec", str(spec_path), "--out", str(tmp_path / "o")]) == EXIT_DATA
     err = capsys.readouterr().err
     assert err.startswith("data error: malformed spec ") and err.count("\n") == 1, err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("flag", [["--d", "0"], ["--sizes", "0"], ["--reps", "0"]],
+                         ids=lambda flag: " ".join(flag))
+def test_bench_invalid_flag_value_is_a_usage_error(tmp_path, capsys, monkeypatch, flag):
+    # The same values as a spec file's fields are data errors; on the command line
+    # the command is at fault.
+    monkeypatch.setattr("dcreg.experiment._run_cell", lambda *a: pytest.fail("a cell ran"))
+    assert main(["bench", "--target", "normsq", "--estimators", "ols", *flag,
+                 "--out", str(tmp_path / "o")]) == EXIT_USAGE
+    assert capsys.readouterr().err.startswith("usage error: ")
     assert not (tmp_path / "o").exists()
 
 

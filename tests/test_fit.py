@@ -15,9 +15,9 @@ from _helpers import (assert_fit_invariants, assert_gradient_matches, assert_sam
                       softmax_smooth, value_and_gradient)
 from dcreg import features, fit
 from dcreg.data import Dataset
-from dcreg.fit import (MUS, RHO_PEN, FitConfig, RegParams, STRONG, WEAK, _InitialProblem,
-                       _PieceKernel, _RefineProblem, _reg_terms, default_reg_params, finalize,
-                       fit_dcf, fit_initial, refine)
+from dcreg.fit import (MUS, RHO_PEN, FitConfig, ParamLayout, RegParams, STRONG, WEAK,
+                       _InitialProblem, _PieceKernel, _RefineProblem, _reg_terms,
+                       default_reg_params, finalize, fit_dcf, fit_initial, refine)
 from dcreg.model import (COMPLEMENT, CONVEX_MAX_AFFINE, CONVEX_NORM, CONVEX_PLUS,
                          MAX_MIN_AFFINE, NO_CONE, SINGLE, SYMMETRIC, VARIANT_TABLE, DcModel,
                          eval_max, eval_mma, eval_model, lip_stat, slope_rows,
@@ -108,6 +108,14 @@ def test_initial_objective_constant_data_certificate():
     value, _ = value_and_gradient(obj, params)
     assert value == pytest.approx(0.0, abs=1e-24)
     assert cons.max_violation(params) == 0.0
+
+
+def test_param_layout_pack_is_the_inverse_of_stack():
+    x = np.random.default_rng(71).standard_normal(1 + 2 * 5 * (1 + 3))
+    for m, with_z in itertools.product((1, 2), (True, False)):
+        layout = ParamLayout(5, 3, m, with_z)
+        v = x[:layout.dim]
+        assert_same_bits(layout.pack(*layout.stack(v)), v, (m, with_z))
 
 
 def test_initial_objective_k1_single_norm_constraint():

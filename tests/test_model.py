@@ -7,7 +7,7 @@ from _helpers import (assert_same_bits, eval_partitioned, phi_tensor, piece_valu
                       reference_mma_block, reference_piece_block)
 from dcreg import features
 from dcreg.data import Dataset
-from dcreg.model import (_CHUNK, COMPLEMENT, MAX_MIN_AFFINE, SINGLE, SYMMETRIC,
+from dcreg.model import (_CHUNK, _mma_blocks, COMPLEMENT, MAX_MIN_AFFINE, SINGLE, SYMMETRIC,
                          DcComponent, DcModel, MaxMinAffine, center, eval_max,
                          eval_mma, eval_model, lip_stat,
                          n_parameters, prune,
@@ -375,8 +375,10 @@ def test_prediction_kernels_are_bit_identical_to_the_allocating_reference(kind):
                 ref = np.hstack([reference_piece_block(c, rows) for rows in blocks])
                 assert_same_bits(piece_values(c, X), ref)
                 assert_same_bits(eval_max(c, X), ref.max(axis=0))
-            ref = np.hstack([reference_mma_block(mma, rows) for rows in blocks])
-            assert_same_bits(eval_mma(mma, X), ref.max(axis=0))
+            ref = [reference_mma_block(mma, rows) for rows in blocks]
+            for (_, _, minima), block_ref in zip(_mma_blocks(mma, X), ref, strict=True):
+                assert_same_bits(minima, block_ref)
+            assert_same_bits(eval_mma(mma, X), np.hstack(ref).max(axis=0))
 
 
 def test_prune_matches_dense_reference():

@@ -1,6 +1,7 @@
 """Self-test of tools/quality.py at tiny sizes."""
 
 import json
+import re
 import sys
 from pathlib import Path
 
@@ -9,6 +10,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tools"))
 
+import at_scale  # noqa: E402
 import quality  # noqa: E402
 from dcreg.solver import STOP_REASONS  # noqa: E402
 
@@ -53,6 +55,18 @@ def test_excess_mse_is_the_mean_squared_gap_to_the_clean_target(tmp_path):
     op = quality.worker.fit_op(state, 0, "symmetric", TINY)
     rec, = (r for r in m["records"] if r["variant"] == "symmetric")
     assert rec["excess_mse"] == pytest.approx(op["mse"], rel=1e-9)
+
+
+def test_at_scale_prints_a_row_per_size(capsys):
+    # The tool reads the stage1/stage2 log lines through quality.solve_lines.
+    assert at_scale.main(["--sizes", "64"]) == 0
+    row = capsys.readouterr().out.splitlines()[-1]
+    m = re.fullmatch(r"\| 64 \| (\d+) \| (\S+) s \| (\S+) s, (\d+) steps \| (\S+) s \| (\S+) s \|",
+                     row)
+    assert m, row
+    K, fit_s, stage1_s, steps, stage2_s, first_mu_s = m.groups()
+    assert int(K) >= 1 and int(steps) >= 1
+    assert min(float(t) for t in (fit_s, stage1_s, stage2_s, first_mu_s)) > 0.0
 
 
 def test_compare_flags_a_worse_pooled_median():

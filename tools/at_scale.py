@@ -56,8 +56,8 @@ def main(argv=None):
     print("|---|---|---|---|---|---|")
     for n in args.sizes:
         r = measure(n)
-        print(f"| {r['n']:,} | {r['K']} | {r['fit_s']:.2f} s | {r['stage1_s']:.2f} s, "
-              f"{r['stage1_steps']} steps | {r['stage2_s']:.2f} s | {r['first_mu_s']:.2f} s |",
+        print(f"| {r['n']:,} | {r['K']} | {r['fit_s']:.3g} s | {r['stage1_s']:.3g} s, "
+              f"{r['stage1_steps']} steps | {r['stage2_s']:.3g} s | {r['first_mu_s']:.3g} s |",
               flush=True)
     return 0
 
