@@ -17,7 +17,7 @@ from timeit import default_timer as timer
 import numpy as np
 
 from . import approx, baselines, features, model as model_mod, targets
-from .data import Dataset, SyntheticGen, apply_scaling, load_csv, SCALING_MODES, STD
+from .data import DataError, Dataset, SyntheticGen, apply_scaling, load_csv, SCALING_MODES, STD
 from .fit import FitConfig, STRONG, fit_dcf
 from .partition import data_radii
 
@@ -86,8 +86,6 @@ def _draw_cell_data(spec: ExperimentSpec, full: Dataset, n_idx: int, rep: int):
         train, _ = spec.synthetic.sample(n, seed)
         test, _ = spec.synthetic.sample(spec.test_size, seed + 1)
         return train, test.X, test.y
-    if n >= full.n:
-        raise ValueError(f"train size {n} leaves no test rows (dataset has {full.n})")
     perm = np.random.default_rng(seed).permutation(full.n)
     train = full.subset(perm[:n])
     test = full.subset(perm[n:])
@@ -169,9 +167,13 @@ def run_experiment(spec: ExperimentSpec, workers: int = 1):
     """Run all (estimator, size, repetition) cells; returns a list of row dicts.
 
     Each cell derives its RNG stream from (seed, size index, repetition), so
-    rows are reproducible and independent of the worker count.
+    rows are reproducible and independent of the worker count.  A train size
+    that leaves a CSV dataset no test rows is a ``DataError``, before any cell.
     """
     full = load_csv(spec.csv_path) if spec.csv_path is not None else None
+    n = max(spec.train_sizes, default=0)
+    if full is not None and n >= full.n:
+        raise DataError(f"train size {n} leaves no test rows ({spec.csv_path} has {full.n})")
     cells = [(est, i, rep)
              for est in spec.estimators
              for i in range(len(spec.train_sizes))

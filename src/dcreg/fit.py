@@ -118,7 +118,6 @@ class FitResult:
     reg: RegParams
     initial_report: SolveReport
     refine_report: SolveReport       # the stage-2 solves summed, as ``refine`` returns it
-    initial_penalized_objective: float
     constraint_violation_max: float
     cone_violation_max: float        # cone residuals of the raw stage-1 solution
     theta_fn: float
@@ -347,110 +346,19 @@ class _InitialProblem:
         res = self.residuals(params)
         return float(max(0.0, res.max())) if res.size else 0.0
 
-    def objective(self, rho) -> ObjectiveHandle:
-        """The penalized stage-1 objective, every component in one stacked pass.
+    def penalty(self, rho):
+        """(handle, direction): the penalized stage-1 objective at ``rho`` and its Newton step.
 
-        theta1 z^2 + mean(r^2) + theta2 sum ||W||^2, plus rho times the sum
-        of squared positive residuals: continuity, slope cap and cone.
-        """
-        layout, reg, cone, kernel = self.layout, self.reg, self.spec.cone, self.kernel
-        m = layout.n_components
-        signs = self.spec.signs
-        G = self.gram / self.X.shape[0]
-        rss0 = self.rss0
-        # params[cell_rows[i, k]] is component i's (b_k, w_k) as a column, like beta[k].
-        _, b_rows, w_rows = layout.stack(np.arange(layout.dim))
-        cell_rows = np.concatenate([b_rows[..., None], w_rows], axis=2)[..., None]
-        beta = self.beta[:, :, None]
-        sign_col = np.array(signs)[:, None, None, None]
-        add = np.add.reduce    # x.sum(axis) without the method's Python wrapper
-
-        def evaluate(params):
-            z, B, W = layout.stack(params)
-            # theta1 z^2 + the per-cell least squares of the signed sum + the ridge
-            delta = signed_sum(signs, params.take(cell_rows))
-            delta -= beta
-            Gd = G @ delta
-            value = reg.theta1 * z * z + (float(add(delta * Gd, None)) + rss0)
-            WW = W * W
-            for ridge in add(WW.reshape(m, -1), 1).tolist():
-                value += reg.theta2 * ridge
-            # the penalty: continuity, slope cap and cone, added after the terms above
-            P = self.pair_residuals(B, W)
-            np.maximum(P, 0.0, out=P)
-            pairs = add((P * P).reshape(m, -1), 1).tolist()
-            sn = _smooth_norms(add(WW, 2))
-            gpos = sn - _SMOOTH_KAPPA
-            gpos -= z
-            gpos -= reg.theta0
-            np.maximum(gpos, 0.0, out=gpos)
-            caps = add(gpos * gpos, 1).tolist()
-            cones, add_cone_grad = cone.penalty(W, self.d, rho)
-            penalty = 0.0
-            for i in range(m):
-                penalty += rho * pairs[i]
-                penalty += rho * caps[i]
-                penalty += cones[i]
-
-            def gradient():
-                grad = np.empty(layout.dim)
-                grad[cell_rows] = sign_col * np.multiply(Gd, 2.0, out=Gd)
-                _, gB, gW = layout.stack(grad)
-                gW += 2.0 * reg.theta2 * W
-                dP = np.multiply(P, 2.0 * rho, out=P)
-                pb, pW = kernel.grads(dP)
-                pb -= add(dP, 1)
-                gB += pb
-                h = 2.0 * rho * gpos
-                h_sums = add(h, 1).tolist()
-                h /= sn
-                pW += h[:, :, None] * W
-                add_cone_grad(pW)
-                gW += pW
-                gz = 0.0
-                for h_sum in h_sums:
-                    gz -= h_sum
-                grad[0] = 2.0 * reg.theta1 * z + gz
-                return grad
-
-            return value + penalty, gradient
-
-        return ObjectiveHandle(layout.dim, evaluate)
-
-    @functools.cached_property
-    def _hessian_base(self):
-        """(Phi, A0, F0, D0, own): the Hessian blocks that do not depend on the
-        parameters or rho, the least squares, ridge and z's weight.  Phi[l K + k]
-        is phi(c_k, c_l), the piece kernel's feature tensor; A0 is the [z; B]
-        block, with a zero row and column for the gradient's slot and the
-        padding's; D0 holds the pieces' slope blocks, F0 each block's columns
-        for z, its own biases and the gradient, and own those columns' indices."""
-        layout, reg = self.layout, self.reg
-        m, K, s = layout.n_components, layout.n_pieces, layout.slope_dim
-        nb, ms = 1 + m * K, m * s
-        G = self.gram / self.X.shape[0]
-        sign2 = np.multiply.outer(self.spec.signs, self.spec.signs)
-        b_at = 1 + np.arange(m * K).reshape(m, K)
-        A0 = np.zeros((nb + 2, nb + 2))
-        A0[0, 0] = 2.0 * reg.theta1
-        F0 = np.zeros((K, 2 + m, m, s))
-        D0 = np.zeros((K, m, s, m, s))
-        for i, j in np.ndindex(m, m):
-            A0[b_at[i], b_at[j]] += 2.0 * sign2[i, j] * G[:, 0, 0]
-            F0[:, 1 + j, i] = 2.0 * sign2[i, j] * G[:, 1:, 0]
-            D0[:, i, :, j, :] = 2.0 * sign2[i, j] * G[:, 1:, 1:]
-        D0.reshape(K, ms, ms)[:, range(ms), range(ms)] += 2.0 * reg.theta2
-        own = np.column_stack([np.zeros(K, int), b_at.T, np.full(K, nb)])
-        return (self.kernel.feature_tensor().reshape(K * K, s), A0, F0, D0.reshape(K, ms, ms),
-                own)
-
-    def newton_direction(self, rho):
-        """direction(params, grad, shift): the step d with (H + shift I) d = -grad.
-
-        H is the generalized Hessian of ``objective(rho)`` at params: the cell
-        Grams, the ridge and z's weight, plus 2 rho a a' for the gradient a of
-        each active residual (positive, so in the penalty), and for each
-        active cap rho times the Hessian of its square.  The pair residual
+        The objective is theta1 z^2 + mean(r^2) + theta2 sum ||W||^2, plus rho
+        times the sum of squared positive residuals: continuity, slope cap and
+        cone, every component in one stacked pass.  Each gradient thunk records
+        its point with the active (positive) continuity pairs and slope caps.
+        direction(params, grad, shift) is the step d with (H + shift I) d = -grad
+        at the last point differentiated, the only one ``newton_minimize`` asks
+        about, and raises at any other.  H is the generalized Hessian there:
+        the cell Grams, the ridge and z's weight, plus 2 rho a a' for the
+        gradient a of each active residual, and for each active cap rho times
+        the Hessian of its square.  The pair residual
         b_l + w_l . Phi[l, k] - b_k is active for a few (l, k), and the step is
         built from the list of those; no array spans the K^2 pairs.  The
         slopes are coupled only within a piece, so the blocks D_l of the K
@@ -465,28 +373,91 @@ class _InitialProblem:
         the blocks instead, a rho = 1e6 solve of a benchmark fit took 124 steps
         instead of 1.
         """
-        layout, reg, cone, d = self.layout, self.reg, self.spec.cone, self.d
+        layout, reg, cone, kernel, d = self.layout, self.reg, self.spec.cone, self.kernel, self.d
         m, K, s = layout.n_components, layout.n_pieces, layout.slope_dim
         nb, ms, nf = 1 + m * K, m * s, 2 + m
         nbx = nb + 2    # [z; B], then the gradient's slot and the padding's
+        signs = self.spec.signs
+        G = self.gram / self.X.shape[0]
+        # params[cell_rows[i, k]] is component i's (b_k, w_k) as a column, like beta[k].
+        _, b_rows, w_rows = layout.stack(np.arange(layout.dim))
+        cell_rows = np.concatenate([b_rows[..., None], w_rows], axis=2)[..., None]
+        beta = self.beta[:, :, None]
+        sign_col = np.array(signs)[:, None, None, None]
+        add = np.add.reduce    # x.sum(axis) without the method's Python wrapper
         Phi, A0, F0, D0, own = self._hessian_base
         cone_at = [np.atleast_1d(np.arange(s)[c]) for c in cone.columns(d)]
         two_rho, diag, comps = 2.0 * rho, np.arange(ms), range(m)
         fixed_at, fixed_block = np.arange(K * nf).reshape(K, nf), np.repeat(np.arange(K), nf)
+        active = (None,)    # (point, pairs, caps, norms, cap residuals) last differentiated
+
+        def evaluate(params):
+            z, B, W = layout.stack(params)
+            # theta1 z^2 + the per-cell least squares of the signed sum + the ridge
+            delta = signed_sum(signs, params.take(cell_rows))
+            delta -= beta
+            Gd = G @ delta
+            value = reg.theta1 * z * z + (float(add(delta * Gd, None)) + self.rss0)
+            WW = W * W
+            for ridge in add(WW.reshape(m, -1), 1).tolist():
+                value += reg.theta2 * ridge
+            # the penalty: continuity, slope cap and cone, added after the terms above
+            P = self.pair_residuals(B, W)
+            np.maximum(P, 0.0, out=P)
+            pairs = add((P * P).reshape(m, -1), 1).tolist()
+            sn = _smooth_norms(add(WW, 2))
+            gpos = sn - _SMOOTH_KAPPA
+            gpos -= z
+            gpos -= reg.theta0
+            np.maximum(gpos, 0.0, out=gpos)
+            caps = add(gpos * gpos, 1).tolist()
+            cones, add_cone_grad = cone.penalty(W, d, rho)
+            penalty = 0.0
+            for i in comps:
+                penalty += rho * pairs[i]
+                penalty += rho * caps[i]
+                penalty += cones[i]
+
+            def gradient():
+                nonlocal active
+                active = (params, np.flatnonzero(P.transpose(1, 0, 2) > 0.0),
+                          np.nonzero(gpos > 0.0), sn, gpos)
+                grad = np.empty(layout.dim)
+                grad[cell_rows] = sign_col * np.multiply(Gd, 2.0, out=Gd)
+                _, gB, gW = layout.stack(grad)
+                gW += 2.0 * reg.theta2 * W
+                dP = np.multiply(P, two_rho, out=P)
+                pb, pW = kernel.grads(dP)
+                pb -= add(dP, 1)
+                gB += pb
+                h = two_rho * gpos
+                h_sums = add(h, 1).tolist()
+                h /= sn
+                pW += h[:, :, None] * W
+                add_cone_grad(pW)
+                gW += pW
+                gz = 0.0
+                for h_sum in h_sums:
+                    gz -= h_sum
+                grad[0] = 2.0 * reg.theta1 * z + gz
+                return grad
+
+            return value + penalty, gradient
 
         def direction(params, grad, shift):
-            z, B, W = layout.stack(params)
+            if not np.array_equal(params, active[0]):
+                raise ValueError("a Newton step is taken only at the last point differentiated")
+            _, flat_pairs, (ci, cl), sn, gpos = active
+            W = layout.stack(params)[2]
             gz, gB, gW = layout.stack(grad)
             A, D, F = A0.copy(), D0.copy(), F0.copy()
             D5 = D.reshape(K, m, s, m, s)
             F[:, -1] = gW.transpose(1, 0, 2)
             # slope caps sqrt(|w|^2 + kappa^2) - kappa - z - theta0, active where positive
-            sn = _smooth_norms(np.add.reduce(W * W, 2))
-            ci, cl = np.nonzero(sn - _SMOOTH_KAPPA - z - reg.theta0 > 0.0)
             if ci.size:
                 snc = sn[ci, cl]
                 u = W[ci, cl] / snc[:, None]
-                curv = two_rho * ((snc - _SMOOTH_KAPPA - z - reg.theta0) / snc)
+                curv = two_rho * (gpos[ci, cl] / snc)
                 D5[cl, ci, :, ci, :] += ((two_rho - curv)[:, None, None] * u[:, :, None]
                                          * u[:, None, :] + curv[:, None, None] * np.eye(s))
                 F[cl, 0, ci] = -two_rho * u
@@ -498,7 +469,7 @@ class _InitialProblem:
                     D5[:, i, c1, i, c2] += cones[i]
             # continuity: a = e(b_l) - e(b_k) + Phi[l, k] on w_l for the active (l, k),
             # listed by piece l, then component i, then partner k
-            li, pk = divmod(np.flatnonzero(self.pair_residuals(B, W).transpose(1, 0, 2) > 0.0), K)
+            li, pk = divmod(flat_pairs, K)
             pl, pi = divmod(li, m)
             n_act = pk.size
             bl, bk = 1 + pi * K + pl, 1 + pi * K + pk
@@ -567,7 +538,34 @@ class _InitialProblem:
             step_w = (V / -Ld.T).T.reshape(K, m, s)
             return layout.pack(step_b[0], step_b[1:], step_w.transpose(1, 0, 2))
 
-        return direction
+        return ObjectiveHandle(layout.dim, evaluate), direction
+
+    @functools.cached_property
+    def _hessian_base(self):
+        """(Phi, A0, F0, D0, own): the Hessian blocks that do not depend on the
+        parameters or rho, the least squares, ridge and z's weight.  Phi[l K + k]
+        is phi(c_k, c_l), the piece kernel's feature tensor; A0 is the [z; B]
+        block, with a zero row and column for the gradient's slot and the
+        padding's; D0 holds the pieces' slope blocks, F0 each block's columns
+        for z, its own biases and the gradient, and own those columns' indices."""
+        layout, reg = self.layout, self.reg
+        m, K, s = layout.n_components, layout.n_pieces, layout.slope_dim
+        nb, ms = 1 + m * K, m * s
+        G = self.gram / self.X.shape[0]
+        sign2 = np.multiply.outer(self.spec.signs, self.spec.signs)
+        b_at = 1 + np.arange(m * K).reshape(m, K)
+        A0 = np.zeros((nb + 2, nb + 2))
+        A0[0, 0] = 2.0 * reg.theta1
+        F0 = np.zeros((K, 2 + m, m, s))
+        D0 = np.zeros((K, m, s, m, s))
+        for i, j in np.ndindex(m, m):
+            A0[b_at[i], b_at[j]] += 2.0 * sign2[i, j] * G[:, 0, 0]
+            F0[:, 1 + j, i] = 2.0 * sign2[i, j] * G[:, 1:, 0]
+            D0[:, i, :, j, :] = 2.0 * sign2[i, j] * G[:, 1:, 1:]
+        D0.reshape(K, ms, ms)[:, range(ms), range(ms)] += 2.0 * reg.theta2
+        own = np.column_stack([np.zeros(K, int), b_at.T, np.full(K, nb)])
+        return (self.kernel.feature_tensor().reshape(K * K, s), A0, F0, D0.reshape(K, ms, ms),
+                own)
 
     def certificate_point(self) -> np.ndarray:
         """The feasible constant fit at the mean response, in the first component."""
@@ -600,9 +598,9 @@ def fit_initial(dataset: Dataset, partition: Partition, kind: str, reg: RegParam
     start = problem.certificate_point()
     x_star, solves = start, []
     for rho in RHOS:
-        penalized = problem.objective(rho)
+        penalized, direction = problem.penalty(rho)
         budget = solver_cfg.max_iters - sum(r.iterations for r in solves)
-        x_star, last = newton_minimize(penalized, problem.newton_direction(rho), x_star, budget)
+        x_star, last = newton_minimize(penalized, direction, x_star, budget)
         solves.append(last)
         log.info("stage1 variant=%s rho=%g iters=%d evals=%d stop=%s wall=%.3fs", variant, rho,
                  last.iterations, last.evaluations, last.stop_reason, last.wall_s)
@@ -623,7 +621,6 @@ def fit_initial(dataset: Dataset, partition: Partition, kind: str, reg: RegParam
     model = DcModel.of(variant, comps)
     info = {
         "report": report,
-        "penalized_objective": float(report.final_value),
         "certificate": cert_value,
         "violation": float(violation),
         "cone_violation": cone_violation,
@@ -894,7 +891,6 @@ def fit_dcf(dataset: Dataset, config: FitConfig = None) -> FitResult:
         reg=reg,
         initial_report=info["report"],
         refine_report=refine_report,
-        initial_penalized_objective=info["penalized_objective"],
         constraint_violation_max=info["violation"],
         cone_violation_max=info["cone_violation"],
         theta_fn=problem.theta,

@@ -28,7 +28,6 @@ CONVEX_PLUS = "convex_plus"
 
 VARIANTS = (SINGLE, COMPLEMENT, SYMMETRIC, MAX_MIN_AFFINE,
             CONVEX_MAX_AFFINE, CONVEX_NORM, CONVEX_PLUS)
-CONVEX_VARIANTS = (CONVEX_MAX_AFFINE, CONVEX_NORM, CONVEX_PLUS)
 
 _CHUNK = 4096
 
@@ -372,14 +371,19 @@ def _check_dim(X, d, what):
     return X
 
 
+def _block_maxima(blocks, form, x, what):
+    """Column maxima of the row blocks ``blocks(form, X)``; accepts (d,) or (n, d)."""
+    single = np.asarray(x).ndim == 1
+    X = _check_dim(x, form.d, what)
+    out = np.empty(X.shape[0])
+    for lo, hi, block in blocks(form, X):
+        block.max(axis=0, out=out[lo:hi])
+    return float(out[0]) if single else out
+
+
 def eval_max(comp: DcComponent, x):
     """Max over pieces; accepts a single point (d,) or a batch (n, d)."""
-    single = np.asarray(x).ndim == 1
-    X = _check_dim(x, comp.d, "component")
-    vals = np.empty(X.shape[0])
-    for lo, hi, block in _piece_blocks(comp, X):
-        block.max(axis=0, out=vals[lo:hi])
-    return float(vals[0]) if single else vals
+    return _block_maxima(_piece_blocks, comp, x, "component")
 
 
 def _mma_blocks(mma: MaxMinAffine, X: np.ndarray):
@@ -404,12 +408,7 @@ def _mma_blocks(mma: MaxMinAffine, X: np.ndarray):
 
 def eval_mma(mma: MaxMinAffine, x):
     """Nested max-over-blocks of min-over-inner-pieces affine values."""
-    single = np.asarray(x).ndim == 1
-    X = _check_dim(x, mma.d, "mma")
-    out = np.empty(X.shape[0])
-    for lo, hi, block in _mma_blocks(mma, X):
-        block.max(axis=0, out=out[lo:hi])
-    return float(out[0]) if single else out
+    return _block_maxima(_mma_blocks, mma, x, "mma")
 
 
 def eval_model_std(model: DcModel, X) -> np.ndarray:

@@ -302,7 +302,7 @@ def assert_fit_invariants(result: FitResult, dataset, viol_tol=1e-4):
     assert abs(mean_pred - float(np.mean(dataset.y))) <= 1e-10
     # stage-1 solve quality
     assert result.constraint_violation_max <= viol_tol
-    assert result.initial_penalized_objective <= result.constant_certificate + 1e-12
+    assert result.initial_report.final_value <= result.constant_certificate + 1e-12
     _assert_partition_gap(result, dataset)
 
 
@@ -392,7 +392,7 @@ def build_initial_objective(dataset, partition, kind, reg, variant=SINGLE, rho=R
     ``pair_residuals``.
     """
     problem = _InitialProblem(dataset.X, dataset.y, partition, kind, reg, variant)
-    return problem.objective(rho), problem, problem.layout
+    return problem.penalty(rho)[0], problem, problem.layout
 
 
 def build_refine_objective(initial_model, dataset, reg, mu=MUS[-1]):

@@ -142,6 +142,20 @@ def test_bench_malformed_spec_is_a_data_error(tmp_path, capsys, monkeypatch, spe
     assert not (tmp_path / "o").exists()
 
 
+def test_bench_csv_without_test_rows_is_a_data_error(tmp_path, capsys, monkeypatch):
+    # Checked once the CSV is loaded: no cell runs, and no file is written.
+    monkeypatch.setattr("dcreg.experiment._run_cell", lambda *a: pytest.fail("a cell ran"))
+    data = tmp_path / "small.csv"
+    data.write_text("".join(f"{i}.0,{i}.5\n" for i in range(20)))
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps({"train_sizes": [10, 50], "estimators": ["ols"],
+                                     "csv_path": str(data)}))
+    assert main(["bench", "--spec", str(spec_path), "--out", str(tmp_path / "o")]) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert err == f"data error: train size 50 leaves no test rows ({data} has 20)\n", err
+    assert not (tmp_path / "o").exists()
+
+
 @pytest.mark.parametrize("flag", [["--d", "0"], ["--sizes", "0"], ["--reps", "0"]],
                          ids=lambda flag: " ".join(flag))
 def test_bench_invalid_flag_value_is_a_usage_error(tmp_path, capsys, monkeypatch, flag):

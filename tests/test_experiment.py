@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from dcreg import experiment
 from dcreg.data import SyntheticGen
 from dcreg.experiment import (ExperimentSpec, aggregate_rows, demo_figures,
                               run_experiment, write_bench_outputs, write_csv)
@@ -60,10 +61,18 @@ def test_run_experiment_noise_floor_constant_target():
         assert abs(row["test_mse"] - sigma ** 2) <= band + 0.2 * sigma ** 2
 
 
-def test_run_experiment_marks_failed_cells(tmp_path):
-    # a train size consuming all csv rows fails that cell but not the run
+def test_run_experiment_marks_failed_cells(tmp_path, monkeypatch):
+    # a cell that raises fails that cell but not the run
+    fit_predict = experiment._fit_predict_cell
+
+    def failing_at_20(estimator, spec, train, seed):
+        if train.n == 20:
+            raise RuntimeError("no fit")
+        return fit_predict(estimator, spec, train, seed)
+
+    monkeypatch.setattr(experiment, "_fit_predict_cell", failing_at_20)
     path = tmp_path / "small.csv"
-    path.write_text("\n".join(f"{i}.0,{i}.5" for i in range(10)) + "\n")
+    path.write_text("\n".join(f"{i}.0,{i}.5" for i in range(30)) + "\n")
     spec = ExperimentSpec(train_sizes=(5, 20), csv_path=str(path),
                           repetitions=1, estimators=("ols",), seed=0)
     rows = run_experiment(spec)

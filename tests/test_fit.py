@@ -25,7 +25,7 @@ from dcreg.model import (COMPLEMENT, CONVEX_MAX_AFFINE, CONVEX_NORM, CONVEX_PLUS
 from dcreg.partition import afpc
 from dcreg.serialize import load_model, save_model
 from dcreg.solver import (_EXP_FLOOR, GRAD_NORM_TOL, NEWTON_SHIFT, STOP_REASONS, SolverConfig,
-                          softmax_columns)
+                          newton_minimize, softmax_columns)
 from dcreg.approx import fvu
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
@@ -248,7 +248,7 @@ def test_fit_initial_certificate_inequality():
         reg = default_reg_params(*_radii(ds), ds.n, ds.d, part.n_centers)
         model, info = fit_initial(ds, part, features.LINF, reg)
         cert = float(np.mean((ds.y - ds.y.mean()) ** 2))
-        assert info["penalized_objective"] <= cert + 1e-12
+        assert info["report"].final_value <= cert + 1e-12
         assert info["certificate"] == pytest.approx(cert, rel=1e-12)
         assert info["violation"] <= 1e-4
 
@@ -283,7 +283,7 @@ def test_fit_initial_reaches_the_minimum_of_an_independent_scipy_solve(variant, 
     reg = default_reg_params(*_radii(ds), ds.n, d, part.n_centers)
     _, info = fit_initial(ds, part, kind, reg, variant=variant)
     oracle = scipy_initial_minimum(ds, part, kind, reg, variant, RHO_PEN)
-    assert info["penalized_objective"] == pytest.approx(oracle, rel=1e-6)
+    assert info["report"].final_value == pytest.approx(oracle, rel=1e-6)
 
 
 def _radii(ds):
@@ -333,7 +333,9 @@ def test_newton_direction_solves_the_shifted_generalized_hessian_system(variant,
     H = np.column_stack([(evaluate(x + h * e)[1] - evaluate(x - h * e)[1]) / (2.0 * h)
                          for e in np.eye(x.size)])
     shift = NEWTON_SHIFT * np.abs(g).max()
-    step = problem.newton_direction(rho)(x, g, shift)
+    handle, direction = problem.penalty(rho)
+    handle.evaluate(x)[1]()    # the step is taken at the last point differentiated
+    step = direction(x, g, shift)
     residual = H @ step + shift * step + g
     assert np.linalg.norm(residual) <= _DIRECTION_RTOL * np.linalg.norm(g)
 
@@ -364,16 +366,51 @@ def test_newton_direction_matches_the_dense_shifted_generalized_hessian_solve(
     W[:, 2:7] *= 10.0 * reg.theta0 / np.linalg.norm(W[:, 2:7], axis=2, keepdims=True)
     partners = (problem.pair_residuals(B, W) > 0.0).sum(axis=2)
     assert (partners[:, 0] == K - 1).all() and (partners[:, 1] == 0).all()
-    grad = value_and_gradient(problem.objective(rho), x)[1]
+    handle, direction = problem.penalty(rho)
+    grad = value_and_gradient(handle, x)[1]
     shift = NEWTON_SHIFT * np.abs(grad).max()
     H = dense_generalized_hessian(problem, x, rho) + shift * np.eye(layout.dim)
     expected = np.linalg.solve(H, -grad)
     for dense_ratio, group_cost in ((fit._DENSE_RATIO, fit._GROUP_COST), (np.inf, 0), (0.0, 0)):
         monkeypatch.setattr(fit, "_DENSE_RATIO", dense_ratio)
         monkeypatch.setattr(fit, "_GROUP_COST", group_cost)
-        step = problem.newton_direction(rho)(x, grad, shift)
+        step = direction(x, grad, shift)
         assert np.linalg.norm(step - expected) <= 1e-9 * np.linalg.norm(expected), \
             (dense_ratio, group_cost)
+
+
+def test_a_stage1_rung_computes_the_pair_residuals_once_per_evaluation(monkeypatch):
+    # Each Newton step reads the active pairs of the evaluation it follows.
+    ds = _random_dataset(120, 2, seed=4)
+    part = afpc(ds.X, seed=4)
+    reg = default_reg_params(*_radii(ds), ds.n, ds.d, part.n_centers)
+    problem = _InitialProblem(ds.X, ds.y, part, features.LINF, reg, SINGLE)
+    calls, pair_residuals = [], problem.pair_residuals
+    monkeypatch.setattr(problem, "pair_residuals",
+                        lambda B, W: calls.append(1) or pair_residuals(B, W))
+    _, report = newton_minimize(*problem.penalty(1.0), problem.certificate_point(), 100)
+    assert report.converged and report.iterations > 5
+    assert len(calls) == report.evaluations
+
+
+def test_the_newton_step_is_taken_only_at_the_last_point_differentiated():
+    ds = _random_dataset(120, 2, seed=4)
+    part = afpc(ds.X, seed=4)
+    reg = default_reg_params(*_radii(ds), ds.n, ds.d, part.n_centers)
+    problem = _InitialProblem(ds.X, ds.y, part, features.LINF, reg, SINGLE)
+    handle, direction = problem.penalty(RHO_PEN)
+    x = problem.certificate_point()
+    y = x + 0.1 * np.random.default_rng(5).standard_normal(x.size)
+    with pytest.raises(ValueError, match="last point differentiated"):
+        direction(x, np.ones(x.size), 1.0)     # no point differentiated yet
+    g = value_and_gradient(handle, x)[1]
+    handle.evaluate(y)                         # a trial whose gradient is not taken
+    step = direction(x, g, 1.0)
+    assert np.isfinite(step).all() and g.dot(step) < 0.0
+    g_y = value_and_gradient(handle, y)[1]
+    with pytest.raises(ValueError, match="last point differentiated"):
+        direction(x, g, 1.0)
+    assert np.isfinite(direction(y, g_y, 1.0)).all()
 
 
 def test_fit_initial_complement_fits_the_negated_max_form():
