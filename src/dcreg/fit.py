@@ -6,16 +6,18 @@ shared slope-norm cap, via a quadratic penalty.  Damped semismooth Newton
 steps minimize the penalized objective at each weight of ``RHOS`` in turn, up
 to ``RHO_PEN``, the first from the constant fit at the mean response, each
 next from the last one's point.  Stage 2 locally refines the max-form
-function under a slope regularizer tied to the initial solution, by L-BFGS.
-It minimizes the soft maximum mu log sum exp(a / mu) in place of each max,
+function under a slope regularizer tied to the initial solution.  It
+minimizes the soft maximum mu log sum exp(a / mu) in place of each max,
 value and gradient alike, and the slope cone's envelope dist^2 / (2 mu), for
 mu = 1e-2, 1e-3 and 1e-4 in turn, each solve warm-started from the last and
-run on the pieces whose soft-max exponents are not all clipped at its mu; it
-falls back to the initial fit whenever the result fails to improve the
-criterion with the true maxima, which ``_RefineProblem.criterion`` states
-once for the acceptance test and the fit's risk + reg chain.  Every variant
-refines its max form: max-min-affine's blocks are the rewrite of its
-component, refined free of its cone and projected onto it.  Stage 3 prunes
+run on the pieces whose soft-max exponents are not all clipped at its mu:
+the first by L-BFGS, the later ones, on few pieces, by damped Newton steps
+with the exact Hessian.  It falls back to the initial fit whenever the
+result fails to improve the criterion with the true maxima, which
+``_RefineProblem.criterion`` states once for the acceptance test and the
+fit's risk + reg chain.  Every variant refines its max form: max-min-affine's
+blocks are the rewrite of its component, refined free of its cone and
+projected onto it.  Stage 3 prunes
 inactive pieces and centers the mean prediction on the training responses.
 """
 
@@ -35,7 +37,7 @@ from .model import (
     symmetric_bias_center, variant_spec,
 )
 from .partition import Partition, afpc
-from .solver import ObjectiveHandle, SolveReport, SolverConfig, SolverAbort, \
+from .solver import _EXP_FLOOR, ObjectiveHandle, SolveReport, SolverConfig, SolverAbort, \
     lbfgs_minimize, newton_minimize, softmax_columns, unclipped_rows
 
 log = logging.getLogger(__name__)
@@ -586,8 +588,9 @@ def fit_initial(dataset: Dataset, partition: Partition, kind: str, reg: RegParam
 
     ``newton_minimize`` solves the penalized objective at each weight of
     ``RHOS`` in turn, the first from the constant fit at the mean response,
-    each next from the last one's point; ``solver_cfg.max_iters`` caps their
-    steps in all.  The report sums the solves' iterations, evaluations,
+    each next from the last one's point, each to ``GRAD_NORM_TOL``;
+    ``solver_cfg.max_iters`` caps their steps in all, and its ``grad_tol`` is
+    stage 2's.  The report sums the solves' iterations, evaluations,
     line-search failures and wall time, and takes the last one's stop reason,
     value (the ``RHO_PEN`` penalized objective) and gradient norm.  The start
     is feasible, so its value, reported as the certificate, has no penalty
@@ -600,7 +603,7 @@ def fit_initial(dataset: Dataset, partition: Partition, kind: str, reg: RegParam
     for rho in RHOS:
         penalized, direction = problem.penalty(rho)
         budget = solver_cfg.max_iters - sum(r.iterations for r in solves)
-        x_star, last = newton_minimize(penalized, direction, x_star, budget)
+        x_star, last = newton_minimize(penalized, direction, x_star, SolverConfig(budget))
         solves.append(last)
         log.info("stage1 variant=%s rho=%g iters=%d evals=%d stop=%s wall=%.3fs", variant, rho,
                  last.iterations, last.evaluations, last.stop_reason, last.wall_s)
@@ -639,7 +642,7 @@ def _summed(solves):
 # the refinement problem (soft maxima)
 
 def _reg_terms(W_rows, theta, c0, theta2, mu):
-    """Value of the slope regularizer, and a thunk for its per-row gradient.
+    """Value of the slope regularizer, and thunks for its per-row gradient and its Hessian.
 
     The hinge is on the soft maximum of the slope norms at ``mu``, taken as
     one column of ``softmax_columns``, and its gradient is that soft
@@ -647,6 +650,7 @@ def _reg_terms(W_rows, theta, c0, theta2, mu):
     computes along an axis.  The soft maximum is at most top + mu log K for
     the largest norm top; where that, with a margin for the rounding of the
     exponentials' sum, stays below c0, the hinge is zero and is not computed.
+    The Hessian is dense over the rows' entries, row by row.
     """
     sq_norms = np.add.reduce(W_rows * W_rows, 1)
     norms = np.sqrt(sq_norms)
@@ -656,16 +660,33 @@ def _reg_terms(W_rows, theta, c0, theta2, mu):
         lam, E, sums = softmax_columns(norms[:, None], mu, top)
         hinge = max(float(lam[0]) - c0, 0.0)
     value = theta * hinge * hinge + theta2 * float(np.sum(norms * norms))
+    binds = theta > 0.0 and hinge > 0.0
 
     def gradient():
         grad = 2.0 * theta2 * W_rows
-        if theta > 0.0 and hinge > 0.0:
+        if binds:
             weights = E[:, 0] / sums
             grad += ((2.0 * theta * hinge) * (weights / _smooth_norms(sq_norms))[:, None]
                      * W_rows)
         return grad
 
-    return value, gradient
+    def hessian():
+        # theta hinge^2 of the soft maximum lam of the norms nu_j: 2 theta (g g' + hinge
+        # H_lam), with lam's gradient g_j = p_j u_j and Hessian sum_j p_j (I - u_j u_j') /
+        # nu_j + (sum_j p_j u_j u_j' - g g') / mu, for u_j = w_j / nu_j
+        R, s = W_rows.shape
+        H = np.diag(np.full(R * s, 2.0 * theta2))
+        if binds:
+            p, nu = E[:, 0] / sums, _smooth_norms(sq_norms)
+            u = W_rows / nu[:, None]
+            uu = u[:, :, None] * u[:, None, :]
+            g = (p[:, None] * u).ravel()
+            H += (2.0 * theta * (1.0 - hinge / mu)) * np.multiply.outer(g, g)
+            H.reshape(R, s, R, s)[range(R), :, range(R), :] += (2.0 * theta * hinge) * (
+                (p / nu)[:, None, None] * (np.eye(s) - uu) + (p / mu)[:, None, None] * uu)
+        return H
+
+    return value, gradient, hessian
 
 
 class _RefineProblem:
@@ -677,11 +698,12 @@ class _RefineProblem:
     starts at c0 = theta3 lam0 for the initial model's largest slope norm
     lam0, and its strength theta is the initial criterion over lam0^2 (zero
     when the initial slopes vanish).  ``objective`` smooths the same
-    criterion.  The max forms are evaluated by the piece kernel on the
-    training rows, built with the objective, so a refinement that does not
-    run builds none.  A max-min-affine model is refined as its max-form
-    component.  ``pieces`` is the working set: the indices of the initial
-    model's pieces that the parameters hold.  ``restricted`` only shrinks it.
+    criterion, and ``smoothed`` gives its exact Hessian too.  The max forms
+    are evaluated by the piece kernel on the training rows, built with the
+    objective, so a refinement that does not run builds none.  A
+    max-min-affine model is refined as its max-form component.  ``pieces``
+    is the working set: the indices of the initial model's pieces that the
+    parameters hold.  ``restricted`` only shrinks it.
     """
 
     def __init__(self, initial_model: DcModel, dataset: Dataset, reg: RegParams):
@@ -741,31 +763,63 @@ class _RefineProblem:
         """The stage-2 objective at smoothing width ``mu``: every max replaced by
         its soft maximum at ``mu``, and the cone by its envelope at ``mu``, one
         smooth function of the working set's pieces."""
+        return self.smoothed(mu)[0]
+
+    def smoothed(self, mu):
+        """(handle, hessian): ``objective(mu)`` and its exact Hessian.
+
+        Each gradient thunk records its point with the residuals r_i and the
+        soft-max sums of its evaluation, whose exponentials stay in the
+        values' buffer until the next evaluation.  hessian(params) is the
+        Hessian at the last point differentiated, the only one
+        ``newton_minimize`` asks about, and raises at any other; it computes
+        no piece value again.  Piece k's value at row i is theta_k . f_ik for
+        theta_k = (b_k, w_k) and f_ik = (1, phi(x_i, c_k)).  With the soft-max
+        weights p_ik and c_i = sign r_i / mu, the risk (1/n) sum r_i^2 adds
+        (2/n) sum_i [c_i p_ik + (1 - c_i) p_ik^2] f_ik f_ik' to piece k's own
+        block, one batched Gram over all rows, and (2/n) (1 - c_i) p_ik p_il
+        f_ik f_il' between pieces k and l: only a tied row, where both weigh
+        more than the clip, adds more than the clip's 1e-26 there.  A
+        difference's components are coupled by -(2/n) J_1' J_2, J_j's rows
+        p_ik f_ik.  Then come the regularizer's Hessian and 2 rho a a' for
+        each active cone residual a . w.
+        """
         layout, y = self.layout, self.y
         n = y.shape[0]
         m, K, s = layout.n_components, layout.n_pieces, layout.slope_dim
+        q = 1 + s
         theta2 = self.reg.theta2
         signs = self.spec.signs
         sign_col = np.array(signs)[:, None]
         kernel = _PieceKernel(self.kind, self.X, self.centers[self.pieces], s)
         rho = self.cone_weight(mu)
+        cone_at = [np.atleast_1d(np.arange(s)[c]) for c in self.cone.columns(self.d)]
+        # where each piece's q parameters sit in its component's [b; W]
+        at = np.column_stack([np.arange(K), K + np.arange(K * s).reshape(K, s)])
         # Made once: the piece values, overwritten by their soft-max exponentials,
         # and the coefficients, which are the values' scratch too.
         A, coef = np.empty((2, m, K, n))
+        evaluations, recorded = 0, (None, -1)
 
         def evaluate(params):
+            nonlocal evaluations
+            evaluations += 1
+            count = evaluations
             _, B, W = layout.stack(params)
             kernel.values(B, W, A, coef)
             smooth, E, sums = softmax_columns(A, mu, A.max(axis=1), out=A)
             r = signed_sum(signs, smooth) - y
             value = float(np.add.reduce(r * r, None) / n)    # np.mean's bits
-            rv, reg_grad = _reg_terms(W.reshape(-1, s), self.theta, self.c0, theta2, mu)
+            rv, reg_grad, reg_hess = _reg_terms(W.reshape(-1, s), self.theta, self.c0, theta2,
+                                                mu)
             value += rv
             cones, add_cone_grad = self.cone.penalty(W, self.d, rho)
             for cone_value in cones:
                 value += cone_value
 
             def gradient():
+                nonlocal recorded
+                recorded = (params, count, r, sums, reg_hess)
                 np.multiply(E, (sign_col * ((2.0 / n) * r) / sums)[:, None, :], out=coef)
                 gb, gW = kernel.grads(coef)
                 gW += reg_grad().reshape(gW.shape)
@@ -774,13 +828,65 @@ class _RefineProblem:
 
             return value, gradient
 
-        return ObjectiveHandle(layout.dim, evaluate)
+        @functools.cache
+        def rows():
+            """The (K, n, q) rows f_ik, made by the first Hessian: L-BFGS widths take none."""
+            return np.concatenate([np.ones((K, n, 1)), kernel.feature_tensor()], axis=2)
+
+        def hessian(params):
+            if recorded[1] != evaluations or not np.array_equal(params, recorded[0]):
+                raise ValueError("the Hessian is taken only at the last point differentiated")
+            _, _, r, sums, reg_hess = recorded
+            f = rows()
+            P = A / sums[:, None, :]                          # the soft-max weights p
+            c = sign_col * r / mu
+            tied = np.add.reduce(A > np.exp(_EXP_FLOOR), 1) > 1
+            # each piece's own block: c p + (1 - c) p^2 in the rows no other piece
+            # shares, c p in the tied ones, whose (1 - c) J'J term adds the rest
+            weights = P * (c[:, None, :] + np.where(tied, 0.0, 1.0 - c)[:, None, :] * P)
+            own = np.matmul(f.transpose(0, 2, 1) * ((2.0 / n) * weights)[..., None, :], f)
+            W = layout.stack(params)[2]
+            cones = 2.0 * rho * (self.cone.residuals(W, self.d) > 0.0).reshape(m, K, -1)
+            for c1, c2 in itertools.product(cone_at, repeat=2):
+                own[:, :, 1 + c1, 1 + c2] += cones
+            # J[i]: the (n, K q) rows p_ik f_ik of component i, in its [b; W] order
+            J = np.empty((m, n, K * q))
+            J[..., at.ravel()] = (P[..., None] * f).transpose(0, 2, 1, 3).reshape(m, n, -1)
+            H = np.zeros((m, K * q, m, K * q))
+            for i in range(m):
+                Jt = J[i].take(np.flatnonzero(tied[i]), 0)
+                H[i, :, i] = Jt.T @ (((2.0 / n) * (1.0 - c[i][tied[i]]))[:, None] * Jt)
+                H[i, :, i][at[:, :, None], at[:, None, :]] += own[i]
+            for i, j in itertools.combinations(range(m), 2):
+                H[i, :, j] = (2.0 / n) * signs[i] * signs[j] * (J[i].T @ J[j])
+                H[j, :, i] = H[i, :, j].T
+            H[:, K:, :, K:] += reg_hess().reshape(m, K * s, m, K * s)
+            return H.reshape(layout.dim, layout.dim)
+
+        return ObjectiveHandle(layout.dim, evaluate), hessian
 
     def extract(self, params, initial_model: DcModel) -> DcModel:
         _, B, W = self.layout.stack(params)
         return DcModel.of(self.spec.name, [
             self.spec.component_from(t.kind, t.centers, b, W, t.center_idx[self.pieces])
             for t, b, W in zip(initial_model.components(), B, W)])
+
+
+def _newton_step(hessian):
+    """``newton_minimize``'s direction from a dense Hessian: the solve with H + shift I,
+    whose Cholesky factorization tests it for positive definiteness (numpy has no
+    triangular solve, and one LU solve of H costs less than two of its factor).
+    A retry at the same point, with a larger shift, reuses its Hessian."""
+    last = [None, None]     # the last point asked about, and its Hessian
+
+    def direction(x, g, shift):
+        if last[0] is not x:
+            last[:] = x, hessian(x)
+        H = last[1].copy()
+        H.flat[::H.shape[0] + 1] += shift
+        np.linalg.cholesky(H)    # raises unless H is positive definite
+        return np.linalg.solve(H, -g)
+    return direction
 
 
 def refine(initial_model: DcModel, dataset: Dataset, reg: RegParams,
@@ -790,7 +896,9 @@ def refine(initial_model: DcModel, dataset: Dataset, reg: RegParams,
     With zero initial slopes the initial model is returned unchanged.  Else
     one solve runs per smoothing width of ``MUS``, each from the last one's
     result, until one aborts; a solve whose line search fails stops there,
-    and the next width goes on.
+    and the next width goes on.  The first width's solve is L-BFGS; each
+    later one is ``newton_minimize`` with the exact Hessian of
+    ``_RefineProblem.smoothed``, on its working set.
     Every width but the last only brings the next one into its basin, so its
     solve stops once the gradient's max-norm is at most
     max(``cfg.grad_tol``, ``GAMMA`` * mu), after X. Chen's smoothing method
@@ -815,13 +923,18 @@ def refine(initial_model: DcModel, dataset: Dataset, reg: RegParams,
         return initial_model, report, False
     x_star, solves = problem.x0, []
     for mu in MUS:
+        tol = cfg.grad_tol if mu == MUS[-1] else max(cfg.grad_tol, GAMMA * mu)
+        solve_cfg = replace(cfg, grad_tol=tol)
         if solves:
             problem, x_star = problem.restricted(x_star, mu)
-        tol = cfg.grad_tol if mu == MUS[-1] else max(cfg.grad_tol, GAMMA * mu)
-        x_star, last = lbfgs_minimize(problem.objective(mu), x_star, replace(cfg, grad_tol=tol))
+            handle, hessian = problem.smoothed(mu)
+            x_star, last = newton_minimize(handle, _newton_step(hessian), x_star, solve_cfg)
+        else:
+            x_star, last = lbfgs_minimize(problem.objective(mu), x_star, solve_cfg)
         solves.append(last)
-        log.info("stage2 variant=%s mu=%g pieces=%d iters=%d evals=%d stop=%s tol=%g gnorm=%.6g "
-                 "wall=%.3fs", initial_model.variant, mu, problem.pieces.size, last.iterations,
+        log.info("stage2 variant=%s mu=%g solver=%s pieces=%d iters=%d evals=%d stop=%s tol=%g "
+                 "gnorm=%.6g wall=%.3fs", initial_model.variant, mu,
+                 "lbfgs" if mu == MUS[0] else "newton", problem.pieces.size, last.iterations,
                  last.evaluations, last.stop_reason, tol, last.final_grad_norm, last.wall_s)
         if last.aborted:
             break

@@ -2,16 +2,17 @@
 
 Both optimizers run one descent loop, with Armijo-only backtracking that
 tests each trial on its value, one set of stop rules and one report; they
-differ only in the rule that proposes each direction.  Stage 2 runs L-BFGS,
-whose direction is the compact form of the inverse Hessian over the last
-``LBFGS_MEMORY`` curvature pairs.
-Stage 1 runs the Newton method: its penalty objective has a gradient that is
-only piecewise smooth, and each step solves with a generalized Hessian of it,
-shifted in proportion to the gradient.
+differ only in the rule that proposes each direction.  L-BFGS, whose
+direction is the compact form of the inverse Hessian over the last
+``LBFGS_MEMORY`` curvature pairs, solves stage 2's first smoothing width,
+where every piece is still in play.
+The Newton method solves each step with a Hessian shifted in proportion to
+the gradient: stage 1's penalty objectives, whose gradient is only piecewise
+smooth, with a generalized Hessian, and stage 2's later widths, on their
+small working sets, with the exact one.
 """
 
 import logging
-from collections import deque
 from dataclasses import dataclass, field
 from math import isfinite, sqrt
 from time import perf_counter
@@ -43,13 +44,8 @@ GRAD_TOL = "grad_tol"        # gradient max-norm reached the solve's tolerance
 MAX_ITERS = "max_iters"      # iteration cap reached first
 LINE_SEARCH = "line_search"  # the line search found no acceptable step
 NONFINITE = "nonfinite"      # an accepted step had a non-finite gradient
-STALLED = "stalled"          # the value stopped falling over the stall window
-STOP_REASONS = (GRAD_TOL, MAX_ITERS, LINE_SEARCH, NONFINITE, STALLED)
+STOP_REASONS = (GRAD_TOL, MAX_ITERS, LINE_SEARCH, NONFINITE)
 
-# Stall rule: stop once the last STALL_WINDOW accepted steps lowered the value
-# by at most STALL_RTOL * max(1, |value|) in total.
-STALL_WINDOW = 50
-STALL_RTOL = 1e-8
 # Convergence: the gradient's max-norm at most GRAD_NORM_TOL, unless a solve's
 # SolverConfig.grad_tol says otherwise.  Armijo backtracking: at most
 # LS_MAX_STEPS trials, each LS_SHRINK times the last, accepted at a decrease
@@ -60,7 +56,10 @@ LS_C1 = 1e-4
 LS_MAX_STEPS = 40
 LBFGS_MEMORY = 30   # L-BFGS keeps the curvature pairs of this many last steps
 # Newton's Levenberg-Marquardt shift: NEWTON_SHIFT times the gradient's max-norm.
+# A shifted Hessian that is not positive definite is shifted ten times more, at
+# most NEWTON_RETRIES times; then the step is the gradient's.
 NEWTON_SHIFT = 0.1
+NEWTON_RETRIES = 8
 # The soft-max exponents are clipped at _EXP_FLOOR.  exp(-60) = 8.8e-27: a
 # column of fewer than 1e10 entries sums to the same double as unclipped, exp
 # stays off numpy's per-element path (below -707.7), and no weight is subnormal.
@@ -69,8 +68,7 @@ _EXP_FLOOR = -60.0
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """The iteration cap of a solve (of all stage-1 Newton solves together), and
-    the gradient max-norm at which an L-BFGS solve converges."""
+    """The iteration cap of a solve, and the gradient max-norm at which it converges."""
 
     max_iters: int = 2000
     grad_tol: float = GRAD_NORM_TOL
@@ -273,16 +271,13 @@ def _descend(obj: ObjectiveHandle, x0, max_iters: int, grad_tol: float, directio
     accepted steps never raise the value.  ``accepted(s, y, t, proposed)``
     sees each accepted step, then ``callback(iteration, x, value)`` runs.
     The solve stops once the gradient's max-norm is at most ``grad_tol``,
-    after ``max_iters`` steps, when a line search fails, when an accepted
-    step has a non-finite gradient (the last finite iterate is returned), or,
-    stalled, once the last ``STALL_WINDOW`` accepted steps lowered the value
-    by at most ``STALL_RTOL * max(1, |value|)``.
+    after ``max_iters`` steps, when a line search fails, or when an accepted
+    step has a non-finite gradient (the last finite iterate is returned).
     """
     start = perf_counter()
     trial = _Trials(obj)
     x, f, g = trial.first(x0)
     gnorm = float(np.abs(g).max()) if g.size else 0.0
-    recent = deque([f], maxlen=STALL_WINDOW + 1)      # values of the last accepted steps
     iters, stop_reason = 0, MAX_ITERS
     while gnorm > grad_tol and iters < max_iters:
         proposal = direction(x, g, gnorm)
@@ -309,11 +304,6 @@ def _descend(obj: ObjectiveHandle, x0, max_iters: int, grad_tol: float, directio
         iters += 1
         if callback is not None:
             callback(iters, x, f)
-        recent.append(f)
-        if (gnorm > grad_tol and len(recent) > STALL_WINDOW
-                and recent[0] - f <= STALL_RTOL * max(1.0, abs(f))):
-            stop_reason = STALLED
-            break
     if gnorm <= grad_tol:
         stop_reason = GRAD_TOL
     return x, SolveReport(iters, f, gnorm, int(stop_reason == LINE_SEARCH), trial.count,
@@ -335,17 +325,28 @@ def lbfgs_minimize(obj: ObjectiveHandle, x0, cfg: SolverConfig, callback=None):
                     callback)
 
 
-def newton_minimize(obj: ObjectiveHandle, direction, x0, max_iters: int):
+def newton_minimize(obj: ObjectiveHandle, direction, x0, cfg: SolverConfig):
     """Minimize obj from x0 by damped Newton steps; returns (x_star, SolveReport).
 
-    ``direction(x, g, shift)`` solves (H + shift I) d = -g for a generalized
-    Hessian H of obj at x.  The shift is ``NEWTON_SHIFT`` times the gradient's
-    max-norm, the Levenberg-Marquardt regularization of the semismooth Newton
-    method of Li, Fukushima, Qi & Yamashita (Comput. Optim. Appl. 2004), so
-    the steps lengthen to full Newton steps as the gradient vanishes.  Each
-    step is backtracked from t = 1; a direction that is not one of descent,
-    which only rounding can give, is replaced by the negative gradient.  The
-    solve converges at ``GRAD_NORM_TOL``; the stop rules are ``_descend``'s.
+    ``direction(x, g, shift)`` solves (H + shift I) d = -g for a Hessian, or a
+    generalized one, H of obj at x, and raises ``np.linalg.LinAlgError`` when
+    H + shift I is not positive definite.  The shift is ``NEWTON_SHIFT`` times
+    the gradient's max-norm, the Levenberg-Marquardt regularization of the
+    semismooth Newton method of Li, Fukushima, Qi & Yamashita (Comput. Optim.
+    Appl. 2004), so the steps lengthen to full Newton steps as the gradient
+    vanishes.  A shift that leaves H indefinite is multiplied by ten, at most
+    ``NEWTON_RETRIES`` times, and then the step is the negative gradient, as
+    it is for a direction that is not one of descent.  Each Newton step is
+    backtracked from t = 1.  Each solve runs at most ``cfg.max_iters`` steps
+    and converges at ``cfg.grad_tol``; the stop rules are ``_descend``'s.
     """
-    return _descend(obj, x0, max_iters, GRAD_NORM_TOL,
-                    lambda x, g, gnorm: (direction(x, g, NEWTON_SHIFT * gnorm), 1.0))
+    def propose(x, g, gnorm):
+        shift = NEWTON_SHIFT * gnorm
+        for _ in range(NEWTON_RETRIES + 1):
+            try:
+                return direction(x, g, shift), 1.0
+            except np.linalg.LinAlgError:
+                shift *= 10.0
+        return None
+
+    return _descend(obj, x0, cfg.max_iters, cfg.grad_tol, propose)

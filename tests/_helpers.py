@@ -658,6 +658,76 @@ def reference_max_form_objective(problem, mu):
     return evaluate
 
 
+def reference_refine_hessian(problem, mu, params):
+    """(H, scale): the Hessian of ``problem.objective(mu)`` at ``params``, dense
+    over all rows, and the largest entry of its risk terms before they cancel.
+
+    The risk (1/n) sum r_i^2 is differentiated twice on the (n, dim) matrices
+    J_m of each component's rows p_ik f_ik, f_ik = (1, phi(x_i, c_k)), placed
+    at the parameters' own positions: (2/n) J'J for J = sum_m sign_m J_m,
+    plus (2/n) sum_m [sum_k p_k f_k f_k' over the pieces, minus J_m' J_m], each
+    row weighted by its sign_m r_i / mu.  Then the ridge, the hinge on the soft
+    maximum of the slope norms and 2 rho a a' for each active cone residual
+    a . w, one row or residual at a time.  The risk terms of a row are of size
+    |r_i| / mu, and the Hessian's risk part is O(1): any two sums of them
+    differ by rounding relative to ``scale``, (2/n) sum_m |J_m|' (1 + |r| / mu)
+    |J_m|.
+    """
+    layout, y, n = problem.layout, problem.y, problem.y.shape[0]
+    m, K, s, d = layout.n_components, layout.n_pieces, layout.slope_dim, problem.d
+    dim, signs = layout.dim, problem.spec.signs
+    f = phi_tensor(problem.kind, problem.X, problem.centers)[:, :, :s]
+    f = np.concatenate([np.ones((n, K, 1)), f], axis=2)                   # (n, K, q)
+    _, b_at, w_at = layout.stack(np.arange(dim))
+    at = np.concatenate([b_at[..., None], w_at], axis=2)                  # (m, K, q)
+    _, B, W = layout.stack(params)
+    H, J, soft = np.zeros((dim, dim)), np.zeros((n, dim)), []
+    Js, own = [], []
+    for i in range(m):
+        value, e, total = floored_softmax((f[:, :, 0] * B[i] + np.einsum(
+            "nkj,kj->nk", f[:, :, 1:], W[i])).T, mu)
+        p = (e / total).T                                                 # (n, K)
+        soft.append(value)
+        Ji = np.zeros((n, dim))
+        Ji[:, at[i].ravel()] = (p[:, :, None] * f).reshape(n, -1)
+        J += signs[i] * Ji
+        Js.append(Ji)
+        own.append(p)
+    r = signed_sum(signs, soft) - y
+    H += (2.0 / n) * J.T @ J
+    scale = max(float(np.max((2.0 / n) * np.abs(Ji).T @ ((1.0 + np.abs(r) / mu)[:, None]
+                                                      * np.abs(Ji)))) for Ji in Js)
+    for i in range(m):
+        c = signs[i] * r / mu
+        H -= (2.0 / n) * Js[i].T @ (c[:, None] * Js[i])
+        for k in range(K):
+            H[np.ix_(at[i, k], at[i, k])] += (2.0 / n) * np.einsum(
+                "n,na,nb->ab", c * own[i][:, k], f[:, k], f[:, k])
+    rows, rows_at = W.reshape(-1, s), w_at.reshape(-1, s)
+    for j in rows_at.ravel():
+        H[j, j] += 2.0 * problem.reg.theta2
+    norms = np.linalg.norm(rows, axis=1)
+    lam, e, total = floored_softmax(norms, mu)
+    hinge = max(float(lam) - problem.c0, 0.0)
+    if problem.theta > 0.0 and hinge > 0.0:
+        p = e / total
+        g = np.zeros(dim)
+        for j, row in enumerate(rows):
+            u = row / norms[j]
+            g[rows_at[j]] = p[j] * u
+            H[np.ix_(rows_at[j], rows_at[j])] += 2.0 * problem.theta * hinge * (
+                p[j] * (np.eye(s) - np.outer(u, u)) / norms[j] + p[j] * np.outer(u, u) / mu)
+        H += 2.0 * problem.theta * (1.0 - hinge / mu) * np.outer(g, g)
+    rho, cone = problem.cone_weight(mu), problem.cone
+    columns = [np.atleast_1d(np.arange(s)[c]) for c in cone.columns(d)]
+    res = cone.residuals(W, d).reshape(m, K, -1)
+    for i, k, j in zip(*np.nonzero(res > 0.0)):
+        a = np.zeros(dim)
+        a[[w_at[i, k, cols[j]] for cols in columns]] = cone.sign
+        H += 2.0 * rho * np.outer(a, a)
+    return H, max(scale, float(np.max(np.abs(H))))
+
+
 def reference_piece_block(comp, rows):
     """(K, rows) piece values of one row block, with fresh temporaries and its own norm plane."""
     centers, W, d = comp.used_centers(), comp.weights, comp.d

@@ -373,7 +373,8 @@ def test_criterion_10_convergence_trend(trend_results):
 def test_max_form_stage2_solves_stop_before_the_iteration_cap(variant_fits, trend_results,
                                                               logged_solves):
     # Each stage 2 is one smooth solve of the max form per mu (max-min-affine's too):
-    # none runs to max_iters.
+    # none runs to max_iters.  The first width is solved by L-BFGS, the later ones by
+    # Newton steps, and every last-width solve converges.
     t0 = time.perf_counter()
     max_form = [s for s in logged_solves if s["stage"] == "stage2"]
     fits = [r for r, _ in list(variant_fits) + list(trend_results["fits"])
@@ -381,8 +382,15 @@ def test_max_form_stage2_solves_stop_before_the_iteration_cap(variant_fits, tren
     assert len(max_form) == 3 * len(fits) == 63
     stops = [s["stop"] for s in max_form]
     assert "max_iters" not in stops, stops
+    for s in max_form:
+        assert s["solver"] == ("lbfgs" if float(s["mu"]) == MUS[0] else "newton"), s
+    last = [s for s in max_form if float(s["mu"]) == MUS[-1]]
+    assert len(last) == len(fits) and all(s["stop"] == "grad_tol" for s in last), last
+    solvers = [s["solver"] for s in max_form]
     _report("5b", f"{len(max_form)} max-form stage-2 solves stop before the cap "
-                  f"({', '.join(f'{r} {stops.count(r)}' for r in sorted(set(stops)))})", t0)
+                  f"({', '.join(f'{r} {stops.count(r)}' for r in sorted(set(stops)))}); "
+                  f"all {len(last)} last-width solves stop at grad_tol; solvers: "
+                  f"{', '.join(f'{r} {solvers.count(r)}' for r in sorted(set(solvers)))}", t0)
 
 
 def test_early_width_stage2_solves_stop_at_gamma_mu(variant_fits, trend_results, logged_solves):

@@ -11,7 +11,8 @@ from _helpers import (assert_fit_invariants, assert_gradient_matches, assert_sam
                       build_refine_objective, dense_generalized_hessian, dense_initial_objective,
                       fit_diagnostics, phi_tensor, reference_cone_penalty,
                       reference_initial_objective, recording_solves,
-                      reference_max_form_objective, reference_reg_terms, scipy_initial_minimum,
+                      reference_max_form_objective, reference_refine_hessian,
+                      reference_reg_terms, scipy_initial_minimum,
                       softmax_smooth, value_and_gradient)
 from dcreg import features, fit
 from dcreg.data import Dataset
@@ -388,7 +389,8 @@ def test_a_stage1_rung_computes_the_pair_residuals_once_per_evaluation(monkeypat
     calls, pair_residuals = [], problem.pair_residuals
     monkeypatch.setattr(problem, "pair_residuals",
                         lambda B, W: calls.append(1) or pair_residuals(B, W))
-    _, report = newton_minimize(*problem.penalty(1.0), problem.certificate_point(), 100)
+    _, report = newton_minimize(*problem.penalty(1.0), problem.certificate_point(),
+                                SolverConfig(max_iters=100))
     assert report.converged and report.iterations > 5
     assert len(calls) == report.evaluations
 
@@ -546,6 +548,120 @@ def test_refine_gradient_matches_finite_differences_at_every_mu():
             points = [x0 + scale * rng.standard_normal(x0.size) for scale in (1e-3, 0.3, 0.3)]
             points.append(x0 * (reg.theta3 + 2.0) + 0.1 * rng.standard_normal(x0.size))
             assert_gradient_matches(obj, points, rtol=1e-6)
+
+
+def _hessian_at(handle, hessian, x):
+    """hessian(x) after the evaluation and gradient at x that it reads."""
+    value_and_gradient(handle, x)
+    return hessian(x)
+
+
+def _refine_hessian_points(problem, reg, rng):
+    """Next to the start, where pieces nearly tie; on the hinge branch; and farther out,
+    where the convex variants' slopes leave their cones."""
+    x0 = problem.x0
+    return [x0 + 1e-3 * rng.standard_normal(x0.size),
+            x0 * (reg.theta3 + 2.0) + 0.05 * rng.standard_normal(x0.size),
+            x0 + 0.3 * rng.standard_normal(x0.size)]
+
+
+@pytest.mark.parametrize("variant,kind", _PAIRS)
+def test_refine_hessian_matches_central_differences_of_the_gradient(variant, kind):
+    # The Newton widths' Hessian is the exact derivative of the gradient, for every
+    # (variant, kind) pair at every width of MUS: the risk's Gauss-Newton and soft-max
+    # terms, a difference's cross block, the hinge and the cones.
+    ds = _random_dataset(50, 2, seed=12)
+    part = afpc(ds.X, seed=13)
+    reg = default_reg_params(*_radii(ds), ds.n, 2, part.n_centers)
+    initial, _ = fit_initial(ds, part, kind, reg, variant=variant)
+    problem = _RefineProblem(initial, ds, reg)
+    assert problem.theta > 0.0
+    rng = np.random.default_rng(14)
+    comp = np.arange(problem.layout.dim) // (problem.layout.dim // problem.layout.n_components)
+    for mu in MUS:
+        handle, hessian = problem.smoothed(mu)
+        for at, x in enumerate(_refine_hessian_points(problem, reg, rng)):
+            H = _hessian_at(handle, hessian, x)
+            num = np.empty_like(H)
+            for j in range(x.size):
+                step = np.zeros(x.size)
+                step[j] = 1e-3 * mu
+                num[:, j] = (value_and_gradient(handle, x + step)[1]
+                             - value_and_gradient(handle, x - step)[1]) / (2e-3 * mu)
+            what = (variant, kind, mu, at)
+            assert np.max(np.abs(H - num)) <= 1e-6 * np.max(np.abs(num)), what
+            if problem.layout.n_components == 2:
+                assert np.any(H[comp == 0][:, comp == 1] != 0.0), what
+            if at == 2 and problem.cone is not NO_CONE:
+                W = problem.layout.stack(x)[2]
+                assert np.any(problem.cone.residuals(W, problem.d) > 0.0), what
+
+
+@pytest.mark.parametrize("variant,kind", _PAIRS)
+def test_refine_hessian_tied_row_assembly_equals_the_dense_all_rows_form(variant, kind):
+    # The blocks between pieces come from the tied rows alone, where two or more
+    # pieces weigh more than the clip; the dense form sums every row.  Both add
+    # terms of size |r| / mu that cancel, so they agree relative to those terms.
+    ds = _random_dataset(80, 2, seed=15)
+    part = afpc(ds.X, seed=16)
+    reg = default_reg_params(*_radii(ds), ds.n, 2, part.n_centers)
+    initial, _ = fit_initial(ds, part, kind, reg, variant=variant)
+    problem = _RefineProblem(initial, ds, reg)
+    rng = np.random.default_rng(17)
+    n, partly_tied = ds.n, 0
+    for mu in MUS:
+        handle, hessian = problem.smoothed(mu)
+        for at, x in enumerate(_refine_hessian_points(problem, reg, rng)):
+            H = _hessian_at(handle, hessian, x)
+            ref, scale = reference_refine_hessian(problem, mu, x)
+            assert np.max(np.abs(H - ref)) <= 1e-12 * scale, (variant, mu, at)
+            _, B, W = problem.layout.stack(x)
+            A = _PieceKernel(kind, ds.X, problem.centers, problem.slope_dim).values(B, W)
+            tied = (softmax_columns(A, mu, A.max(axis=1))[1] > np.exp(_EXP_FLOOR)).sum(1) > 1
+            partly_tied += bool(0 < tied.sum() < tied.size)
+    assert partly_tied > 0
+
+
+def test_the_stage2_hessian_is_taken_only_at_the_last_point_differentiated():
+    ds = _random_dataset(60, 2, seed=18)
+    part = afpc(ds.X, seed=19)
+    reg = default_reg_params(*_radii(ds), ds.n, 2, part.n_centers)
+    initial, _ = fit_initial(ds, part, features.LINF, reg, variant=SYMMETRIC)
+    problem = _RefineProblem(initial, ds, reg)
+    handle, hessian = problem.smoothed(MUS[1])
+    x = problem.x0
+    y = x + 0.1 * np.random.default_rng(20).standard_normal(x.size)
+    with pytest.raises(ValueError, match="last point differentiated"):
+        hessian(x)                                  # no point differentiated yet
+    H = _hessian_at(handle, hessian, x)
+    handle.evaluate(y)                              # a trial: it overwrites the weights
+    with pytest.raises(ValueError, match="last point differentiated"):
+        hessian(x)
+    value_and_gradient(handle, y)
+    with pytest.raises(ValueError, match="last point differentiated"):
+        hessian(x)
+    assert_same_bits(_hessian_at(handle, hessian, x), H)
+
+
+def test_newton_step_solves_the_shifted_hessian_and_reuses_it_across_retries():
+    # fit._newton_step: (H + shift I) d = -g, a LinAlgError where H + shift I is
+    # indefinite, and one Hessian per point however many shifts are tried there.
+    H = np.array([[2.0, 0.0], [0.0, -1.0]])
+    calls = []
+
+    def hessian(x):
+        calls.append(x)
+        return H * (1.0 + x[0])
+
+    direction = fit._newton_step(hessian)
+    x, g = np.zeros(2), np.array([1.0, -2.0])
+    with pytest.raises(np.linalg.LinAlgError):
+        direction(x, g, 0.5)
+    assert np.allclose(direction(x, g, 5.0), [-1.0 / 7.0, 2.0 / 4.0], rtol=1e-14)
+    assert len(calls) == 1
+    y = np.ones(2)
+    assert np.allclose(direction(y, g, 5.0), [-1.0 / 9.0, 2.0 / 3.0], rtol=1e-14)
+    assert len(calls) == 2 and calls[1] is y
 
 
 def _piece_positions(layout, idx):
@@ -1015,7 +1131,7 @@ def test_reg_terms_hinge_weights_match_the_dense_reference():
             tied = rng.choice(rows, ties, replace=False)
             gaps = np.concatenate([[0.0], rng.uniform(0.0, spread, ties - 1)]) * mu
             W[tied] *= ((norms.max() + 1.0 - gaps) / norms[tied])[:, None]
-            value, gradient = _reg_terms(W, theta, c0, theta2, mu)
+            value, gradient, _ = _reg_terms(W, theta, c0, theta2, mu)
             ref_value, ref_grad = reference_reg_terms(W, theta, c0, theta2, mu)
             grad = gradient()
             what = (rows, s, spread, ties, mu)
@@ -1081,7 +1197,7 @@ def test_reg_terms_skip_the_soft_max_only_where_the_hinge_cannot_bind(monkeypatc
         for c0 in (bound * (1.0 + 1e-6), bound * (1.0 + 1e-11), bound, bound * (1.0 - 1e-11),
                    soft_max * (1.0 + 1e-14), soft_max, soft_max * (1.0 - 1e-9), 0.5 * soft_max):
             soft_max_calls.clear()
-            value, gradient = _reg_terms(W, theta, c0, theta2, mu)
+            value, gradient, _ = _reg_terms(W, theta, c0, theta2, mu)
             ref_value, ref_grad = reference_reg_terms(W, theta, c0, theta2, mu)
             what = (rows, s, mu, c0)
             assert value == ref_value, what

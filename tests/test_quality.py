@@ -3,6 +3,7 @@
 import json
 import re
 import sys
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -36,13 +37,20 @@ def test_measurement_is_deterministic_and_compares_equal_to_itself(workload, tmp
         assert r["excess_mse"] > 0.0 and np.isfinite(r["excess_mse"])
         assert r["stage1"][1] and r["stage2"][1] in ("", *STOP_REASONS)
         assert r["pieces"] >= 1
-        # one working-set size per stage-2 solve, one solve per width
+        # one stop reason and one working-set size per stage-2 solve, one solve per
+        # width; the last one's is the summed report's
         solves = len(quality.dcreg.fit.MUS) if r["stage2"][1] else 0
         assert len(r["stage2_pieces"]) == solves and all(p >= 1 for p in r["stage2_pieces"])
+        assert len(r["stage2_stops"]) == solves and set(r["stage2_stops"]) <= set(STOP_REASONS)
+        assert r["stage2_stops"][-1:] == ([r["stage2"][1]] if solves else [])
     text, passed = quality.compare(first, second)
     assert passed and text.endswith("PASS")
-    for label in quality.groups(first["records"]):
-        assert label in quality.report(first)
+    table = quality.report(first)
+    for label, recs in quality.groups(first["records"]).items():
+        line, = (line for line in table.splitlines() if line.startswith(f"{label} "))
+        widths = [" ".join(f"{s}:{n}" for s, n in sorted(Counter(w).items()))
+                  for w in zip(*(r["stage2_stops"] for r in recs))]
+        assert f"; {'/'.join(widths) or '-'}; " in line
     path = tmp_path / "m.json"
     path.write_text(json.dumps(first))
     assert quality.main(["--compare", str(path), str(path)]) == 0

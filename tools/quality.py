@@ -17,8 +17,9 @@ nothing of dcreg grades itself.  Everything is deterministic.
 
 The printed table gives, per fitted set and pooled per variant and over the
 workload, the median, quartiles and range of excess MSE, the stop reasons
-and iteration counts of both stages, and the range of the stage-2 working
-set (the ``pieces=`` of each logged solve) per smoothing width.
+and iteration counts of both stages, and per smoothing width the stop
+reasons of the stage-2 solves (the ``stop=`` of each logged solve) and the
+range of their working sets (its ``pieces=``).
 ``--compare`` pairs the fits by (variant, set, k) and applies the rule
 ``RULE`` below.
 """
@@ -132,6 +133,7 @@ def measure(workload, sizes=worker.FULL, ks=KS):
                                result.initial_report.stop_reason],
                     "stage2": [result.refine_report.iterations,
                                result.refine_report.stop_reason],
+                    "stage2_stops": [f["stop"] for stage, f in lines if stage == "stage2"],
                     "stage2_pieces": [int(f["pieces"]) for stage, f in lines
                                       if stage == "stage2"],
                     "pieces": sum(c.n_pieces for c in result.final_model.components()),
@@ -156,11 +158,19 @@ def groups(records):
     return out
 
 
+def _reasons(stops):
+    return " ".join(f"{reason}:{n}" for reason, n in sorted(Counter(stops).items()))
+
+
 def _stops(recs, stage):
-    counts = Counter(r[stage][1] for r in recs)
     iters = [r[stage][0] for r in recs]
-    reasons = " ".join(f"{reason}:{n}" for reason, n in sorted(counts.items()))
-    return f"{reasons} iters {min(iters)}-{max(iters)}"
+    return f"{_reasons(r[stage][1] for r in recs)} iters {min(iters)}-{max(iters)}"
+
+
+def _width_stops(recs):
+    """Stop reasons of the stage-2 solves per smoothing width, '/' between the widths."""
+    solves = [r.get("stage2_stops", []) for r in recs]
+    return "/".join(_reasons(width) for width in zip(*solves)) or "-"
 
 
 def _pieces(recs):
@@ -172,11 +182,12 @@ def _pieces(recs):
 def report(measurement):
     lines = [f"{measurement['workload']}: excess MSE over k = {measurement['ks']}",
              f"{'group':28} {'median':>8} {'q1':>8} {'q3':>8} {'min':>8} {'max':>8}"
-             f"  stage-1 stops; stage-2 stops; stage-2 pieces per mu"]
+             f"  stage-1 stops; stage-2 stops; stage-2 stops per mu; stage-2 pieces per mu"]
     for label, recs in groups(measurement["records"]).items():
         med, q1, q3, lo, hi = summary([r["excess_mse"] for r in recs])
         lines.append(f"{label:28} {med:8.4f} {q1:8.4f} {q3:8.4f} {lo:8.4f} {hi:8.4f}"
-                     f"  {_stops(recs, 'stage1')}; {_stops(recs, 'stage2')}; {_pieces(recs)}")
+                     f"  {_stops(recs, 'stage1')}; {_stops(recs, 'stage2')}; {_width_stops(recs)}; "
+                     f"{_pieces(recs)}")
     return "\n".join(lines)
 
 
